@@ -1,0 +1,51 @@
+"""Finite-volume simulator for a four-species haptotaxis-chemotaxis
+tissue-regeneration model, with entropy monitors, bound certificates,
+weak-form residual checks, and a vanishing-regularization harness.
+"""
+
+from .config import RunConfig, echo_text, parse_config
+from .diagnostics import (
+    BoundCertificates,
+    DiagnosticsRecord,
+    EntropyParams,
+    MonitorReport,
+    certify_bounds,
+    compute_record,
+    dissipation_D,
+    entropy_E,
+    entropy_inequality_monitor,
+)
+from .errors import ConfigError, DivergenceError, StabilityError, StiffnessError
+from .grid import (
+    Grid,
+    gradient_components,
+    gradient_sq,
+    integrate,
+    laplacian_neumann,
+    taxis_divergence,
+)
+from .model import (
+    ModelParams,
+    RateFunction,
+    SupplySchedule,
+    apply_dose,
+    eval_rate,
+    eval_supply,
+    reaction_rhs,
+)
+from .oracle import HomogeneousState, OracleTrajectory, ode_rhs, rk4_solve
+from .stepping import SimState, StepControl, run, stable_dt, step
+from .sweep import SweepConfig, SweepReport, compare_to_limit, run_sweep
+from .weakform import (
+    TestFunction,
+    Trajectory,
+    TrajectoryRecorder,
+    residual_c1,
+    residual_c2,
+    residual_chi,
+    residual_table,
+    residual_tau,
+)
+
+__all__ = [name for name in dir() if not name.startswith("_")]
+__version__ = "0.1.0"

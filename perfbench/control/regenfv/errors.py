@@ -1,0 +1,17 @@
+"""Exception types shared across the package."""
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent run configuration."""
+
+
+class StabilityError(RuntimeError):
+    """A timestep exceeded the explicit stability bound."""
+
+
+class DivergenceError(RuntimeError):
+    """A field left the finite range during time stepping."""
+
+
+class StiffnessError(RuntimeError):
+    """The reference ODE integrator produced a significantly negative component."""

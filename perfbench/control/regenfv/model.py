@@ -1,0 +1,191 @@
+"""Model coefficients, switching-rate functions, dosing schedule, reaction terms.
+
+Everything here is a pure function of its arguments; both the PDE stepper and
+the homogeneous ODE reference build on these and nothing else, so the two
+integration paths stay independent above this layer.
+
+State variables: c1 (stem cells), c2 (chondrocytes), chi (differentiation
+medium), tau (extracellular matrix). The regularized variant adds -eps*c^theta
+damping to both cell equations and eps-diffusion to tau; eps=0 selects the
+limit model.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+
+def _all_nonneg(x) -> bool:
+    """Fast nonnegativity check for floats; falls back to numpy for arrays."""
+    if isinstance(x, (float, int)):
+        return x >= 0
+    import numpy as np
+
+    return bool(np.min(x) >= 0)
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Scalar coefficients of the reaction-taxis system plus regularization.
+
+    Diffusivities, taxis coefficients, and the matrix decay rates are strictly
+    positive; ``beta`` and ``a_chi`` may be zero to switch proliferation or
+    medium uptake off. ``eps`` in [0, 1) selects the regularized variant when
+    positive; ``theta`` is the damping exponent, required > 2 (and > spatial
+    dimension, checked at run setup).
+    """
+
+    a1: float
+    a2: float
+    b_tau: float
+    b_chi: float
+    d_chi: float
+    a_chi: float
+    beta: float
+    delta: float
+    mu: float
+    eps: float = 0.0
+    theta: float = 4.0
+
+    def __post_init__(self):
+        positives = {
+            "a1": self.a1, "a2": self.a2, "b_tau": self.b_tau, "b_chi": self.b_chi,
+            "d_chi": self.d_chi, "delta": self.delta, "mu": self.mu,
+        }
+        for name, value in positives.items():
+            if not value > 0:
+                raise ValueError(f"parameter {name} must be strictly positive, got {value}")
+        # beta and a_chi admit 0 so the conservation and dosing-budget checks
+        # can switch proliferation and uptake off; the mass bound degenerates
+        # gracefully (M1 -> infinity as beta -> 0).
+        for name, value in (("beta", self.beta), ("a_chi", self.a_chi)):
+            if value < 0:
+                raise ValueError(f"parameter {name} must be nonnegative, got {value}")
+        if not 0 <= self.eps < 1:
+            raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
+        if not self.theta > 2:
+            raise ValueError(f"theta must exceed 2, got {self.theta}")
+
+
+@dataclass(frozen=True)
+class RateFunction:
+    """Bounded positive switching rate: constant or Michaelis-Menten in chi.
+
+    The amplitude is the certified supremum (0 < value <= amplitude for all
+    z >= 0). The saturating form is floored at ``floor`` (default
+    1e-12*amplitude) so strict positivity survives z=0.
+    """
+
+    kind: str
+    amplitude: float
+    half_saturation: float = 1.0
+    floor: float = field(default=-1.0)
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "saturating"):
+            raise ValueError(f"unknown rate kind {self.kind!r}")
+        if self.amplitude < 0:
+            raise ValueError("rate amplitude must be nonnegative")
+        if self.kind == "saturating" and not self.half_saturation > 0:
+            raise ValueError("half-saturation must be positive")
+        if self.floor < 0:
+            object.__setattr__(self, "floor", 1e-12 * self.amplitude)
+        if self.floor > self.amplitude:
+            raise ValueError("positivity floor cannot exceed the amplitude")
+
+    @property
+    def bound(self) -> float:
+        """The certified upper bound M_alpha."""
+        return self.amplitude
+
+
+def eval_rate(f: RateFunction, z):
+    """Evaluate a rate function at z >= 0 (scalar or array); result in (0, amplitude]."""
+    if not _all_nonneg(z):
+        raise ValueError("rate functions are defined for nonnegative arguments only")
+    if f.kind == "constant":
+        return f.amplitude
+    value = f.amplitude * z / (f.half_saturation + z)
+    if isinstance(value, float):
+        return max(value, f.floor)
+    import numpy as np
+
+    return np.maximum(value, f.floor)
+
+
+@dataclass(frozen=True)
+class SupplySchedule:
+    """Periodic medium dosing: the dose times, the per-event quantity chi0,
+    and whether each event is a finite-width pulse or an instantaneous jump.
+    """
+
+    dose_times: tuple[float, ...] = ()
+    chi0: float = 0.0
+    mode: str = "pulse"
+    width: float = 0.1
+
+    def __post_init__(self):
+        object.__setattr__(self, "dose_times", tuple(float(t) for t in self.dose_times))
+        if self.mode not in ("pulse", "jump"):
+            raise ValueError(f"unknown supply mode {self.mode!r}")
+        if self.chi0 < 0:
+            raise ValueError("chi0 must be nonnegative")
+        if any(t < 0 for t in self.dose_times):
+            raise ValueError("dose times must be nonnegative")
+        if any(b <= a for a, b in zip(self.dose_times, self.dose_times[1:])):
+            raise ValueError("dose times must be strictly increasing")
+        if self.mode == "pulse" and not self.width > 0:
+            raise ValueError("pulse width must be positive")
+
+
+def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
+    """Instantaneous supply density at time t: chi0/|Omega| inside a pulse window.
+
+    Jump-mode doses are measures in time handled by apply_dose, so the density
+    is 0 there. The return value never exceeds chi0/|Omega|.
+    """
+    if domain_measure <= 0:
+        raise ValueError("domain measure must be positive")
+    if s.mode != "pulse" or s.chi0 == 0.0:
+        return 0.0
+    for tk in s.dose_times:
+        if tk <= t < tk + s.width:
+            return s.chi0 / domain_measure
+        if tk > t:
+            break
+    return 0.0
+
+
+def reaction_rhs(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction, alpha2: RateFunction):
+    """Non-transport right-hand sides of the four equations at one state.
+
+    Returns (r1, r2, r3, r4); the medium supply is added separately. The
+    alpha-exchange terms in r1 and r2 are exact negatives of each other, so
+    phenotype switching conserves total cell mass pointwise.
+    """
+    for v in (c1, c2, chi, tau):
+        if not _all_nonneg(v):
+            raise ValueError("reaction terms are defined on the nonnegative orthant")
+    a1v = eval_rate(alpha1, chi)
+    a2v = eval_rate(alpha2, chi)
+    switch = a1v * c1 / (1.0 + c1) - a2v * c2 / (1.0 + c2)
+    r1 = -switch + p.beta * c1 * (1.0 - c1 - c2 - tau)
+    r2 = switch
+    if p.eps > 0.0:
+        r1 = r1 - p.eps * c1**p.theta
+        r2 = r2 - p.eps * c2**p.theta
+    r3 = -p.a_chi * (c1 + c2) * chi
+    r4 = -p.delta * c1 * tau - p.mu * tau + c2 / (1.0 + c2)
+    return r1, r2, r3, r4
+
+
+def apply_dose(state, s: SupplySchedule):
+    """Increment chi uniformly by chi0/|Omega| (jump mode only).
+
+    The total added medium mass is exactly chi0; all other fields untouched.
+    Returns a new state.
+    """
+    if s.mode != "jump":
+        raise ValueError("apply_dose is only meaningful in jump mode")
+    increment = s.chi0 / state.grid.measure
+    return state.replace(chi=state.chi + increment)
