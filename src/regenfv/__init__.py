@@ -31,6 +31,7 @@ from .model import (
     apply_dose,
     eval_rate,
     eval_supply,
+    event_timeline,
     reaction_rhs,
 )
 from .oracle import HomogeneousState, OracleTrajectory, ode_rhs, rk4_solve

@@ -44,22 +44,37 @@ def _snapshot_text(state: SimState) -> str:
 
 
 def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
-    """Rebuild a Trajectory from diagnostics.csv and the snap_<index>.csv files."""
+    """Rebuild a Trajectory from diagnostics.csv and the snap_<index>.csv files.
+
+    The files are outside input: a malformed one is a ConfigError naming it.
+    """
     diag_path = out_dir / "diagnostics.csv"
     if not diag_path.exists():
         raise ConfigError(f"no diagnostics.csv in {out_dir}; run with output.snapshots = 1 first")
-    with diag_path.open() as fh:
-        header = fh.readline().strip().split(",")
-        t_col = header.index("t")
-        times = [float(line.split(",")[t_col]) for line in fh if line.strip()]
+    try:
+        with diag_path.open() as fh:
+            header = fh.readline().strip().split(",")
+            t_col = header.index("t")
+            times = [float(line.split(",")[t_col]) for line in fh if line.strip()]
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"malformed {diag_path}: {exc}") from None
     grid = cfg.grid
     states = []
     for idx, t in enumerate(times):
         snap = out_dir / f"snap_{idx}.csv"
         if not snap.exists():
             raise ConfigError(f"missing snapshot {snap}")
-        data = np.loadtxt(snap, delimiter=",", skiprows=1)
-        data = np.atleast_2d(data)
+        try:
+            data = np.atleast_2d(np.loadtxt(snap, delimiter=",", skiprows=1))
+        except ValueError as exc:
+            raise ConfigError(f"malformed snapshot {snap}: {exc}") from None
+        if data.shape != (grid.n_cells, grid.dim + 4):
+            raise ConfigError(
+                f"snapshot {snap} holds {data.shape[0]}x{data.shape[1]} values, "
+                f"expected {grid.n_cells}x{grid.dim + 4}"
+            )
+        if not np.isfinite(data).all():
+            raise ConfigError(f"snapshot {snap} holds non-finite values")
         fields = data[:, grid.dim:]
         states.append(
             SimState(
@@ -71,7 +86,10 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
                 grid=grid,
             )
         )
-    return Trajectory(np.asarray(times), tuple(states), cfg.params, cfg.alphas, cfg.schedule)
+    try:
+        return Trajectory(np.asarray(times), tuple(states), cfg.params, cfg.alphas, cfg.schedule)
+    except ValueError as exc:
+        raise ConfigError(f"{out_dir}: {exc}") from None
 
 
 def _resolve_out(cfg: RunConfig, args) -> Path:

@@ -12,8 +12,10 @@ c20, chi0, tau0); each takes exactly one of the initializers
     chi0.cosine = 1.0 0.5 1        # base amplitude kx [ky]
     tau0.file   = path/to/values.txt
 
-Initial data must satisfy c10, c20 >= 0 and chi0, tau0 > 0; violations are
-rejected while parsing (file initializers when the file is read).
+Initial data must be finite and satisfy c10, c20 >= 0 and chi0, tau0 > 0;
+violations are rejected while parsing (file initializers when the file is
+read, in ``build_initial``). Every such error is a ConfigError naming the
+section; nothing downstream re-checks the fields.
 """
 
 from __future__ import annotations
@@ -59,8 +61,13 @@ class InitializerSpec:
             for k, x, L in zip(modes, grid.coordinate_arrays(), grid.lengths):
                 bump = bump * np.cos(k * np.pi * x / L)
             return grid.field(values + self.amplitude * bump)
-        data = np.loadtxt(self.path).reshape(grid.shape)
-        return grid.field(data)
+        try:
+            data = np.loadtxt(self.path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read {self.path}: {exc}") from None
+        if data.size != grid.n_cells:
+            raise ConfigError(f"{self.path} holds {data.size} values, the grid has {grid.n_cells} cells")
+        return grid.field(data.reshape(grid.shape))
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,10 @@ class RunConfig:
     def build_initial(self) -> SimState:
         fields = {}
         for section, spec in self.initial.items():
-            arr = spec.build(self.grid)
+            try:
+                arr = spec.build(self.grid)
+            except ValueError as exc:  # ConfigError included
+                raise ConfigError(f"{section}: {exc}") from None
             name = _FIELD_OF_SECTION[section]
             if section in ("c10", "c20") and np.min(arr) < 0:
                 raise ConfigError(f"{section} must be nonnegative")
@@ -234,6 +244,8 @@ def _parse_initializer(e: _Entries, section: str) -> InitializerSpec:
 
 
 def _check_initial_sign(section: str, low: float, lineno: int) -> None:
+    if not math.isfinite(low):
+        raise ConfigError(f"line {lineno}: {section} must be finite")
     if section in ("c10", "c20") and low < 0:
         raise ConfigError(f"line {lineno}: {section} must be nonnegative")
     if section in ("chi0", "tau0") and low <= 0:

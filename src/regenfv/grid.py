@@ -88,11 +88,58 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(f) * grid.cell_volume)
 
 
-def _face_diffs(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
+# Index tuples per axis, keyed by the number of grid axes after it, so the
+# operators act on trailing axes (leading batch axes pass through).
+def _along(sl: slice) -> tuple[tuple, tuple]:
+    return (Ellipsis, sl), (Ellipsis, sl, slice(None))
+
+
+_HI, _LO = _along(slice(1, None)), _along(slice(None, -1))
+_MID, _FIRST, _LAST = _along(slice(1, -1)), _along(slice(None, 1)), _along(slice(-1, None))
+
+
+def _face_diffs(f: np.ndarray, back: int, inv_h: float) -> np.ndarray:
     """Interior-face differences (f_right - f_left)/h along one axis."""
-    lo = _axis_slice(f, axis, slice(None, -1))
-    hi = _axis_slice(f, axis, slice(1, None))
-    return (hi - lo) * (1.0 / grid.spacing[axis])
+    out = f[_HI[back]] - f[_LO[back]]
+    out *= inv_h
+    return out
+
+
+def _cell_pairs(faces: np.ndarray, back: int, op) -> np.ndarray:
+    """Per cell, op(right face value, left face value); boundary faces hold zero.
+
+    With ``np.subtract`` this is the zero-boundary-flux cell difference, with
+    ``np.add`` the sum of the two face values.
+    """
+    shape = list(faces.shape)
+    shape[-1 - back] += 1
+    out = np.empty(shape)
+    op(faces[_HI[back]], faces[_LO[back]], out=out[_MID[back]])
+    op(faces[_FIRST[back]], 0.0, out=out[_FIRST[back]])
+    op(0.0, faces[_LAST[back]], out=out[_LAST[back]])
+    return out
+
+
+def _cell_means(faces: np.ndarray, back: int) -> np.ndarray:
+    """Per cell, the mean of its two face values; boundary faces hold zero."""
+    out = _cell_pairs(faces, back, np.add)
+    out *= 0.5
+    return out
+
+
+def _axes(grid: Grid):
+    """(back, 1/h) per axis, ``back`` counting the grid axes after it."""
+    return ((grid.dim - 1 - axis, 1.0 / h) for axis, h in enumerate(grid.spacing))
+
+
+def _flux_divergence(grid: Grid, face_flux) -> np.ndarray:
+    """Sum over axes of the cell difference of ``face_flux(back, inv_h)``, over h."""
+    out = None
+    for back, inv_h in _axes(grid):
+        term = _cell_pairs(face_flux(back, inv_h), back, np.subtract)
+        term *= inv_h
+        out = term if out is None else out + term
+    return out
 
 
 def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -101,58 +148,21 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     Flux form: boundary face gradients are exactly zero, so
     ``integrate(grid, laplacian_neumann(grid, f)) == 0`` to rounding.
     """
-    out = np.zeros_like(f, dtype=float)
-    if not f.any():
-        return out
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        flux = _pad_faces(_face_diffs(grid, f, axis), axis)
-        lo = _axis_slice(flux, axis, slice(None, -1))
-        hi = _axis_slice(flux, axis, slice(1, None))
-        out += (hi - lo) * (1.0 / h)
-    return out
-
-
-def _pad_faces(interior_flux: np.ndarray, axis: int) -> np.ndarray:
-    """Prepend/append zero boundary-face values along one axis."""
-    shape = list(interior_flux.shape)
-    shape[axis] += 2
-    out = np.zeros(shape)
-    _axis_slice(out, axis, slice(1, -1))[...] = interior_flux
-    return out
+    return _flux_divergence(grid, lambda back, inv_h: _face_diffs(f, back, inv_h))
 
 
 def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
-    """Finite-volume divergence of the taxis flux coeff*c*grad(s).
+    """Finite-volume divergence of the taxis flux coeff*c*grad(s), coeff >= 0.
 
     Face velocities are central-differenced; the advected value c is taken
     from the upwind cell, which preserves c >= 0 under the advective CFL
     bound. Boundary faces carry zero flux.
     """
-    if coeff < 0:
-        raise ValueError("taxis coefficient must be nonnegative")
-    if np.min(c) < 0:
-        raise ValueError("advected field must be nonnegative")
-    out = np.zeros_like(c, dtype=float)
-    if coeff == 0.0 or not c.any():
-        return out
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        v = coeff * _face_diffs(grid, s, axis)
-        left = _axis_slice(c, axis, slice(None, -1))
-        right = _axis_slice(c, axis, slice(1, None))
-        c_face = np.where(v > 0, left, right)
-        flux = _pad_faces(v * c_face, axis)
-        lo = _axis_slice(flux, axis, slice(None, -1))
-        hi = _axis_slice(flux, axis, slice(1, None))
-        out += (hi - lo) * (1.0 / h)
-    return out
+    def flux(back, inv_h):
+        v = coeff * _face_diffs(s, back, inv_h)
+        return v * np.where(v > 0, c[_LO[back]], c[_HI[back]])
 
-
-def _axis_slice(f: np.ndarray, axis: int, sl: slice) -> np.ndarray:
-    idx = [slice(None)] * f.ndim
-    idx[axis] = sl
-    return f[tuple(idx)]
+    return _flux_divergence(grid, flux)
 
 
 def gradient_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -161,30 +171,17 @@ def gradient_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
     Boundary faces contribute zero (mirror ghosts), so a constant field maps
     to the zero field exactly.
     """
-    out = np.zeros_like(f, dtype=float)
-    for axis in range(grid.dim):
-        g = _pad_faces(_face_diffs(grid, f, axis), axis)
-        left = _axis_slice(g, axis, slice(None, -1))
-        right = _axis_slice(g, axis, slice(1, None))
-        out += 0.5 * (left**2 + right**2)
-    return out
+    return sum(_cell_means(_face_diffs(f, back, inv_h) ** 2, back) for back, inv_h in _axes(grid))
 
 
 def gradient_components(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cellwise gradient vector: per axis, the mean of the two face differences."""
-    comps = []
-    for axis in range(grid.dim):
-        g = _pad_faces(_face_diffs(grid, f, axis), axis)
-        left = _axis_slice(g, axis, slice(None, -1))
-        right = _axis_slice(g, axis, slice(1, None))
-        comps.append(0.5 * (left + right))
-    return tuple(comps)
+    return tuple(_cell_means(_face_diffs(f, back, inv_h), back) for back, inv_h in _axes(grid))
 
 
 def max_face_speed(grid: Grid, s: np.ndarray, coeff: float) -> tuple[float, ...]:
     """Per-axis maximum of |coeff * face gradient of s| (advective CFL input)."""
-    speeds = []
-    for axis in range(grid.dim):
-        g = _face_diffs(grid, s, axis)
-        speeds.append(float(coeff * np.max(np.abs(g))) if g.size else 0.0)
-    return tuple(speeds)
+    return tuple(
+        float(coeff * np.max(np.abs(_face_diffs(s, back, inv_h))))
+        for back, inv_h in _axes(grid)
+    )

@@ -13,15 +13,13 @@ limit model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
+import numpy as np
 
-def _all_nonneg(x) -> bool:
-    """Fast nonnegativity check for floats; falls back to numpy for arrays."""
-    if isinstance(x, (float, int)):
-        return x >= 0
-    import numpy as np
-
-    return bool(np.min(x) >= 0)
+# Absolute tolerance for "an event lies in (t0, t1]": a dose or edge closer
+# than this to a step end counts as landed on.
+EVENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,15 +99,11 @@ class RateFunction:
 
 def eval_rate(f: RateFunction, z):
     """Evaluate a rate function at z >= 0 (scalar or array); result in (0, amplitude]."""
-    if not _all_nonneg(z):
-        raise ValueError("rate functions are defined for nonnegative arguments only")
     if f.kind == "constant":
         return f.amplitude
     value = f.amplitude * z / (f.half_saturation + z)
     if isinstance(value, float):
         return max(value, f.floor)
-    import numpy as np
-
     return np.maximum(value, f.floor)
 
 
@@ -136,6 +130,49 @@ class SupplySchedule:
             raise ValueError("dose times must be strictly increasing")
         if self.mode == "pulse" and not self.width > 0:
             raise ValueError("pulse width must be positive")
+        if self.mode == "jump" and 0.0 in self.dose_times:
+            raise ValueError(
+                "a jump dose at t=0 would never be applied; fold it into the initial "
+                "medium (the chi0 section) instead"
+            )
+
+
+def event_timeline(
+    s: SupplySchedule, t_end: float, save_every: Optional[float] = None
+) -> list[tuple[float, bool]]:
+    """Sorted (time, is_save) events in (0, t_end] that an integrator lands on.
+
+    Events are the jump doses in (0, t_end], the pulse edges in (0, t_end),
+    the multiples of ``save_every`` below t_end, and t_end itself (a save).
+    Events closer than 1e-12*max(1, t_end) merge into the earlier one. States
+    saved at an event are right limits: a jump dose there is already applied.
+    """
+    if t_end <= EVENT_TOL:  # nothing to land on
+        return []
+    if s.mode == "jump":
+        raw = [(td, False) for td in s.dose_times if 0 < td <= t_end]
+    else:
+        edges = (e for td in s.dose_times for e in (td, td + s.width))
+        raw = [(e, False) for e in edges if 0 < e < t_end]
+    k = 1
+    while save_every is not None and k * save_every < t_end - EVENT_TOL:
+        raw.append((k * save_every, True))
+        k += 1
+    raw.append((t_end, True))
+    merged: list[tuple[float, bool]] = []
+    for t, is_save in sorted(raw):
+        if merged and t - merged[-1][0] <= 1e-12 * max(1.0, t_end):
+            merged[-1] = (merged[-1][0], merged[-1][1] or is_save)
+        else:
+            merged.append((t, is_save))
+    return merged
+
+
+def jump_doses(s: SupplySchedule, t0: float, t1: float) -> list[float]:
+    """The jump-dose times an integrator crosses stepping from t0 to t1: (t0, t1] up to EVENT_TOL."""
+    if s.mode != "jump":
+        return []
+    return [td for td in s.dose_times if t0 + EVENT_TOL < td <= t1 + EVENT_TOL]
 
 
 def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
@@ -144,8 +181,6 @@ def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
     Jump-mode doses are measures in time handled by apply_dose, so the density
     is 0 there. The return value never exceeds chi0/|Omega|.
     """
-    if domain_measure <= 0:
-        raise ValueError("domain measure must be positive")
     if s.mode != "pulse" or s.chi0 == 0.0:
         return 0.0
     for tk in s.dose_times:
@@ -161,11 +196,9 @@ def reaction_rhs(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction, alpha2:
 
     Returns (r1, r2, r3, r4); the medium supply is added separately. The
     alpha-exchange terms in r1 and r2 are exact negatives of each other, so
-    phenotype switching conserves total cell mass pointwise.
+    phenotype switching conserves total cell mass pointwise. Arguments must
+    lie in the nonnegative orthant; callers validate their data at entry.
     """
-    for v in (c1, c2, chi, tau):
-        if not _all_nonneg(v):
-            raise ValueError("reaction terms are defined on the nonnegative orthant")
     a1v = eval_rate(alpha1, chi)
     a2v = eval_rate(alpha2, chi)
     switch = a1v * c1 / (1.0 + c1) - a2v * c2 / (1.0 + c2)

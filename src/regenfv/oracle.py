@@ -1,9 +1,10 @@
 """Reference integrator for the spatially homogeneous reduction.
 
-Classical RK4 with a fixed nominal step, shortened locally so that jump-dose
-times and pulse edges land on step boundaries. Deliberately shares nothing
-with the PDE stepper beyond the model-core reaction terms, so uniform-data
-PDE runs can be checked against a genuinely independent path.
+Classical RK4 with a fixed nominal step, shortened locally so that the events
+of the model-core timeline (jump doses, pulse edges, save times) land on step
+boundaries. Deliberately shares nothing with the PDE stepper beyond the
+model core (reaction terms, supply, timeline), so uniform-data PDE runs can
+be checked against a genuinely independent path.
 
 Fixed-step RK4 (rather than an adaptive library solver) keeps every reference
 value bit-reproducible across runs and platforms.
@@ -21,6 +22,8 @@ from .model import (
     RateFunction,
     SupplySchedule,
     eval_supply,
+    event_timeline,
+    jump_doses,
     reaction_rhs,
 )
 
@@ -38,9 +41,6 @@ class HomogeneousState:
     def __post_init__(self):
         if min(self.c1, self.c2, self.chi, self.tau) < 0:
             raise ValueError("homogeneous state components must be nonnegative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.chi, self.tau])
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,6 @@ def ode_rhs(
     return r1, r2, r3 + eval_supply(schedule, y.t, domain_measure), r4
 
 
-def _dose_boundaries(schedule: SupplySchedule, t_end: float) -> list[float]:
-    pts = []
-    if schedule.mode == "jump":
-        pts = [td for td in schedule.dose_times if 0 < td <= t_end]
-    else:
-        for td in schedule.dose_times:
-            for edge in (td, td + schedule.width):
-                if 0 < edge < t_end:
-                    pts.append(edge)
-    return sorted(set(pts))
-
-
 def rk4_solve(
     y0: HomogeneousState,
     p: ModelParams,
@@ -92,10 +80,11 @@ def rk4_solve(
 ) -> OracleTrajectory:
     """Integrate the homogeneous system to t_end with fixed-step RK4.
 
-    ``save_every`` selects the output cadence (None keeps only t=0 and t_end).
-    Jump doses are applied between steps; a component below -1e-10 after a
-    step raises StiffnessError (advice: reduce dt), smaller undershoots are
-    clipped to zero.
+    ``save_every`` selects the output cadence (None keeps only t=0 and t_end);
+    saves fall on exact multiples of it. Jump doses are applied between
+    steps, before a save at the same instant, so saved rows are right limits.
+    A component below -1e-10 after a step raises StiffnessError (advice:
+    reduce dt), smaller undershoots are clipped to zero.
     """
     if dt <= 0 or t_end < 0:
         raise ValueError("dt must be positive and t_end nonnegative")
@@ -113,19 +102,17 @@ def rk4_solve(
         r1, r2, r3, r4 = reaction_rhs(c1, c2, chi, tau, p, alpha1, alpha2)
         return r1, r2, r3 + eval_supply(schedule, t, domain_measure), r4
 
-    boundaries = _dose_boundaries(schedule, t_end) + [t_end]
-    jump_times = set(_dose_boundaries(schedule, t_end)) if schedule.mode == "jump" else set()
     increment = schedule.chi0 / domain_measure
+    tol = 1e-12 * max(1.0, t_end)
 
     times = [0.0]
     values = [(y0.c1, y0.c2, y0.chi, y0.tau)]
-    save_k = 1
-    next_save = save_every if save_every is not None else np.inf
 
     t, c1, c2, chi, tau = 0.0, y0.c1, y0.c2, y0.chi, y0.tau
-    for b in boundaries:
-        while t < b - 1e-12 * max(1.0, t_end):
-            h = min(dt, b - t, next_save - t)
+    for event, is_save in event_timeline(schedule, t_end, save_every):
+        t_prev = t
+        while t < event - tol:
+            h = min(dt, event - t)
             k1 = rhs(t, c1, c2, chi, tau)
             k2 = rhs(t + 0.5 * h, c1 + 0.5 * h * k1[0], c2 + 0.5 * h * k1[1],
                      chi + 0.5 * h * k1[2], tau + 0.5 * h * k1[3])
@@ -148,20 +135,10 @@ def rk4_solve(
             if low < 0.0:
                 c1, c2 = max(c1, 0.0), max(c2, 0.0)
                 chi, tau = max(chi, 0.0), max(tau, 0.0)
-
-            if t >= next_save - 1e-12:
-                times.append(t)
-                values.append((c1, c2, chi, tau))
-                save_k += 1
-                next_save = save_k * save_every
-        t = b
-        if b in jump_times:
+        t = event
+        for _ in jump_doses(schedule, t_prev, event):
             chi += increment
-
-    if abs(times[-1] - t_end) <= 1e-12 * max(1.0, t_end):
-        times[-1] = t_end
-        values[-1] = (c1, c2, chi, tau)
-    else:
-        times.append(t_end)
-        values.append((c1, c2, chi, tau))
+        if is_save:
+            times.append(t)
+            values.append((c1, c2, chi, tau))
     return OracleTrajectory(np.asarray(times), np.asarray(values))

@@ -27,15 +27,16 @@ import numpy as np
 from .errors import DivergenceError, StabilityError
 from .grid import Grid, laplacian_neumann, max_face_speed, taxis_divergence
 from .model import (
+    EVENT_TOL,
     ModelParams,
     RateFunction,
     SupplySchedule,
     apply_dose,
     eval_supply,
+    event_timeline,
+    jump_doses,
     reaction_rhs,
 )
-
-_EVENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ class SimState:
     """The quadruple (c1, c2, chi, tau) on one grid at time t.
 
     ``positivity_debt`` is the cumulative clamped mass (see module docstring).
+    Construction does not check the fields; ``run`` validates its initial
+    state once (``validate_initial_state``) and ``step`` keeps them finite.
     """
 
     t: float
@@ -52,14 +55,6 @@ class SimState:
     tau: np.ndarray
     grid: Grid
     positivity_debt: float = 0.0
-
-    def __post_init__(self):
-        for name in ("c1", "c2", "chi", "tau"):
-            arr = getattr(self, name)
-            if arr.shape != self.grid.shape:
-                raise ValueError(f"{name} shape {arr.shape} does not match grid {self.grid.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
 
     def replace(self, **kwargs) -> "SimState":
         return dc_replace(self, **kwargs)
@@ -121,7 +116,10 @@ def _stability_bound(state: SimState, p: ModelParams) -> float:
 
 def stable_dt(state: SimState, p: ModelParams, ctrl: StepControl) -> float:
     """Largest admissible dt: cfl_safety times the stability bound, capped by dt_max."""
-    bound = _stability_bound(state, p)
+    return _capped_dt(_stability_bound(state, p), ctrl)
+
+
+def _capped_dt(bound: float, ctrl: StepControl) -> float:
     dt = ctrl.dt_max if math.isinf(bound) else min(ctrl.cfl_safety * bound, ctrl.dt_max)
     if math.isinf(dt) or dt <= 0:
         raise ValueError("no finite positive timestep; set dt_max")
@@ -135,6 +133,15 @@ def _clamp(arr: np.ndarray, cell_volume: float) -> tuple[np.ndarray, float]:
     debt = -float(np.sum(arr[neg])) * cell_volume
     arr = np.where(neg, 0.0, arr)
     return arr, debt
+
+
+def _nonfinite(fields: dict[str, np.ndarray]) -> Optional[str]:
+    """'<name> at cell (i, ...)' for the first non-finite value, None if all are finite."""
+    for name, arr in fields.items():
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            return f"{name} at cell {tuple(int(i) for i in np.argwhere(bad)[0])}"
+    return None
 
 
 def step(
@@ -180,69 +187,37 @@ def step(
         new_tau = new_tau + dt * p.eps * laplacian_neumann(grid, tau)
 
     t_new = state.t + dt
-    raw = (("c1", new_c1), ("c2", new_c2), ("chi", new_chi), ("tau", new_tau))
+    # The one finiteness check per step, before clamping can hide a -inf.
+    if not math.isfinite(new_c1.sum() + new_c2.sum() + new_chi.sum() + new_tau.sum()):
+        where = _nonfinite({"c1": new_c1, "c2": new_c2, "chi": new_chi, "tau": new_tau})
+        raise DivergenceError(
+            f"non-finite {where} (t={t_new:g})" if where
+            else f"field magnitudes overflow at t={t_new:g}"
+        )
 
-    def diverged() -> DivergenceError:
-        for name, arr in raw:
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                cell = tuple(int(i) for i in np.argwhere(bad)[0])
-                return DivergenceError(f"non-finite {name} at cell {cell} (t={t_new:g})")
-        return DivergenceError(f"field magnitudes overflow at t={t_new:g}")
-
-    debt = state.positivity_debt
     vol = grid.cell_volume
     new_c1, d1 = _clamp(new_c1, vol)
     new_c2, d2 = _clamp(new_c2, vol)
     new_chi, d3 = _clamp(new_chi, vol)
     new_tau, d4 = _clamp(new_tau, vol)
-    debt += d1 + d2 + d3 + d4
-    if not math.isfinite(debt):
-        raise diverged()  # clamping a -inf value must not mask the blow-up
-
-    try:
-        out = SimState(
-            t=t_new, c1=new_c1, c2=new_c2, chi=new_chi, tau=new_tau,
-            grid=grid, positivity_debt=debt,
-        )
-    except ValueError:
-        raise diverged() from None
-    if schedule.mode == "jump":
-        for td in schedule.dose_times:
-            if state.t + _EVENT_TOL < td <= t_new + _EVENT_TOL:
-                out = apply_dose(out, schedule)
+    out = SimState(
+        t=t_new, c1=new_c1, c2=new_c2, chi=new_chi, tau=new_tau,
+        grid=grid, positivity_debt=state.positivity_debt + (d1 + d2 + d3 + d4),
+    )
+    for _ in jump_doses(schedule, state.t, t_new):
+        out = apply_dose(out, schedule)
     return out
 
 
-def _event_times(schedule: SupplySchedule, ctrl: StepControl, t_end: float) -> list[tuple[float, bool]]:
-    """Sorted (time, is_save_point) pairs in (0, t_end], merged within tolerance."""
-    raw: list[tuple[float, bool]] = []
-    if schedule.mode == "jump":
-        raw.extend((td, False) for td in schedule.dose_times if 0 < td <= t_end)
-    else:
-        for td in schedule.dose_times:
-            for edge in (td, td + schedule.width):
-                if 0 < edge < t_end:
-                    raw.append((edge, False))
-    if ctrl.save_every is not None:
-        k = 1
-        while k * ctrl.save_every < t_end - _EVENT_TOL:
-            raw.append((k * ctrl.save_every, True))
-            k += 1
-    raw.append((t_end, True))
-    raw.sort()
-    merge_tol = 1e-12 * max(1.0, t_end)
-    merged: list[tuple[float, bool]] = []
-    for t, is_save in raw:
-        if merged and t - merged[-1][0] <= merge_tol:
-            merged[-1] = (merged[-1][0], merged[-1][1] or is_save)
-        else:
-            merged.append((t, is_save))
-    return merged
-
-
 def validate_initial_state(state: SimState, p: ModelParams) -> None:
-    """Check the discrete initial-data assumptions: c1,c2 >= 0 and chi,tau > 0."""
+    """Check a state entering ``run``: grid shapes, finite values, c1,c2 >= 0, chi,tau > 0."""
+    fields = state.fields()
+    for name, arr in fields.items():
+        if np.shape(arr) != state.grid.shape:
+            raise ValueError(f"{name} shape {np.shape(arr)} does not match grid {state.grid.shape}")
+    where = _nonfinite(fields)
+    if where is not None:
+        raise ValueError(f"non-finite initial {where}")
     if np.min(state.c1) < 0 or np.min(state.c2) < 0:
         raise ValueError("initial cell fractions must be nonnegative")
     if np.min(state.chi) <= 0 or np.min(state.tau) <= 0:
@@ -269,34 +244,21 @@ def run(
     validate_initial_state(initial, p)
     state = initial if initial.t == 0.0 else initial.replace(t=0.0)
 
-    save_idx = 0
-    if record_sink is not None:
-        record_sink(state)
-    if snapshot_sink is not None:
-        snapshot_sink(save_idx, state)
+    def emit(index: int) -> None:
+        if record_sink is not None:
+            record_sink(state)
+        if snapshot_sink is not None:
+            snapshot_sink(index, state)
 
-    t_end = ctrl.t_end
-    if t_end == 0.0:
-        return state
-
-    events = _event_times(schedule, ctrl, t_end)
-    ev_i = 0
-    while state.t < t_end - _EVENT_TOL:
-        while events[ev_i][0] <= state.t + _EVENT_TOL:
-            ev_i += 1
-        target, is_save = events[ev_i]
-        bound = _stability_bound(state, p)
-        dt_cap = ctrl.dt_max if math.isinf(bound) else min(ctrl.cfl_safety * bound, ctrl.dt_max)
-        if math.isinf(dt_cap) or dt_cap <= 0:
-            raise ValueError("no finite positive timestep; set dt_max")
-        dt = min(dt_cap, target - state.t)
-        state = step(state, p, alphas, schedule, dt, stability_bound=bound)
-        if state.t >= target - _EVENT_TOL:
-            state = state.replace(t=target)  # land exactly, no drift
-            if is_save:
-                save_idx += 1
-                if record_sink is not None:
-                    record_sink(state)
-                if snapshot_sink is not None:
-                    snapshot_sink(save_idx, state)
+    emit(0)
+    saves = 0
+    for target, is_save in event_timeline(schedule, ctrl.t_end, ctrl.save_every):
+        while state.t < target - EVENT_TOL:
+            bound = _stability_bound(state, p)
+            dt = min(_capped_dt(bound, ctrl), target - state.t)
+            state = step(state, p, alphas, schedule, dt, stability_bound=bound)
+        state = state.replace(t=target)  # land exactly, no drift
+        if is_save:
+            saves += 1
+            emit(saves)
     return state

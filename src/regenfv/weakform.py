@@ -105,7 +105,7 @@ class Trajectory:
     def __post_init__(self):
         if len(self.states) != len(self.times) or len(self.states) < 2:
             raise ValueError("need at least two snapshots with matching times")
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
+        if self.times[0] != 0.0 or not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must start at 0 and increase strictly")
         grid = self.states[0].grid
         if any(s.grid is not grid and s.grid != grid for s in self.states):
@@ -149,6 +149,11 @@ def _check_horizon(traj: Trajectory, psi: TestFunction) -> None:
         )
 
 
+def _grad_dot(grid: Grid, f: np.ndarray, grad_S: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Cellwise grad f . grad S."""
+    return sum(c * gc for c, gc in zip(gradient_components(grid, f), grad_S))
+
+
 def _series(traj: Trajectory, integrand) -> np.ndarray:
     grid = traj.grid
     return np.array([integrate(grid, integrand(s)) for s in traj.states])
@@ -169,14 +174,8 @@ def residual_c1(traj: Trajectory, psi: TestFunction) -> float:
     g, gp = psi.g(t), psi.g_prime(t)
 
     a = _series(traj, lambda s: s.c1 * S)
-    grad_dot = _series(
-        traj,
-        lambda s: sum(c * gc for c, gc in zip(gradient_components(grid, s.c1), gS)),
-    )
-    taxis = _series(
-        traj,
-        lambda s: s.c1 * sum(c * gc for c, gc in zip(gradient_components(grid, s.tau), gS)),
-    )
+    grad_dot = _series(traj, lambda s: _grad_dot(grid, s.c1, gS))
+    taxis = _series(traj, lambda s: s.c1 * _grad_dot(grid, s.tau, gS))
     sw_in = _series(traj, lambda s: eval_rate(alpha1, s.chi) * s.c1 / (1.0 + s.c1) * S)
     sw_out = _series(traj, lambda s: eval_rate(alpha2, s.chi) * s.c2 / (1.0 + s.c2) * S)
     logistic = _series(traj, lambda s: s.c1 * (1.0 - s.c1 - s.c2 - s.tau) * S)
@@ -207,15 +206,9 @@ def residual_c2(traj: Trajectory, psi: TestFunction) -> float:
     g, gp = psi.g(t), psi.g_prime(t)
 
     a = _series(traj, lambda s: s.c2 * S)
-    grad_dot = _series(
-        traj,
-        lambda s: sum(c * gc for c, gc in zip(gradient_components(grid, s.c2), gS)),
-    )
+    grad_dot = _series(traj, lambda s: _grad_dot(grid, s.c2, gS))
     chi_c2 = _series(traj, lambda s: s.c2 * s.chi * S)  # pairs with Delta psi = -kappa_sq * psi
-    chi_grad = _series(
-        traj,
-        lambda s: s.chi * sum(c * gc for c, gc in zip(gradient_components(grid, s.c2), gS)),
-    )
+    chi_grad = _series(traj, lambda s: s.chi * _grad_dot(grid, s.c2, gS))
     sw_in = _series(traj, lambda s: eval_rate(alpha1, s.chi) * s.c1 / (1.0 + s.c1) * S)
     sw_out = _series(traj, lambda s: eval_rate(alpha2, s.chi) * s.c2 / (1.0 + s.c2) * S)
 
@@ -263,10 +256,7 @@ def residual_chi(traj: Trajectory, psi: TestFunction) -> float:
     g, gp = psi.g(t), psi.g_prime(t)
 
     a = _series(traj, lambda s: s.chi * S)
-    grad_dot = _series(
-        traj,
-        lambda s: sum(c * gc for c, gc in zip(gradient_components(grid, s.chi), gS)),
-    )
+    grad_dot = _series(traj, lambda s: _grad_dot(grid, s.chi, gS))
     uptake1 = _series(traj, lambda s: s.c1 * s.chi * S)
     uptake2 = _series(traj, lambda s: s.c2 * s.chi * S)
 
@@ -300,10 +290,7 @@ def residual_tau(traj: Trajectory, psi: TestFunction) -> float:
     )
     if p.eps > 0:
         gS = psi.spatial_gradient(grid)
-        grad_dot = _series(
-            traj,
-            lambda s: sum(c * gc for c, gc in zip(gradient_components(grid, s.tau), gS)),
-        )
+        grad_dot = _series(traj, lambda s: _grad_dot(grid, s.tau, gS))
         rhs -= p.eps * _trapz(traj, grad_dot * g)
     return abs(lhs - rhs)
 

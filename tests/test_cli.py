@@ -80,6 +80,84 @@ class TestRunCommand:
             assert header == "x,c1,c2,chi,tau"
 
 
+class TestBadInputFiles:
+    """Malformed outside files are config errors (exit 1), not tracebacks."""
+
+    def run_with_c10_file(self, tmp_path, capsys, content):
+        (tmp_path / "c10.txt").write_text(content)
+        text = BASE.replace("c10.uniform = 0.5", f"c10.file = {tmp_path / 'c10.txt'}")
+        cfg = write_config(tmp_path, text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    def test_missing_initializer_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("c10.uniform = 0.5",
+                                                  f"c10.file = {tmp_path / 'absent.txt'}"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: c10: cannot read") and "absent.txt" in err
+
+    def test_initializer_file_with_wrong_value_count(self, tmp_path, capsys):
+        code, err = self.run_with_c10_file(tmp_path, capsys, "0.5\n" * 15)
+        assert code == 1
+        assert err.startswith("config error: c10:") and "15 values, the grid has 16" in err
+
+    def test_initializer_file_with_nan(self, tmp_path, capsys):
+        code, err = self.run_with_c10_file(tmp_path, capsys, "0.5\n" * 7 + "nan\n" + "0.5\n" * 8)
+        assert code == 1
+        assert err.startswith("config error: c10:") and "non-finite" in err
+
+    def snapshot_run(self, tmp_path):
+        text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.02") + \
+            "control.save_every = 0.01\noutput.snapshots = 1\ncontrol.dt_max = 2e-4\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        return cfg, out
+
+    def test_truncated_snapshot(self, tmp_path, capsys):
+        cfg, out = self.snapshot_run(tmp_path)
+        snap = out / "snap_1.csv"
+        snap.write_text(snap.read_text()[:-40])
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "snap_1.csv" in err
+
+    def test_snapshot_with_nan(self, tmp_path, capsys):
+        cfg, out = self.snapshot_run(tmp_path)
+        snap = out / "snap_2.csv"
+        lines = snap.read_text().split("\n")
+        lines[3] = ",".join(lines[3].split(",")[:-1] + ["nan"])
+        snap.write_text("\n".join(lines))
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "snap_2.csv holds non-finite" in err
+
+    def test_malformed_diagnostics(self, tmp_path, capsys):
+        cfg, out = self.snapshot_run(tmp_path)
+        diag = out / "diagnostics.csv"
+        diag.write_text(diag.read_text() + "oops,1\n")
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: malformed")
+
+    def test_nan_time_in_diagnostics(self, tmp_path, capsys):
+        cfg, out = self.snapshot_run(tmp_path)
+        diag = out / "diagnostics.csv"
+        lines = diag.read_text().split("\n")
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+        diag.write_text("\n".join(lines))
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "increase strictly" in capsys.readouterr().err
+
+    def test_single_snapshot_is_config_error(self, tmp_path, capsys):
+        text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.0") + "output.snapshots = 1\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "at least two snapshots" in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_oracle_agrees_with_run_on_uniform_data(self, tmp_path):
         text = BASE.replace("c10.uniform = 0.5", "c10.uniform = 0.6") \

@@ -93,6 +93,18 @@ class TestParsing:
         assert cfg.schedule.dose_times == (3.0, 6.0, 9.0)
         assert cfg.schedule.mode == "jump"
 
+    def test_jump_dose_at_zero_is_config_error(self):
+        text = MINIMAL + "schedule.dose_times = 0 1\nschedule.chi0 = 1.0\nschedule.mode = jump\n"
+        with pytest.raises(ConfigError, match="t=0.*chi0"):
+            parse_config(text)
+        parse_config(text.replace("schedule.mode = jump", "schedule.mode = pulse"))
+
+    def test_nonfinite_uniform_rejected(self):
+        for value in ("nan", "inf"):
+            text = MINIMAL.replace("c20.uniform = 0.05", f"c20.uniform = {value}")
+            with pytest.raises(ConfigError, match=r"line \d+: c20 must be finite"):
+                parse_config(text)
+
     def test_saturating_rate_requires_khalf_only_there(self):
         ok = MINIMAL + (
             "rates.alpha1.kind = saturating\nrates.alpha1.amplitude = 1.2\n"

@@ -10,6 +10,7 @@ from regenfv import (
     apply_dose,
     eval_rate,
     eval_supply,
+    event_timeline,
     reaction_rhs,
 )
 
@@ -75,10 +76,6 @@ class TestEvalRate:
             vals = np.broadcast_to(eval_rate(f, z), z.shape)
             assert np.all(vals > 0) and np.all(vals <= 1.3)
 
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            eval_rate(RateFunction("constant", 1.0), -1e-9)
-
 
 class TestEvalSupply:
     def test_inside_pulse_window(self):
@@ -106,6 +103,31 @@ class TestEvalSupply:
     def test_dose_times_must_increase(self):
         with pytest.raises(ValueError):
             SupplySchedule(dose_times=(2.0, 1.0), chi0=1.0)
+
+    def test_jump_dose_at_zero_rejected(self):
+        # run and the oracle would drop it while the weak form counts it
+        with pytest.raises(ValueError, match="fold it into the initial medium"):
+            SupplySchedule(dose_times=(0.0, 1.0), chi0=1.0, mode="jump")
+        SupplySchedule(dose_times=(0.0, 1.0), chi0=1.0, mode="pulse", width=0.1)
+
+
+class TestEventTimeline:
+    def test_jump_doses_and_saves_merge(self):
+        s = SupplySchedule(dose_times=(0.5, 1.2), chi0=1.0, mode="jump")
+        events = event_timeline(s, 1.5, save_every=0.5)
+        assert events == [(0.5, True), (1.0, True), (1.2, False), (1.5, True)]
+
+    def test_pulse_edges_inside_horizon_only(self):
+        s = SupplySchedule(dose_times=(0.0, 0.9), chi0=1.0, mode="pulse", width=0.2)
+        assert event_timeline(s, 1.0) == [(0.2, False), (0.9, False), (1.0, True)]
+
+    def test_saves_are_exact_multiples(self):
+        events = event_timeline(SupplySchedule(), 3.0, save_every=0.1)
+        assert [t for t, _ in events] == [k * 0.1 for k in range(1, 30)] + [3.0]
+        assert all(is_save for _, is_save in events)
+
+    def test_zero_horizon_has_no_events(self):
+        assert event_timeline(SupplySchedule(), 0.0, save_every=0.1) == []
 
 
 class TestReactionRhs:
@@ -149,11 +171,6 @@ class TestReactionRhs:
         r1_5, r2_5, _, _ = reaction_rhs(1.5, 0.5, 0.0, 0.0, p5, *self.alphas)
         assert r1_5 - r1_0 == pytest.approx(-0.5 * 1.5**4, rel=1e-14)
         assert r2_5 - r2_0 == pytest.approx(-0.5 * 0.5**4, rel=1e-14)
-
-    def test_negative_input_rejected(self):
-        p = default_params()
-        with pytest.raises(ValueError):
-            reaction_rhs(-0.1, 0.0, 0.0, 0.0, p, *self.alphas)
 
     def test_vectorized_matches_scalar(self):
         p = default_params(eps=0.2)

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from regenfv import (
+    Grid,
     HomogeneousState,
     ModelParams,
     RateFunction,
+    SimState,
+    StepControl,
     StiffnessError,
     SupplySchedule,
     eval_rate,
+    integrate,
     ode_rhs,
     rk4_solve,
+    run,
 )
 
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
@@ -133,3 +138,28 @@ class TestRk4:
         a = rk4_solve(y0, p, ALPHAS, SupplySchedule(), dt=1e-3, t_end=1.0)
         b = rk4_solve(y0, p, ALPHAS, SupplySchedule(), dt=1e-3, t_end=1.0)
         assert np.array_equal(a.values, b.values)
+
+
+class TestAgreementWithRun:
+    def test_jump_protocol_every_saved_row(self):
+        # uniform data: each saved oracle row, dose rows included, must equal
+        # the PDE masses / |Omega| at exactly the same time (both are right limits)
+        p = params(a1=0.01, a2=0.01, b_tau=0.2, b_chi=0.2, d_chi=0.2, a_chi=0.4,
+                   beta=0.3, delta=0.1, mu=0.05)
+        alphas = (RateFunction("saturating", 0.8, 0.3), RateFunction("constant", 0.1))
+        sched = SupplySchedule(dose_times=(1.0, 2.0, 3.0), chi0=1.0, mode="jump")
+        y0 = (0.4, 0.02, 1.0, 0.1)
+        g = Grid((4,), (2.0,))
+        st = SimState(0.0, *(g.field(v) for v in y0), g)
+        rows = []
+        run(st, p, alphas, sched, StepControl(t_end=3.5, dt_max=0.005, save_every=0.5),
+            record_sink=lambda s: rows.append(
+                (s.t, *(integrate(g, f) / g.measure for f in (s.c1, s.c2, s.chi, s.tau)))))
+        ref = rk4_solve(HomogeneousState(0.0, *y0), p, alphas, sched, dt=2e-4, t_end=3.5,
+                        domain_measure=g.measure, save_every=0.5)
+
+        assert ref.times.tolist() == [row[0] for row in rows]
+        assert ref.times.tolist() == [0.5 * k for k in range(8)]
+        for (t, *pde), ode in zip(rows, ref.values):
+            gap = max(abs(a - b) / abs(b) for a, b in zip(pde, ode))
+            assert gap <= 5e-3, (t, pde, ode.tolist())

@@ -148,6 +148,26 @@ class TestRun:
         with pytest.raises(ValueError, match="strictly positive"):
             run(st, params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
 
+    def test_rejects_negative_c1_cell(self):
+        g = Grid((10,), (1.0,))
+        st = uniform_state(g, c1=0.5, chi=1.0, tau=0.5)
+        st.c1[3] = -1e-9
+        with pytest.raises(ValueError, match="nonnegative"):
+            run(st, params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
+
+    def test_rejects_nan_field_naming_it(self):
+        g = Grid((6, 5), (1.0, 1.0))
+        st = uniform_state(g, c1=0.5, chi=1.0, tau=0.5)
+        st.tau[2, 4] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite initial tau at cell \(2, 4\)"):
+            run(st, params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
+
+    def test_rejects_shape_mismatch(self):
+        g = Grid((10,), (1.0,))
+        st = uniform_state(g, c1=0.5, chi=1.0, tau=0.5).replace(c2=np.zeros(9))
+        with pytest.raises(ValueError, match=r"c2 shape \(9,\) does not match grid \(10,\)"):
+            run(st, params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
+
     def test_records_at_uniform_save_times(self):
         g = Grid((10,), (1.0,))
         st = uniform_state(g, chi=1.0, tau=0.5)
