@@ -106,7 +106,9 @@ class RunConfig:
                     f"{section} must be strictly positive (initial-data assumption chi0, tau0 > 0)"
                 )
             fields[name] = arr
-        return SimState(t=0.0, grid=self.grid, **fields)
+        return SimState.from_stack(
+            0.0, np.array([fields[name] for name in _FIELD_OF_SECTION.values()]), self.grid
+        )
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:

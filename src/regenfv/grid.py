@@ -4,11 +4,14 @@ Fields are plain float64 arrays of shape ``grid.shape`` (one value per cell).
 Every transport operator below is assembled in flux form with a vanishing
 flux on boundary faces, so its domain integral telescopes to zero exactly.
 Ghost values are mirror reflections, which makes the discrete normal
-derivative vanish at every boundary face.
+derivative vanish at every boundary face. The operators act on the trailing
+``grid.dim`` axes; leading axes pass through, so a stacked ``(k, *shape)``
+input gives row by row the single-field results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +27,9 @@ class Grid:
     cells: tuple[int, ...]
     lengths: tuple[float, ...]
     spacing: tuple[float, ...] = field(init=False)
+    n_cells: int = field(init=False, repr=False)
+    cell_volume: float = field(init=False, repr=False)
+    measure: float = field(init=False, repr=False)  # domain measure |Omega|
 
     def __post_init__(self):
         if len(self.cells) not in (1, 2):
@@ -34,9 +40,11 @@ class Grid:
             raise ValueError("need at least 3 cells per axis")
         if any(L <= 0 for L in self.lengths):
             raise ValueError("domain lengths must be positive")
-        object.__setattr__(
-            self, "spacing", tuple(L / n for L, n in zip(self.lengths, self.cells))
-        )
+        spacing = tuple(L / n for L, n in zip(self.lengths, self.cells))
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "n_cells", math.prod(self.cells))
+        object.__setattr__(self, "cell_volume", math.prod(spacing))
+        object.__setattr__(self, "measure", math.prod(self.lengths))
 
     @property
     def dim(self) -> int:
@@ -45,19 +53,6 @@ class Grid:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.cells
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.cells))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
-    @property
-    def measure(self) -> float:
-        """Domain measure |Omega|."""
-        return float(np.prod(self.lengths))
 
     def axis_centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -138,7 +133,7 @@ def _flux_divergence(grid: Grid, face_flux) -> np.ndarray:
     for back, inv_h in _axes(grid):
         term = _cell_pairs(face_flux(back, inv_h), back, np.subtract)
         term *= inv_h
-        out = term if out is None else out + term
+        out = term if out is None else np.add(out, term, out=out)
     return out
 
 
@@ -151,16 +146,18 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     return _flux_divergence(grid, lambda back, inv_h: _face_diffs(f, back, inv_h))
 
 
-def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
+def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff) -> np.ndarray:
     """Finite-volume divergence of the taxis flux coeff*c*grad(s), coeff >= 0.
 
     Face velocities are central-differenced; the advected value c is taken
     from the upwind cell, which preserves c >= 0 under the advective CFL
-    bound. Boundary faces carry zero flux.
+    bound. Boundary faces carry zero flux. For stacked ``(k, *shape)`` inputs
+    ``coeff`` may be a ``(k, 1, ...)`` column of per-row coefficients.
     """
     def flux(back, inv_h):
-        v = coeff * _face_diffs(s, back, inv_h)
-        return v * np.where(v > 0, c[_LO[back]], c[_HI[back]])
+        v = _face_diffs(s, back, inv_h)
+        v *= coeff
+        return np.multiply(v, np.where(v > 0, c[_LO[back]], c[_HI[back]]), out=v)
 
     return _flux_divergence(grid, flux)
 
@@ -179,9 +176,15 @@ def gradient_components(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(_cell_means(_face_diffs(f, back, inv_h), back) for back, inv_h in _axes(grid))
 
 
-def max_face_speed(grid: Grid, s: np.ndarray, coeff: float) -> tuple[float, ...]:
-    """Per-axis maximum of |coeff * face gradient of s| (advective CFL input)."""
-    return tuple(
-        float(coeff * np.max(np.abs(_face_diffs(s, back, inv_h))))
+def max_face_speed(grid: Grid, s: np.ndarray, coeff) -> tuple:
+    """Per-axis maximum of |coeff * face gradient of s| (advective CFL input).
+
+    A float per axis for one field; for a stacked ``(k, *shape)`` field, with
+    ``coeff`` as in ``taxis_divergence``, an array of the k row maxima per axis.
+    """
+    grid_axes, lead = tuple(range(-grid.dim, 0)), np.shape(s)[: -grid.dim]
+    speeds = tuple(
+        (coeff * np.abs(_face_diffs(s, back, inv_h)).max(grid_axes, keepdims=True)).reshape(lead)
         for back, inv_h in _axes(grid)
     )
+    return speeds if lead else tuple(map(float, speeds))

@@ -19,7 +19,8 @@ mass budget is exact to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,12 +56,30 @@ class SimState:
     tau: np.ndarray
     grid: Grid
     positivity_debt: float = 0.0
+    _rows: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def replace(self, **kwargs) -> "SimState":
         return dc_replace(self, **kwargs)
 
     def fields(self) -> dict[str, np.ndarray]:
         return {"c1": self.c1, "c2": self.c2, "chi": self.chi, "tau": self.tau}
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The fields as one ``(4, *grid.shape)`` array, rows in (c1, c2, chi, tau)
+        order: the array itself for a state made by ``from_stack``, else a copy."""
+        if self._rows is not None:
+            return self._rows
+        return np.array((self.c1, self.c2, self.chi, self.tau))
+
+    @classmethod
+    def from_stack(
+        cls, t: float, stack: np.ndarray, grid: Grid, positivity_debt: float = 0.0
+    ) -> "SimState":
+        """The state whose fields are the rows of ``stack`` (no copy)."""
+        state = cls(t, *stack, grid, positivity_debt)
+        object.__setattr__(state, "_rows", stack)
+        return state
 
 
 @dataclass(frozen=True)
@@ -83,32 +102,43 @@ class StepControl:
             raise ValueError("save_every must be positive")
 
 
+@lru_cache(maxsize=32)
+def _coefficient_columns(p: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only columns over ``dim`` grid axes: diffusivities (a1, a2, d_chi)
+    for rows (c1, c2, chi) and taxis coefficients (b_tau, b_chi) for rows (c1, c2)."""
+    values = ((p.a1, p.a2, p.d_chi), (p.b_tau, p.b_chi))
+    columns = tuple(np.reshape(v, (-1,) + (1,) * dim) for v in values)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 def _stability_bound(state: SimState, p: ModelParams) -> float:
     """Raw explicit-stability bound: min of diffusion, advection, reaction limits."""
     grid = state.grid
-    d = grid.dim
-    h_min = min(grid.spacing)
+    u = state.stack
     bound = math.inf
 
     diff_max = max(p.a1, p.a2, p.d_chi, p.eps)
     if diff_max > 0:
-        bound = min(bound, h_min**2 / (2.0 * d * diff_max))
+        bound = min(bound, min(grid.spacing) ** 2 / (2.0 * grid.dim * diff_max))
 
-    for s_field, coeff in ((state.tau, p.b_tau), (state.chi, p.b_chi)):
-        speeds = max_face_speed(grid, s_field, coeff)
-        for axis, speed in enumerate(speeds):
+    # Rows (tau, chi) are the signals that c1 and c2 climb.
+    taxis_coeffs = _coefficient_columns(p, grid.dim)[1]
+    for h, speeds in zip(grid.spacing, max_face_speed(grid, u[3:1:-1], taxis_coeffs)):
+        for speed in speeds.tolist():
             if speed > 0:
-                bound = min(bound, grid.spacing[axis] / speed)
+                bound = min(bound, h / speed)
 
     # Largest local linearized decay rate over all four equations.
-    rate = 0.0
-    c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
-    rate = max(rate, float(np.max(p.beta * (1.0 + 2.0 * c1 + c2 + tau))))
+    c1, c2, chi, tau = u
+    max_c1, max_c2 = u[:2].reshape(2, -1).max(axis=1)
+    rate = max(0.0, float((p.beta * (1.0 + 2.0 * c1 + c2 + tau)).max()))
     if p.eps > 0:
-        rate = max(rate, float(p.eps * p.theta * np.max(c1) ** (p.theta - 1.0)))
-        rate = max(rate, float(p.eps * p.theta * np.max(c2) ** (p.theta - 1.0)))
-    rate = max(rate, float(p.a_chi * np.max(c1 + c2)))
-    rate = max(rate, float(p.delta * np.max(c1) + p.mu))
+        rate = max(rate, float(p.eps * p.theta * max_c1 ** (p.theta - 1.0)))
+        rate = max(rate, float(p.eps * p.theta * max_c2 ** (p.theta - 1.0)))
+    rate = max(rate, float(p.a_chi * (c1 + c2).max()))
+    rate = max(rate, float(p.delta * max_c1 + p.mu))
     if rate > 0:
         bound = min(bound, 1.0 / rate)
     return bound
@@ -126,13 +156,14 @@ def _capped_dt(bound: float, ctrl: StepControl) -> float:
     return dt
 
 
-def _clamp(arr: np.ndarray, cell_volume: float) -> tuple[np.ndarray, float]:
+def _clamp(arr: np.ndarray, cell_volume: float) -> float:
+    """Set the negative cells of ``arr`` to zero in place; return the clamped mass."""
     neg = arr < 0
     if not neg.any():
-        return arr, 0.0
+        return 0.0
     debt = -float(np.sum(arr[neg])) * cell_volume
-    arr = np.where(neg, 0.0, arr)
-    return arr, debt
+    arr[neg] = 0.0
+    return debt
 
 
 def _nonfinite(fields: dict[str, np.ndarray]) -> Optional[str]:
@@ -166,44 +197,43 @@ def step(
         raise StabilityError(f"dt={dt:g} exceeds stability bound {bound:g}")
 
     grid = state.grid
-    alpha1, alpha2 = alphas
-    c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
-    r1, r2, r3, _ = reaction_rhs(c1, c2, chi, tau, p, alpha1, alpha2)
+    u = state.stack
+    c1, c2, chi, tau = u
+    diffusivities, taxis_coeffs = _coefficient_columns(p, grid.dim)
 
-    new_c1 = c1 + dt * (
-        p.a1 * laplacian_neumann(grid, c1) - taxis_divergence(grid, c1, tau, p.b_tau) + r1
-    )
-    new_c2 = c2 + dt * (
-        p.a2 * laplacian_neumann(grid, c2) - taxis_divergence(grid, c2, chi, p.b_chi) + r2
-    )
-    supply = eval_supply(schedule, state.t, grid.measure)
-    new_chi = chi + dt * (p.d_chi * laplacian_neumann(grid, chi) + r3 + supply)
+    # c1, c2, chi: forward Euler on diffusion - taxis (c1 up tau, c2 up chi)
+    # + reactions, one operator call each for the stacked rows.
+    lap = laplacian_neumann(grid, u if p.eps > 0 else u[:3])
+    rhs = lap[:3]
+    rhs *= diffusivities
+    rhs[:2] -= taxis_divergence(grid, u[:2], u[3:1:-1], taxis_coeffs)
+    for row, r in zip(rhs, reaction_rhs(c1, c2, chi, tau, p, *alphas)):  # r1, r2, r3
+        row += r
+    rhs[2] += eval_supply(schedule, state.t, grid.measure)
+    new = np.empty_like(u)
+    np.multiply(dt, rhs, out=new[:3])
+    new[:3] += u[:3]
 
     # tau: exact exponential factor on the linear sink, explicit production,
     # explicit eps-diffusion (zero when eps=0, the limit model's pointwise ODE).
-    decay = np.exp(-(p.mu + p.delta * c1) * dt)
-    new_tau = tau * decay + dt * (c2 / (1.0 + c2))
+    np.multiply(tau, np.exp(-(p.mu + p.delta * c1) * dt), out=new[3])
+    new[3] += dt * (c2 / (1.0 + c2))
     if p.eps > 0:
-        new_tau = new_tau + dt * p.eps * laplacian_neumann(grid, tau)
+        new[3] += (dt * p.eps) * lap[3]
 
     t_new = state.t + dt
     # The one finiteness check per step, before clamping can hide a -inf.
-    if not math.isfinite(new_c1.sum() + new_c2.sum() + new_chi.sum() + new_tau.sum()):
-        where = _nonfinite({"c1": new_c1, "c2": new_c2, "chi": new_chi, "tau": new_tau})
+    if not math.isfinite(new.sum()):
+        where = _nonfinite(dict(zip(("c1", "c2", "chi", "tau"), new)))
         raise DivergenceError(
             f"non-finite {where} (t={t_new:g})" if where
             else f"field magnitudes overflow at t={t_new:g}"
         )
 
-    vol = grid.cell_volume
-    new_c1, d1 = _clamp(new_c1, vol)
-    new_c2, d2 = _clamp(new_c2, vol)
-    new_chi, d3 = _clamp(new_chi, vol)
-    new_tau, d4 = _clamp(new_tau, vol)
-    out = SimState(
-        t=t_new, c1=new_c1, c2=new_c2, chi=new_chi, tau=new_tau,
-        grid=grid, positivity_debt=state.positivity_debt + (d1 + d2 + d3 + d4),
-    )
+    debt = state.positivity_debt
+    if new.min() < 0:
+        debt = debt + sum(_clamp(row, grid.cell_volume) for row in new)
+    out = SimState.from_stack(t_new, new, grid, debt)
     for _ in jump_doses(schedule, state.t, t_new):
         out = apply_dose(out, schedule)
     return out
@@ -253,6 +283,8 @@ def run(
     emit(0)
     saves = 0
     for target, is_save in event_timeline(schedule, ctrl.t_end, ctrl.save_every):
+        # One stack per segment (none if already stacked); each step returns its fields stacked.
+        state = SimState.from_stack(state.t, state.stack, state.grid, state.positivity_debt)
         while state.t < target - EVENT_TOL:
             bound = _stability_bound(state, p)
             dt = min(_capped_dt(bound, ctrl), target - state.t)

@@ -13,6 +13,7 @@ from regenfv import (
     laplacian_neumann,
     taxis_divergence,
 )
+from regenfv.grid import max_face_speed
 
 
 class TestGrid:
@@ -191,6 +192,25 @@ def grid_and_fields(draw):
     return Grid(cells, lengths), f, c
 
 
+@st.composite
+def grid_and_stacks(draw):
+    """A grid as in ``grid_and_fields``, k = 1-4 stacked signed fields and
+    nonnegative densities of shape (k, *cells), and k taxis coefficients."""
+    cells = tuple(draw(st.lists(st.integers(3, 17), min_size=1, max_size=2)))
+    lengths = tuple(draw(st.floats(0.5, 3.0)) for _ in cells)
+    k = draw(st.integers(1, 4))
+    values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    f = draw(arrays(np.float64, (k, *cells), elements=values))
+    c = np.abs(draw(arrays(np.float64, (k, *cells), elements=values)))
+    coeffs = draw(st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k))
+    return Grid(cells, lengths), f, c, coeffs
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestOperatorProperties:
     @settings(max_examples=60, deadline=None)
     @given(grid_and_fields(), st.floats(0.0, 5.0))
@@ -230,3 +250,22 @@ class TestOperatorProperties:
         for a in range(g.dim):
             sign = -1.0 if a == axis else 1.0  # mirroring reverses that component
             assert np.array_equal(flipped[a], sign * flip(comps[a]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_and_stacks())
+    def test_stacked_rows_equal_single_field_calls(self, data):
+        # leading axes pass through: row i of a stacked call is, bit for bit,
+        # the single-field call on row i with coefficient i
+        g, f, c, coeffs = data
+        column = np.array(coeffs).reshape((-1,) + (1,) * g.dim)
+        lap = laplacian_neumann(g, f)
+        tax = taxis_divergence(g, c, f, column)
+        speeds = max_face_speed(g, f, column)
+        assert lap.shape == tax.shape == f.shape
+        assert all(s.shape == (len(coeffs),) for s in speeds)
+        for i, coeff in enumerate(coeffs):
+            assert same_bits(lap[i], laplacian_neumann(g, f[i]))
+            assert same_bits(tax[i], taxis_divergence(g, c[i], f[i], coeff))
+            single = max_face_speed(g, f[i], coeff)
+            assert all(type(v) is float for v in single)
+            assert [float(s[i]) for s in speeds] == list(single)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from regenfv import (
     DivergenceError,
@@ -13,12 +15,17 @@ from regenfv import (
     StabilityError,
     StepControl,
     SupplySchedule,
+    eval_supply,
     integrate,
+    laplacian_neumann,
+    reaction_rhs,
     rk4_solve,
     run,
     stable_dt,
     step,
+    taxis_divergence,
 )
+from regenfv.grid import max_face_speed
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
@@ -34,6 +41,92 @@ def params(**overrides):
 def uniform_state(grid, c1=0.0, c2=0.0, chi=0.0, tau=0.0, t=0.0):
     return SimState(t, grid.field(c1), grid.field(c2), grid.field(chi),
                     grid.field(tau), grid)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reference_bound(state, p):
+    """The stability bound written field by field with the public operators."""
+    grid = state.grid
+    bound = math.inf
+    diff_max = max(p.a1, p.a2, p.d_chi, p.eps)
+    bound = min(bound, min(grid.spacing) ** 2 / (2.0 * grid.dim * diff_max))
+    for s_field, coeff in ((state.tau, p.b_tau), (state.chi, p.b_chi)):
+        for axis, speed in enumerate(max_face_speed(grid, s_field, coeff)):
+            if speed > 0:
+                bound = min(bound, grid.spacing[axis] / speed)
+    c1, c2, tau = state.c1, state.c2, state.tau
+    rate = float(np.max(p.beta * (1.0 + 2.0 * c1 + c2 + tau)))
+    if p.eps > 0:
+        rate = max(rate, float(p.eps * p.theta * np.max(c1) ** (p.theta - 1.0)))
+        rate = max(rate, float(p.eps * p.theta * np.max(c2) ** (p.theta - 1.0)))
+    rate = max(rate, float(p.a_chi * np.max(c1 + c2)))
+    rate = max(rate, float(p.delta * np.max(c1) + p.mu))
+    return min(bound, 1.0 / rate) if rate > 0 else bound
+
+
+def reference_update(state, p, alphas, schedule, dt):
+    """The explicit update written field by field (one operator call per field),
+    before clamping and dosing: [c1, c2, chi, tau]."""
+    grid = state.grid
+    c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
+    r1, r2, r3, _ = reaction_rhs(c1, c2, chi, tau, p, *alphas)
+    new_c1 = c1 + dt * (
+        p.a1 * laplacian_neumann(grid, c1) - taxis_divergence(grid, c1, tau, p.b_tau) + r1
+    )
+    new_c2 = c2 + dt * (
+        p.a2 * laplacian_neumann(grid, c2) - taxis_divergence(grid, c2, chi, p.b_chi) + r2
+    )
+    supply = eval_supply(schedule, state.t, grid.measure)
+    new_chi = chi + dt * (p.d_chi * laplacian_neumann(grid, chi) + r3 + supply)
+    new_tau = tau * np.exp(-(p.mu + p.delta * c1) * dt) + dt * (c2 / (1.0 + c2))
+    if p.eps > 0:
+        new_tau = new_tau + dt * p.eps * laplacian_neumann(grid, tau)
+    return [new_c1, new_c2, new_chi, new_tau]
+
+
+def reference_clamp(fields, cell_volume):
+    """Zero the negative cells field by field; return the clamped fields and
+    the per-field clamped masses in (c1, c2, chi, tau) order."""
+    clamped, debts = [], []
+    for arr in fields:
+        neg = arr < 0
+        debts.append(-float(np.sum(arr[neg])) * cell_volume if neg.any() else 0.0)
+        clamped.append(np.where(neg, 0.0, arr))
+    return clamped, debts
+
+
+@hst.composite
+def rough_step_cases(draw):
+    """A rough nonnegative 1D or 2D state (2D grids may be non-square), random
+    coefficients with eps = 0 or eps > 0, a pulse or jump schedule whose dose
+    may fall inside the step, and a dt at or below the stability bound."""
+    cells = tuple(draw(hst.lists(hst.integers(3, 12), min_size=1, max_size=2)))
+    grid = Grid(cells, tuple(draw(hst.floats(0.5, 2.0)) for _ in cells))
+    rough = lambda lo, hi: draw(arrays(np.float64, cells, elements=hst.floats(lo, hi)))
+    t = draw(hst.floats(0.1, 2.0))
+    state = SimState(t, rough(0.0, 2.0), rough(0.0, 2.0), rough(0.01, 3.0), rough(0.01, 2.0), grid,
+                     positivity_debt=draw(hst.sampled_from([0.0, 0.125])))
+    positive = hst.floats(0.01, 2.0)
+    p = ModelParams(a1=draw(positive), a2=draw(positive), b_tau=draw(positive),
+                    b_chi=draw(positive), d_chi=draw(positive), a_chi=draw(hst.floats(0.0, 2.0)),
+                    beta=draw(hst.floats(0.0, 2.0)), delta=draw(positive), mu=draw(positive),
+                    eps=draw(hst.sampled_from([0.0, 0.05, 0.4])),
+                    theta=draw(hst.floats(2.5, 6.0)))
+    alphas = (RateFunction("saturating", draw(hst.floats(0.0, 2.0)), draw(hst.floats(0.1, 1.0))),
+              RateFunction("constant", draw(hst.floats(0.0, 2.0))))
+    bound = reference_bound(state, p)
+    dt = bound * draw(hst.floats(0.05, 1.0))
+    dose = t + dt * draw(hst.floats(-1.0, 2.0))  # before, inside or after (t, t + dt]
+    if draw(hst.booleans()):
+        schedule = SupplySchedule((dose,), chi0=draw(hst.floats(0.0, 3.0)), mode="pulse",
+                                  width=draw(hst.floats(0.5, 2.0)) * dt)
+    else:
+        schedule = SupplySchedule((dose,), chi0=draw(hst.floats(0.0, 3.0)), mode="jump")
+    return state, p, alphas, schedule, dt, bound
 
 
 class TestStableDt:
@@ -130,6 +223,56 @@ class TestStep:
                    stability_bound=math.inf)
         assert np.min(out.c1) >= 0.0
         assert out.positivity_debt >= 0.0
+
+
+class TestStackedStep:
+    @settings(max_examples=120, deadline=None)
+    @given(rough_step_cases())
+    def test_step_equals_per_field_reference_bitwise(self, case):
+        st, p, alphas, schedule, dt, bound = case
+        ctrl = StepControl(t_end=1.0, cfl_safety=1.0)
+        assert stable_dt(st, p, ctrl) == bound
+        out = step(st, p, alphas, schedule, dt)
+        fields, debts = reference_clamp(reference_update(st, p, alphas, schedule, dt),
+                                        st.grid.cell_volume)
+        t_new = st.t + dt
+        if schedule.mode == "jump" and st.t + 1e-12 < schedule.dose_times[0] <= t_new + 1e-12:
+            fields[2] = fields[2] + schedule.chi0 / st.grid.measure
+        assert out.t == t_new
+        for name, ref in zip(("c1", "c2", "chi", "tau"), fields):
+            assert same_bits(getattr(out, name), ref), name
+        assert out.positivity_debt == st.positivity_debt + (debts[0] + debts[1] + debts[2] + debts[3])
+
+    def test_new_fields_are_rows_of_one_stack(self):
+        g = Grid((6, 5), (1.0, 1.0))
+        st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
+        out = step(st, params(), ALPHAS, SupplySchedule(), dt=1e-4)
+        assert out.stack.shape == (4, 6, 5)
+        for row, arr in zip(out.stack, (out.c1, out.c2, out.chi, out.tau)):
+            assert np.shares_memory(row, arr)
+        assert out.stack is out.stack  # no copy for a state made by step
+
+    def test_clamp_zeroes_exactly_the_negative_cells(self):
+        # reaction-driven undershoot in c1, c2 (eps damping) and chi (uptake),
+        # with transport slowed so only the high-density cells overshoot
+        g = Grid((9,), (1.0,))
+        p = params(a1=1e-3, a2=1e-3, d_chi=1e-3, b_tau=1e-3, b_chi=1e-3,
+                   a_chi=5.0, beta=0.1, eps=0.5, theta=4.0)
+        st = SimState(0.3, g.field(np.tile([3.0, 0.2, 0.2], 3)), g.field(np.tile([0.2, 3.0, 0.2], 3)),
+                      g.field(0.5), g.field(0.5), g, positivity_debt=0.25)
+        dt = 0.1
+        raw = reference_update(st, p, NO_SWITCH, SupplySchedule(), dt)
+        negative = [arr < 0 for arr in raw]
+        assert [neg.any() for neg in negative] == [True, True, True, False]
+        assert not all(neg.all() for neg in negative[:3])
+        out = step(st, p, NO_SWITCH, SupplySchedule(), dt, stability_bound=math.inf)
+        debts = []
+        for name, arr, neg in zip(("c1", "c2", "chi", "tau"), raw, negative):
+            got = getattr(out, name)
+            assert np.all(got[neg] == 0.0), name
+            assert same_bits(got[~neg], arr[~neg]), name
+            debts.append(-float(np.sum(arr[neg])) * g.cell_volume if neg.any() else 0.0)
+        assert out.positivity_debt == 0.25 + (debts[0] + debts[1] + debts[2] + debts[3])
 
 
 class TestRun:
