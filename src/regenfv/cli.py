@@ -46,7 +46,8 @@ def _snapshot_text(state: SimState) -> str:
 def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
     """Rebuild a Trajectory from diagnostics.csv and the snap_<index>.csv files.
 
-    The files are outside input: a malformed one is a ConfigError naming it.
+    The files are outside input: a malformed one, or one whose cell centers
+    are not those of the configured grid, is a ConfigError naming it.
     """
     diag_path = out_dir / "diagnostics.csv"
     if not diag_path.exists():
@@ -59,6 +60,7 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"malformed {diag_path}: {exc}") from None
     grid = cfg.grid
+    centers = np.column_stack([c.ravel() for c in grid.coordinate_arrays()])
     states = []
     for idx, t in enumerate(times):
         snap = out_dir / f"snap_{idx}.csv"
@@ -75,17 +77,13 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
             )
         if not np.isfinite(data).all():
             raise ConfigError(f"snapshot {snap} holds non-finite values")
-        fields = data[:, grid.dim:]
-        states.append(
-            SimState(
-                t=t,
-                c1=fields[:, 0].reshape(grid.shape),
-                c2=fields[:, 1].reshape(grid.shape),
-                chi=fields[:, 2].reshape(grid.shape),
-                tau=fields[:, 3].reshape(grid.shape),
-                grid=grid,
+        # written with repr, so the centers of the configured grid round-trip exactly
+        if not np.array_equal(data[:, : grid.dim], centers):
+            raise ConfigError(
+                f"snapshot {snap} has cell centers that differ from the configured grid"
             )
-        )
+        stack = np.ascontiguousarray(data[:, grid.dim:].T).reshape((4, *grid.shape))
+        states.append(SimState.from_stack(t, stack, grid))
     try:
         return Trajectory(np.asarray(times), tuple(states), cfg.params, cfg.alphas, cfg.schedule)
     except ValueError as exc:
@@ -158,9 +156,16 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def _cmd_weakcheck(cfg: RunConfig, args) -> int:
+    try:
+        powers = tuple(int(tok) for tok in args.psi_m.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"malformed --psi-m {args.psi_m!r}") from None
+    if not powers or min(powers) < 1:
+        raise ConfigError(f"--psi-m needs temporal exponents of at least 1, got {args.psi_m!r}")
+    if args.psi_kmax < 0:
+        raise ConfigError(f"--psi-kmax must be nonnegative, got {args.psi_kmax}")
     out = _resolve_out(cfg, args)
     traj = load_trajectory(cfg, out)
-    powers = tuple(int(tok) for tok in args.psi_m.replace(",", " ").split())
     rows = residual_table(traj, k_max=args.psi_kmax, powers=powers)
     lines = ["equation,k,m,residual,level"]
     for name, modes, power, value in rows:

@@ -5,7 +5,9 @@ zero-normal-derivative condition on every boundary face and vanish at t = T by
 construction, and all their derivatives are available in closed form. Because
 psi separates into a spatial part S and a temporal part g, each space-time
 integral reduces to a trapezoid rule in time over per-snapshot spatial dot
-products (midpoint quadrature on the cell centers).
+products (midpoint quadrature on the cell centers). The table is evaluated
+snapshot by snapshot: the fields that do not depend on psi are built once per
+snapshot and weighted by each distinct spatial part.
 
 A solution of the transport system makes all four residuals vanish under
 simultaneous grid/time/save refinement; the zero trajectory annihilates them
@@ -14,7 +16,9 @@ identically.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +26,25 @@ import numpy as np
 from .grid import Grid, gradient_components, integrate
 from .model import ModelParams, RateFunction, SupplySchedule, eval_rate
 from .stepping import SimState
+
+
+@lru_cache(maxsize=64)
+def _axis_factors(modes: tuple[int, ...], grid: Grid) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per axis, the read-only 1D factors cos(k*pi*x/L), cos(w*x) and
+    -w*sin(w*x), w = k*pi/L, at the cell centers, shaped to broadcast along
+    that axis. S uses the first form and grad S the other two; the forms can
+    differ in the last bit when L != 1, so both are kept.
+    """
+    if len(modes) != grid.dim:
+        raise ValueError("test-function dimension does not match the grid")
+    factors = []
+    for axis, (k, L) in enumerate(zip(modes, grid.lengths)):
+        x = grid.axis_centers(axis).reshape([-1 if a == axis else 1 for a in range(grid.dim)])
+        w = k * np.pi / L
+        factors.append((np.cos(k * np.pi * x / L), np.cos(w * x), -w * np.sin(w * x)))
+        for f in factors[-1]:
+            f.flags.writeable = False
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -41,6 +64,7 @@ class TestFunction:
     __test__ = False  # keep pytest from collecting this as a test class
 
     def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(self.modes))  # a cache key of the spatial part
         if any(k < 0 for k in self.modes):
             raise ValueError("mode indices must be nonnegative")
         if self.power < 1:
@@ -49,24 +73,20 @@ class TestFunction:
             raise ValueError("horizon must be positive")
 
     def spatial(self, grid: Grid) -> np.ndarray:
-        """S(x) at cell centers."""
-        if len(self.modes) != grid.dim:
-            raise ValueError("test-function dimension does not match the grid")
-        out = np.full(grid.shape, self.amplitude)
-        coords = grid.coordinate_arrays()
-        for k, x, L in zip(self.modes, coords, grid.lengths):
-            out = out * np.cos(k * np.pi * x / L)
+        """S(x) at cell centers: the amplitude times one cosine factor per axis."""
+        out = self.amplitude
+        for cos_kx, _, _ in _axis_factors(self.modes, grid):
+            out = out * cos_kx
         return out
 
     def spatial_gradient(self, grid: Grid) -> tuple[np.ndarray, ...]:
         """grad S(x) at cell centers, one array per axis."""
-        coords = grid.coordinate_arrays()
+        factors = _axis_factors(self.modes, grid)
         comps = []
         for axis in range(grid.dim):
-            comp = np.full(grid.shape, self.amplitude)
-            for a, (k, x, L) in enumerate(zip(self.modes, coords, grid.lengths)):
-                w = k * np.pi / L
-                comp = comp * (-w * np.sin(w * x) if a == axis else np.cos(w * x))
+            comp = self.amplitude
+            for a, (_, cos_wx, dcos_wx) in enumerate(factors):
+                comp = comp * (dcos_wx if a == axis else cos_wx)
             comps.append(comp)
         return tuple(comps)
 
@@ -149,177 +169,153 @@ def _check_horizon(traj: Trajectory, psi: TestFunction) -> None:
         )
 
 
-def _grad_dot(grid: Grid, f: np.ndarray, grad_S: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Cellwise grad f . grad S."""
-    return sum(c * gc for c, gc in zip(gradient_components(grid, f), grad_S))
-
-
-def _series(traj: Trajectory, integrand) -> np.ndarray:
-    grid = traj.grid
-    return np.array([integrate(grid, integrand(s)) for s in traj.states])
-
-
 def _trapz(traj: Trajectory, series: np.ndarray) -> float:
     return float(np.trapezoid(series, traj.times))
 
 
-def residual_c1(traj: Trajectory, psi: TestFunction) -> float:
-    """|LHS - RHS| of the stem-cell weak identity for one test function."""
-    _check_horizon(traj, psi)
+def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
+    """Per spatial part (modes, amplitude) of ``psis``, the snapshot series of
+    every spatial integral the four identities use, keyed by term name.
+
+    Each snapshot is visited once: its psi-independent fields (gradients,
+    switching and logistic prefixes, products) are built once, then weighted
+    by each part's S and grad S. Every integrand keeps the left-to-right order
+    of its identity, e.g. ``(rate * c1 / (1 + c1)) * S``.
+    """
     grid, p = traj.grid, traj.params
     alpha1, alpha2 = traj.alphas
-    S = psi.spatial(grid)
-    gS = psi.spatial_gradient(grid)
-    t = traj.times
-    g, gp = psi.g(t), psi.g_prime(t)
+    parts = {}
+    for psi in psis:
+        _check_horizon(traj, psi)
+        parts.setdefault((psi.modes, psi.amplitude), psi)
+    series = {key: {} for key in parts}
+    for s in traj.states:
+        c1, c2, chi, tau = s.c1, s.c2, s.chi, s.tau
+        grads = gradient_components(grid, s.stack)  # per axis, rows c1, c2, chi, tau
+        weighted = {  # integrand field * S
+            "c1": c1, "c2": c2, "chi": chi, "tau": tau,
+            "sw_in": eval_rate(alpha1, chi) * c1 / (1.0 + c1),
+            "sw_out": eval_rate(alpha2, chi) * c2 / (1.0 + c2),
+            "logistic": c1 * (1.0 - c1 - c2 - tau),
+            "c2_chi": c2 * chi,
+            "c1_chi": c1 * chi,
+            "tau_c1": tau * c1,
+            "produce": c2 / (1.0 + c2),
+        }
+        if p.eps > 0:
+            weighted.update(damp_c1=c1**p.theta, damp_c2=c2**p.theta)
+        for key, psi in parts.items():
+            S, gS = psi.spatial(grid), psi.spatial_gradient(grid)
+            dots = sum(d * dS for d, dS in zip(grads, gS))  # per row, grad f . grad S
+            values = {name: integrate(grid, f * S) for name, f in weighted.items()}
+            for name, dot in zip(("grad_c1", "grad_c2", "grad_chi", "grad_tau"), dots):
+                values[name] = integrate(grid, dot)
+            values["taxis"] = integrate(grid, c1 * dots[3])
+            values["chi_grad"] = integrate(grid, chi * dots[1])
+            for name, value in values.items():
+                series[key].setdefault(name, []).append(value)
+    return {key: {name: np.array(v) for name, v in terms.items()} for key, terms in series.items()}
 
-    a = _series(traj, lambda s: s.c1 * S)
-    grad_dot = _series(traj, lambda s: _grad_dot(grid, s.c1, gS))
-    taxis = _series(traj, lambda s: s.c1 * _grad_dot(grid, s.tau, gS))
-    sw_in = _series(traj, lambda s: eval_rate(alpha1, s.chi) * s.c1 / (1.0 + s.c1) * S)
-    sw_out = _series(traj, lambda s: eval_rate(alpha2, s.chi) * s.c2 / (1.0 + s.c2) * S)
-    logistic = _series(traj, lambda s: s.c1 * (1.0 - s.c1 - s.c2 - s.tau) * S)
 
-    lhs = -_trapz(traj, a * gp) - a[0]  # psi(.,0) = S, so the data term is a[0]
-    rhs = (
-        -p.a1 * _trapz(traj, grad_dot * g)
-        + p.b_tau * _trapz(traj, taxis * g)
-        - _trapz(traj, sw_in * g)
-        + _trapz(traj, sw_out * g)
-        + p.beta * _trapz(traj, logistic * g)
-    )
+def _rhs_c1(traj: Trajectory, psi: TestFunction, J) -> float:
+    """Stem cells: diffusion, haptotaxis up tau, switching, logistic growth."""
+    p = traj.params
+    rhs = (-p.a1 * J("grad_c1") + p.b_tau * J("taxis") - J("sw_in") + J("sw_out")
+           + p.beta * J("logistic"))
     if p.eps > 0:
-        damp = _series(traj, lambda s: s.c1**p.theta * S)
-        rhs -= p.eps * _trapz(traj, damp * g)
-    return abs(lhs - rhs)
+        rhs -= p.eps * J("damp_c1")
+    return rhs
 
 
-def residual_c2(traj: Trajectory, psi: TestFunction) -> float:
-    """|LHS - RHS| of the chondrocyte weak identity (chemotaxis in double-divergence form)."""
-    _check_horizon(traj, psi)
-    grid, p = traj.grid, traj.params
-    alpha1, alpha2 = traj.alphas
-    S = psi.spatial(grid)
-    gS = psi.spatial_gradient(grid)
-    kappa_sq = psi.laplace_factor(grid)
-    t = traj.times
-    g, gp = psi.g(t), psi.g_prime(t)
-
-    a = _series(traj, lambda s: s.c2 * S)
-    grad_dot = _series(traj, lambda s: _grad_dot(grid, s.c2, gS))
-    chi_c2 = _series(traj, lambda s: s.c2 * s.chi * S)  # pairs with Delta psi = -kappa_sq * psi
-    chi_grad = _series(traj, lambda s: s.chi * _grad_dot(grid, s.c2, gS))
-    sw_in = _series(traj, lambda s: eval_rate(alpha1, s.chi) * s.c1 / (1.0 + s.c1) * S)
-    sw_out = _series(traj, lambda s: eval_rate(alpha2, s.chi) * s.c2 / (1.0 + s.c2) * S)
-
-    lhs = -_trapz(traj, a * gp) - a[0]
-    rhs = (
-        -p.a2 * _trapz(traj, grad_dot * g)
-        + p.b_chi * kappa_sq * _trapz(traj, chi_c2 * g)
-        - p.b_chi * _trapz(traj, chi_grad * g)
-        + _trapz(traj, sw_in * g)
-        - _trapz(traj, sw_out * g)
-    )
+def _rhs_c2(traj: Trajectory, psi: TestFunction, J) -> float:
+    """Chondrocytes: the c2*chi term pairs with Delta psi = -kappa_sq * psi."""
+    p = traj.params
+    rhs = (-p.a2 * J("grad_c2") + p.b_chi * psi.laplace_factor(traj.grid) * J("c2_chi")
+           - p.b_chi * J("chi_grad") + J("sw_in") - J("sw_out"))
     if p.eps > 0:
-        damp = _series(traj, lambda s: s.c2**p.theta * S)
-        rhs -= p.eps * _trapz(traj, damp * g)
-    return abs(lhs - rhs)
+        rhs -= p.eps * J("damp_c2")
+    return rhs
 
 
 def _supply_term(traj: Trajectory, psi: TestFunction) -> float:
     """psi-weighted supply contribution: exact in time for both dose modes."""
-    grid = traj.grid
-    sched = traj.schedule
+    grid, sched = traj.grid, traj.schedule
     if sched.chi0 == 0.0 or not sched.dose_times:
         return 0.0
     s_int = integrate(grid, psi.spatial(grid))
-    if sched.mode == "jump":
-        total = 0.0
-        for td in sched.dose_times:
-            if td < traj.horizon:
-                total += sched.chi0 / grid.measure * s_int * float(psi.g(td))
-        return total
-    amplitude = sched.chi0 / grid.measure
-    total = 0.0
+    amplitude, total = sched.chi0 / grid.measure, 0.0
     for td in sched.dose_times:
-        total += amplitude * s_int * psi.g_integral(td, td + sched.width)
+        if sched.mode == "pulse":
+            total += amplitude * s_int * psi.g_integral(td, td + sched.width)
+        elif td < traj.horizon:
+            total += amplitude * s_int * float(psi.g(td))
     return total
+
+
+def _rhs_chi(traj: Trajectory, psi: TestFunction, J) -> float:
+    """Medium: diffusion, uptake by both cell types, supply."""
+    p = traj.params
+    return (-p.d_chi * J("grad_chi") - p.a_chi * J("c1_chi") - p.a_chi * J("c2_chi")
+            + _supply_term(traj, psi))
+
+
+def _rhs_tau(traj: Trajectory, psi: TestFunction, J) -> float:
+    """Matrix: degradation, decay, production; grad tau enters only when eps > 0."""
+    p = traj.params
+    rhs = -p.delta * J("tau_c1") - p.mu * J("tau") + J("produce")
+    if p.eps > 0:
+        rhs -= p.eps * J("grad_tau")
+    return rhs
+
+
+_RHS = {"c1": _rhs_c1, "c2": _rhs_c2, "chi": _rhs_chi, "tau": _rhs_tau}
+
+
+def _rows(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_RHS)) -> list:
+    """(equation, modes, power, |LHS - RHS|) per test function and equation."""
+    series = _spatial_series(traj, psis)
+    rows = []
+    for psi in psis:
+        sr = series[(psi.modes, psi.amplitude)]
+        g, gp = psi.g(traj.times), psi.g_prime(traj.times)
+        J = lambda name: _trapz(traj, sr[name] * g)  # time integral of a series against g
+        for eq in equations:
+            a = sr[eq]
+            lhs = -_trapz(traj, a * gp) - a[0]  # psi(.,0) = S, so the data term is a[0]
+            rows.append((eq, psi.modes, psi.power, abs(lhs - _RHS[eq](traj, psi, J))))
+    return rows
+
+
+def residual_c1(traj: Trajectory, psi: TestFunction) -> float:
+    """|LHS - RHS| of the stem-cell weak identity for one test function."""
+    return _rows(traj, (psi,), ("c1",))[0][3]
+
+
+def residual_c2(traj: Trajectory, psi: TestFunction) -> float:
+    """|LHS - RHS| of the chondrocyte weak identity (chemotaxis in double-divergence form)."""
+    return _rows(traj, (psi,), ("c2",))[0][3]
 
 
 def residual_chi(traj: Trajectory, psi: TestFunction) -> float:
     """|LHS - RHS| of the medium weak identity, supply term included."""
-    _check_horizon(traj, psi)
-    grid, p = traj.grid, traj.params
-    S = psi.spatial(grid)
-    gS = psi.spatial_gradient(grid)
-    t = traj.times
-    g, gp = psi.g(t), psi.g_prime(t)
-
-    a = _series(traj, lambda s: s.chi * S)
-    grad_dot = _series(traj, lambda s: _grad_dot(grid, s.chi, gS))
-    uptake1 = _series(traj, lambda s: s.c1 * s.chi * S)
-    uptake2 = _series(traj, lambda s: s.c2 * s.chi * S)
-
-    lhs = -_trapz(traj, a * gp) - a[0]
-    rhs = (
-        -p.d_chi * _trapz(traj, grad_dot * g)
-        - p.a_chi * _trapz(traj, uptake1 * g)
-        - p.a_chi * _trapz(traj, uptake2 * g)
-        + _supply_term(traj, psi)
-    )
-    return abs(lhs - rhs)
+    return _rows(traj, (psi,), ("chi",))[0][3]
 
 
 def residual_tau(traj: Trajectory, psi: TestFunction) -> float:
     """|LHS - RHS| of the matrix weak identity (gradient-free in the limit model)."""
-    _check_horizon(traj, psi)
-    grid, p = traj.grid, traj.params
-    S = psi.spatial(grid)
-    t = traj.times
-    g, gp = psi.g(t), psi.g_prime(t)
-
-    a = _series(traj, lambda s: s.tau * S)
-    degrade = _series(traj, lambda s: s.tau * s.c1 * S)
-    produce = _series(traj, lambda s: s.c2 / (1.0 + s.c2) * S)
-
-    lhs = -_trapz(traj, a * gp) - a[0]
-    rhs = (
-        -p.delta * _trapz(traj, degrade * g)
-        - p.mu * _trapz(traj, a * g)
-        + _trapz(traj, produce * g)
-    )
-    if p.eps > 0:
-        gS = psi.spatial_gradient(grid)
-        grad_dot = _series(traj, lambda s: _grad_dot(grid, s.tau, gS))
-        rhs -= p.eps * _trapz(traj, grad_dot * g)
-    return abs(lhs - rhs)
+    return _rows(traj, (psi,), ("tau",))[0][3]
 
 
-RESIDUALS = {
-    "c1": residual_c1,
-    "c2": residual_c2,
-    "chi": residual_chi,
-    "tau": residual_tau,
-}
+RESIDUALS = {"c1": residual_c1, "c2": residual_c2, "chi": residual_chi, "tau": residual_tau}
 
 
 def make_test_functions(grid: Grid, t_end: float, k_max: int = 3, powers: Sequence[int] = (1, 2)):
     """The default generating family: per-axis modes up to k_max, the given powers."""
-    if grid.dim == 1:
-        mode_tuples = [(k,) for k in range(k_max + 1)]
-    else:
-        mode_tuples = [(kx, ky) for kx in range(k_max + 1) for ky in range(k_max + 1)]
-    return [
-        TestFunction(modes=modes, power=m, horizon=t_end)
-        for modes in mode_tuples
-        for m in powers
-    ]
+    mode_tuples = itertools.product(range(k_max + 1), repeat=grid.dim)
+    return [TestFunction(modes=modes, power=m, horizon=t_end)
+            for modes in mode_tuples for m in powers]
 
 
 def residual_table(traj: Trajectory, k_max: int = 3, powers: Sequence[int] = (1, 2)):
     """All residuals over the default test set: rows of (equation, modes, power, value)."""
-    rows = []
-    for psi in make_test_functions(traj.grid, traj.horizon, k_max, powers):
-        for name, fn in RESIDUALS.items():
-            rows.append((name, psi.modes, psi.power, fn(traj, psi)))
-    return rows
+    return _rows(traj, make_test_functions(traj.grid, traj.horizon, k_max, powers))

@@ -1,3 +1,5 @@
+import pytest
+
 from regenfv.cli import main
 
 BASE = """
@@ -149,6 +151,31 @@ class TestBadInputFiles:
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
         assert "increase strictly" in capsys.readouterr().err
 
+    def test_snapshots_from_longer_domain(self, tmp_path, capsys):
+        cfg, out = self.snapshot_run(tmp_path)
+        other = write_config(tmp_path, cfg.read_text().replace("grid.lx = 1.0", "grid.lx = 3"),
+                             name="long.cfg")
+        assert main(["weakcheck", "--config", str(other), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "snap_0.csv has cell centers" in err
+        assert not (out / "weakform.csv").exists()
+
+    def test_snapshots_from_other_grid_shape(self, tmp_path, capsys):
+        # 8x6 and 12x4 hold the same number of cells
+        text = BASE.replace("grid.dim = 1", "grid.dim = 2").replace(
+            "grid.lx = 1.0", "grid.lx = 1.0\ngrid.ny = 6\ngrid.ly = 1.0").replace(
+            "grid.nx = 16", "grid.nx = 8").replace("control.t_end = 1.0", "control.t_end = 0.02") + \
+            "control.save_every = 0.01\noutput.snapshots = 1\ncontrol.dt_max = 2e-4\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        other = write_config(tmp_path, text.replace("grid.nx = 8", "grid.nx = 12")
+                             .replace("grid.ny = 6", "grid.ny = 4"), name="other.cfg")
+        assert main(["weakcheck", "--config", str(other), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "snap_0.csv has cell centers" in err
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 0
+
     def test_single_snapshot_is_config_error(self, tmp_path, capsys):
         text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.0") + "output.snapshots = 1\n"
         cfg = write_config(tmp_path, text)
@@ -234,3 +261,19 @@ class TestWeakcheckCommand:
         out = tmp_path / "empty"
         out.mkdir()
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--psi-m", "abc"], "malformed --psi-m 'abc'"),
+        (["--psi-m", "0"], "--psi-m needs temporal exponents of at least 1"),
+        (["--psi-m", ""], "--psi-m needs temporal exponents of at least 1"),
+        (["--psi-kmax", "-1"], "--psi-kmax must be nonnegative"),
+    ])
+    def test_bad_test_function_flags_are_config_errors(self, tmp_path, capsys, flags, message):
+        text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.02") + \
+            "control.save_every = 0.01\noutput.snapshots = 1\ncontrol.dt_max = 2e-4\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (out / "weakform.csv").exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regenfv import (
     Grid,
@@ -18,6 +19,7 @@ from regenfv import (
     residual_c1,
     residual_c2,
     residual_chi,
+    residual_table,
     residual_tau,
     run,
 )
@@ -278,3 +280,175 @@ class TestRefinement:
         fine = level(64, 1e-4, 0.015)
         for name in RESIDUALS:
             assert fine[name] < coarse[name], name
+
+
+# The per-test-function formulas as they were before the table was evaluated
+# snapshot by snapshot: S and grad S from meshgrid coordinates, every series
+# rebuilt per test function. The evaluation order of each integrand is the
+# reference that the snapshot-major table must reproduce bit for bit.
+def meshgrid_spatial(psi, grid):
+    out = np.full(grid.shape, psi.amplitude)
+    for k, x, L in zip(psi.modes, grid.coordinate_arrays(), grid.lengths):
+        out = out * np.cos(k * np.pi * x / L)
+    return out
+
+
+def meshgrid_spatial_gradient(psi, grid):
+    coords = grid.coordinate_arrays()
+    comps = []
+    for axis in range(grid.dim):
+        comp = np.full(grid.shape, psi.amplitude)
+        for a, (k, x, L) in enumerate(zip(psi.modes, coords, grid.lengths)):
+            w = k * np.pi / L
+            comp = comp * (-w * np.sin(w * x) if a == axis else np.cos(w * x))
+        comps.append(comp)
+    return tuple(comps)
+
+
+def reference_residuals(traj, psi):
+    from regenfv import eval_rate
+    from regenfv.grid import gradient_components
+
+    grid, p = traj.grid, traj.params
+    alpha1, alpha2 = traj.alphas
+    S, gS = meshgrid_spatial(psi, grid), meshgrid_spatial_gradient(psi, grid)
+    t = traj.times
+    g, gp = psi.g(t), psi.g_prime(t)
+
+    def series(integrand):
+        return np.array([integrate(grid, integrand(s)) for s in traj.states])
+
+    def grad_dot(f):
+        return sum(c * gc for c, gc in zip(gradient_components(grid, f), gS))
+
+    def trapz(values):
+        return float(np.trapezoid(values, t))
+
+    sw_in = series(lambda s: eval_rate(alpha1, s.chi) * s.c1 / (1.0 + s.c1) * S)
+    sw_out = series(lambda s: eval_rate(alpha2, s.chi) * s.c2 / (1.0 + s.c2) * S)
+    out = {}
+
+    a = series(lambda s: s.c1 * S)
+    rhs = (
+        -p.a1 * trapz(series(lambda s: grad_dot(s.c1)) * g)
+        + p.b_tau * trapz(series(lambda s: s.c1 * grad_dot(s.tau)) * g)
+        - trapz(sw_in * g)
+        + trapz(sw_out * g)
+        + p.beta * trapz(series(lambda s: s.c1 * (1.0 - s.c1 - s.c2 - s.tau) * S) * g)
+    )
+    if p.eps > 0:
+        rhs -= p.eps * trapz(series(lambda s: s.c1**p.theta * S) * g)
+    out["c1"] = abs(-trapz(a * gp) - a[0] - rhs)
+
+    a = series(lambda s: s.c2 * S)
+    rhs = (
+        -p.a2 * trapz(series(lambda s: grad_dot(s.c2)) * g)
+        + p.b_chi * psi.laplace_factor(grid) * trapz(series(lambda s: s.c2 * s.chi * S) * g)
+        - p.b_chi * trapz(series(lambda s: s.chi * grad_dot(s.c2)) * g)
+        + trapz(sw_in * g)
+        - trapz(sw_out * g)
+    )
+    if p.eps > 0:
+        rhs -= p.eps * trapz(series(lambda s: s.c2**p.theta * S) * g)
+    out["c2"] = abs(-trapz(a * gp) - a[0] - rhs)
+
+    a = series(lambda s: s.chi * S)
+    rhs = (
+        -p.d_chi * trapz(series(lambda s: grad_dot(s.chi)) * g)
+        - p.a_chi * trapz(series(lambda s: s.c1 * s.chi * S) * g)
+        - p.a_chi * trapz(series(lambda s: s.c2 * s.chi * S) * g)
+        + _supply_term(traj, psi)
+    )
+    out["chi"] = abs(-trapz(a * gp) - a[0] - rhs)
+
+    a = series(lambda s: s.tau * S)
+    rhs = (
+        -p.delta * trapz(series(lambda s: s.tau * s.c1 * S) * g)
+        - p.mu * trapz(a * g)
+        + trapz(series(lambda s: s.c2 / (1.0 + s.c2) * S) * g)
+    )
+    if p.eps > 0:
+        rhs -= p.eps * trapz(series(lambda s: grad_dot(s.tau)) * g)
+    out["tau"] = abs(-trapz(a * gp) - a[0] - rhs)
+    return out
+
+
+def not_one(lo, hi):
+    return st.floats(lo, hi).filter(lambda v: v != 1.0)
+
+
+@st.composite
+def grids(draw):
+    """1D grids and non-square 2D grids, every length != 1."""
+    if draw(st.booleans()):
+        cells = (draw(st.integers(3, 12)),)
+    else:
+        cells = draw(st.tuples(st.integers(3, 9), st.integers(3, 9)).filter(lambda c: c[0] != c[1]))
+    return Grid(cells, tuple(draw(not_one(0.3, 3.0)) for _ in cells))
+
+
+@st.composite
+def rough_trajectories(draw):
+    grid = draw(grids())
+    steps = draw(st.lists(st.floats(0.01, 0.2), min_size=1, max_size=3))
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stacked = draw(st.booleans())
+    states = []
+    for t in times:
+        u = rng.uniform(0.0, 2.0, (4, *grid.shape)) * (rng.random((4, *grid.shape)) > 0.1)
+        states.append(SimState.from_stack(float(t), u, grid) if stacked
+                      else SimState(float(t), *u.copy(), grid))
+    coefficient = st.floats(0.01, 2.0)
+    eps = draw(st.just(0.0) | st.floats(0.05, 0.5))
+    p = params(**{name: draw(coefficient) for name in
+                  ("a1", "a2", "b_tau", "b_chi", "d_chi", "a_chi", "beta", "delta", "mu")},
+               eps=eps, theta=draw(st.floats(2.1, 4.0)))
+    alphas = tuple(
+        RateFunction("saturating", draw(coefficient), draw(st.floats(0.1, 2.0)))
+        if draw(st.booleans()) else RateFunction("constant", draw(coefficient))
+        for _ in range(2)
+    )
+    T = float(times[-1])
+    doses = tuple(sorted(draw(st.lists(st.floats(0.05 * T, 1.2 * T), min_size=1, max_size=3, unique=True))))
+    schedule = SupplySchedule(dose_times=doses, chi0=draw(st.floats(0.1, 3.0)),
+                              mode=draw(st.sampled_from(["pulse", "jump"])),
+                              width=draw(st.floats(0.01, 0.5)) * T)
+    return Trajectory(times, tuple(states), p, alphas, schedule)
+
+
+class TestSnapshotMajorTable:
+    """The table and every single residual equal the per-test-function formulas bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rough_trajectories(), st.integers(0, 4),
+           st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3, unique=True))
+    def test_table_equals_per_test_function_formulas(self, traj, k_max, powers):
+        from regenfv.weakform import make_test_functions
+
+        expected = []
+        for psi in make_test_functions(traj.grid, traj.horizon, k_max, powers):
+            ref = reference_residuals(traj, psi)
+            expected.extend((name, psi.modes, psi.power, ref[name]) for name in RESIDUALS)
+        assert residual_table(traj, k_max=k_max, powers=powers) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(rough_trajectories(), st.data())
+    def test_single_residuals_equal_per_test_function_formulas(self, traj, data):
+        modes = tuple(data.draw(st.integers(0, 4)) for _ in range(traj.grid.dim))
+        psi = TestFunction(modes, data.draw(st.sampled_from([1, 2, 3])), traj.horizon,
+                           amplitude=data.draw(not_one(0.2, 3.0)))
+        ref = reference_residuals(traj, psi)
+        for name, fn in RESIDUALS.items():
+            assert fn(traj, psi) == ref[name], name
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), st.data())
+    def test_separable_factors_equal_meshgrid_formulas(self, grid, data):
+        modes = tuple(data.draw(st.integers(0, 5)) for _ in range(grid.dim))
+        psi = TestFunction(modes, 1, 1.0, amplitude=data.draw(not_one(0.2, 3.0)))
+        S = psi.spatial(grid)
+        assert S.shape == grid.shape and np.array_equal(S, meshgrid_spatial(psi, grid))
+        for got, want in zip(psi.spatial_gradient(grid), meshgrid_spatial_gradient(psi, grid),
+                             strict=True):
+            assert got.shape == grid.shape and np.array_equal(got, want)
