@@ -199,8 +199,16 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1); exit 2 means numerical failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="regenfv", description=__doc__)
+    parser = _Parser(prog="regenfv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("run", "run one simulation and write diagnostics"),
@@ -227,15 +235,13 @@ _COMMANDS = {"run": _cmd_run, "sweep": _cmd_sweep, "weakcheck": _cmd_weakcheck, 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cfg = parse_config(text)
-        return _COMMANDS[args.command](cfg, args)
+        args = _build_parser().parse_args(argv)
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(str(exc)) from None
+        return _COMMANDS[args.command](parse_config(text), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

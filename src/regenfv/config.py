@@ -1,9 +1,12 @@
 """Run configuration: plain-text parsing, validation, defaulting, and echo.
 
 Format: one ``section.key = value`` per line, ``#`` starts a comment, numbers
-are decimal with optional exponent. Unknown keys are errors, not warnings.
-Parsing makes every default explicit, and ``echo_text`` emits the canonical
-form so that parse(echo(parse(text))) == parse(text).
+are decimal with optional exponent and finite (only ``control.dt_max`` may be
+``inf``). Unknown keys are errors, not warnings. Parsing makes every default
+explicit, and ``echo_text`` emits the canonical form so that
+parse(echo(parse(text))) == parse(text). The fields of ``ModelParams``,
+``SupplySchedule``, ``StepControl`` and ``EntropyParams`` are the keys of the
+params, schedule, control and entropy sections, with their order and defaults.
 
 The four initial-data sections are named after the fields they seed (c10,
 c20, chi0, tau0); each takes exactly one of the initializers
@@ -21,7 +24,9 @@ section; nothing downstream re-checks the fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -33,7 +38,14 @@ from .model import ModelParams, RateFunction, SupplySchedule
 from .stepping import SimState, StepControl
 
 _INITIAL_SECTIONS = ("c10", "c20", "chi0", "tau0")
-_FIELD_OF_SECTION = {"c10": "c1", "c20": "c2", "chi0": "chi", "tau0": "tau"}
+# Sign rules, checked where the key is read so that the error names its line.
+_SIGN_RULES = {
+    **dict.fromkeys(("grid.lx", "grid.ly", "params.a1", "params.a2", "params.b_tau", "params.b_chi",
+                     "params.d_chi", "params.delta", "params.mu", "rates.alpha1.k_half",
+                     "rates.alpha2.k_half", "control.save_every"), "strictly positive"),
+    **dict.fromkeys(("params.a_chi", "params.beta", "control.t_end"), "nonnegative"),
+}
+_MAY_BE_INFINITE = "control.dt_max"  # its default, inf, is echoed and must parse back
 
 
 @dataclass(frozen=True)
@@ -92,23 +104,14 @@ class RunConfig:
         return (self.alpha1, self.alpha2)
 
     def build_initial(self) -> SimState:
-        fields = {}
+        arrays = {}
         for section, spec in self.initial.items():
             try:
-                arr = spec.build(self.grid)
+                arrays[section] = spec.build(self.grid)
             except ValueError as exc:  # ConfigError included
                 raise ConfigError(f"{section}: {exc}") from None
-            name = _FIELD_OF_SECTION[section]
-            if section in ("c10", "c20") and np.min(arr) < 0:
-                raise ConfigError(f"{section} must be nonnegative")
-            if section in ("chi0", "tau0") and np.min(arr) <= 0:
-                raise ConfigError(
-                    f"{section} must be strictly positive (initial-data assumption chi0, tau0 > 0)"
-                )
-            fields[name] = arr
-        return SimState.from_stack(
-            0.0, np.array([fields[name] for name in _FIELD_OF_SECTION.values()]), self.grid
-        )
+            _check_initial_sign(section, float(np.min(arrays[section])))
+        return SimState.from_stack(0.0, np.array([arrays[s] for s in _INITIAL_SECTIONS]), self.grid)
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -129,132 +132,160 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
 
 
 class _Entries:
-    """Typed extraction with line-numbered errors and unknown-key detection."""
+    """Typed reads with line-numbered errors; a key whose default is MISSING is required."""
 
     def __init__(self, entries: dict[str, tuple[str, int]]):
         self.entries = entries
         self.used: set[str] = set()
 
-    def has(self, key: str) -> bool:
-        return key in self.entries
+    def lineno(self, key: str):
+        return self.entries[key][1] if key in self.entries else "?"
 
-    def raw(self, key: str) -> tuple[str, int]:
-        self.used.add(key)
-        return self.entries[key]
+    def word(self, key: str, default=MISSING):
+        """The key's text, marked as used, or ``default`` if the key is absent."""
+        if key in self.entries:
+            self.used.add(key)
+            return self.entries[key][0]
+        if default is MISSING:
+            raise ConfigError(f"missing required key {key}")
+        return default
 
-    def number(self, key: str, default: Optional[float] = None) -> float:
-        if key not in self.entries:
-            if default is None:
-                raise ConfigError(f"missing required key {key}")
-            return default
-        value, lineno = self.raw(key)
+    def raw_number(self, key: str) -> float:
+        """The key's text as a float, NaN and inf included."""
+        text = self.word(key)
         try:
-            return float(value)
+            return float(text)
         except ValueError:
-            raise ConfigError(f"line {lineno}: malformed number {value!r} for {key}") from None
+            raise ConfigError(f"line {self.lineno(key)}: malformed number {text!r} for {key}") from None
 
-    def positive(self, key: str, default: Optional[float] = None) -> float:
-        value = self.number(key, default)
-        if not value > 0:
-            lineno = self.entries[key][1] if key in self.entries else "?"
-            raise ConfigError(f"line {lineno}: {key} must be strictly positive, got {value:g}")
+    def number(self, key: str, default=MISSING):
+        """A finite number (only control.dt_max may be inf) obeying the key's sign rule."""
+        if key in self.entries:
+            value = self.raw_number(key)
+            self._check_finite(key, value)
+        else:
+            value = self.word(key, default)
+        rule = _SIGN_RULES.get(key)
+        if rule and not (value > 0 if rule == "strictly positive" else value >= 0):
+            raise ConfigError(f"line {self.lineno(key)}: {key} must be {rule}, got {value:g}")
         return value
 
-    def nonneg(self, key: str, default: Optional[float] = None) -> float:
+    def integer(self, key: str, default=MISSING) -> int:
         value = self.number(key, default)
-        if value < 0:
-            lineno = self.entries[key][1] if key in self.entries else "?"
-            raise ConfigError(f"line {lineno}: {key} must be nonnegative, got {value:g}")
-        return value
-
-    def integer(self, key: str, default: Optional[int] = None) -> int:
-        value = self.number(key, None if default is None else float(default))
         if value != int(value):
-            lineno = self.entries[key][1] if key in self.entries else "?"
-            raise ConfigError(f"line {lineno}: {key} must be an integer")
+            raise ConfigError(f"line {self.lineno(key)}: {key} must be an integer")
         return int(value)
 
-    def word(self, key: str, default: Optional[str] = None) -> str:
+    def numbers(self, key: str, default=MISSING) -> tuple[float, ...]:
         if key not in self.entries:
-            if default is None:
-                raise ConfigError(f"missing required key {key}")
-            return default
-        return self.raw(key)[0]
-
-    def numbers(self, key: str, default: tuple = ()) -> tuple[float, ...]:
-        if key not in self.entries:
-            return default
-        value, lineno = self.raw(key)
-        if not value:
-            return ()
+            return self.word(key, default)
         try:
-            return tuple(float(tok) for tok in value.replace(",", " ").split())
+            values = tuple(float(tok) for tok in self.word(key).replace(",", " ").split())
         except ValueError:
-            raise ConfigError(f"line {lineno}: malformed number list for {key}") from None
+            raise ConfigError(f"line {self.lineno(key)}: malformed number list for {key}") from None
+        self._check_finite(key, *values)
+        return values
+
+    def _check_finite(self, key: str, *values: float) -> None:
+        for value in values:
+            if not (math.isfinite(value) or (key == _MAY_BE_INFINITE and math.isinf(value))):
+                raise ConfigError(f"line {self.lineno(key)}: {key} must be finite, got {value}")
 
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.entries) - self.used)
         if unknown:
-            key = unknown[0]
-            lineno = self.entries[key][1]
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {self.lineno(unknown[0])}: unknown key {unknown[0]!r}")
+
+
+def _build(cls, **values):
+    """``cls(**values)``, its ValueError turned into a ConfigError."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+_ECHO = {"word": str, "number": _fmt, "numbers": lambda values: " ".join(map(_fmt, values))}
+
+
+@cache
+def _section_keys(cls) -> tuple[tuple[str, str, object], ...]:
+    """(name, reader, default) per field of the dataclass ``cls``, in order: a str field
+    is a word, a tuple field a number list, any other a number; MISSING is required."""
+    hints = typing.get_type_hints(cls)
+    readers = {str: "word", tuple: "numbers"}
+    return tuple((f.name, readers.get(typing.get_origin(hints[f.name]) or hints[f.name], "number"),
+                  f.default) for f in fields(cls))
+
+
+def _parse_section(e: _Entries, section: str, cls, **defaults):
+    """The dataclass ``cls`` read from the keys ``section.<field>``;
+    ``defaults`` replaces dataclass defaults that depend on other keys."""
+    return _build(cls, **{
+        name: getattr(e, reader)(f"{section}.{name}", defaults.get(name, default))
+        for name, reader, default in _section_keys(cls)
+    })
+
+
+def _echo_section(section: str, obj) -> list[str]:
+    return [f"{section}.{name} = {_ECHO[reader](getattr(obj, name))}"
+            for name, reader, _ in _section_keys(type(obj))
+            if reader != "numbers" or getattr(obj, name)]  # an empty list is the absent key
 
 
 def _parse_rate(e: _Entries, prefix: str) -> RateFunction:
     kind = e.word(f"{prefix}.kind", "constant")
     amplitude = e.number(f"{prefix}.amplitude", 1.0)
     if kind == "constant":
-        if e.has(f"{prefix}.k_half"):
-            _, lineno = e.entries[f"{prefix}.k_half"]
-            raise ConfigError(f"line {lineno}: {prefix}.k_half applies to the saturating kind only")
-        return RateFunction(kind="constant", amplitude=amplitude)
+        if f"{prefix}.k_half" in e.entries:
+            raise ConfigError(f"line {e.lineno(f'{prefix}.k_half')}: "
+                              f"{prefix}.k_half applies to the saturating kind only")
+        return _build(RateFunction, kind=kind, amplitude=amplitude)
     if kind == "saturating":
-        return RateFunction(
-            kind="saturating",
-            amplitude=amplitude,
-            half_saturation=e.positive(f"{prefix}.k_half", 1.0),
-        )
-    _, lineno = e.entries[f"{prefix}.kind"]
-    raise ConfigError(f"line {lineno}: {prefix}.kind must be constant or saturating")
+        return _build(RateFunction, kind=kind, amplitude=amplitude,
+                      half_saturation=e.number(f"{prefix}.k_half", 1.0))
+    raise ConfigError(f"line {e.lineno(f'{prefix}.kind')}: {prefix}.kind must be constant or saturating")
 
 
 def _parse_initializer(e: _Entries, section: str) -> InitializerSpec:
-    kinds = [k for k in ("uniform", "cosine", "file") if e.has(f"{section}.{k}")]
+    kinds = [k for k in ("uniform", "cosine", "file") if f"{section}.{k}" in e.entries]
     if len(kinds) != 1:
         raise ConfigError(
             f"section {section} needs exactly one of uniform/cosine/file, found {len(kinds)}"
         )
-    kind = kinds[0]
+    kind, key = kinds[0], f"{section}.{kinds[0]}"
+    where = f"line {e.lineno(key)}: "
+    if kind == "file":
+        return InitializerSpec(kind="file", path=e.word(key))
     if kind == "uniform":
-        value = e.number(f"{section}.uniform")
-        _check_initial_sign(section, value, e.entries[f"{section}.uniform"][1])
+        value = e.raw_number(key)
+        _check_initial_sign(section, value, where)
         return InitializerSpec(kind="uniform", uniform=value)
-    if kind == "cosine":
-        raw, lineno = e.raw(f"{section}.cosine")
-        toks = raw.replace(",", " ").split()
-        if len(toks) < 3:
-            raise ConfigError(f"line {lineno}: cosine needs 'base amplitude kx [ky]'")
-        try:
-            base, amplitude = float(toks[0]), float(toks[1])
-            modes = tuple(int(t) for t in toks[2:])
-        except ValueError:
-            raise ConfigError(f"line {lineno}: malformed cosine spec for {section}") from None
-        _check_initial_sign(section, base - abs(amplitude), lineno)
-        return InitializerSpec(kind="cosine", base=base, amplitude=amplitude, modes=modes)
-    path, _ = e.raw(f"{section}.file")
-    return InitializerSpec(kind="file", path=path)
+    toks = e.word(key).replace(",", " ").split()
+    if len(toks) < 3:
+        raise ConfigError(f"{where}cosine needs 'base amplitude kx [ky]'")
+    try:
+        base, amplitude = float(toks[0]), float(toks[1])
+        modes = tuple(int(t) for t in toks[2:])
+    except ValueError:
+        raise ConfigError(f"{where}malformed cosine spec for {section}") from None
+    _check_initial_sign(section, base - abs(amplitude), where)
+    return InitializerSpec(kind="cosine", base=base, amplitude=amplitude, modes=modes)
 
 
-def _check_initial_sign(section: str, low: float, lineno: int) -> None:
+def _check_initial_sign(section: str, low: float, where: str = "") -> None:
+    """Reject a lowest initial value that is non-finite or breaks the section's sign rule."""
     if not math.isfinite(low):
-        raise ConfigError(f"line {lineno}: {section} must be finite")
+        raise ConfigError(f"{where}{section} must be finite")
     if section in ("c10", "c20") and low < 0:
-        raise ConfigError(f"line {lineno}: {section} must be nonnegative")
+        raise ConfigError(f"{where}{section} must be nonnegative")
     if section in ("chi0", "tau0") and low <= 0:
-        raise ConfigError(
-            f"line {lineno}: {section} must be strictly positive "
-            "(initial-data assumption chi0, tau0 > 0)"
-        )
+        raise ConfigError(f"{where}{section} must be strictly positive "
+                          "(initial-data assumption chi0, tau0 > 0)")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -264,124 +295,47 @@ def parse_config(text: str) -> RunConfig:
     dim = e.integer("grid.dim")
     if dim not in (1, 2):
         raise ConfigError("grid.dim must be 1 or 2")
-    cells = [e.integer("grid.nx")]
-    lengths = [e.positive("grid.lx")]
-    if dim == 2:
-        cells.append(e.integer("grid.ny"))
-        lengths.append(e.positive("grid.ly"))
-    try:
-        grid = Grid(cells=tuple(cells), lengths=tuple(lengths))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cells, lengths = zip(*((e.integer(f"grid.n{a}"), e.number(f"grid.l{a}")) for a in "xy"[:dim]))
+    grid = _build(Grid, cells=cells, lengths=lengths)
 
-    try:
-        params = ModelParams(
-            a1=e.positive("params.a1"),
-            a2=e.positive("params.a2"),
-            b_tau=e.positive("params.b_tau"),
-            b_chi=e.positive("params.b_chi"),
-            d_chi=e.positive("params.d_chi"),
-            a_chi=e.nonneg("params.a_chi"),
-            beta=e.nonneg("params.beta"),
-            delta=e.positive("params.delta"),
-            mu=e.positive("params.mu"),
-            eps=e.number("params.eps", 0.0),
-            theta=e.number("params.theta", 4.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    params = _parse_section(e, "params", ModelParams)
     if not params.theta > max(2, dim):
         raise ConfigError(f"params.theta must exceed max(2, dim)={max(2, dim)}")
-
     alpha1 = _parse_rate(e, "rates.alpha1")
     alpha2 = _parse_rate(e, "rates.alpha2")
-
-    try:
-        schedule = SupplySchedule(
-            dose_times=e.numbers("schedule.dose_times"),
-            chi0=e.number("schedule.chi0", 0.0),
-            mode=e.word("schedule.mode", "pulse"),
-            width=e.number("schedule.width", 0.1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
+    schedule = _parse_section(e, "schedule", SupplySchedule)
     t_end = e.number("control.t_end")
-    if t_end < 0:
-        raise ConfigError("control.t_end must be nonnegative")
-    default_save = t_end / 100.0 if t_end > 0 else 1.0
-    try:
-        ctrl = StepControl(
-            t_end=t_end,
-            dt_max=e.number("control.dt_max", math.inf),
-            cfl_safety=e.number("control.cfl_safety", 0.5),
-            save_every=e.positive("control.save_every", default_save),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    try:
-        entropy = EntropyParams(
-            zeta=e.number("entropy.zeta", 1.0),
-            varrho=e.number("entropy.varrho", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
+    ctrl = _parse_section(e, "control", StepControl, save_every=t_end / 100.0 if t_end > 0 else 1.0)
+    entropy = _parse_section(e, "entropy", EntropyParams)
     initial = {section: _parse_initializer(e, section) for section in _INITIAL_SECTIONS}
 
     snapshots = e.integer("output.snapshots", 0)
     if snapshots not in (0, 1):
         raise ConfigError("output.snapshots must be 0 or 1")
     out_dir = e.word("output.dir", "")
-
-    m1_override = e.number("bounds.m1_override", math.nan)
-    tau_star_override = e.number("bounds.tau_star_override", math.nan)
+    m1_override = e.number("bounds.m1_override", None)
+    tau_star_override = e.number("bounds.tau_star_override", None)
 
     e.reject_unknown()
     return RunConfig(
-        grid=grid,
-        params=params,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        schedule=schedule,
-        ctrl=ctrl,
-        entropy=entropy,
-        initial=initial,
-        snapshots=bool(snapshots),
-        out_dir=out_dir,
-        m1_override=None if math.isnan(m1_override) else m1_override,
-        tau_star_override=None if math.isnan(tau_star_override) else tau_star_override,
+        grid=grid, params=params, alpha1=alpha1, alpha2=alpha2, schedule=schedule, ctrl=ctrl,
+        entropy=entropy, initial=initial, snapshots=bool(snapshots), out_dir=out_dir,
+        m1_override=m1_override, tau_star_override=tau_star_override,
     )
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def echo_text(cfg: RunConfig) -> str:
     """Canonical configuration text with every default explicit."""
-    lines = ["# canonical configuration (all defaults explicit)"]
-    lines.append(f"grid.dim = {cfg.grid.dim}")
-    lines.append(f"grid.nx = {cfg.grid.cells[0]}")
-    lines.append(f"grid.lx = {_fmt(cfg.grid.lengths[0])}")
-    if cfg.grid.dim == 2:
-        lines.append(f"grid.ny = {cfg.grid.cells[1]}")
-        lines.append(f"grid.ly = {_fmt(cfg.grid.lengths[1])}")
-    p = cfg.params
-    for name in ("a1", "a2", "b_tau", "b_chi", "d_chi", "a_chi", "beta", "delta", "mu", "eps", "theta"):
-        lines.append(f"params.{name} = {_fmt(getattr(p, name))}")
+    lines = ["# canonical configuration (all defaults explicit)", f"grid.dim = {cfg.grid.dim}"]
+    for a, n, length in zip("xy", cfg.grid.cells, cfg.grid.lengths):
+        lines += [f"grid.n{a} = {n}", f"grid.l{a} = {_fmt(length)}"]
+    lines += _echo_section("params", cfg.params)
     for label, rate in (("alpha1", cfg.alpha1), ("alpha2", cfg.alpha2)):
         lines.append(f"rates.{label}.kind = {rate.kind}")
         lines.append(f"rates.{label}.amplitude = {_fmt(rate.amplitude)}")
         if rate.kind == "saturating":
             lines.append(f"rates.{label}.k_half = {_fmt(rate.half_saturation)}")
-    s = cfg.schedule
-    if s.dose_times:
-        lines.append("schedule.dose_times = " + " ".join(_fmt(t) for t in s.dose_times))
-    lines.append(f"schedule.chi0 = {_fmt(s.chi0)}")
-    lines.append(f"schedule.mode = {s.mode}")
-    lines.append(f"schedule.width = {_fmt(s.width)}")
+    lines += _echo_section("schedule", cfg.schedule)
     for section, spec in cfg.initial.items():
         if spec.kind == "uniform":
             lines.append(f"{section}.uniform = {_fmt(spec.uniform)}")
@@ -390,13 +344,8 @@ def echo_text(cfg: RunConfig) -> str:
             lines.append(f"{section}.cosine = {_fmt(spec.base)} {_fmt(spec.amplitude)} {modes}")
         else:
             lines.append(f"{section}.file = {spec.path}")
-    c = cfg.ctrl
-    lines.append(f"control.t_end = {_fmt(c.t_end)}")
-    lines.append(f"control.dt_max = {_fmt(c.dt_max)}")
-    lines.append(f"control.cfl_safety = {_fmt(c.cfl_safety)}")
-    lines.append(f"control.save_every = {_fmt(c.save_every)}")
-    lines.append(f"entropy.zeta = {_fmt(cfg.entropy.zeta)}")
-    lines.append(f"entropy.varrho = {_fmt(cfg.entropy.varrho)}")
+    lines += _echo_section("control", cfg.ctrl)
+    lines += _echo_section("entropy", cfg.entropy)
     lines.append(f"output.snapshots = {int(cfg.snapshots)}")
     if cfg.out_dir:
         lines.append(f"output.dir = {cfg.out_dir}")

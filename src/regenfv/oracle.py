@@ -90,7 +90,6 @@ def rk4_solve(
         raise ValueError("dt must be positive and t_end nonnegative")
 
     alpha1, alpha2 = alphas
-    mu, delta, beta = p.mu, p.delta, p.beta
 
     def rhs(t, c1, c2, chi, tau):
         # Stage extrapolations may dip infinitesimally negative; the model is

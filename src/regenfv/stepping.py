@@ -145,14 +145,17 @@ def _stability_bound(state: SimState, p: ModelParams) -> float:
 
 
 def stable_dt(state: SimState, p: ModelParams, ctrl: StepControl) -> float:
-    """Largest admissible dt: cfl_safety times the stability bound, capped by dt_max."""
-    return _capped_dt(_stability_bound(state, p), ctrl)
+    """Largest admissible dt: cfl_safety times the stability bound, capped by dt_max.
+
+    Raises StabilityError when that is not finite and positive."""
+    return _capped_dt(_stability_bound(state, p), ctrl, state.t)
 
 
-def _capped_dt(bound: float, ctrl: StepControl) -> float:
+def _capped_dt(bound: float, ctrl: StepControl, t: float) -> float:
     dt = ctrl.dt_max if math.isinf(bound) else min(ctrl.cfl_safety * bound, ctrl.dt_max)
-    if math.isinf(dt) or dt <= 0:
-        raise ValueError("no finite positive timestep; set dt_max")
+    if not 0 < dt < math.inf:
+        raise StabilityError(f"no finite positive timestep at t={t:g} "
+                             f"(stability bound {bound:g}, dt_max {ctrl.dt_max:g})")
     return dt
 
 
@@ -287,7 +290,7 @@ def run(
         state = SimState.from_stack(state.t, state.stack, state.grid, state.positivity_debt)
         while state.t < target - EVENT_TOL:
             bound = _stability_bound(state, p)
-            dt = min(_capped_dt(bound, ctrl), target - state.t)
+            dt = min(_capped_dt(bound, ctrl, state.t), target - state.t)
             state = step(state, p, alphas, schedule, dt, stability_bound=bound)
         state = state.replace(t=target)  # land exactly, no drift
         if is_save:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from regenfv.cli import main
@@ -47,6 +48,14 @@ class TestRunCommand:
     def test_bad_value_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("params.mu = 0.9", "params.mu = -1"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_no_admissible_step_is_numerical_failure(self, tmp_path, capsys):
+        # finite beta whose reaction rate overflows: the stability bound is 0
+        cfg = write_config(tmp_path, BASE.replace("params.beta = 0.8", "params.beta = 1e308"))
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: no finite positive timestep at t=0")
 
     def test_strict_with_corrupted_bound_exits_three(self, tmp_path):
         text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.05") + \
@@ -277,3 +286,26 @@ class TestWeakcheckCommand:
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (out / "weakform.csv").exists()
+
+
+class TestUsageErrors:
+    """Bad or missing flags are configuration errors (exit 1): exit 2 means numerical failure."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["weakcheck", "--config", "{cfg}", "--psi-kmax", "abc"],
+         "argument --psi-kmax: invalid int value: 'abc'"),
+        (["oracle", "--config", "{cfg}", "--dt", "x"], "argument --dt: invalid float value: 'x'"),
+        (["run", "--out", "o"], "the following arguments are required: --config"),
+    ])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, BASE)
+        assert main([arg.format(cfg=cfg) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: regenfv ")
+        assert f"config error: {message}\n" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--help"])
+        assert stop.value.code == 0
+        assert "--config" in capsys.readouterr().out
