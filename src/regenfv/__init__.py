@@ -5,11 +5,9 @@ weak-form residual checks, and a vanishing-regularization harness.
 
 from .config import RunConfig, echo_text, parse_config
 from .diagnostics import (
-    BoundCertificates,
     DiagnosticsRecord,
     EntropyParams,
     MonitorReport,
-    certify_bounds,
     compute_record,
     dissipation_D,
     entropy_E,
@@ -34,7 +32,7 @@ from .model import (
     event_timeline,
     reaction_rhs,
 )
-from .oracle import HomogeneousState, OracleTrajectory, ode_rhs, rk4_solve
+from .oracle import HomogeneousState, OracleTrajectory, rk4_solve
 from .stepping import SimState, StepControl, run, stable_dt, step
 from .sweep import SweepConfig, SweepReport, compare_to_limit, run_sweep
 from .weakform import (

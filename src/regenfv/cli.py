@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -105,12 +106,7 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     records: list[DiagnosticsRecord] = []
 
     def record_sink(state: SimState) -> None:
-        records.append(
-            compute_record(
-                state, cfg.params, cfg.alphas, initial, cfg.entropy,
-                m1_override=cfg.m1_override, tau_star_override=cfg.tau_star_override,
-            )
-        )
+        records.append(compute_record(state, cfg.params, cfg.alphas, initial, cfg.entropy))
 
     snapshot_sink = None
     if cfg.snapshots:
@@ -176,6 +172,10 @@ def _cmd_weakcheck(cfg: RunConfig, args) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, args) -> int:
+    t_end = cfg.ctrl.t_end
+    dt = args.dt if args.dt is not None else (t_end / 1000.0 if t_end > 0 else 1e-3)
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"--dt must be finite and positive, got {dt}")
     out = _resolve_out(cfg, args)
     uniform = {}
     for section, spec in cfg.initial.items():
@@ -186,8 +186,6 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
         t=0.0, c1=uniform["c10"], c2=uniform["c20"],
         chi=uniform["chi0"], tau=uniform["tau0"],
     )
-    t_end = cfg.ctrl.t_end
-    dt = args.dt if args.dt else (t_end / 1000.0 if t_end > 0 else 1e-3)
     traj = rk4_solve(
         y0, cfg.params, cfg.alphas, cfg.schedule, dt=dt, t_end=t_end,
         domain_measure=cfg.grid.measure, save_every=cfg.ctrl.save_every,
@@ -227,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--psi-kmax", type=int, default=3, help="largest per-axis mode index")
             cmd.add_argument("--psi-m", default="1,2", help="temporal exponents, comma-separated")
         if name == "oracle":
-            cmd.add_argument("--dt", type=float, default=0.0, help="oracle step (default t_end/1000)")
+            cmd.add_argument("--dt", type=float, default=None, help="oracle step (default t_end/1000)")
     return parser
 
 

@@ -27,7 +27,6 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
-from typing import Optional
 
 import numpy as np
 
@@ -96,8 +95,6 @@ class RunConfig:
     initial: dict = field(default_factory=dict)  # section name -> InitializerSpec
     snapshots: bool = False
     out_dir: str = ""
-    m1_override: Optional[float] = None
-    tau_star_override: Optional[float] = None
 
     @property
     def alphas(self) -> tuple[RateFunction, RateFunction]:
@@ -313,14 +310,11 @@ def parse_config(text: str) -> RunConfig:
     if snapshots not in (0, 1):
         raise ConfigError("output.snapshots must be 0 or 1")
     out_dir = e.word("output.dir", "")
-    m1_override = e.number("bounds.m1_override", None)
-    tau_star_override = e.number("bounds.tau_star_override", None)
 
     e.reject_unknown()
     return RunConfig(
         grid=grid, params=params, alpha1=alpha1, alpha2=alpha2, schedule=schedule, ctrl=ctrl,
         entropy=entropy, initial=initial, snapshots=bool(snapshots), out_dir=out_dir,
-        m1_override=m1_override, tau_star_override=tau_star_override,
     )
 
 
@@ -349,8 +343,4 @@ def echo_text(cfg: RunConfig) -> str:
     lines.append(f"output.snapshots = {int(cfg.snapshots)}")
     if cfg.out_dir:
         lines.append(f"output.dir = {cfg.out_dir}")
-    if cfg.m1_override is not None:
-        lines.append(f"bounds.m1_override = {_fmt(cfg.m1_override)}")
-    if cfg.tau_star_override is not None:
-        lines.append(f"bounds.tau_star_override = {_fmt(cfg.tau_star_override)}")
     return "\n".join(lines) + "\n"

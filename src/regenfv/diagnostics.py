@@ -1,5 +1,9 @@
 """Runtime monitors: masses, extrema, entropy/dissipation functionals, certificates.
 
+Each save builds one ``DiagnosticsRecord``: the gradient fields of the state
+are built once and shared by the entropy and dissipation functionals, and
+the three certificate flags compare the record against the a-priori bounds.
+
 The entropy functional combines the c*ln(c) entropies of both cell species
 (shifted by +1/e so each integrand is pointwise nonnegative), the Dirichlet
 energy of the medium, and the Fisher information of the matrix field. Its
@@ -16,8 +20,8 @@ ln(2 + c) and are therefore always positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
-from typing import Optional, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +29,8 @@ from .grid import Grid, gradient_sq, integrate, laplacian_neumann
 from .model import ModelParams, RateFunction
 from .stepping import SimState
 
-TOL_REL_DEFAULT = 1e-8
-TOL_ABS_DEFAULT = 1e-12
+TOL_REL = 1e-8  # relative slack of the c1 mass and tau sup certificates
+TOL_ABS = 1e-12  # undershoot below zero that the nonnegativity certificate allows
 
 
 @dataclass(frozen=True)
@@ -47,15 +51,6 @@ class EntropyParams:
             raise ValueError("zeta must be positive")
         if self.varrho < 0:
             raise ValueError("varrho must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BoundCertificates:
-    c1_mass_ok: bool
-    tau_linf_ok: bool
-    nonneg_ok: bool
-    m1: float
-    tau_star: float
 
 
 @dataclass(frozen=True)
@@ -83,19 +78,11 @@ class DiagnosticsRecord:
     cert_c1_mass: bool
     cert_tau_linf: bool
     cert_nonneg: bool
-    # not part of the CSV schema:
+    # in memory only: the fields with a default are not part of the CSV schema
     mass_c1_sq: float = 0.0
     hessian_tau: Optional[float] = None
 
-    CSV_COLUMNS = (
-        "t",
-        "mass_c1", "mass_c2", "mass_chi", "mass_tau",
-        "min_c1", "max_c1", "min_c2", "max_c2",
-        "min_chi", "max_chi", "min_tau", "max_tau",
-        "entropy_E", "dissipation_D", "fisher_tau", "grad_chi_sq",
-        "positivity_debt",
-        "cert_c1_mass", "cert_tau_linf", "cert_nonneg",
-    )
+    CSV_COLUMNS: ClassVar[tuple[str, ...]]
 
     def csv_row(self) -> str:
         parts = []
@@ -103,6 +90,11 @@ class DiagnosticsRecord:
             value = getattr(self, name)
             parts.append(str(int(value)) if isinstance(value, bool) else repr(float(value)))
         return ",".join(parts)
+
+
+DiagnosticsRecord.CSV_COLUMNS = tuple(
+    f.name for f in fields(DiagnosticsRecord) if f.default is MISSING
+)
 
 
 def _xlogx(f: np.ndarray) -> np.ndarray:
@@ -118,60 +110,55 @@ def fisher_integrand(grid: Grid, f: np.ndarray) -> np.ndarray:
     return 4.0 * gradient_sq(grid, np.sqrt(f))
 
 
-def entropy_E(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
-    """The combined entropy functional at one state (>= gradient terms >= 0)."""
+def _functionals(state: SimState, p: ModelParams, ep: EntropyParams):
+    """(E, D, int |grad tau|^2/tau, int |grad chi|^2) at one state.
+
+    Builds each gradient field once: the Fisher integrands of c1, c2 and tau,
+    |grad chi|^2 and the chi Laplacian. D is every dissipation term except the
+    separate 1D Hessian entry.
+    """
     grid = state.grid
+    c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
     inv_e = 1.0 / math.e
-    term_c1 = integrate(grid, _xlogx(state.c1) + inv_e)
-    term_c2 = integrate(grid, _xlogx(state.c2) + inv_e)
-    term_chi = integrate(grid, gradient_sq(grid, state.chi))
-    term_tau = integrate(grid, fisher_integrand(grid, state.tau))
-    return (
-        p.a2 * p.delta / (4.0 * p.b_tau) * term_c1
-        + term_c2
+    fisher_tau = fisher_integrand(grid, tau)
+    term_tau = integrate(grid, fisher_tau)
+    term_chi = integrate(grid, gradient_sq(grid, chi))
+    entropy = (
+        p.a2 * p.delta / (4.0 * p.b_tau) * integrate(grid, _xlogx(c1) + inv_e)
+        + integrate(grid, _xlogx(c2) + inv_e)
         + p.b_chi**2 / (p.d_chi * ep.zeta) * term_chi
         + p.a2 / 8.0 * term_tau
     )
+    dissipation = (
+        p.a1 * p.a2 * p.delta / (8.0 * p.b_tau) * integrate(grid, fisher_integrand(grid, c1))
+        + p.a2 / 8.0 * integrate(grid, fisher_integrand(grid, c2))
+        + p.b_chi**2 / (2.0 * ep.zeta) * integrate(grid, laplacian_neumann(grid, chi) ** 2)
+        + p.a2 * p.delta / 8.0 * integrate(grid, c1 * fisher_tau)
+        + p.a2 * p.delta * p.beta / (8.0 * p.b_tau) * integrate(grid, c1**2 * np.log(2.0 + c1))
+    )
+    if p.eps > 0:
+        dissipation += p.a2 * p.delta * p.eps / (8.0 * p.b_tau) * integrate(
+            grid, c1**p.theta * np.log(2.0 + c1)
+        )
+        dissipation += 0.5 * p.eps * integrate(grid, c2**p.theta * np.log(2.0 + c2))
+    return entropy, dissipation, term_tau, term_chi
+
+
+def entropy_E(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
+    """The combined entropy functional at one state (>= gradient terms >= 0)."""
+    return _functionals(state, p, ep)[0]
+
+
+def dissipation_D(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
+    """The dissipation functional (all terms except the separate 1D Hessian entry)."""
+    return _functionals(state, p, ep)[1]
 
 
 def hessian_tau_1d(grid: Grid, tau: np.ndarray, floor: float = 1e-30) -> float:
     """1D-only integral of tau*|d^2 ln(tau)/dx^2|^2 with mirrored ghosts."""
     if grid.dim != 1:
         raise ValueError("the Hessian diagnostic is implemented in 1D only")
-    h = grid.spacing[0]
-    log_tau = np.log(np.maximum(tau, floor))
-    padded = np.concatenate(([log_tau[0]], log_tau, [log_tau[-1]]))
-    second = (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / h**2
-    return integrate(grid, tau * second**2)
-
-
-def dissipation_D(
-    state: SimState,
-    p: ModelParams,
-    ep: EntropyParams,
-    laplacian_chi: np.ndarray,
-) -> float:
-    """The dissipation functional (all terms except the separate 1D Hessian entry)."""
-    grid = state.grid
-    c1, c2, tau = state.c1, state.c2, state.tau
-    term_c1 = integrate(grid, fisher_integrand(grid, c1))
-    term_c2 = integrate(grid, fisher_integrand(grid, c2))
-    term_lap = integrate(grid, laplacian_chi**2)
-    term_tau = integrate(grid, c1 * fisher_integrand(grid, tau))
-    term_log = integrate(grid, c1**2 * np.log(2.0 + c1))
-    total = (
-        p.a1 * p.a2 * p.delta / (8.0 * p.b_tau) * term_c1
-        + p.a2 / 8.0 * term_c2
-        + p.b_chi**2 / (2.0 * ep.zeta) * term_lap
-        + p.a2 * p.delta / 8.0 * term_tau
-        + p.a2 * p.delta * p.beta / (8.0 * p.b_tau) * term_log
-    )
-    if p.eps > 0:
-        total += p.a2 * p.delta * p.eps / (8.0 * p.b_tau) * integrate(
-            grid, c1**p.theta * np.log(2.0 + c1)
-        )
-        total += 0.5 * p.eps * integrate(grid, c2**p.theta * np.log(2.0 + c2))
-    return total
+    return integrate(grid, tau * laplacian_neumann(grid, np.log(np.maximum(tau, floor))) ** 2)
 
 
 def c1_mass_bound(
@@ -192,74 +179,39 @@ def tau_linf_bound(p: ModelParams, initial: SimState) -> float:
     return 1.0 / p.mu + float(np.max(initial.tau))
 
 
-def certify_bounds(
-    rec: DiagnosticsRecord,
-    p: ModelParams,
-    alphas: tuple[RateFunction, RateFunction],
-    initial: SimState,
-    tol_rel: float = TOL_REL_DEFAULT,
-    tol_abs: float = TOL_ABS_DEFAULT,
-    m1_override: Optional[float] = None,
-    tau_star_override: Optional[float] = None,
-) -> BoundCertificates:
-    """Evaluate the certificate flags for one record.
-
-    Monotone in the tolerances: loosening tol never flips a pass to a fail.
-    The overrides exist for diagnostic corruption tests only.
-    """
-    m1 = c1_mass_bound(p, alphas[1], initial) if m1_override is None else m1_override
-    tau_star = tau_linf_bound(p, initial) if tau_star_override is None else tau_star_override
-    min_all = min(rec.min_c1, rec.min_c2, rec.min_chi, rec.min_tau)
-    return BoundCertificates(
-        c1_mass_ok=rec.mass_c1 <= m1 * (1.0 + tol_rel),
-        tau_linf_ok=rec.max_tau <= tau_star * (1.0 + tol_rel),
-        nonneg_ok=min_all >= -tol_abs,
-        m1=m1,
-        tau_star=tau_star,
-    )
-
-
 def compute_record(
     state: SimState,
     p: ModelParams,
     alphas: tuple[RateFunction, RateFunction],
     initial: SimState,
     ep: EntropyParams,
-    tol_rel: float = TOL_REL_DEFAULT,
-    tol_abs: float = TOL_ABS_DEFAULT,
-    m1_override: Optional[float] = None,
-    tau_star_override: Optional[float] = None,
 ) -> DiagnosticsRecord:
-    """Assemble the full diagnostics record for one state snapshot."""
+    """The full diagnostics record of one state snapshot.
+
+    The bound certificates allow a relative slack of ``TOL_REL`` over the c1
+    mass bound M1 and the tau sup bound, both taken from ``initial``; the
+    nonnegativity certificate allows fields down to ``-TOL_ABS``.
+    """
     grid = state.grid
-    lap_chi = laplacian_neumann(grid, state.chi)
-    partial = DiagnosticsRecord(
+    stats = {}
+    for name, f in state.fields().items():
+        stats[f"mass_{name}"] = integrate(grid, f)
+        stats[f"min_{name}"] = float(np.min(f))
+        stats[f"max_{name}"] = float(np.max(f))
+    entropy, dissipation, fisher_tau, grad_chi_sq = _functionals(state, p, ep)
+    return DiagnosticsRecord(
         t=state.t,
-        mass_c1=integrate(grid, state.c1),
-        mass_c2=integrate(grid, state.c2),
-        mass_chi=integrate(grid, state.chi),
-        mass_tau=integrate(grid, state.tau),
-        min_c1=float(np.min(state.c1)), max_c1=float(np.max(state.c1)),
-        min_c2=float(np.min(state.c2)), max_c2=float(np.max(state.c2)),
-        min_chi=float(np.min(state.chi)), max_chi=float(np.max(state.chi)),
-        min_tau=float(np.min(state.tau)), max_tau=float(np.max(state.tau)),
-        entropy_E=entropy_E(state, p, ep),
-        dissipation_D=dissipation_D(state, p, ep, lap_chi),
-        fisher_tau=integrate(grid, fisher_integrand(grid, state.tau)),
-        grad_chi_sq=integrate(grid, gradient_sq(grid, state.chi)),
+        **stats,
+        entropy_E=entropy,
+        dissipation_D=dissipation,
+        fisher_tau=fisher_tau,
+        grad_chi_sq=grad_chi_sq,
         positivity_debt=state.positivity_debt,
-        cert_c1_mass=False, cert_tau_linf=False, cert_nonneg=False,
+        cert_c1_mass=stats["mass_c1"] <= c1_mass_bound(p, alphas[1], initial) * (1.0 + TOL_REL),
+        cert_tau_linf=stats["max_tau"] <= tau_linf_bound(p, initial) * (1.0 + TOL_REL),
+        cert_nonneg=min(stats[f"min_{name}"] for name in state.fields()) >= -TOL_ABS,
         mass_c1_sq=integrate(grid, state.c1**2),
         hessian_tau=hessian_tau_1d(grid, state.tau) if grid.dim == 1 else None,
-    )
-    certs = certify_bounds(
-        partial, p, alphas, initial, tol_rel, tol_abs, m1_override, tau_star_override
-    )
-    return dc_replace(
-        partial,
-        cert_c1_mass=certs.c1_mass_ok,
-        cert_tau_linf=certs.tau_linf_ok,
-        cert_nonneg=certs.nonneg_ok,
     )
 
 

@@ -56,18 +56,6 @@ class OracleTrajectory:
         return HomogeneousState(float(self.times[-1]), c1, c2, chi, tau)
 
 
-def ode_rhs(
-    y: HomogeneousState,
-    p: ModelParams,
-    alphas: tuple[RateFunction, RateFunction],
-    schedule: SupplySchedule,
-    domain_measure: float = 1.0,
-):
-    """Time derivative of the homogeneous reduction: reactions plus supply on chi."""
-    r1, r2, r3, r4 = reaction_rhs(y.c1, y.c2, y.chi, y.tau, p, alphas[0], alphas[1])
-    return r1, r2, r3 + eval_supply(schedule, y.t, domain_measure), r4
-
-
 def rk4_solve(
     y0: HomogeneousState,
     p: ModelParams,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regenfv import diagnostics
 from regenfv.cli import main
 
 BASE = """
@@ -57,12 +58,12 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(
             "numerical failure: no finite positive timestep at t=0")
 
-    def test_strict_with_corrupted_bound_exits_three(self, tmp_path):
-        text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.05") + \
-            "bounds.m1_override = 1e-6\n"
-        cfg = write_config(tmp_path, text)
+    def test_strict_with_corrupted_bound_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(diagnostics, "c1_mass_bound", lambda p, alpha2, initial: 1e-6)
+        cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0", "control.t_end = 0.05"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 3
+        assert capsys.readouterr().err == "certificate failure at t=0\n"
 
     def test_strict_on_healthy_run_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0",
@@ -216,6 +217,21 @@ class TestOracleCommand:
         # uniform run: mass over |Omega|=1 equals the pointwise value
         for i, name in enumerate(("mass_c1", "mass_c2", "mass_chi", "mass_tau"), start=1):
             assert abs(final[name] - o_final[i]) <= 1e-4 * max(abs(o_final[i]), 1e-30)
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_dt_is_config_error(self, tmp_path, capsys, dt):
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out), f"--dt={dt}"]) == 1
+        assert capsys.readouterr().err.startswith("config error: --dt must be finite and positive")
+        assert not (out / "oracle.csv").exists()
+
+    def test_default_dt_is_a_thousandth_of_t_end(self, tmp_path):
+        cfg = write_config(tmp_path, BASE)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["oracle", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["oracle", "--config", str(cfg), "--out", str(b), "--dt", "0.001"]) == 0
+        assert (a / "oracle.csv").read_bytes() == (b / "oracle.csv").read_bytes()
 
     def test_nonuniform_initial_is_config_error(self, tmp_path):
         text = BASE.replace("chi0.uniform = 1.0", "chi0.cosine = 1.0 0.2 1")

@@ -173,6 +173,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"line \d+: unknown key 'params.gamma'"):
             parse_config(text)
 
+    @pytest.mark.parametrize("key", ["bounds.m1_override", "bounds.tau_star_override"])
+    def test_bounds_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=rf"line \d+: unknown key '{key}'"):
+            parse_config(MINIMAL + f"{key} = 1e-6\n")
+
     def test_duplicate_key_rejected(self):
         text = MINIMAL + "params.mu = 0.5\n"
         with pytest.raises(ConfigError, match="duplicate key"):
@@ -312,8 +317,6 @@ def config_texts(draw):
         "entropy.varrho": ("0.0", _number(0.0, 5.0)),
         "output.snapshots": ("0", st.just("1")),
         "output.dir": (None, st.sampled_from(["out", "runs/a"])),
-        "bounds.m1_override": (None, _number(1e-6, 10.0)),
-        "bounds.tau_star_override": (None, _number(1e-6, 10.0)),
         "schedule.mode": ("pulse", st.just("jump")),
         "schedule.dose_times": ("", st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True)
                                 .map(lambda ts: " ".join(repr(t) for t in sorted(ts)))),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from regenfv import (
     EntropyParams,
@@ -11,7 +13,6 @@ from regenfv import (
     SimState,
     StepControl,
     SupplySchedule,
-    certify_bounds,
     compute_record,
     dissipation_D,
     entropy_E,
@@ -20,6 +21,7 @@ from regenfv import (
     laplacian_neumann,
     run,
 )
+from regenfv import diagnostics
 from regenfv.diagnostics import (
     DiagnosticsRecord,
     c1_mass_bound,
@@ -98,13 +100,13 @@ class TestDissipation:
         # c1 = c2 = 1 uniform, eps = 0: only (beta a2 delta / 8 b_tau) c1^2 ln(2+c1)
         g = Grid((16,), (1.0,))
         st = uniform_state(g, 1.0, 1.0, 1.0, 1.0)
-        value = dissipation_D(st, params(), EntropyParams(), laplacian_neumann(g, st.chi))
+        value = dissipation_D(st, params(), EntropyParams())
         assert value == pytest.approx(math.log(3.0) / 8.0, abs=1e-15)
 
     def test_zero_cells_uniform_media(self):
         g = Grid((16,), (1.0,))
         st = uniform_state(g, 0.0, 0.0, 1.0, 1.0)
-        value = dissipation_D(st, params(), EntropyParams(), laplacian_neumann(g, st.chi))
+        value = dissipation_D(st, params(), EntropyParams())
         assert value == 0.0
 
     def test_damping_terms_enter_with_eps(self):
@@ -112,7 +114,7 @@ class TestDissipation:
         g = Grid((16,), (1.0,))
         st = uniform_state(g, 1.0, 1.0, 1.0, 1.0)
         p = params(eps=0.5)
-        value = dissipation_D(st, p, EntropyParams(), laplacian_neumann(g, st.chi))
+        value = dissipation_D(st, p, EntropyParams())
         expected = math.log(3.0) / 8.0 + 0.5 * math.log(3.0) / 8.0 + 0.25 * math.log(3.0)
         assert value == pytest.approx(expected, abs=1e-15)
 
@@ -123,7 +125,7 @@ class TestDissipation:
             st = SimState(0.0, g.field(rng.uniform(0, 2, 32)), g.field(rng.uniform(0, 2, 32)),
                           g.field(rng.uniform(0.1, 2, 32)), g.field(rng.uniform(0.1, 2, 32)), g)
             p = params(eps=rng.uniform(0, 0.9))
-            value = dissipation_D(st, p, EntropyParams(), laplacian_neumann(g, st.chi))
+            value = dissipation_D(st, p, EntropyParams())
             assert value >= 0.0
 
     def test_fisher_matches_analytic_on_smooth_field(self):
@@ -150,17 +152,12 @@ class TestDissipation:
 
 
 class TestCertificates:
-    def make_record(self, **overrides):
-        base = dict(
-            t=0.0, mass_c1=0.1, mass_c2=0.1, mass_chi=0.1, mass_tau=0.1,
-            min_c1=0.0, max_c1=1.0, min_c2=0.0, max_c2=1.0,
-            min_chi=0.0, max_chi=1.0, min_tau=0.0, max_tau=0.5,
-            entropy_E=0.0, dissipation_D=0.0, fisher_tau=0.0, grad_chi_sq=0.0,
-            positivity_debt=0.0, cert_c1_mass=False, cert_tau_linf=False,
-            cert_nonneg=False,
-        )
-        base.update(overrides)
-        return DiagnosticsRecord(**base)
+    ALPHAS = (NO_SWITCH[0], RateFunction("constant", 1.0))
+
+    def record(self, state):
+        # M1 = max(int c1(0), 1.5) = 1.5 and tau* = 1/mu + max tau(0) = 1.5
+        initial = uniform_state(state.grid, 0.2, 0.0, 1.0, 0.5)
+        return compute_record(state, params(), self.ALPHAS, initial, EntropyParams())
 
     def test_mass_bound_arithmetic(self):
         # int c1(0) = 0.2, beta = 1, M_a2 = 1, |Omega| = 1 -> max(0.2, 1.5)
@@ -175,24 +172,27 @@ class TestCertificates:
         initial = uniform_state(g, 0.0, 0.0, 1.0, 0.5)
         assert tau_linf_bound(params(mu=2.0), initial) == pytest.approx(1.0, abs=1e-15)
 
+    # chi carries the undershoot: a negative c1, c2 or tau cell has no Fisher
+    # integrand, so compute_record rejects it before any certificate
     def test_nonneg_tolerance(self):
-        g = Grid((10,), (1.0,))
-        initial = uniform_state(g, 0.2, 0.0, 1.0, 0.5)
-        rec = self.make_record(min_c1=-1e-15)
-        certs = certify_bounds(rec, params(), (NO_SWITCH[0], RateFunction("constant", 1.0)),
-                               initial, tol_abs=1e-12)
-        assert certs.nonneg_ok
+        st = uniform_state(Grid((10,), (1.0,)), 0.2, 0.0, 1.0, 0.5)
+        st.chi[3] = -1e-15
+        assert self.record(st).cert_nonneg is True
 
-    def test_certificates_monotone_in_tolerance(self):
+    def test_undershoot_beyond_tolerance_fails_nonneg(self):
+        st = uniform_state(Grid((10,), (1.0,)), 0.2, 0.0, 1.0, 0.5)
+        st.chi[3] = -1e-11
+        assert self.record(st).cert_nonneg is False
+
+    def test_mass_just_above_bound_fails(self):
         g = Grid((10,), (1.0,))
-        initial = uniform_state(g, 0.2, 0.0, 1.0, 0.5)
-        alphas = (NO_SWITCH[0], RateFunction("constant", 1.0))
-        rec = self.make_record(mass_c1=1.5000000001, max_tau=1.00000001, min_c1=-1e-13)
-        for loose, tight in ((1e-6, 1e-10), (1e-4, 1e-8)):
-            a = certify_bounds(rec, params(mu=2.0), alphas, initial, tol_rel=tight, tol_abs=1e-14)
-            b = certify_bounds(rec, params(mu=2.0), alphas, initial, tol_rel=loose, tol_abs=1e-10)
-            for name in ("c1_mass_ok", "tau_linf_ok", "nonneg_ok"):
-                assert getattr(a, name) <= getattr(b, name)
+        assert self.record(uniform_state(g, 1.5, 0.0, 1.0, 0.5)).cert_c1_mass is True
+        assert self.record(uniform_state(g, 1.5 * (1 + 1e-7), 0.0, 1.0, 0.5)).cert_c1_mass is False
+
+    def test_tau_just_above_bound_fails(self):
+        g = Grid((10,), (1.0,))
+        assert self.record(uniform_state(g, 0.2, 0.0, 1.0, 1.5)).cert_tau_linf is True
+        assert self.record(uniform_state(g, 0.2, 0.0, 1.0, 1.5 * (1 + 1e-7))).cert_tau_linf is False
 
     def test_beta_zero_degenerates_gracefully(self):
         g = Grid((10,), (1.0,))
@@ -283,3 +283,94 @@ class TestRecord:
         st1 = uniform_state(g1, 0.5, 0.5, 1.0, 1.0)
         rec1 = compute_record(st1, params(), NO_SWITCH, st1, EntropyParams())
         assert rec1.hessian_tau == pytest.approx(0.0, abs=1e-20)
+
+
+def _parent_row(state, p, alphas, initial, ep):
+    """The CSV row as the earlier assembly wrote it: seven gradient_sq calls per
+    record, certificates with slack 1e-8 (relative) and 1e-12 (absolute)."""
+    g = state.grid
+    c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
+    inv_e = 1.0 / math.e
+
+    def xlogx(f):
+        return np.where(f > 0, f * np.log(np.where(f > 0, f, 1.0)), 0.0)
+
+    def fisher(f):
+        return 4.0 * gradient_sq(g, np.sqrt(f))
+
+    entropy = (
+        p.a2 * p.delta / (4.0 * p.b_tau) * integrate(g, xlogx(c1) + inv_e)
+        + integrate(g, xlogx(c2) + inv_e)
+        + p.b_chi**2 / (p.d_chi * ep.zeta) * integrate(g, gradient_sq(g, chi))
+        + p.a2 / 8.0 * integrate(g, fisher(tau))
+    )
+    dissipation = (
+        p.a1 * p.a2 * p.delta / (8.0 * p.b_tau) * integrate(g, fisher(c1))
+        + p.a2 / 8.0 * integrate(g, fisher(c2))
+        + p.b_chi**2 / (2.0 * ep.zeta) * integrate(g, laplacian_neumann(g, chi) ** 2)
+        + p.a2 * p.delta / 8.0 * integrate(g, c1 * fisher(tau))
+        + p.a2 * p.delta * p.beta / (8.0 * p.b_tau) * integrate(g, c1**2 * np.log(2.0 + c1))
+    )
+    if p.eps > 0:
+        dissipation += p.a2 * p.delta * p.eps / (8.0 * p.b_tau) * integrate(
+            g, c1**p.theta * np.log(2.0 + c1))
+        dissipation += 0.5 * p.eps * integrate(g, c2**p.theta * np.log(2.0 + c2))
+    fields = (c1, c2, chi, tau)
+    values = [state.t, *(integrate(g, f) for f in fields)]
+    for f in fields:
+        values += [float(np.min(f)), float(np.max(f))]
+    values += [entropy, dissipation, integrate(g, fisher(tau)),
+               integrate(g, gradient_sq(g, chi)), state.positivity_debt]
+    certs = (
+        integrate(g, c1) <= c1_mass_bound(p, alphas[1], initial) * (1.0 + 1e-8),
+        float(np.max(tau)) <= tau_linf_bound(p, initial) * (1.0 + 1e-8),
+        min(float(np.min(f)) for f in fields) >= -1e-12,
+    )
+    return ",".join([repr(float(v)) for v in values] + [str(int(c)) for c in certs])
+
+
+@hst.composite
+def rough_records(draw):
+    """(state, params, alphas, initial state, entropy params): rough nonnegative
+    1D or non-square 2D fields with exact zeros, lengths other than 1."""
+    n = draw(hst.integers(3, 9))
+    cells = draw(hst.sampled_from([(n,), (n, draw(hst.integers(3, 9).filter(lambda m: m != n)))]))
+    grid = Grid(cells, tuple(draw(hst.floats(0.3, 3.0).filter(lambda L: L != 1.0)) for _ in cells))
+    value = hst.one_of(hst.just(0.0), hst.floats(0.0, 3.0))
+
+    def state(t, debt):
+        rows = [draw(arrays(np.float64, cells, elements=value)) for _ in range(4)]
+        return SimState(t, *rows, grid, debt)
+
+    positive = hst.floats(0.01, 2.0)
+    p = ModelParams(a1=draw(positive), a2=draw(positive), b_tau=draw(positive),
+                    b_chi=draw(positive), d_chi=draw(positive), a_chi=draw(hst.floats(0.0, 2.0)),
+                    beta=draw(hst.floats(0.0, 2.0)), delta=draw(positive), mu=draw(positive),
+                    eps=draw(hst.sampled_from([0.0, 0.05, 0.4])), theta=draw(hst.floats(3.0, 6.0)))
+    alphas = (RateFunction("constant", draw(hst.floats(0.0, 2.0))),
+              RateFunction("constant", draw(hst.floats(0.0, 2.0))))
+    ep = EntropyParams(zeta=draw(hst.floats(0.1, 3.0)))
+    current = state(draw(hst.floats(0.0, 5.0)), draw(hst.sampled_from([0.0, 0.125])))
+    return current, p, alphas, state(0.0, 0.0), ep
+
+
+class TestRecordAssembly:
+    @settings(max_examples=150, deadline=None)
+    @given(rough_records())
+    def test_serialized_fields_equal_parent_formulas_bitwise(self, case):
+        st, p, alphas, initial, ep = case
+        assert compute_record(st, p, alphas, initial, ep).csv_row() == _parent_row(*case)
+
+    @pytest.mark.parametrize("cells, lengths", [((12,), (1.7,)), ((6, 5), (1.3, 0.7))])
+    def test_four_gradient_sq_calls_per_record(self, monkeypatch, cells, lengths):
+        calls = []
+
+        def counting(grid, f):
+            calls.append(f.shape)
+            return gradient_sq(grid, f)
+
+        monkeypatch.setattr(diagnostics, "gradient_sq", counting)
+        g = Grid(cells, lengths)
+        st = uniform_state(g, 0.5, 0.5, 1.0, 1.0)
+        compute_record(st, params(eps=0.2), NO_SWITCH, st, EntropyParams())
+        assert calls == [cells] * 4

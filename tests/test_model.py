@@ -151,6 +151,23 @@ class TestReactionRhs:
         assert r4 == pytest.approx(-0.5, abs=1e-15)
         assert r3 == pytest.approx(-2.0, abs=1e-15)
 
+    def test_full_coupling_hand_evaluation(self):
+        # state (c1, c2, chi, tau) = (0.6, 0.1, 1.0, 0.2); coefficients below.
+        p = default_params(a_chi=0.8, beta=1.0, delta=0.7, mu=0.9)
+        alphas = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
+        a1v = eval_rate(alphas[0], 1.0)  # 1.2 * 1 / 1.5 = 0.8
+        assert a1v == pytest.approx(0.8, rel=1e-15)
+        switch = a1v * 0.6 / 1.6 - 0.4 * 0.1 / 1.1
+        r1_hand = -switch + 1.0 * 0.6 * (1.0 - 0.6 - 0.1 - 0.2)
+        r2_hand = switch
+        r3_hand = -0.8 * (0.6 + 0.1) * 1.0
+        r4_hand = -0.7 * 0.6 * 0.2 - 0.9 * 0.2 + 0.1 / 1.1
+        r1, r2, r3, r4 = reaction_rhs(0.6, 0.1, 1.0, 0.2, p, *alphas)
+        assert r1 == pytest.approx(r1_hand, rel=1e-15)
+        assert r2 == pytest.approx(r2_hand, rel=1e-15)
+        assert r3 == pytest.approx(r3_hand, rel=1e-15)
+        assert r4 == pytest.approx(r4_hand, rel=1e-15)
+
     def test_switch_terms_are_exact_negatives(self):
         p = default_params(beta=0.0)
         rng = np.random.default_rng(11)

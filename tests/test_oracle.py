@@ -12,9 +12,7 @@ from regenfv import (
     StepControl,
     StiffnessError,
     SupplySchedule,
-    eval_rate,
     integrate,
-    ode_rhs,
     rk4_solve,
     run,
 )
@@ -28,41 +26,6 @@ def params(**overrides):
                 beta=1.0, delta=1.0, mu=1.0)
     base.update(overrides)
     return ModelParams(**base)
-
-
-class TestOdeRhs:
-    def test_zero_state_without_supply(self):
-        y = HomogeneousState(0.0, 0.0, 0.0, 0.0, 0.0)
-        rhs = ode_rhs(y, params(), NO_SWITCH, SupplySchedule())
-        assert rhs == (0.0, 0.0, 0.0, -0.0)
-
-    def test_logistic_equilibrium(self):
-        y = HomogeneousState(0.0, 1.0, 0.0, 0.0, 0.0)
-        r1, _, _, _ = ode_rhs(y, params(beta=1.0), NO_SWITCH, SupplySchedule())
-        assert r1 == 0.0
-
-    def test_full_coupling_hand_evaluation(self):
-        # state (c1, c2, chi, tau) = (0.6, 0.1, 1.0, 0.2); coefficients below.
-        p = params(a_chi=0.8, beta=1.0, delta=0.7, mu=0.9)
-        y = HomogeneousState(0.0, 0.6, 0.1, 1.0, 0.2)
-        a1v = eval_rate(ALPHAS[0], 1.0)  # 1.2 * 1 / 1.5 = 0.8
-        assert a1v == pytest.approx(0.8, rel=1e-15)
-        switch = a1v * 0.6 / 1.6 - 0.4 * 0.1 / 1.1
-        r1_hand = -switch + 1.0 * 0.6 * (1.0 - 0.6 - 0.1 - 0.2)
-        r2_hand = switch
-        r3_hand = -0.8 * (0.6 + 0.1) * 1.0
-        r4_hand = -0.7 * 0.6 * 0.2 - 0.9 * 0.2 + 0.1 / 1.1
-        r1, r2, r3, r4 = ode_rhs(y, p, ALPHAS, SupplySchedule())
-        assert r1 == pytest.approx(r1_hand, rel=1e-15)
-        assert r2 == pytest.approx(r2_hand, rel=1e-15)
-        assert r3 == pytest.approx(r3_hand, rel=1e-15)
-        assert r4 == pytest.approx(r4_hand, rel=1e-15)
-
-    def test_pulse_supply_enters_third_component(self):
-        s = SupplySchedule(dose_times=(0.0,), chi0=2.0, mode="pulse", width=1.0)
-        y = HomogeneousState(0.5, 0.0, 0.0, 0.0, 0.0)
-        _, _, r3, _ = ode_rhs(y, params(), NO_SWITCH, s, domain_measure=4.0)
-        assert r3 == 0.5
 
 
 class TestRk4:
