@@ -37,7 +37,7 @@ def _snapshot_text(state: SimState) -> str:
     grid = state.grid
     coords = [c.ravel() for c in grid.coordinate_arrays()]
     header = ("x,y," if grid.dim == 2 else "x,") + "c1,c2,chi,tau"
-    columns = coords + [state.c1.ravel(), state.c2.ravel(), state.chi.ravel(), state.tau.ravel()]
+    columns = coords + [row.ravel() for row in state.u]
     lines = [header]
     for row in zip(*columns):
         lines.append(",".join(repr(float(v)) for v in row))
@@ -83,8 +83,8 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
             raise ConfigError(
                 f"snapshot {snap} has cell centers that differ from the configured grid"
             )
-        stack = np.ascontiguousarray(data[:, grid.dim:].T).reshape((4, *grid.shape))
-        states.append(SimState.from_stack(t, stack, grid))
+        u = np.ascontiguousarray(data[:, grid.dim:].T).reshape((4, *grid.shape))
+        states.append(SimState(t, u, grid))
     try:
         return Trajectory(np.asarray(times), tuple(states), cfg.params, cfg.alphas, cfg.schedule)
     except ValueError as exc:

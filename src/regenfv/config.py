@@ -108,7 +108,7 @@ class RunConfig:
             except ValueError as exc:  # ConfigError included
                 raise ConfigError(f"{section}: {exc}") from None
             _check_initial_sign(section, float(np.min(arrays[section])))
-        return SimState.from_stack(0.0, np.array([arrays[s] for s in _INITIAL_SECTIONS]), self.grid)
+        return SimState(0.0, np.array([arrays[s] for s in _INITIAL_SECTIONS]), self.grid)
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:

@@ -190,7 +190,8 @@ def compute_record(
 
     The bound certificates allow a relative slack of ``TOL_REL`` over the c1
     mass bound M1 and the tau sup bound, both taken from ``initial``; the
-    nonnegativity certificate allows fields down to ``-TOL_ABS``.
+    nonnegativity certificate allows fields down to ``-TOL_ABS``. The entropy
+    functionals read the fields with negative cells set to zero, all else the raw fields.
     """
     grid = state.grid
     stats = {}
@@ -198,7 +199,8 @@ def compute_record(
         stats[f"mass_{name}"] = integrate(grid, f)
         stats[f"min_{name}"] = float(np.min(f))
         stats[f"max_{name}"] = float(np.max(f))
-    entropy, dissipation, fisher_tau, grad_chi_sq = _functionals(state, p, ep)
+    clipped = state.replace(u=np.where(state.u < 0, 0.0, state.u))  # keeps -0.0 bit for bit
+    entropy, dissipation, fisher_tau, grad_chi_sq = _functionals(clipped, p, ep)
     return DiagnosticsRecord(
         t=state.t,
         **stats,

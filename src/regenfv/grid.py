@@ -176,15 +176,14 @@ def gradient_components(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(_cell_means(_face_diffs(f, back, inv_h), back) for back, inv_h in _axes(grid))
 
 
-def max_face_speed(grid: Grid, s: np.ndarray, coeff) -> tuple:
+def max_face_speed(grid: Grid, s: np.ndarray, coeff) -> tuple[np.ndarray, ...]:
     """Per-axis maximum of |coeff * face gradient of s| (advective CFL input).
 
-    A float per axis for one field; for a stacked ``(k, *shape)`` field, with
-    ``coeff`` as in ``taxis_divergence``, an array of the k row maxima per axis.
+    Per axis, an array of the row maxima over the leading axes of ``s``
+    (0-d for one field); ``coeff`` as in ``taxis_divergence``.
     """
     grid_axes, lead = tuple(range(-grid.dim, 0)), np.shape(s)[: -grid.dim]
-    speeds = tuple(
+    return tuple(
         (coeff * np.abs(_face_diffs(s, back, inv_h)).max(grid_axes, keepdims=True)).reshape(lead)
         for back, inv_h in _axes(grid)
     )
-    return speeds if lead else tuple(map(float, speeds))

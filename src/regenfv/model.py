@@ -220,5 +220,6 @@ def apply_dose(state, s: SupplySchedule):
     """
     if s.mode != "jump":
         raise ValueError("apply_dose is only meaningful in jump mode")
-    increment = s.chi0 / state.grid.measure
-    return state.replace(chi=state.chi + increment)
+    u = state.u.copy()
+    u[2] += s.chi0 / state.grid.measure
+    return state.replace(u=u)

@@ -19,7 +19,7 @@ mass budget is exact to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -40,46 +40,36 @@ from .model import (
 )
 
 
+FIELDS = ("c1", "c2", "chi", "tau")
+
+
 @dataclass(frozen=True)
 class SimState:
-    """The quadruple (c1, c2, chi, tau) on one grid at time t.
+    """The quadruple (c1, c2, chi, tau) on one grid at time t, held as the rows
+    of one ``(4, *grid.shape)`` array ``u`` in ``FIELDS`` order.
 
     ``positivity_debt`` is the cumulative clamped mass (see module docstring).
-    Construction does not check the fields; ``run`` validates its initial
-    state once (``validate_initial_state``) and ``step`` keeps them finite.
+    Construction does not check ``u``; ``run`` validates its initial state once
+    (``validate_initial_state``) and ``step`` keeps it finite. A state owns
+    ``u``: nothing writes to it after the state is handed out, so saved states
+    stay valid.
     """
 
     t: float
-    c1: np.ndarray
-    c2: np.ndarray
-    chi: np.ndarray
-    tau: np.ndarray
+    u: np.ndarray
     grid: Grid
     positivity_debt: float = 0.0
-    _rows: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    c1 = property(lambda self: self.u[0])
+    c2 = property(lambda self: self.u[1])
+    chi = property(lambda self: self.u[2])
+    tau = property(lambda self: self.u[3])
 
     def replace(self, **kwargs) -> "SimState":
         return dc_replace(self, **kwargs)
 
     def fields(self) -> dict[str, np.ndarray]:
-        return {"c1": self.c1, "c2": self.c2, "chi": self.chi, "tau": self.tau}
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The fields as one ``(4, *grid.shape)`` array, rows in (c1, c2, chi, tau)
-        order: the array itself for a state made by ``from_stack``, else a copy."""
-        if self._rows is not None:
-            return self._rows
-        return np.array((self.c1, self.c2, self.chi, self.tau))
-
-    @classmethod
-    def from_stack(
-        cls, t: float, stack: np.ndarray, grid: Grid, positivity_debt: float = 0.0
-    ) -> "SimState":
-        """The state whose fields are the rows of ``stack`` (no copy)."""
-        state = cls(t, *stack, grid, positivity_debt)
-        object.__setattr__(state, "_rows", stack)
-        return state
+        return dict(zip(FIELDS, self.u))
 
 
 @dataclass(frozen=True)
@@ -116,7 +106,7 @@ def _coefficient_columns(p: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarr
 def _stability_bound(state: SimState, p: ModelParams) -> float:
     """Raw explicit-stability bound: min of diffusion, advection, reaction limits."""
     grid = state.grid
-    u = state.stack
+    u = state.u
     bound = math.inf
 
     diff_max = max(p.a1, p.a2, p.d_chi, p.eps)
@@ -169,9 +159,9 @@ def _clamp(arr: np.ndarray, cell_volume: float) -> float:
     return debt
 
 
-def _nonfinite(fields: dict[str, np.ndarray]) -> Optional[str]:
-    """'<name> at cell (i, ...)' for the first non-finite value, None if all are finite."""
-    for name, arr in fields.items():
+def _nonfinite(u: np.ndarray) -> Optional[str]:
+    """'<name> at cell (i, ...)' for the first non-finite value in u, None if all are finite."""
+    for name, arr in zip(FIELDS, u):
         bad = ~np.isfinite(arr)
         if bad.any():
             return f"{name} at cell {tuple(int(i) for i in np.argwhere(bad)[0])}"
@@ -200,7 +190,7 @@ def step(
         raise StabilityError(f"dt={dt:g} exceeds stability bound {bound:g}")
 
     grid = state.grid
-    u = state.stack
+    u = state.u
     c1, c2, chi, tau = u
     diffusivities, taxis_coeffs = _coefficient_columns(p, grid.dim)
 
@@ -227,7 +217,7 @@ def step(
     t_new = state.t + dt
     # The one finiteness check per step, before clamping can hide a -inf.
     if not math.isfinite(new.sum()):
-        where = _nonfinite(dict(zip(("c1", "c2", "chi", "tau"), new)))
+        where = _nonfinite(new)
         raise DivergenceError(
             f"non-finite {where} (t={t_new:g})" if where
             else f"field magnitudes overflow at t={t_new:g}"
@@ -236,24 +226,26 @@ def step(
     debt = state.positivity_debt
     if new.min() < 0:
         debt = debt + sum(_clamp(row, grid.cell_volume) for row in new)
-    out = SimState.from_stack(t_new, new, grid, debt)
+    out = SimState(t_new, new, grid, debt)
     for _ in jump_doses(schedule, state.t, t_new):
         out = apply_dose(out, schedule)
     return out
 
 
 def validate_initial_state(state: SimState, p: ModelParams) -> None:
-    """Check a state entering ``run``: grid shapes, finite values, c1,c2 >= 0, chi,tau > 0."""
-    fields = state.fields()
-    for name, arr in fields.items():
-        if np.shape(arr) != state.grid.shape:
-            raise ValueError(f"{name} shape {np.shape(arr)} does not match grid {state.grid.shape}")
-    where = _nonfinite(fields)
+    """Check a state entering ``run``: float64 u of shape (4, *grid.shape), finite,
+    c1,c2 >= 0, chi,tau > 0."""
+    u, shape = state.u, (4, *state.grid.shape)
+    if not (isinstance(u, np.ndarray) and u.dtype == np.float64 and u.shape == shape):
+        raise ValueError(f"u must be a float64 array of shape {shape}, "
+                         f"not {getattr(u, 'dtype', type(u).__name__)} of shape {np.shape(u)}")
+    where = _nonfinite(u)
     if where is not None:
         raise ValueError(f"non-finite initial {where}")
-    if np.min(state.c1) < 0 or np.min(state.c2) < 0:
+    min_c1, min_c2, min_chi, min_tau = u.reshape(4, -1).min(axis=1)
+    if min_c1 < 0 or min_c2 < 0:
         raise ValueError("initial cell fractions must be nonnegative")
-    if np.min(state.chi) <= 0 or np.min(state.tau) <= 0:
+    if min_chi <= 0 or min_tau <= 0:
         raise ValueError("initial chi and tau must be strictly positive")
     if not p.theta > max(2, state.grid.dim):
         raise ValueError(f"theta must exceed max(2, dim)={max(2, state.grid.dim)}")
@@ -286,8 +278,6 @@ def run(
     emit(0)
     saves = 0
     for target, is_save in event_timeline(schedule, ctrl.t_end, ctrl.save_every):
-        # One stack per segment (none if already stacked); each step returns its fields stacked.
-        state = SimState.from_stack(state.t, state.stack, state.grid, state.positivity_debt)
         while state.t < target - EVENT_TOL:
             bound = _stability_bound(state, p)
             dt = min(_capped_dt(bound, ctrl, state.t), target - state.t)

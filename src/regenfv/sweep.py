@@ -18,10 +18,8 @@ import numpy as np
 from .diagnostics import fisher_integrand
 from .grid import gradient_components, integrate
 from .model import ModelParams, RateFunction, SupplySchedule
-from .stepping import SimState, StepControl, run
+from .stepping import FIELDS, SimState, StepControl, run
 from .weakform import Trajectory, TrajectoryRecorder
-
-FIELDS = ("c1", "c2", "chi", "tau")
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,8 @@ def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
         parts.setdefault((psi.modes, psi.amplitude), psi)
     series = {key: {} for key in parts}
     for s in traj.states:
-        c1, c2, chi, tau = s.c1, s.c2, s.chi, s.tau
-        grads = gradient_components(grid, s.stack)  # per axis, rows c1, c2, chi, tau
+        c1, c2, chi, tau = s.u
+        grads = gradient_components(grid, s.u)  # per axis, rows c1, c2, chi, tau
         weighted = {  # integrand field * S
             "c1": c1, "c2": c2, "chi": chi, "tau": tau,
             "sw_in": eval_rate(alpha1, chi) * c1 / (1.0 + c1),
@@ -271,7 +271,7 @@ def _rhs_tau(traj: Trajectory, psi: TestFunction, J) -> float:
 _RHS = {"c1": _rhs_c1, "c2": _rhs_c2, "chi": _rhs_chi, "tau": _rhs_tau}
 
 
-def _rows(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_RHS)) -> list:
+def _residuals(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_RHS)) -> list:
     """(equation, modes, power, |LHS - RHS|) per test function and equation."""
     series = _spatial_series(traj, psis)
     rows = []
@@ -288,22 +288,22 @@ def _rows(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_RHS))
 
 def residual_c1(traj: Trajectory, psi: TestFunction) -> float:
     """|LHS - RHS| of the stem-cell weak identity for one test function."""
-    return _rows(traj, (psi,), ("c1",))[0][3]
+    return _residuals(traj, (psi,), ("c1",))[0][3]
 
 
 def residual_c2(traj: Trajectory, psi: TestFunction) -> float:
     """|LHS - RHS| of the chondrocyte weak identity (chemotaxis in double-divergence form)."""
-    return _rows(traj, (psi,), ("c2",))[0][3]
+    return _residuals(traj, (psi,), ("c2",))[0][3]
 
 
 def residual_chi(traj: Trajectory, psi: TestFunction) -> float:
     """|LHS - RHS| of the medium weak identity, supply term included."""
-    return _rows(traj, (psi,), ("chi",))[0][3]
+    return _residuals(traj, (psi,), ("chi",))[0][3]
 
 
 def residual_tau(traj: Trajectory, psi: TestFunction) -> float:
     """|LHS - RHS| of the matrix weak identity (gradient-free in the limit model)."""
-    return _rows(traj, (psi,), ("tau",))[0][3]
+    return _residuals(traj, (psi,), ("tau",))[0][3]
 
 
 RESIDUALS = {"c1": residual_c1, "c2": residual_c2, "chi": residual_chi, "tau": residual_tau}
@@ -318,4 +318,4 @@ def make_test_functions(grid: Grid, t_end: float, k_max: int = 3, powers: Sequen
 
 def residual_table(traj: Trajectory, k_max: int = 3, powers: Sequence[int] = (1, 2)):
     """All residuals over the default test set: rows of (equation, modes, power, value)."""
-    return _rows(traj, make_test_functions(traj.grid, traj.horizon, k_max, powers))
+    return _residuals(traj, make_test_functions(traj.grid, traj.horizon, k_max, powers))

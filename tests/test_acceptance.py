@@ -68,10 +68,10 @@ def default_scenario_1d(n=64):
     x = g.axis_centers(0)
     initial = SimState(
         0.0,
-        g.field(0.5 + 0.2 * np.cos(np.pi * x)),
-        g.field(0.05),
-        g.field(1.0 + 0.2 * np.cos(np.pi * x)),
-        g.field(0.4 + 0.05 * np.cos(np.pi * x)),
+        np.array((g.field(0.5 + 0.2 * np.cos(np.pi * x)),
+                  g.field(0.05),
+                  g.field(1.0 + 0.2 * np.cos(np.pi * x)),
+                  g.field(0.4 + 0.05 * np.cos(np.pi * x)))),
         g,
     )
     schedule = SupplySchedule(dose_times=(0.1,), chi0=0.5, mode="pulse", width=0.05)
@@ -86,10 +86,10 @@ def default_point_2d(p=None, n=64):
     bump = np.cos(np.pi * x) * np.cos(np.pi * y)
     initial = SimState(
         0.0,
-        g.field(0.3 + 0.1 * bump),
-        g.field(0.05),
-        g.field(1.0 + 0.2 * bump),
-        g.field(0.4 + 0.05 * bump),
+        np.array((g.field(0.3 + 0.1 * bump),
+                  g.field(0.05),
+                  g.field(1.0 + 0.2 * bump),
+                  g.field(0.4 + 0.05 * bump))),
         g,
     )
     return initial, p or params(eps=0.25)
@@ -100,7 +100,7 @@ def test_criterion_1_analytic_tau_decay():
     """c1=c2=0, chi uniform, tau0=0.5, mu=2: tau matches 0.5*exp(-2t) to 1e-6."""
     g = Grid((128,), (1.0,))
     p = params(a1=0.05, a2=0.05, d_chi=0.05, mu=2.0)
-    st = SimState(0.0, g.field(0.0), g.field(0.0), g.field(1.0), g.field(0.5), g)
+    st = SimState(0.0, np.array((g.field(0.0), g.field(0.0), g.field(1.0), g.field(0.5))), g)
     ctrl = StepControl(t_end=1.0, dt_max=1e-4, cfl_safety=1.0, save_every=0.05)
     errors = []
 
@@ -123,8 +123,8 @@ def test_criterion_2_heat_eigenmode():
     g = Grid((256,), (1.0,))
     x = g.axis_centers(0)
     p = params(d_chi=1.0)
-    st = SimState(0.0, g.field(0.0), g.field(0.0),
-                  g.field(1.0 + 0.5 * np.cos(np.pi * x)), g.field(1.0), g)
+    st = SimState(0.0, np.array((g.field(0.0), g.field(0.0),
+                                 g.field(1.0 + 0.5 * np.cos(np.pi * x)), g.field(1.0))), g)
     ctrl = StepControl(t_end=0.2, cfl_safety=0.9, save_every=0.2)
     final = run(st, p, NO_SWITCH, SupplySchedule(), ctrl)
 
@@ -149,7 +149,7 @@ def test_criterion_3_ode_oracle_equivalence():
     g = Grid((8,), (1.0,))
 
     def gap(dt_max):
-        st = SimState(0.0, g.field(0.6), g.field(0.1), g.field(1.0), g.field(0.2), g)
+        st = SimState(0.0, np.array((g.field(0.6), g.field(0.1), g.field(1.0), g.field(0.2))), g)
         ctrl = StepControl(t_end=1.0, dt_max=dt_max, cfl_safety=1.0, save_every=1.0)
         final = run(st, p, ALPHAS, SupplySchedule(), ctrl)
         got = np.array([final.c1[0], final.c2[0], final.chi[0], final.tau[0]])
@@ -211,7 +211,7 @@ def test_criterion_5_entropy_boundedness():
     unit = ModelParams(a1=1, a2=1, b_tau=1, b_chi=1, d_chi=1, a_chi=1,
                        beta=1, delta=1, mu=1)
     g = Grid((16,), (1.0,))
-    st = SimState(0.0, g.field(1.0), g.field(1.0), g.field(1.0), g.field(1.0), g)
+    st = SimState(0.0, np.array((g.field(1.0), g.field(1.0), g.field(1.0), g.field(1.0))), g)
     value = entropy_E(st, unit, EntropyParams())
     assert value == pytest.approx(1.25 / math.e, abs=1e-10)
 
@@ -268,7 +268,7 @@ def test_criterion_7_weak_form_residuals():
     zero = g0.field(0.0)
     zero_traj = Trajectory(
         times,
-        tuple(SimState(float(t), zero.copy(), zero.copy(), zero.copy(), zero.copy(), g0)
+        tuple(SimState(float(t), np.array((zero.copy(), zero.copy(), zero.copy(), zero.copy())), g0)
               for t in times),
         params(), NO_SWITCH, SupplySchedule(),
     )
@@ -282,10 +282,10 @@ def test_criterion_7_weak_form_residuals():
     def level(n, dt_max, save):
         g = Grid((n,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.5 + 0.2 * np.cos(np.pi * x)),
-                      g.field(0.05 + 0.02 * np.cos(np.pi * x)),
-                      g.field(1.0 + 0.2 * np.cos(np.pi * x)),
-                      g.field(0.4 + 0.1 * np.cos(np.pi * x)), g)
+        st = SimState(0.0, np.array((g.field(0.5 + 0.2 * np.cos(np.pi * x)),
+                                     g.field(0.05 + 0.02 * np.cos(np.pi * x)),
+                                     g.field(1.0 + 0.2 * np.cos(np.pi * x)),
+                                     g.field(0.4 + 0.1 * np.cos(np.pi * x)))), g)
         rec = TrajectoryRecorder()
         run(st, p, ALPHAS, SupplySchedule(),
             StepControl(t_end=T, dt_max=dt_max, cfl_safety=1.0, save_every=save),
@@ -315,10 +315,10 @@ def test_criterion_8_switching_conservation():
     p = params(beta=0.0, eps=0.0)
     g = Grid((48,), (1.0,))
     x = g.axis_centers(0)
-    st = SimState(0.0, g.field(0.4 + 0.2 * np.cos(np.pi * x)),
-                  g.field(0.1 + 0.05 * np.cos(2 * np.pi * x)),
-                  g.field(1.0 + 0.3 * np.cos(np.pi * x)),
-                  g.field(0.5 + 0.1 * np.cos(np.pi * x)), g)
+    st = SimState(0.0, np.array((g.field(0.4 + 0.2 * np.cos(np.pi * x)),
+                                 g.field(0.1 + 0.05 * np.cos(2 * np.pi * x)),
+                                 g.field(1.0 + 0.3 * np.cos(np.pi * x)),
+                                 g.field(0.5 + 0.1 * np.cos(np.pi * x)))), g)
     T = 1.0
     mass0 = integrate(g, st.c1 + st.c2)
     final = run(st, p, ALPHAS, SupplySchedule(),
@@ -340,7 +340,7 @@ def test_criterion_9_dosing_mass_budget():
     to amplitude*width per dose (edges are hit exactly, so to rounding)."""
     p = params(a_chi=0.0, d_chi=0.2)
     g = Grid((32,), (1.0,))
-    st = SimState(0.0, g.field(0.3), g.field(0.1), g.field(0.7), g.field(0.4), g)
+    st = SimState(0.0, np.array((g.field(0.3), g.field(0.1), g.field(0.7), g.field(0.4))), g)
     chi0_mass = integrate(g, st.chi)
 
     jump = SupplySchedule(dose_times=(0.2, 0.5, 0.8), chi0=1.0, mode="jump")

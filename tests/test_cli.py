@@ -208,12 +208,12 @@ class TestOracleCommand:
                      "--dt", "1e-5"]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
-        oracle_rows = (out / "oracle.csv").read_text().strip().split("\n")
-        assert oracle_rows[0] == "t,c1,c2,chi,tau"
-        o_final = [float(v) for v in oracle_rows[-1].split(",")]
-        diag_rows = (out / "diagnostics.csv").read_text().strip().split("\n")
-        header = diag_rows[0].split(",")
-        final = dict(zip(header, (float(v) for v in diag_rows[-1].split(","))))
+        oracle_lines = (out / "oracle.csv").read_text().strip().split("\n")
+        assert oracle_lines[0] == "t,c1,c2,chi,tau"
+        o_final = [float(v) for v in oracle_lines[-1].split(",")]
+        diag_lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+        header = diag_lines[0].split(",")
+        final = dict(zip(header, (float(v) for v in diag_lines[-1].split(","))))
         # uniform run: mass over |Omega|=1 equals the pointwise value
         for i, name in enumerate(("mass_c1", "mass_c2", "mass_chi", "mass_tau"), start=1):
             assert abs(final[name] - o_final[i]) <= 1e-4 * max(abs(o_final[i]), 1e-30)

@@ -22,6 +22,7 @@ from regenfv import (
     run,
 )
 from regenfv import diagnostics
+from regenfv.stepping import FIELDS
 from regenfv.diagnostics import (
     DiagnosticsRecord,
     c1_mass_bound,
@@ -42,8 +43,8 @@ def params(**overrides):
 
 
 def uniform_state(grid, c1=0.0, c2=0.0, chi=0.0, tau=0.0):
-    return SimState(0.0, grid.field(c1), grid.field(c2), grid.field(chi),
-                    grid.field(tau), grid)
+    return SimState(0.0, np.array((grid.field(c1), grid.field(c2), grid.field(chi),
+                                   grid.field(tau))), grid)
 
 
 class TestEntropy:
@@ -63,8 +64,8 @@ class TestEntropy:
     def test_medium_gradient_term(self):
         g = Grid((256,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(1.0), g.field(1.0), g.field(np.cos(np.pi * x) + 2.0),
-                      g.field(1.0), g)
+        st = SimState(0.0, np.array((g.field(1.0), g.field(1.0), g.field(np.cos(np.pi * x) + 2.0),
+                                     g.field(1.0))), g)
         base = entropy_E(uniform_state(g, 1.0, 1.0, 2.0, 1.0), params(), EntropyParams())
         value = entropy_E(st, params(), EntropyParams())
         assert value - base == pytest.approx(np.pi**2 / 2, abs=1e-3)
@@ -75,8 +76,10 @@ class TestEntropy:
         p = params()
         ep = EntropyParams()
         for _ in range(50):
-            st = SimState(0.0, g.field(rng.uniform(0, 2, 32)), g.field(rng.uniform(0, 2, 32)),
-                          g.field(rng.uniform(0.1, 2, 32)), g.field(rng.uniform(0.1, 2, 32)), g)
+            st = SimState(0.0, np.array((g.field(rng.uniform(0, 2, 32)),
+                                         g.field(rng.uniform(0, 2, 32)),
+                                         g.field(rng.uniform(0.1, 2, 32)),
+                                         g.field(rng.uniform(0.1, 2, 32)))), g)
             grad_part = (
                 p.b_chi**2 / (p.d_chi * ep.zeta) * integrate(g, gradient_sq(g, st.chi))
                 + p.a2 / 8.0 * integrate(g, fisher_integrand(g, st.tau))
@@ -87,8 +90,8 @@ class TestEntropy:
     def test_zeta_scales_medium_term_only(self):
         g = Grid((64,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(1.0), g.field(1.0), g.field(2.0 + np.cos(np.pi * x)),
-                      g.field(1.0), g)
+        st = SimState(0.0, np.array((g.field(1.0), g.field(1.0), g.field(2.0 + np.cos(np.pi * x)),
+                                     g.field(1.0))), g)
         e1 = entropy_E(st, params(), EntropyParams(zeta=1.0))
         e2 = entropy_E(st, params(), EntropyParams(zeta=2.0))
         grad = integrate(g, gradient_sq(g, st.chi))
@@ -122,8 +125,10 @@ class TestDissipation:
         rng = np.random.default_rng(8)
         g = Grid((32,), (1.0,))
         for _ in range(50):
-            st = SimState(0.0, g.field(rng.uniform(0, 2, 32)), g.field(rng.uniform(0, 2, 32)),
-                          g.field(rng.uniform(0.1, 2, 32)), g.field(rng.uniform(0.1, 2, 32)), g)
+            st = SimState(0.0, np.array((g.field(rng.uniform(0, 2, 32)),
+                                         g.field(rng.uniform(0, 2, 32)),
+                                         g.field(rng.uniform(0.1, 2, 32)),
+                                         g.field(rng.uniform(0.1, 2, 32)))), g)
             p = params(eps=rng.uniform(0, 0.9))
             value = dissipation_D(st, p, EntropyParams())
             assert value >= 0.0
@@ -172,8 +177,6 @@ class TestCertificates:
         initial = uniform_state(g, 0.0, 0.0, 1.0, 0.5)
         assert tau_linf_bound(params(mu=2.0), initial) == pytest.approx(1.0, abs=1e-15)
 
-    # chi carries the undershoot: a negative c1, c2 or tau cell has no Fisher
-    # integrand, so compute_record rejects it before any certificate
     def test_nonneg_tolerance(self):
         st = uniform_state(Grid((10,), (1.0,)), 0.2, 0.0, 1.0, 0.5)
         st.chi[3] = -1e-15
@@ -183,6 +186,24 @@ class TestCertificates:
         st = uniform_state(Grid((10,), (1.0,)), 0.2, 0.0, 1.0, 0.5)
         st.chi[3] = -1e-11
         assert self.record(st).cert_nonneg is False
+
+    @pytest.mark.parametrize("row", [0, 1, 3])  # c1, c2, tau: the fields with a Fisher term
+    def test_undershoot_in_fisher_field_reaches_cert_nonneg(self, row):
+        g = Grid((10,), (1.0,))
+        zeroed = uniform_state(g, 0.2, 0.1, 1.0, 0.5)
+        zeroed.u[row, 3] = 0.0
+        ref = self.record(zeroed)
+        name = FIELDS[row]
+        for value, certified in ((-1e-15, True), (-1e-11, False)):
+            st = zeroed.replace(u=zeroed.u.copy())
+            st.u[row, 3] = value
+            rec = self.record(st)
+            assert rec.cert_nonneg is certified
+            # extrema and masses read the raw field, E and D the field with the cell at 0
+            assert getattr(rec, f"min_{name}") == value
+            assert getattr(rec, f"mass_{name}") == integrate(g, st.u[row])
+            assert (rec.entropy_E, rec.dissipation_D, rec.fisher_tau, rec.grad_chi_sq) == (
+                ref.entropy_E, ref.dissipation_D, ref.fisher_tau, ref.grad_chi_sq)
 
     def test_mass_just_above_bound_fails(self):
         g = Grid((10,), (1.0,))
@@ -230,8 +251,8 @@ class TestMonitor:
         # only the Fisher term is active; tau relaxes and E falls monotonically
         g = Grid((64,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.0), g.field(0.0), g.field(1.0),
-                      g.field(0.5 + 0.2 * np.cos(np.pi * x)), g)
+        st = SimState(0.0, np.array((g.field(0.0), g.field(0.0), g.field(1.0),
+                                     g.field(0.5 + 0.2 * np.cos(np.pi * x)))), g)
         p = params(mu=1.0)
         records = self.run_records(st, p)
         E = [r.entropy_E for r in records]
@@ -244,8 +265,8 @@ class TestMonitor:
         # pure chi diffusion: int |grad chi|^2 nonincreasing step by step
         g = Grid((64,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.0), g.field(0.0),
-                      g.field(1.0 + 0.5 * np.cos(np.pi * x)), g.field(1.0), g)
+        st = SimState(0.0, np.array((g.field(0.0), g.field(0.0),
+                                     g.field(1.0 + 0.5 * np.cos(np.pi * x)), g.field(1.0))), g)
         records = self.run_records(st, params(), t_end=0.1, save=0.005)
         values = [r.grad_chi_sq for r in records]
         assert all(b <= a + 1e-8 for a, b in zip(values, values[1:]))
@@ -340,7 +361,7 @@ def rough_records(draw):
 
     def state(t, debt):
         rows = [draw(arrays(np.float64, cells, elements=value)) for _ in range(4)]
-        return SimState(t, *rows, grid, debt)
+        return SimState(t, np.array(rows), grid, debt)
 
     positive = hst.floats(0.01, 2.0)
     p = ModelParams(a1=draw(positive), a2=draw(positive), b_tau=draw(positive),

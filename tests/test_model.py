@@ -203,7 +203,7 @@ class TestReactionRhs:
 class TestApplyDose:
     def make_state(self, grid, chi_value):
         zero = grid.field(0.0)
-        return SimState(0.0, zero, zero, grid.field(chi_value), grid.field(0.1), grid)
+        return SimState(0.0, np.array((zero, zero, grid.field(chi_value), grid.field(0.1))), grid)
 
     def test_uniform_increment_on_unit_domain(self):
         g = Grid((10,), (1.0,))
@@ -231,6 +231,19 @@ class TestApplyDose:
         after = integrate(g, state.chi)
         assert mid - before == pytest.approx(0.5, abs=1e-14)
         assert after - before == pytest.approx(1.0, abs=1e-14)
+
+    def test_adds_to_a_copy_of_chi_only(self):
+        g = Grid((6, 5), (1.3, 0.7))
+        rng = np.random.default_rng(5)
+        state = SimState(0.0, rng.uniform(0.0, 2.0, (4, 6, 5)), g)
+        before = state.u.copy()
+        s = SupplySchedule(dose_times=(1.0,), chi0=0.45, mode="jump")
+        dosed = apply_dose(state, s)
+        assert np.array_equal(state.u, before)  # the input state is not written
+        assert not np.shares_memory(dosed.u, state.u)
+        for row in (0, 1, 3):
+            assert dosed.u[row].tobytes() == before[row].tobytes()
+        assert dosed.u[2].tobytes() == (before[2] + 0.45 / g.measure).tobytes()
 
     def test_pulse_mode_is_a_usage_error(self):
         g = Grid((8,), (1.0,))

@@ -113,7 +113,7 @@ class TestAgreementWithRun:
         sched = SupplySchedule(dose_times=(1.0, 2.0, 3.0), chi0=1.0, mode="jump")
         y0 = (0.4, 0.02, 1.0, 0.1)
         g = Grid((4,), (2.0,))
-        st = SimState(0.0, *(g.field(v) for v in y0), g)
+        st = SimState(0.0, np.array([g.field(v) for v in y0]), g)
         rows = []
         run(st, p, alphas, sched, StepControl(t_end=3.5, dt_max=0.005, save_every=0.5),
             record_sink=lambda s: rows.append(

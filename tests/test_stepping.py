@@ -15,6 +15,7 @@ from regenfv import (
     StabilityError,
     StepControl,
     SupplySchedule,
+    TrajectoryRecorder,
     eval_supply,
     integrate,
     laplacian_neumann,
@@ -39,8 +40,8 @@ def params(**overrides):
 
 
 def uniform_state(grid, c1=0.0, c2=0.0, chi=0.0, tau=0.0, t=0.0):
-    return SimState(t, grid.field(c1), grid.field(c2), grid.field(chi),
-                    grid.field(tau), grid)
+    return SimState(t, np.array((grid.field(c1), grid.field(c2), grid.field(chi),
+                                 grid.field(tau))), grid)
 
 
 def same_bits(a, b) -> bool:
@@ -108,7 +109,8 @@ def rough_step_cases(draw):
     grid = Grid(cells, tuple(draw(hst.floats(0.5, 2.0)) for _ in cells))
     rough = lambda lo, hi: draw(arrays(np.float64, cells, elements=hst.floats(lo, hi)))
     t = draw(hst.floats(0.1, 2.0))
-    state = SimState(t, rough(0.0, 2.0), rough(0.0, 2.0), rough(0.01, 3.0), rough(0.01, 2.0), grid,
+    state = SimState(t, np.array((rough(0.0, 2.0), rough(0.0, 2.0), rough(0.01, 3.0),
+                                  rough(0.01, 2.0))), grid,
                      positivity_debt=draw(hst.sampled_from([0.0, 0.125])))
     positive = hst.floats(0.01, 2.0)
     p = ModelParams(a1=draw(positive), a2=draw(positive), b_tau=draw(positive),
@@ -154,7 +156,7 @@ class TestStableDt:
         tau = np.cumsum(np.full(10, 2.0 * h))  # slope 2 everywhere
         p = params(a1=1e-12, a2=1e-12, d_chi=1e-12, beta=1e-12, a_chi=1e-12,
                    delta=1e-12, mu=1e-12, b_tau=1.0, b_chi=1e-12)
-        st = SimState(0.0, g.field(0.0), g.field(0.0), g.field(0.0), g.field(tau), g)
+        st = SimState(0.0, np.array((g.field(0.0), g.field(0.0), g.field(0.0), g.field(tau))), g)
         ctrl = StepControl(t_end=1.0, dt_max=math.inf, cfl_safety=0.5)
         assert stable_dt(st, p, ctrl) == pytest.approx(0.025, rel=1e-9)
 
@@ -243,14 +245,16 @@ class TestStackedStep:
             assert same_bits(getattr(out, name), ref), name
         assert out.positivity_debt == st.positivity_debt + (debts[0] + debts[1] + debts[2] + debts[3])
 
-    def test_new_fields_are_rows_of_one_stack(self):
+    def test_new_fields_are_views_of_u(self):
         g = Grid((6, 5), (1.0, 1.0))
         st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
         out = step(st, params(), ALPHAS, SupplySchedule(), dt=1e-4)
-        assert out.stack.shape == (4, 6, 5)
-        for row, arr in zip(out.stack, (out.c1, out.c2, out.chi, out.tau)):
-            assert np.shares_memory(row, arr)
-        assert out.stack is out.stack  # no copy for a state made by step
+        assert out.u.shape == (4, 6, 5) and out.u.dtype == np.float64
+        assert not np.shares_memory(out.u, st.u)
+        for i, arr in enumerate((out.c1, out.c2, out.chi, out.tau)):
+            assert arr.base is out.u and same_bits(arr, out.u[i])
+        assert list(out.fields()) == ["c1", "c2", "chi", "tau"]
+        assert all(arr.base is out.u for arr in out.fields().values())
 
     def test_clamp_zeroes_exactly_the_negative_cells(self):
         # reaction-driven undershoot in c1, c2 (eps damping) and chi (uptake),
@@ -258,8 +262,9 @@ class TestStackedStep:
         g = Grid((9,), (1.0,))
         p = params(a1=1e-3, a2=1e-3, d_chi=1e-3, b_tau=1e-3, b_chi=1e-3,
                    a_chi=5.0, beta=0.1, eps=0.5, theta=4.0)
-        st = SimState(0.3, g.field(np.tile([3.0, 0.2, 0.2], 3)), g.field(np.tile([0.2, 3.0, 0.2], 3)),
-                      g.field(0.5), g.field(0.5), g, positivity_debt=0.25)
+        st = SimState(0.3, np.array((g.field(np.tile([3.0, 0.2, 0.2], 3)),
+                                     g.field(np.tile([0.2, 3.0, 0.2], 3)),
+                                     g.field(0.5), g.field(0.5))), g, positivity_debt=0.25)
         dt = 0.1
         raw = reference_update(st, p, NO_SWITCH, SupplySchedule(), dt)
         negative = [arr < 0 for arr in raw]
@@ -307,9 +312,13 @@ class TestRun:
 
     def test_rejects_shape_mismatch(self):
         g = Grid((10,), (1.0,))
-        st = uniform_state(g, c1=0.5, chi=1.0, tau=0.5).replace(c2=np.zeros(9))
-        with pytest.raises(ValueError, match=r"c2 shape \(9,\) does not match grid \(10,\)"):
-            run(st, params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
+        st = uniform_state(g, c1=0.5, chi=1.0, tau=0.5)
+        bad = {r"float64 of shape \(3, 10\)": st.u[:3],
+               r"float64 of shape \(4, 9\)": st.u[:, :9],
+               r"int64 of shape \(4, 10\)": np.ones((4, 10), dtype=np.int64)}
+        for message, u in bad.items():
+            with pytest.raises(ValueError, match=r"shape \(4, 10\), not " + message):
+                run(st.replace(u=u), params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
 
     def test_records_at_uniform_save_times(self):
         g = Grid((10,), (1.0,))
@@ -319,6 +328,26 @@ class TestRun:
             StepControl(t_end=0.2, dt_max=1e-2, save_every=0.05),
             record_sink=lambda s: times.append(s.t))
         assert times == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2], abs=1e-12)
+
+    def test_saved_states_are_never_written_afterwards(self):
+        # jump doses on and between save times; each saved state must still
+        # hold, after the run, the values it held when it was handed out
+        g = Grid((12,), (1.0,))
+        x = g.axis_centers(0)
+        st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
+        st = st.replace(u=st.u * (1.0 + 0.3 * np.cos(np.pi * x)))
+        schedule = SupplySchedule(dose_times=(0.05, 0.07, 0.1, 0.1 + 1e-3), chi0=0.7, mode="jump")
+        recorder, copies = TrajectoryRecorder(), []
+
+        def sink(index, state):
+            recorder(index, state)
+            copies.append(state.u.copy())
+
+        run(st, params(), ALPHAS, schedule, StepControl(t_end=0.2, dt_max=1e-2, save_every=0.05),
+            snapshot_sink=sink)
+        assert len(recorder.states) == 5
+        for state, copy in zip(recorder.states, copies, strict=True):
+            assert same_bits(state.u, copy)
 
     def test_uniform_run_matches_oracle(self):
         p = params(a1=0.05, a2=0.05, d_chi=0.05, a_chi=0.8, beta=1.0,
@@ -349,10 +378,10 @@ class TestRun:
         x = g.axis_centers(0)
         p = params(a1=0.02, a2=0.02, d_chi=0.05, b_tau=0.8, b_chi=0.8,
                    a_chi=0.5, beta=0.8, delta=0.6, mu=0.7)
-        st = SimState(0.0, g.field(0.4 + 0.3 * np.cos(np.pi * x)),
-                      g.field(0.1 + 0.05 * np.cos(2 * np.pi * x)),
-                      g.field(1.0 + 0.4 * np.cos(np.pi * x)),
-                      g.field(0.5 + 0.2 * np.cos(np.pi * x)), g)
+        st = SimState(0.0, np.array((g.field(0.4 + 0.3 * np.cos(np.pi * x)),
+                                     g.field(0.1 + 0.05 * np.cos(2 * np.pi * x)),
+                                     g.field(1.0 + 0.4 * np.cos(np.pi * x)),
+                                     g.field(0.5 + 0.2 * np.cos(np.pi * x)))), g)
         mass0 = integrate(g, st.c1 + st.c2 + st.chi + st.tau)
         mins = []
         final = run(st, p, ALPHAS, SupplySchedule(),
@@ -366,8 +395,9 @@ class TestRun:
         g = Grid((24,), (1.0,))
         x = g.axis_centers(0)
         def make():
-            return SimState(0.0, g.field(0.3 + 0.1 * np.cos(np.pi * x)), g.field(0.05),
-                            g.field(1.0 + 0.2 * np.cos(np.pi * x)), g.field(0.4), g)
+            return SimState(0.0, np.array((g.field(0.3 + 0.1 * np.cos(np.pi * x)), g.field(0.05),
+                                           g.field(1.0 + 0.2 * np.cos(np.pi * x)),
+                                           g.field(0.4))), g)
         a = run(make(), p, ALPHAS, SupplySchedule(), StepControl(t_end=0.3, dt_max=2e-3))
         b = run(make(), p, ALPHAS, SupplySchedule(), StepControl(t_end=0.3, dt_max=2e-3))
         for name in ("c1", "c2", "chi", "tau"):
@@ -379,9 +409,9 @@ class TestRun:
                    delta=0.7, mu=0.8, b_tau=0.4, b_chi=0.4)
         g = Grid((48,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.6 + 0.3 * np.cos(np.pi * x)),
-                      g.field(0.02), g.field(1.0 + 0.3 * np.cos(np.pi * x)),
-                      g.field(0.4), g)
+        st = SimState(0.0, np.array((g.field(0.6 + 0.3 * np.cos(np.pi * x)),
+                                     g.field(0.02), g.field(1.0 + 0.3 * np.cos(np.pi * x)),
+                                     g.field(0.4))), g)
         mass0 = integrate(g, st.c2)
         bound_rate = ALPHAS[0].bound * g.measure
         masses = []
@@ -399,8 +429,8 @@ class TestRun:
         g = Grid((48,), (1.0,))
         x = g.axis_centers(0)
         sched = SupplySchedule(dose_times=(0.2, 0.6), chi0=0.8, mode="jump")
-        st = SimState(0.0, g.field(0.3 + 0.1 * np.cos(np.pi * x)), g.field(0.1),
-                      g.field(1.0 + 0.4 * np.cos(np.pi * x)), g.field(0.4), g)
+        st = SimState(0.0, np.array((g.field(0.3 + 0.1 * np.cos(np.pi * x)), g.field(0.1),
+                                     g.field(1.0 + 0.4 * np.cos(np.pi * x)), g.field(0.4))), g)
         chi_max0 = float(np.max(st.chi))
         per_dose = sched.chi0 / g.measure
         seen = []

@@ -33,9 +33,9 @@ def params(**overrides):
 
 def default_initial(g):
     x = g.axis_centers(0)
-    return SimState(0.0, g.field(0.5 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
-                    g.field(1.0 + 0.2 * np.cos(np.pi * x)),
-                    g.field(0.4 + 0.05 * np.cos(np.pi * x)), g)
+    return SimState(0.0, np.array((g.field(0.5 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
+                                   g.field(1.0 + 0.2 * np.cos(np.pi * x)),
+                                   g.field(0.4 + 0.05 * np.cos(np.pi * x)))), g)
 
 
 def make_config(eps_list, t_end=0.2, n=48):
@@ -109,8 +109,8 @@ class TestNorms:
         times = np.linspace(0.0, 1.0, 5)
         def mk(scale):
             states = tuple(
-                SimState(float(t), g.field(scale * (1 + 0.5 * np.cos(np.pi * x))),
-                         g.field(scale * 0.5), g.field(1.0), g.field(1.0), g)
+                SimState(float(t), np.array((g.field(scale * (1 + 0.5 * np.cos(np.pi * x))),
+                                             g.field(scale * 0.5), g.field(1.0), g.field(1.0))), g)
                 for t in times
             )
             from regenfv.weakform import Trajectory
@@ -155,8 +155,8 @@ class TestCompareToLimit:
         # so the space-time L2 distance obeys the integrated version
         g = Grid((48,), (1.0,))
         x = g.axis_centers(0)
-        initial = SimState(0.0, g.field(0.0), g.field(0.0), g.field(1.0),
-                           g.field(0.5 + 0.2 * np.cos(np.pi * x)), g)
+        initial = SimState(0.0, np.array((g.field(0.0), g.field(0.0), g.field(1.0),
+                                          g.field(0.5 + 0.2 * np.cos(np.pi * x)))), g)
         ctrl = StepControl(t_end=0.2, dt_max=1e-4, cfl_safety=1.0, save_every=0.02)
         cfg = SweepConfig(eps_list=(0.4, 0.2, 0.1), params=params(), alphas=NO_SWITCH,
                           schedule=SupplySchedule(), initial=initial, ctrl=ctrl)

@@ -42,7 +42,7 @@ def zero_trajectory(n_cells=16, n_snaps=6, T=1.0, p=None, schedule=None):
     times = np.linspace(0.0, T, n_snaps)
     zero = g.field(0.0)
     states = tuple(
-        SimState(float(t), zero.copy(), zero.copy(), zero.copy(), zero.copy(), g)
+        SimState(float(t), np.array((zero.copy(), zero.copy(), zero.copy(), zero.copy())), g)
         for t in times
     )
     return Trajectory(times, states, p or params(), NO_SWITCH,
@@ -97,8 +97,8 @@ class TestTestFunction:
     def test_residual_homogeneous_in_amplitude(self):
         g = Grid((32,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.4 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
-                      g.field(1.0 + 0.2 * np.cos(np.pi * x)), g.field(0.4), g)
+        st = SimState(0.0, np.array((g.field(0.4 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
+                                     g.field(1.0 + 0.2 * np.cos(np.pi * x)), g.field(0.4))), g)
         traj = run_trajectory(st, params(a1=0.05, a2=0.05, d_chi=0.05),
                               ALPHAS, SupplySchedule(), 0.2, 1e-3, 0.02)
         for fn in RESIDUALS.values():
@@ -116,9 +116,9 @@ class TestMassBudgetReduction:
                    delta=0.7, mu=0.9, b_tau=0.4, b_chi=0.4)
         g = Grid((32,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.4 + 0.2 * np.cos(np.pi * x)),
-                      g.field(0.05), g.field(1.0 + 0.2 * np.cos(np.pi * x)),
-                      g.field(0.4), g)
+        st = SimState(0.0, np.array((g.field(0.4 + 0.2 * np.cos(np.pi * x)),
+                                     g.field(0.05), g.field(1.0 + 0.2 * np.cos(np.pi * x)),
+                                     g.field(0.4))), g)
         records, rec = [], TrajectoryRecorder()
         run(st, p, ALPHAS, SupplySchedule(),
             StepControl(t_end=0.2, dt_max=5e-4, cfl_safety=1.0, save_every=0.02),
@@ -171,12 +171,12 @@ class TestAnalyticTrajectories:
         # numerical run may add only scheme error on top of it
         p = params(a1=0.02, a2=0.02, d_chi=0.02, mu=2.0)
         g = Grid((48,), (1.0,))
-        st = SimState(0.0, g.field(0.0), g.field(0.0), g.field(1.0), g.field(0.5), g)
+        st = SimState(0.0, np.array((g.field(0.0), g.field(0.0), g.field(1.0), g.field(0.5))), g)
         traj = run_trajectory(st, p, NO_SWITCH, SupplySchedule(), 0.5, 2e-4, 0.025)
         zero = g.field(0.0)
         exact_states = tuple(
-            SimState(float(t), zero.copy(), zero.copy(), g.field(1.0),
-                     g.field(0.5 * math.exp(-2.0 * t)), g)
+            SimState(float(t), np.array((zero.copy(), zero.copy(), g.field(1.0),
+                                         g.field(0.5 * math.exp(-2.0 * t)))), g)
             for t in traj.times
         )
         exact = Trajectory(traj.times, exact_states, p, NO_SWITCH, SupplySchedule())
@@ -190,14 +190,15 @@ class TestAnalyticTrajectories:
         p = params(a_chi=0.0)
         g = Grid((64,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.0), g.field(0.0),
-                      g.field(1.0 + 0.5 * np.cos(np.pi * x)), g.field(1.0), g)
+        st = SimState(0.0, np.array((g.field(0.0), g.field(0.0),
+                                     g.field(1.0 + 0.5 * np.cos(np.pi * x)), g.field(1.0))), g)
         traj = run_trajectory(st, p, NO_SWITCH, SupplySchedule(), 0.2, 1e-4, 0.01)
         zero = g.field(0.0)
         exact_states = tuple(
-            SimState(float(t), zero.copy(), zero.copy(),
-                     g.field(1.0 + 0.5 * np.cos(np.pi * x) * math.exp(-np.pi**2 * t)),
-                     g.field(1.0), g)
+            SimState(float(t), np.array((
+                zero.copy(), zero.copy(),
+                g.field(1.0 + 0.5 * np.cos(np.pi * x) * math.exp(-np.pi**2 * t)),
+                g.field(1.0))), g)
             for t in traj.times
         )
         exact = Trajectory(traj.times, exact_states, p, NO_SWITCH, SupplySchedule())
@@ -230,10 +231,10 @@ class TestAnalyticTrajectories:
                    delta=0.7, mu=0.9, b_tau=0.5, b_chi=0.5)
         g = Grid((64,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.5 + 0.2 * np.cos(np.pi * x)),
-                      g.field(0.05 + 0.02 * np.cos(np.pi * x)),
-                      g.field(1.0 + 0.2 * np.cos(np.pi * x)),
-                      g.field(0.4 + 0.1 * np.cos(np.pi * x)), g)
+        st = SimState(0.0, np.array((g.field(0.5 + 0.2 * np.cos(np.pi * x)),
+                                     g.field(0.05 + 0.02 * np.cos(np.pi * x)),
+                                     g.field(1.0 + 0.2 * np.cos(np.pi * x)),
+                                     g.field(0.4 + 0.1 * np.cos(np.pi * x)))), g)
         traj = run_trajectory(st, p, ALPHAS, SupplySchedule(), 0.4, 1e-4, 0.02)
         for k in (0, 1, 2, 3):
             for m in (1, 2):
@@ -248,9 +249,9 @@ class TestAnalyticTrajectories:
         p_limit = ModelParams(**{**p.__dict__, "eps": 0.0})
         g = Grid((48,), (1.0,))
         x = g.axis_centers(0)
-        st = SimState(0.0, g.field(0.6 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
-                      g.field(1.0 + 0.2 * np.cos(np.pi * x)),
-                      g.field(0.4 + 0.1 * np.cos(np.pi * x)), g)
+        st = SimState(0.0, np.array((g.field(0.6 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
+                                     g.field(1.0 + 0.2 * np.cos(np.pi * x)),
+                                     g.field(0.4 + 0.1 * np.cos(np.pi * x)))), g)
         traj = run_trajectory(st, p, ALPHAS, SupplySchedule(), 0.3, 1e-4, 0.015)
         wrong = Trajectory(traj.times, traj.states, p_limit, traj.alphas, traj.schedule)
         psi = TestFunction((0,), 1, 0.3)
@@ -269,9 +270,9 @@ class TestRefinement:
         def level(n, dtm, save):
             g = Grid((n,), (1.0,))
             x = g.axis_centers(0)
-            st = SimState(0.0, g.field(0.5 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
-                          g.field(1.0 + 0.2 * np.cos(np.pi * x)),
-                          g.field(0.4 + 0.1 * np.cos(np.pi * x)), g)
+            st = SimState(0.0, np.array((g.field(0.5 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
+                                         g.field(1.0 + 0.2 * np.cos(np.pi * x)),
+                                         g.field(0.4 + 0.1 * np.cos(np.pi * x)))), g)
             traj = run_trajectory(st, p, ALPHAS, SupplySchedule(), T, dtm, save)
             psi = TestFunction((1,), 1, T)
             return {name: fn(traj, psi) for name, fn in RESIDUALS.items()}
@@ -393,12 +394,10 @@ def rough_trajectories(draw):
     steps = draw(st.lists(st.floats(0.01, 0.2), min_size=1, max_size=3))
     times = np.concatenate(([0.0], np.cumsum(steps)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stacked = draw(st.booleans())
     states = []
     for t in times:
         u = rng.uniform(0.0, 2.0, (4, *grid.shape)) * (rng.random((4, *grid.shape)) > 0.1)
-        states.append(SimState.from_stack(float(t), u, grid) if stacked
-                      else SimState(float(t), *u.copy(), grid))
+        states.append(SimState(float(t), u, grid))
     coefficient = st.floats(0.01, 2.0)
     eps = draw(st.just(0.0) | st.floats(0.05, 0.5))
     p = params(**{name: draw(coefficient) for name in
