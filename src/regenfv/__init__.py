@@ -39,11 +39,8 @@ from .weakform import (
     TestFunction,
     Trajectory,
     TrajectoryRecorder,
-    residual_c1,
-    residual_c2,
-    residual_chi,
+    residual,
     residual_table,
-    residual_tau,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -62,8 +62,8 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
         raise ConfigError(f"malformed {diag_path}: {exc}") from None
     grid = cfg.grid
     centers = np.column_stack([c.ravel() for c in grid.coordinate_arrays()])
-    states = []
-    for idx, t in enumerate(times):
+    u = np.empty((len(times), 4, *grid.shape))
+    for idx in range(len(times)):
         snap = out_dir / f"snap_{idx}.csv"
         if not snap.exists():
             raise ConfigError(f"missing snapshot {snap}")
@@ -83,10 +83,9 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
             raise ConfigError(
                 f"snapshot {snap} has cell centers that differ from the configured grid"
             )
-        u = np.ascontiguousarray(data[:, grid.dim:].T).reshape((4, *grid.shape))
-        states.append(SimState(t, u, grid))
+        u[idx].reshape(4, -1)[...] = data[:, grid.dim:].T
     try:
-        return Trajectory(np.asarray(times), tuple(states), cfg.params, cfg.alphas, cfg.schedule)
+        return Trajectory(np.asarray(times), u, grid, cfg.params, cfg.alphas, cfg.schedule)
     except ValueError as exc:
         raise ConfigError(f"{out_dir}: {exc}") from None
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class DiagnosticsRecord:
     cert_nonneg: bool
     # in memory only: the fields with a default are not part of the CSV schema
     mass_c1_sq: float = 0.0
-    hessian_tau: Optional[float] = None
 
     CSV_COLUMNS: ClassVar[tuple[str, ...]]
 
@@ -115,7 +114,7 @@ def _functionals(state: SimState, p: ModelParams, ep: EntropyParams):
 
     Builds each gradient field once: the Fisher integrands of c1, c2 and tau,
     |grad chi|^2 and the chi Laplacian. D is every dissipation term except the
-    separate 1D Hessian entry.
+    1D Hessian term (``hessian_tau_1d``).
     """
     grid = state.grid
     c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
@@ -150,7 +149,7 @@ def entropy_E(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
 
 
 def dissipation_D(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
-    """The dissipation functional (all terms except the separate 1D Hessian entry)."""
+    """The dissipation functional (all terms except the 1D Hessian term, see hessian_tau_1d)."""
     return _functionals(state, p, ep)[1]
 
 
@@ -213,7 +212,6 @@ def compute_record(
         cert_tau_linf=stats["max_tau"] <= tau_linf_bound(p, initial) * (1.0 + TOL_REL),
         cert_nonneg=min(stats[f"min_{name}"] for name in state.fields()) >= -TOL_ABS,
         mass_c1_sq=integrate(grid, state.c1**2),
-        hessian_tau=hessian_tau_1d(grid, state.tau) if grid.dim == 1 else None,
     )
 
 

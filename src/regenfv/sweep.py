@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import fisher_integrand
-from .grid import gradient_components, integrate
+from .grid import Grid, gradient_components
 from .model import ModelParams, RateFunction, SupplySchedule
 from .stepping import FIELDS, SimState, StepControl, run
 from .weakform import Trajectory, TrajectoryRecorder
@@ -81,58 +81,41 @@ def _check_compatible(a: Trajectory, b: Trajectory) -> None:
         raise ValueError("trajectories were saved at different times")
 
 
-def l2_spacetime_distance(a: Trajectory, b: Trajectory, field: str) -> float:
-    """Space-time L2 norm of the difference of one field."""
-    _check_compatible(a, b)
-    grid = a.grid
-    series = np.array(
-        [
-            integrate(grid, (getattr(sa, field) - getattr(sb, field)) ** 2)
-            for sa, sb in zip(a.states, b.states)
-        ]
-    )
-    return float(np.sqrt(np.trapezoid(series, a.times)))
+def _time_integrals(grid: Grid, times: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per row of an ``(n_t, k, *grid.shape)`` integrand, the trapezoid rule in
+    time of its domain integrals.
 
-
-def w154_distance(a: Trajectory, b: Trajectory, field: str = "c2") -> float:
-    """L^{5/4}(0,T; W^{1,5/4}) norm of the difference (gradients by face differences)."""
-    _check_compatible(a, b)
-    grid = a.grid
-    q = 5.0 / 4.0
-    series = []
-    for sa, sb in zip(a.states, b.states):
-        diff = getattr(sa, field) - getattr(sb, field)
-        dens = np.abs(diff) ** q
-        for comp in gradient_components(grid, diff):
-            dens = dens + np.abs(comp) ** q
-        series.append(integrate(grid, dens))
-    return float(np.trapezoid(np.asarray(series), a.times) ** (1.0 / q))
+    Every sum runs over a contiguous last axis, so each row is summed in the
+    same order as one snapshot at a time (``integrate``) and then one series.
+    """
+    n_t, k = f.shape[:2]
+    series = np.ascontiguousarray(f.reshape(n_t, k, -1).sum(axis=2).T) * grid.cell_volume
+    return np.trapezoid(series, times)
 
 
 def pair_distances(a: Trajectory, b: Trajectory) -> dict:
-    return {
-        "c1": l2_spacetime_distance(a, b, "c1"),
-        "c2": w154_distance(a, b, "c2"),
-        "chi": l2_spacetime_distance(a, b, "chi"),
-        "tau": l2_spacetime_distance(a, b, "tau"),
-    }
+    """Space-time distances per field: the L2 norm for c1, chi and tau and the
+    L^{5/4}(0,T; W^{1,5/4}) norm for c2 (gradients by face differences)."""
+    _check_compatible(a, b)
+    grid, q = a.grid, 5.0 / 4.0
+    diff = a.u - b.u
+    c1, chi, tau = np.sqrt(_time_integrals(grid, a.times, diff[:, [0, 2, 3]] ** 2))
+    d2 = diff[:, 1:2]  # the c2 row as an (n_t, 1, *shape) stack
+    dens = np.abs(d2) ** q
+    for comp in gradient_components(grid, d2):
+        dens = dens + np.abs(comp) ** q
+    (w,) = _time_integrals(grid, a.times, dens)
+    return {"c1": float(c1), "c2": float(w ** (1.0 / q)), "chi": float(chi), "tau": float(tau)}
 
 
 def artificial_terms(traj: Trajectory) -> tuple[float, float, float]:
     """Per-run sizes eps*int int c1^theta, eps*int int c2^theta, eps*int int |grad tau|^2/tau."""
-    p = traj.params
-    grid = traj.grid
+    p, grid, u = traj.params, traj.grid, traj.u
     if p.eps == 0.0:
         return 0.0, 0.0, 0.0
-    s1 = np.array([integrate(grid, s.c1**p.theta) for s in traj.states])
-    s2 = np.array([integrate(grid, s.c2**p.theta) for s in traj.states])
-    s3 = np.array([integrate(grid, fisher_integrand(grid, s.tau)) for s in traj.states])
-    t = traj.times
-    return (
-        p.eps * float(np.trapezoid(s1, t)),
-        p.eps * float(np.trapezoid(s2, t)),
-        p.eps * float(np.trapezoid(s3, t)),
-    )
+    s1, s2 = _time_integrals(grid, traj.times, u[:, :2] ** p.theta)
+    (s3,) = _time_integrals(grid, traj.times, fisher_integrand(grid, u[:, 3:]))
+    return p.eps * float(s1), p.eps * float(s2), p.eps * float(s3)
 
 
 def run_member(cfg: SweepConfig, eps: float) -> Trajectory:

@@ -114,26 +114,29 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly saved snapshots of one run plus the generating model data."""
+    """Uniformly saved snapshots of one run plus the generating model data.
+
+    ``u`` holds the snapshots as one ``(len(times), 4, *grid.shape)`` array,
+    rows in ``FIELDS`` order.
+    """
 
     times: np.ndarray
-    states: tuple[SimState, ...]
+    u: np.ndarray
+    grid: Grid
     params: ModelParams
     alphas: tuple[RateFunction, RateFunction]
     schedule: SupplySchedule
 
     def __post_init__(self):
-        if len(self.states) != len(self.times) or len(self.states) < 2:
-            raise ValueError("need at least two snapshots with matching times")
+        if len(self.times) < 2:
+            raise ValueError("need at least two snapshots")
+        if self.u.shape != (len(self.times), 4, *self.grid.shape):
+            raise ValueError(
+                f"snapshot array of shape {self.u.shape} does not match "
+                f"{len(self.times)} times of 4 fields on grid {self.grid.shape}"
+            )
         if self.times[0] != 0.0 or not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must start at 0 and increase strictly")
-        grid = self.states[0].grid
-        if any(s.grid is not grid and s.grid != grid for s in self.states):
-            raise ValueError("all snapshots must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
 
     @property
     def horizon(self) -> float:
@@ -146,10 +149,12 @@ class TrajectoryRecorder:
     def __init__(self):
         self.times: list[float] = []
         self.states: list[SimState] = []
+        self.grid: Grid | None = None
 
     def __call__(self, index: int, state: SimState) -> None:
         self.times.append(state.t)
         self.states.append(state)
+        self.grid = state.grid
 
     def trajectory(
         self,
@@ -157,9 +162,8 @@ class TrajectoryRecorder:
         alphas: tuple[RateFunction, RateFunction],
         schedule: SupplySchedule,
     ) -> Trajectory:
-        return Trajectory(
-            np.asarray(self.times), tuple(self.states), params, alphas, schedule
-        )
+        u = np.array([s.u for s in self.states])
+        return Trajectory(np.asarray(self.times), u, self.grid, params, alphas, schedule)
 
 
 def _check_horizon(traj: Trajectory, psi: TestFunction) -> None:
@@ -189,9 +193,9 @@ def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
         _check_horizon(traj, psi)
         parts.setdefault((psi.modes, psi.amplitude), psi)
     series = {key: {} for key in parts}
-    for s in traj.states:
-        c1, c2, chi, tau = s.u
-        grads = gradient_components(grid, s.u)  # per axis, rows c1, c2, chi, tau
+    for u in traj.u:
+        c1, c2, chi, tau = u
+        grads = gradient_components(grid, u)  # per axis, rows c1, c2, chi, tau
         weighted = {  # integrand field * S
             "c1": c1, "c2": c2, "chi": chi, "tau": tau,
             "sw_in": eval_rate(alpha1, chi) * c1 / (1.0 + c1),
@@ -286,27 +290,9 @@ def _residuals(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_
     return rows
 
 
-def residual_c1(traj: Trajectory, psi: TestFunction) -> float:
-    """|LHS - RHS| of the stem-cell weak identity for one test function."""
-    return _residuals(traj, (psi,), ("c1",))[0][3]
-
-
-def residual_c2(traj: Trajectory, psi: TestFunction) -> float:
-    """|LHS - RHS| of the chondrocyte weak identity (chemotaxis in double-divergence form)."""
-    return _residuals(traj, (psi,), ("c2",))[0][3]
-
-
-def residual_chi(traj: Trajectory, psi: TestFunction) -> float:
-    """|LHS - RHS| of the medium weak identity, supply term included."""
-    return _residuals(traj, (psi,), ("chi",))[0][3]
-
-
-def residual_tau(traj: Trajectory, psi: TestFunction) -> float:
-    """|LHS - RHS| of the matrix weak identity (gradient-free in the limit model)."""
-    return _residuals(traj, (psi,), ("tau",))[0][3]
-
-
-RESIDUALS = {"c1": residual_c1, "c2": residual_c2, "chi": residual_chi, "tau": residual_tau}
+def residual(traj: Trajectory, psi: TestFunction, equation: str) -> float:
+    """|LHS - RHS| of one weak identity ("c1", "c2", "chi" or "tau") for one test function."""
+    return _residuals(traj, (psi,), (equation,))[0][3]
 
 
 def make_test_functions(grid: Grid, t_end: float, k_max: int = 3, powers: Sequence[int] = (1, 2)):

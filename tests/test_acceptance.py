@@ -31,7 +31,8 @@ from regenfv import (
     run_sweep,
 )
 from regenfv.diagnostics import c1_mass_bound, tau_linf_bound
-from regenfv.weakform import RESIDUALS, Trajectory, TrajectoryRecorder, make_test_functions
+from regenfv.stepping import FIELDS
+from regenfv.weakform import Trajectory, TrajectoryRecorder, make_test_functions, residual
 
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
@@ -265,16 +266,12 @@ def test_criterion_7_weak_form_residuals():
     halvings with least-squares order >= 1; the zero trajectory sits at 1e-14."""
     g0 = Grid((16,), (1.0,))
     times = np.linspace(0.0, 1.0, 5)
-    zero = g0.field(0.0)
     zero_traj = Trajectory(
-        times,
-        tuple(SimState(float(t), np.array((zero.copy(), zero.copy(), zero.copy(), zero.copy())), g0)
-              for t in times),
-        params(), NO_SWITCH, SupplySchedule(),
+        times, np.zeros((len(times), 4, *g0.shape)), g0, params(), NO_SWITCH, SupplySchedule(),
     )
     for psi in make_test_functions(g0, 1.0, k_max=3, powers=(1, 2)):
-        for fn in RESIDUALS.values():
-            assert fn(zero_traj, psi) <= 1e-14
+        for eq in FIELDS:
+            assert residual(zero_traj, psi, eq) <= 1e-14
 
     p = params()
     T = 0.4
@@ -292,12 +289,12 @@ def test_criterion_7_weak_form_residuals():
             snapshot_sink=rec)
         traj = rec.trajectory(p, ALPHAS, SupplySchedule())
         psis = make_test_functions(g, T, k_max=3, powers=(1, 2))
-        return {name: max(fn(traj, psi) for psi in psis)
-                for name, fn in RESIDUALS.items()}
+        return {name: max(residual(traj, psi, name) for psi in psis)
+                for name in FIELDS}
 
     levels = [level(32, 2e-4, 0.04), level(64, 1e-4, 0.02), level(128, 5e-5, 0.01)]
     orders = {}
-    for name in RESIDUALS:
+    for name in FIELDS:
         vals = [lv[name] for lv in levels]
         assert vals[0] > vals[1] > vals[2], (name, vals)
         # least-squares slope of log2(residual) against refinement level

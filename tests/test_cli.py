@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from regenfv import diagnostics
-from regenfv.cli import main
+from regenfv import TrajectoryRecorder, diagnostics, parse_config, run
+from regenfv.cli import load_trajectory, main
 
 BASE = """
 grid.dim = 1
@@ -280,6 +280,29 @@ class TestWeakcheckCommand:
         assert len(lines) == 1 + 4 * 3 * 2
         values = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(v < 0.05 for v in values)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reader_returns_the_recorded_trajectory(self, tmp_path, dim):
+        # repr-written snapshots read back bit for bit as the in-memory recording
+        text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.03").replace(
+            "c10.uniform = 0.5", "c10.cosine = 0.5 0.2 1 " + "2" * (dim - 1)).replace(
+            "tau0.uniform = 0.4", "tau0.cosine = 0.4 0.1 2 " + "1" * (dim - 1)) + \
+            "control.save_every = 0.01\noutput.snapshots = 1\ncontrol.dt_max = 2e-4\n"
+        if dim == 2:
+            text = text.replace("grid.dim = 1", "grid.dim = 2").replace(
+                "grid.lx = 1.0", "grid.lx = 1.3\ngrid.ny = 5\ngrid.ly = 0.7").replace(
+                "grid.nx = 16", "grid.nx = 7")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rc = parse_config(text)
+        rec = TrajectoryRecorder()
+        run(rc.build_initial(), rc.params, rc.alphas, rc.schedule, rc.ctrl, snapshot_sink=rec)
+        want = rec.trajectory(rc.params, rc.alphas, rc.schedule)
+        got = load_trajectory(rc, out)
+        assert got.u.shape == (4, 4, *rc.grid.shape)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.u.tobytes() == want.u.tobytes()
 
     def test_weakcheck_without_snapshots_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -295,16 +295,6 @@ class TestRecord:
         assert row[0] == "0.0"
         assert row[-3:] == ["1", "1", "1"]  # certificates serialize as 0/1
 
-    def test_hessian_entry_absent_in_2d(self):
-        g = Grid((8, 8), (1.0, 1.0))
-        st = uniform_state(g, 0.5, 0.5, 1.0, 1.0)
-        rec = compute_record(st, params(), NO_SWITCH, st, EntropyParams())
-        assert rec.hessian_tau is None
-        g1 = Grid((8,), (1.0,))
-        st1 = uniform_state(g1, 0.5, 0.5, 1.0, 1.0)
-        rec1 = compute_record(st1, params(), NO_SWITCH, st1, EntropyParams())
-        assert rec1.hessian_tau == pytest.approx(0.0, abs=1e-20)
-
 
 def _parent_row(state, p, alphas, initial, ep):
     """The CSV row as the earlier assembly wrote it: seven gradient_sq calls per

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regenfv import (
     Grid,
@@ -17,8 +18,11 @@ from regenfv import (
     run,
     run_sweep,
 )
-from regenfv.sweep import l2_spacetime_distance, pair_distances, w154_distance
-from regenfv.weakform import TrajectoryRecorder
+from regenfv.diagnostics import fisher_integrand
+from regenfv.grid import gradient_components
+from regenfv.stepping import FIELDS
+from regenfv.sweep import artificial_terms, pair_distances
+from regenfv.weakform import Trajectory, TrajectoryRecorder
 
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
@@ -108,25 +112,22 @@ class TestNorms:
         x = g.axis_centers(0)
         times = np.linspace(0.0, 1.0, 5)
         def mk(scale):
-            states = tuple(
-                SimState(float(t), np.array((g.field(scale * (1 + 0.5 * np.cos(np.pi * x))),
-                                             g.field(scale * 0.5), g.field(1.0), g.field(1.0))), g)
-                for t in times
-            )
-            from regenfv.weakform import Trajectory
-            return Trajectory(times, states, params(), ALPHAS, SupplySchedule())
+            u = np.array([(g.field(scale * (1 + 0.5 * np.cos(np.pi * x))),
+                           g.field(scale * 0.5), g.field(1.0), g.field(1.0))
+                          for t in times])
+            return Trajectory(times, u, g, params(), ALPHAS, SupplySchedule())
         return mk(1.0), mk(0.0)
 
     def test_l2_distance_of_known_field(self):
         a, b = self.make_pair()
         # ||1 + 0.5 cos(pi x)||_{L2(Q)}^2 = T * (1 + 0.125)
-        got = l2_spacetime_distance(a, b, "c1")
+        got = pair_distances(a, b)["c1"]
         assert got == pytest.approx(math.sqrt(1.125), rel=1e-3)
 
     def test_w154_distance_of_constant_field(self):
         a, b = self.make_pair()
         # constant difference 0.5: W^{1,5/4} integrand is |0.5|^{5/4}
-        got = w154_distance(a, b, "c2")
+        got = pair_distances(a, b)["c2"]
         assert got == pytest.approx((0.5**1.25) ** 0.8, rel=1e-12)
 
     def test_distance_to_self_is_zero(self):
@@ -176,6 +177,69 @@ class TestCompareToLimit:
         a, b = run_sweep(cfg), run_sweep(cfg)
         assert a.csv_text() == b.csv_text()
         for ta, tb in zip(a.trajectories, b.trajectories):
-            for sa, sb in zip(ta.states, tb.states):
-                assert np.array_equal(sa.c1, sb.c1)
-                assert np.array_equal(sa.tau, sb.tau)
+            for sa, sb in zip(ta.u, tb.u):
+                assert np.array_equal(sa[0], sb[0])
+                assert np.array_equal(sa[3], sb[3])
+
+
+# The distances and artificial terms as they were computed before trajectories
+# were stacked: one ``integrate`` call per snapshot and field, then one
+# trapezoid rule per 1D series. The stacked contractions must match them bit
+# for bit, which pins the summation order (pairwise over each contiguous axis).
+def per_snapshot_distances(a, b):
+    grid, q = a.grid, 5.0 / 4.0
+    out = {}
+    for i, name in enumerate(FIELDS):
+        if name == "c2":
+            series = []
+            for sa, sb in zip(a.u, b.u):
+                diff = sa[i] - sb[i]
+                dens = np.abs(diff) ** q
+                for comp in gradient_components(grid, diff):
+                    dens = dens + np.abs(comp) ** q
+                series.append(integrate(grid, dens))
+            out[name] = float(np.trapezoid(np.asarray(series), a.times) ** (1.0 / q))
+        else:
+            series = np.array([integrate(grid, (sa[i] - sb[i]) ** 2) for sa, sb in zip(a.u, b.u)])
+            out[name] = float(np.sqrt(np.trapezoid(series, a.times)))
+    return out
+
+
+def per_snapshot_artificial_terms(traj):
+    p, grid, t = traj.params, traj.grid, traj.times
+    s1 = np.array([integrate(grid, s[0] ** p.theta) for s in traj.u])
+    s2 = np.array([integrate(grid, s[1] ** p.theta) for s in traj.u])
+    s3 = np.array([integrate(grid, fisher_integrand(grid, s[3])) for s in traj.u])
+    return tuple(p.eps * float(np.trapezoid(series, t)) for series in (s1, s2, s3))
+
+
+@st.composite
+def trajectory_pairs(draw):
+    """Two rough trajectories on one 1D or non-square 2D grid (lengths != 1),
+    eps > 0, and 2 to 40 snapshots at uneven times."""
+    if draw(st.booleans()):
+        cells = (draw(st.integers(3, 200)),)
+    else:
+        cells = draw(st.tuples(st.integers(3, 12), st.integers(3, 12)).filter(lambda c: c[0] != c[1]))
+    lengths = tuple(draw(st.floats(0.3, 3.0).filter(lambda v: v != 1.0)) for _ in cells)
+    grid = Grid(cells, lengths)
+    n_t = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.2, n_t - 1))))
+    p = params(eps=draw(st.floats(0.01, 0.99)), theta=draw(st.floats(2.1, 4.0)))
+
+    def rough():
+        u = rng.uniform(0.0, 2.0, (n_t, 4, *cells)) * (rng.random((n_t, 4, *cells)) > 0.1)
+        return Trajectory(times, u, grid, p, ALPHAS, SupplySchedule())
+
+    return rough(), rough()
+
+
+class TestStackedContractions:
+    @settings(max_examples=80, deadline=None)
+    @given(trajectory_pairs())
+    def test_equal_per_snapshot_formulas_bit_for_bit(self, pair):
+        a, b = pair
+        assert pair_distances(a, b) == per_snapshot_distances(a, b)
+        assert artificial_terms(a) == per_snapshot_artificial_terms(a)
+        assert artificial_terms(b) == per_snapshot_artificial_terms(b)

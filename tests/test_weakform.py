@@ -16,15 +16,13 @@ from regenfv import (
     TrajectoryRecorder,
     compute_record,
     integrate,
-    residual_c1,
-    residual_c2,
-    residual_chi,
+    residual,
     residual_table,
-    residual_tau,
     run,
 )
 from regenfv.diagnostics import EntropyParams
-from regenfv.weakform import RESIDUALS, _supply_term
+from regenfv.stepping import FIELDS
+from regenfv.weakform import _supply_term
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
@@ -40,13 +38,14 @@ def params(**overrides):
 def zero_trajectory(n_cells=16, n_snaps=6, T=1.0, p=None, schedule=None):
     g = Grid((n_cells,), (1.0,))
     times = np.linspace(0.0, T, n_snaps)
-    zero = g.field(0.0)
-    states = tuple(
-        SimState(float(t), np.array((zero.copy(), zero.copy(), zero.copy(), zero.copy())), g)
-        for t in times
-    )
-    return Trajectory(times, states, p or params(), NO_SWITCH,
+    u = np.zeros((n_snaps, 4, n_cells))
+    return Trajectory(times, u, g, p or params(), NO_SWITCH,
                       schedule or SupplySchedule())
+
+
+def snapshots(traj):
+    """The saved states of a trajectory, one SimState per row of ``traj.u``."""
+    return [SimState(float(t), u, traj.grid) for t, u in zip(traj.times, traj.u)]
 
 
 def run_trajectory(state, p, alphas, schedule, t_end, dt_max, save):
@@ -63,8 +62,28 @@ class TestZeroTrajectory:
         for k in range(4):
             for m in (1, 2):
                 psi = TestFunction((k,), m, traj.horizon)
-                for fn in RESIDUALS.values():
-                    assert fn(traj, psi) <= 1e-14
+                for eq in FIELDS:
+                    assert residual(traj, psi, eq) <= 1e-14
+
+
+class TestTrajectory:
+    def test_snapshot_array_shape_is_checked(self):
+        g = Grid((6,), (1.3,))
+        times = np.linspace(0.0, 1.0, 3)
+        model = (params(), NO_SWITCH, SupplySchedule())
+        Trajectory(times, np.zeros((3, 4, 6)), g, *model)
+        for shape in ((3, 3, 6), (3, 4, 5), (3, 4, 6, 1), (2, 4, 6), (4, 4, 6)):
+            with pytest.raises(ValueError, match="does not match"):
+                Trajectory(times, np.zeros(shape), g, *model)
+
+    @pytest.mark.parametrize("saves", [0, 1])
+    def test_recorder_needs_two_snapshots(self, saves):
+        g = Grid((6,), (1.0,))
+        rec = TrajectoryRecorder()
+        for i in range(saves):
+            rec(i, SimState(0.0, np.zeros((4, 6)), g))
+        with pytest.raises(ValueError, match="at least two snapshots"):
+            rec.trajectory(params(), NO_SWITCH, SupplySchedule())
 
 
 class TestTestFunction:
@@ -92,7 +111,7 @@ class TestTestFunction:
         traj = zero_trajectory(T=1.0)
         psi = TestFunction((1,), 1, 2.0)
         with pytest.raises(ValueError, match="horizon"):
-            residual_c1(traj, psi)
+            residual(traj, psi, "c1")
 
     def test_residual_homogeneous_in_amplitude(self):
         g = Grid((32,), (1.0,))
@@ -101,9 +120,9 @@ class TestTestFunction:
                                      g.field(1.0 + 0.2 * np.cos(np.pi * x)), g.field(0.4))), g)
         traj = run_trajectory(st, params(a1=0.05, a2=0.05, d_chi=0.05),
                               ALPHAS, SupplySchedule(), 0.2, 1e-3, 0.02)
-        for fn in RESIDUALS.values():
-            base = fn(traj, TestFunction((2,), 1, 0.2))
-            scaled = fn(traj, TestFunction((2,), 1, 0.2, amplitude=3.0))
+        for eq in FIELDS:
+            base = residual(traj, TestFunction((2,), 1, 0.2), eq)
+            scaled = residual(traj, TestFunction((2,), 1, 0.2, amplitude=3.0), eq)
             assert scaled == pytest.approx(3.0 * base, rel=1e-10)
 
 
@@ -128,14 +147,14 @@ class TestMassBudgetReduction:
         T = traj.horizon
         psi = TestFunction((0,), 1, T)
 
-        residual = residual_c1(traj, psi)
+        res_c1 = residual(traj, psi, "c1")
 
         times = np.array([r.t for r in records])
         mass = np.array([r.mass_c1 for r in records])
         g_t, gp_t = psi.g(times), psi.g_prime(times)
         lhs = -np.trapezoid(mass * gp_t, times) - mass[0]
         kernels = []
-        for s in traj.states:
+        for s in snapshots(traj):
             from regenfv import eval_rate
             switch = (eval_rate(ALPHAS[0], s.chi) * s.c1 / (1 + s.c1)
                       - eval_rate(ALPHAS[1], s.chi) * s.c2 / (1 + s.c2))
@@ -144,8 +163,8 @@ class TestMassBudgetReduction:
         rhs = np.trapezoid(np.array(kernels) * g_t, times)
         budget_defect = abs(lhs - rhs)
 
-        assert residual == pytest.approx(budget_defect, rel=1e-9)
-        assert residual <= 5e-4  # quadrature + scheme error at this resolution
+        assert res_c1 == pytest.approx(budget_defect, rel=1e-9)
+        assert res_c1 <= 5e-4  # quadrature + scheme error at this resolution
 
     def test_jump_supply_term_closed_form(self):
         sched = SupplySchedule(dose_times=(0.25, 0.75), chi0=2.0, mode="jump")
@@ -174,17 +193,14 @@ class TestAnalyticTrajectories:
         st = SimState(0.0, np.array((g.field(0.0), g.field(0.0), g.field(1.0), g.field(0.5))), g)
         traj = run_trajectory(st, p, NO_SWITCH, SupplySchedule(), 0.5, 2e-4, 0.025)
         zero = g.field(0.0)
-        exact_states = tuple(
-            SimState(float(t), np.array((zero.copy(), zero.copy(), g.field(1.0),
-                                         g.field(0.5 * math.exp(-2.0 * t)))), g)
-            for t in traj.times
-        )
-        exact = Trajectory(traj.times, exact_states, p, NO_SWITCH, SupplySchedule())
+        exact_u = np.array([(zero, zero, g.field(1.0), g.field(0.5 * math.exp(-2.0 * t)))
+                            for t in traj.times])
+        exact = Trajectory(traj.times, exact_u, g, p, NO_SWITCH, SupplySchedule())
         for k in (0, 1):
             for m in (1, 2):
                 psi = TestFunction((k,), m, 0.5)
-                quad_err = residual_tau(exact, psi)
-                assert residual_tau(traj, psi) <= 2.0 * quad_err + 1e-6
+                quad_err = residual(exact, psi, "tau")
+                assert residual(traj, psi, "tau") <= 2.0 * quad_err + 1e-6
 
     def test_heat_mode_residual_tracks_quadrature_error(self):
         p = params(a_chi=0.0)
@@ -194,19 +210,17 @@ class TestAnalyticTrajectories:
                                      g.field(1.0 + 0.5 * np.cos(np.pi * x)), g.field(1.0))), g)
         traj = run_trajectory(st, p, NO_SWITCH, SupplySchedule(), 0.2, 1e-4, 0.01)
         zero = g.field(0.0)
-        exact_states = tuple(
-            SimState(float(t), np.array((
-                zero.copy(), zero.copy(),
-                g.field(1.0 + 0.5 * np.cos(np.pi * x) * math.exp(-np.pi**2 * t)),
-                g.field(1.0))), g)
+        exact_u = np.array([
+            (zero, zero, g.field(1.0 + 0.5 * np.cos(np.pi * x) * math.exp(-np.pi**2 * t)),
+             g.field(1.0))
             for t in traj.times
-        )
-        exact = Trajectory(traj.times, exact_states, p, NO_SWITCH, SupplySchedule())
+        ])
+        exact = Trajectory(traj.times, exact_u, g, p, NO_SWITCH, SupplySchedule())
         for k in (0, 1, 2):
             for m in (1, 2):
                 psi = TestFunction((k,), m, 0.2)
-                quad_err = residual_chi(exact, psi)
-                assert residual_chi(traj, psi) <= 2.0 * quad_err + 1e-5
+                quad_err = residual(exact, psi, "chi")
+                assert residual(traj, psi, "chi") <= 2.0 * quad_err + 1e-5
 
     def test_uniform_chi_taxis_terms_cancel_by_parts(self):
         # with chi constant, kappa^2*int(c2 chi S) and int(chi grad c2 . grad S)
@@ -239,8 +253,8 @@ class TestAnalyticTrajectories:
         for k in (0, 1, 2, 3):
             for m in (1, 2):
                 psi = TestFunction((k,), m, 0.4)
-                assert residual_c1(traj, psi) <= 2e-3
-                assert residual_c2(traj, psi) <= 2e-3
+                assert residual(traj, psi, "c1") <= 2e-3
+                assert residual(traj, psi, "c2") <= 2e-3
 
     def test_regularized_terms_enter_when_eps_positive(self):
         # the eps-aware residual on an eps run beats the limit-form residual
@@ -253,12 +267,12 @@ class TestAnalyticTrajectories:
                                      g.field(1.0 + 0.2 * np.cos(np.pi * x)),
                                      g.field(0.4 + 0.1 * np.cos(np.pi * x)))), g)
         traj = run_trajectory(st, p, ALPHAS, SupplySchedule(), 0.3, 1e-4, 0.015)
-        wrong = Trajectory(traj.times, traj.states, p_limit, traj.alphas, traj.schedule)
+        wrong = Trajectory(traj.times, traj.u, traj.grid, p_limit, traj.alphas, traj.schedule)
         psi = TestFunction((0,), 1, 0.3)
-        assert residual_c1(traj, psi) < residual_c1(wrong, psi)
+        assert residual(traj, psi, "c1") < residual(wrong, psi, "c1")
         # the eps grad(tau).grad(psi) term needs a nonconstant spatial mode
         psi1 = TestFunction((1,), 1, 0.3)
-        assert residual_tau(traj, psi1) < residual_tau(wrong, psi1)
+        assert residual(traj, psi1, "tau") < residual(wrong, psi1, "tau")
 
 
 class TestRefinement:
@@ -275,11 +289,11 @@ class TestRefinement:
                                          g.field(0.4 + 0.1 * np.cos(np.pi * x)))), g)
             traj = run_trajectory(st, p, ALPHAS, SupplySchedule(), T, dtm, save)
             psi = TestFunction((1,), 1, T)
-            return {name: fn(traj, psi) for name, fn in RESIDUALS.items()}
+            return {name: residual(traj, psi, name) for name in FIELDS}
 
         coarse = level(32, 2e-4, 0.03)
         fine = level(64, 1e-4, 0.015)
-        for name in RESIDUALS:
+        for name in FIELDS:
             assert fine[name] < coarse[name], name
 
 
@@ -317,7 +331,7 @@ def reference_residuals(traj, psi):
     g, gp = psi.g(t), psi.g_prime(t)
 
     def series(integrand):
-        return np.array([integrate(grid, integrand(s)) for s in traj.states])
+        return np.array([integrate(grid, integrand(s)) for s in snapshots(traj)])
 
     def grad_dot(f):
         return sum(c * gc for c, gc in zip(gradient_components(grid, f), gS))
@@ -394,10 +408,10 @@ def rough_trajectories(draw):
     steps = draw(st.lists(st.floats(0.01, 0.2), min_size=1, max_size=3))
     times = np.concatenate(([0.0], np.cumsum(steps)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    states = []
+    us = []
     for t in times:
         u = rng.uniform(0.0, 2.0, (4, *grid.shape)) * (rng.random((4, *grid.shape)) > 0.1)
-        states.append(SimState(float(t), u, grid))
+        us.append(u)
     coefficient = st.floats(0.01, 2.0)
     eps = draw(st.just(0.0) | st.floats(0.05, 0.5))
     p = params(**{name: draw(coefficient) for name in
@@ -413,7 +427,7 @@ def rough_trajectories(draw):
     schedule = SupplySchedule(dose_times=doses, chi0=draw(st.floats(0.1, 3.0)),
                               mode=draw(st.sampled_from(["pulse", "jump"])),
                               width=draw(st.floats(0.01, 0.5)) * T)
-    return Trajectory(times, tuple(states), p, alphas, schedule)
+    return Trajectory(times, np.array(us), grid, p, alphas, schedule)
 
 
 class TestSnapshotMajorTable:
@@ -428,7 +442,7 @@ class TestSnapshotMajorTable:
         expected = []
         for psi in make_test_functions(traj.grid, traj.horizon, k_max, powers):
             ref = reference_residuals(traj, psi)
-            expected.extend((name, psi.modes, psi.power, ref[name]) for name in RESIDUALS)
+            expected.extend((name, psi.modes, psi.power, ref[name]) for name in FIELDS)
         assert residual_table(traj, k_max=k_max, powers=powers) == expected
 
     @settings(max_examples=40, deadline=None)
@@ -438,8 +452,8 @@ class TestSnapshotMajorTable:
         psi = TestFunction(modes, data.draw(st.sampled_from([1, 2, 3])), traj.horizon,
                            amplitude=data.draw(not_one(0.2, 3.0)))
         ref = reference_residuals(traj, psi)
-        for name, fn in RESIDUALS.items():
-            assert fn(traj, psi) == ref[name], name
+        for name in FIELDS:
+            assert residual(traj, psi, name) == ref[name], name
 
     @settings(max_examples=60, deadline=None)
     @given(grids(), st.data())
