@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .config import RunConfig, echo_text, parse_config
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import ConfigError, DivergenceError, StabilityError, StiffnessError
+from .grid import Grid
 from .oracle import HomogeneousState, rk4_solve
 from .stepping import SimState, run
 from .sweep import SweepConfig, run_sweep
@@ -33,15 +35,25 @@ def _write_diagnostics_csv(path: Path, records: list[DiagnosticsRecord]) -> None
     path.write_text("\n".join(lines) + "\n")
 
 
-def _snapshot_text(state: SimState) -> str:
-    grid = state.grid
-    coords = [c.ravel() for c in grid.coordinate_arrays()]
-    header = ("x,y," if grid.dim == 2 else "x,") + "c1,c2,chi,tau"
-    columns = coords + [row.ravel() for row in state.u]
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+@lru_cache(maxsize=4)
+def _coordinate_text(grid: Grid) -> tuple[str, ...]:
+    """Per cell, its center coordinates as CSV text ('x' or 'x,y')."""
+    return tuple(map(",".join, zip(*(map(repr, c.ravel().tolist()) for c in grid.coordinate_arrays()))))
+
+
+_SNAPSHOT_BLOCK = 4096  # cells per piece of snapshot text
+
+
+def _snapshot_blocks(state: SimState):
+    """The snapshot CSV text in pieces of ``_SNAPSHOT_BLOCK`` cells, so that
+    only one piece's Python lists and strings are alive at a time."""
+    grid, block = state.grid, _SNAPSHOT_BLOCK
+    coords, u = _coordinate_text(grid), state.u.reshape(4, -1)
+    yield ("x,y," if grid.dim == 2 else "x,") + "c1,c2,chi,tau\n"
+    for start in range(0, grid.n_cells, block):
+        values = u[:, start:start + block].tolist()
+        rows = zip(coords[start:start + block], *(map(repr, row) for row in values))
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
@@ -110,7 +122,8 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     snapshot_sink = None
     if cfg.snapshots:
         def snapshot_sink(index: int, state: SimState) -> None:
-            (out / f"snap_{index}.csv").write_text(_snapshot_text(state))
+            with (out / f"snap_{index}.csv").open("w") as fh:
+                fh.writelines(_snapshot_blocks(state))
 
     run(initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl,
         record_sink=record_sink, snapshot_sink=snapshot_sink)

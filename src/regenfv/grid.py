@@ -89,35 +89,34 @@ def _along(sl: slice) -> tuple[tuple, tuple]:
     return (Ellipsis, sl), (Ellipsis, sl, slice(None))
 
 
-_HI, _LO = _along(slice(1, None)), _along(slice(None, -1))
-_MID, _FIRST, _LAST = _along(slice(1, -1)), _along(slice(None, 1)), _along(slice(-1, None))
+_HI, _LO, _MID = _along(slice(1, None)), _along(slice(None, -1)), _along(slice(1, -1))
 
 
-def _face_diffs(f: np.ndarray, back: int, inv_h: float) -> np.ndarray:
-    """Interior-face differences (f_right - f_left)/h along one axis."""
-    out = f[_HI[back]] - f[_LO[back]]
-    out *= inv_h
+# A face array holds along its axis all n + 1 faces of the n cells. Its two
+# boundary faces stay zero: zero flux, and zero gradient between mirrored ghosts.
+def _face_diffs(f: np.ndarray, back: int, inv_h: float, out=None) -> np.ndarray:
+    """Face differences (f_right - f_left)/h along one axis, as a face array;
+    ``out`` may be a face array whose boundary faces are zero."""
+    if out is None:
+        shape = list(f.shape)
+        shape[-1 - back] += 1
+        out = np.zeros(shape)
+    inner = np.subtract(f[_HI[back]], f[_LO[back]], out=out[_MID[back]])
+    inner *= inv_h
     return out
 
 
-def _cell_pairs(faces: np.ndarray, back: int, op) -> np.ndarray:
-    """Per cell, op(right face value, left face value); boundary faces hold zero.
-
-    With ``np.subtract`` this is the zero-boundary-flux cell difference, with
-    ``np.add`` the sum of the two face values.
-    """
-    shape = list(faces.shape)
-    shape[-1 - back] += 1
-    out = np.empty(shape)
-    op(faces[_HI[back]], faces[_LO[back]], out=out[_MID[back]])
-    op(faces[_FIRST[back]], 0.0, out=out[_FIRST[back]])
-    op(0.0, faces[_LAST[back]], out=out[_LAST[back]])
+def _upwind_flux(v: np.ndarray, c: np.ndarray, back: int, out: np.ndarray) -> np.ndarray:
+    """Into the face array ``out``, the flux v * c with c taken from the cell
+    upwind of the face velocity v (a face array)."""
+    inner = v[_MID[back]]
+    np.multiply(inner, np.where(inner > 0, c[_LO[back]], c[_HI[back]]), out=out[_MID[back]])
     return out
 
 
 def _cell_means(faces: np.ndarray, back: int) -> np.ndarray:
-    """Per cell, the mean of its two face values; boundary faces hold zero."""
-    out = _cell_pairs(faces, back, np.add)
+    """Per cell, the mean of its two values in the face array ``faces``."""
+    out = np.add(faces[_HI[back]], faces[_LO[back]])
     out *= 0.5
     return out
 
@@ -127,11 +126,13 @@ def _axes(grid: Grid):
     return ((grid.dim - 1 - axis, 1.0 / h) for axis, h in enumerate(grid.spacing))
 
 
-def _flux_divergence(grid: Grid, face_flux) -> np.ndarray:
-    """Sum over axes of the cell difference of ``face_flux(back, inv_h)``, over h."""
+def _flux_divergence(axis_faces) -> np.ndarray:
+    """Sum over axes of the cell differences of face arrays, over h; with zero
+    boundary faces, the zero-flux divergence. ``axis_faces`` yields
+    (face array, back, 1/h) per axis."""
     out = None
-    for back, inv_h in _axes(grid):
-        term = _cell_pairs(face_flux(back, inv_h), back, np.subtract)
+    for faces, back, inv_h in axis_faces:
+        term = np.subtract(faces[_HI[back]], faces[_LO[back]])
         term *= inv_h
         out = term if out is None else np.add(out, term, out=out)
     return out
@@ -143,7 +144,7 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     Flux form: boundary face gradients are exactly zero, so
     ``integrate(grid, laplacian_neumann(grid, f)) == 0`` to rounding.
     """
-    return _flux_divergence(grid, lambda back, inv_h: _face_diffs(f, back, inv_h))
+    return _flux_divergence((_face_diffs(f, back, inv_h), back, inv_h) for back, inv_h in _axes(grid))
 
 
 def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff) -> np.ndarray:
@@ -157,9 +158,9 @@ def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff) -> np.ndar
     def flux(back, inv_h):
         v = _face_diffs(s, back, inv_h)
         v *= coeff
-        return np.multiply(v, np.where(v > 0, c[_LO[back]], c[_HI[back]]), out=v)
+        return _upwind_flux(v, c, back, out=v)
 
-    return _flux_divergence(grid, flux)
+    return _flux_divergence((flux(back, inv_h), back, inv_h) for back, inv_h in _axes(grid))
 
 
 def gradient_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -175,15 +176,3 @@ def gradient_components(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cellwise gradient vector: per axis, the mean of the two face differences."""
     return tuple(_cell_means(_face_diffs(f, back, inv_h), back) for back, inv_h in _axes(grid))
 
-
-def max_face_speed(grid: Grid, s: np.ndarray, coeff) -> tuple[np.ndarray, ...]:
-    """Per-axis maximum of |coeff * face gradient of s| (advective CFL input).
-
-    Per axis, an array of the row maxima over the leading axes of ``s``
-    (0-d for one field); ``coeff`` as in ``taxis_divergence``.
-    """
-    grid_axes, lead = tuple(range(-grid.dim, 0)), np.shape(s)[: -grid.dim]
-    return tuple(
-        (coeff * np.abs(_face_diffs(s, back, inv_h)).max(grid_axes, keepdims=True)).reshape(lead)
-        for back, inv_h in _axes(grid)
-    )

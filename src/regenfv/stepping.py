@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError, StabilityError
-from .grid import Grid, laplacian_neumann, max_face_speed, taxis_divergence
+from .grid import Grid, _face_diffs, _flux_divergence, _upwind_flux
 from .model import (
     EVENT_TOL,
     ModelParams,
@@ -82,8 +82,8 @@ class StepControl:
     save_every: Optional[float] = None
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
         if not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
         if not 0 < self.cfl_safety <= 1:
@@ -93,30 +93,54 @@ class StepControl:
 
 
 @lru_cache(maxsize=32)
-def _coefficient_columns(p: ModelParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only columns over ``dim`` grid axes: diffusivities (a1, a2, d_chi)
-    for rows (c1, c2, chi) and taxis coefficients (b_tau, b_chi) for rows (c1, c2)."""
-    values = ((p.a1, p.a2, p.d_chi), (p.b_tau, p.b_chi))
-    columns = tuple(np.reshape(v, (-1,) + (1,) * dim) for v in values)
+def _constants(p: ModelParams, grid: Grid):
+    """Per (params, grid): per axis (back, h, 1/h, shape of its face array),
+    ``back`` counting the grid axes after it; the grid axes; read-only columns
+    of the diffusivities (a1, a2, d_chi) and taxis coefficients (b_tau, b_chi);
+    and the explicit diffusion limit h^2 / (2 dim max diffusivity)."""
+    dim = grid.dim
+    axes = tuple((dim - 1 - axis, h, 1.0 / h, (6, *(n + (a == axis) for a, n in enumerate(grid.shape))))
+                 for axis, h in enumerate(grid.spacing))
+    columns = [np.reshape(v, (-1,) + (1,) * dim) for v in ((p.a1, p.a2, p.d_chi), (p.b_tau, p.b_chi))]
     for column in columns:
         column.flags.writeable = False
-    return columns
-
-
-def _stability_bound(state: SimState, p: ModelParams) -> float:
-    """Raw explicit-stability bound: min of diffusion, advection, reaction limits."""
-    grid = state.grid
-    u = state.u
-    bound = math.inf
-
     diff_max = max(p.a1, p.a2, p.d_chi, p.eps)
-    if diff_max > 0:
-        bound = min(bound, min(grid.spacing) ** 2 / (2.0 * grid.dim * diff_max))
+    limit = min(grid.spacing) ** 2 / (2.0 * dim * diff_max) if diff_max > 0 else math.inf
+    return axes, tuple(range(-dim, 0)), *columns, limit
 
-    # Rows (tau, chi) are the signals that c1 and c2 climb.
-    taxis_coeffs = _coefficient_columns(p, grid.dim)[1]
-    for h, speeds in zip(grid.spacing, max_face_speed(grid, u[3:1:-1], taxis_coeffs)):
-        for speed in speeds.tolist():
+
+def _transport_faces(u: np.ndarray, axes, grid_axes, taxis_coeffs) -> tuple[list, list]:
+    """Each face quantity of one step, built once: per axis, a face array
+    (zero boundary faces, as in ``grid``) with rows (taxis flux of c1 up tau,
+    of c2 up chi, face differences of c1, c2, chi, tau), and the row maxima of
+    |v| for the scaled signal face gradient v = (b_tau, b_chi) * grad(tau, chi)
+    that carries those fluxes."""
+    faces, speeds = [], []
+    for back, _, inv_h, shape in axes:
+        f = np.zeros(shape)
+        _face_diffs(u, back, inv_h, out=f[2:])
+        v = f[5:3:-1] * taxis_coeffs
+        _upwind_flux(v, u[:2], back, out=f[:2])
+        faces.append(f)
+        speeds.append(np.abs(v).max(grid_axes).tolist())
+    return faces, speeds
+
+
+class _Bound(float):
+    """A stability bound that keeps the transport faces of the state and params
+    it was computed from, so the step taken under it does not build them again."""
+
+    __slots__ = ("u", "p", "faces")
+
+
+def _stability_bound(state: SimState, p: ModelParams) -> _Bound:
+    """Raw explicit-stability bound: min of diffusion, advection, reaction limits."""
+    axes, grid_axes, _, taxis_coeffs, bound = _constants(p, state.grid)
+    u = state.u
+    faces, speeds = _transport_faces(u, axes, grid_axes, taxis_coeffs)
+    # |v| = b * |grad s| face by face, so max|v| is b * max|grad s| exactly.
+    for (_, h, _, _), row_speeds in zip(axes, speeds):
+        for speed in row_speeds:
             if speed > 0:
                 bound = min(bound, h / speed)
 
@@ -129,9 +153,9 @@ def _stability_bound(state: SimState, p: ModelParams) -> float:
         rate = max(rate, float(p.eps * p.theta * max_c2 ** (p.theta - 1.0)))
     rate = max(rate, float(p.a_chi * (c1 + c2).max()))
     rate = max(rate, float(p.delta * max_c1 + p.mu))
-    if rate > 0:
-        bound = min(bound, 1.0 / rate)
-    return bound
+    out = _Bound(min(bound, 1.0 / rate) if rate > 0 else bound)
+    out.u, out.p, out.faces = u, p, faces
+    return out
 
 
 def stable_dt(state: SimState, p: ModelParams, ctrl: StepControl) -> float:
@@ -181,7 +205,8 @@ def step(
     Raises StabilityError when dt exceeds the raw stability bound and
     DivergenceError (naming field and cell) if a non-finite value appears.
     Jump doses landing in (t, t+dt] are applied after the update.
-    ``stability_bound`` lets the driver reuse its own bound computation.
+    ``stability_bound`` lets the driver reuse its own bound computation (and
+    the faces of a ``_Bound`` computed from this state and ``p``).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -192,14 +217,20 @@ def step(
     grid = state.grid
     u = state.u
     c1, c2, chi, tau = u
-    diffusivities, taxis_coeffs = _coefficient_columns(p, grid.dim)
+    axes, grid_axes, diffusivities, taxis_coeffs, _ = _constants(p, grid)
+    if isinstance(bound, _Bound) and bound.u is u and bound.p is p:
+        faces = bound.faces
+    else:
+        faces = _transport_faces(u, axes, grid_axes, taxis_coeffs)[0]
 
     # c1, c2, chi: forward Euler on diffusion - taxis (c1 up tau, c2 up chi)
-    # + reactions, one operator call each for the stacked rows.
-    lap = laplacian_neumann(grid, u if p.eps > 0 else u[:3])
-    rhs = lap[:3]
+    # + reactions. One divergence of the stacked face rows gives both taxis
+    # terms and the Laplacians of c1, c2, chi (and tau when eps > 0).
+    rows = 6 if p.eps > 0 else 5
+    div = _flux_divergence((f[:rows], back, inv_h) for f, (back, _, inv_h, _) in zip(faces, axes))
+    rhs = div[2:5]
     rhs *= diffusivities
-    rhs[:2] -= taxis_divergence(grid, u[:2], u[3:1:-1], taxis_coeffs)
+    rhs[:2] -= div[:2]
     for row, r in zip(rhs, reaction_rhs(c1, c2, chi, tau, p, *alphas)):  # r1, r2, r3
         row += r
     rhs[2] += eval_supply(schedule, state.t, grid.measure)
@@ -212,7 +243,7 @@ def step(
     np.multiply(tau, np.exp(-(p.mu + p.delta * c1) * dt), out=new[3])
     new[3] += dt * (c2 / (1.0 + c2))
     if p.eps > 0:
-        new[3] += (dt * p.eps) * lap[3]
+        new[3] += (dt * p.eps) * div[5]
 
     t_new = state.t + dt
     # The one finiteness check per step, before clamping can hide a -inf.
@@ -279,9 +310,10 @@ def run(
     saves = 0
     for target, is_save in event_timeline(schedule, ctrl.t_end, ctrl.save_every):
         while state.t < target - EVENT_TOL:
-            bound = _stability_bound(state, p)
+            bound = _stability_bound(state, p)  # it carries the faces that step reuses
             dt = min(_capped_dt(bound, ctrl, state.t), target - state.t)
             state = step(state, p, alphas, schedule, dt, stability_bound=bound)
+            del bound  # free the faces before the next bound or a save
         state = state.replace(t=target)  # land exactly, no drift
         if is_save:
             saves += 1

@@ -1,7 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
+from hypothesis.extra.numpy import arrays
 
-from regenfv import TrajectoryRecorder, diagnostics, parse_config, run
+from regenfv import Grid, SimState, TrajectoryRecorder, diagnostics, parse_config, run
+from regenfv import cli
 from regenfv.cli import load_trajectory, main
 
 BASE = """
@@ -90,6 +95,42 @@ class TestRunCommand:
             assert snap.exists()
             header = snap.read_text().split("\n", 1)[0]
             assert header == "x,c1,c2,chi,tau"
+
+
+def row_wise_snapshot_text(state):
+    """The row-by-row ``repr(float(v))`` snapshot writer that the block writer
+    replaced, kept as the reference for its bytes."""
+    grid = state.grid
+    coords = [c.ravel() for c in grid.coordinate_arrays()]
+    header = ("x,y," if grid.dim == 2 else "x,") + "c1,c2,chi,tau"
+    columns = coords + [row.ravel() for row in state.u]
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# subnormals, the switches to exponent form (1e-5, 1e16), integers and -0.0
+SNAPSHOT_VALUES = hst.one_of(
+    hst.sampled_from([0.0, -0.0, 5e-324, 1.5e-310, 1e-5, 9.99e-5, 1e16, 9.99e15, 3.0, -7.0, 1e300]),
+    hst.integers(-10**6, 10**6).map(float),
+    hst.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestSnapshotWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(hst.data())
+    def test_blocks_equal_row_wise_repr(self, data):
+        cells = tuple(data.draw(hst.lists(hst.integers(3, 9), min_size=1, max_size=2)))
+        grid = Grid(cells, tuple(data.draw(hst.sampled_from([0.3, 1.0, 1.7])) for _ in cells))
+        u = data.draw(arrays(np.float64, (4, *cells), elements=SNAPSHOT_VALUES))
+        state = SimState(0.0, u, grid)
+        expected = row_wise_snapshot_text(state)
+        assert "".join(cli._snapshot_blocks(state)) == expected
+        # pieces that end inside the grid, on its last cell and past it
+        with patch.object(cli, "_SNAPSHOT_BLOCK", data.draw(hst.integers(1, grid.n_cells + 1))):
+            assert "".join(cli._snapshot_blocks(state)) == expected
 
 
 class TestBadInputFiles:

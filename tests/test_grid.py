@@ -13,7 +13,6 @@ from regenfv import (
     laplacian_neumann,
     taxis_divergence,
 )
-from regenfv.grid import max_face_speed
 
 
 class TestGrid:
@@ -211,6 +210,28 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def reference_operators(g, f, c, coeff):
+    """The operators written axis by axis with explicit zero boundary faces:
+    (laplacian, taxis divergence, |grad|^2, gradient components)."""
+    lap = tax = None
+    sq, comps = [], []
+    for axis, h in enumerate(g.spacing):
+        inv_h = 1.0 / h
+        fl, cl = np.moveaxis(f, axis, -1), np.moveaxis(c, axis, -1)  # this axis last
+        pad = lambda faces: np.pad(faces, [(0, 0)] * (faces.ndim - 1) + [(1, 1)])
+        back = lambda cells: np.moveaxis(cells, -1, axis)
+        diffs = (fl[..., 1:] - fl[..., :-1]) * inv_h
+        v = diffs * coeff
+        lap_term = back(np.diff(pad(diffs)) * inv_h)
+        tax_term = back(np.diff(pad(v * np.where(v > 0, cl[..., :-1], cl[..., 1:]))) * inv_h)
+        lap = lap_term if lap is None else lap + lap_term
+        tax = tax_term if tax is None else tax + tax_term
+        for faces, out in ((diffs ** 2, sq), (diffs, comps)):
+            padded = pad(faces)
+            out.append(back((padded[..., 1:] + padded[..., :-1]) * 0.5))
+    return lap, tax, sum(sq), tuple(comps)
+
+
 class TestOperatorProperties:
     @settings(max_examples=60, deadline=None)
     @given(grid_and_fields(), st.floats(0.0, 5.0))
@@ -252,22 +273,27 @@ class TestOperatorProperties:
             assert np.array_equal(flipped[a], sign * flip(comps[a]))
 
     @settings(max_examples=60, deadline=None)
+    @given(grid_and_fields(), st.floats(0.0, 5.0))
+    def test_operators_equal_explicit_face_formulas(self, data, coeff):
+        # bit for bit: each cell sees the same operations in the same order
+        g, f, c = data
+        lap, tax, sq, comps = reference_operators(g, f, c, coeff)
+        assert same_bits(laplacian_neumann(g, f), lap)
+        assert same_bits(taxis_divergence(g, c, f, coeff), tax)
+        assert same_bits(gradient_sq(g, f), sq)
+        for got, ref in zip(gradient_components(g, f), comps, strict=True):
+            assert same_bits(got, ref)
+
+    @settings(max_examples=60, deadline=None)
     @given(grid_and_stacks())
     def test_stacked_fields_equal_single_field_calls(self, data):
         # leading axes pass through: row i of a stacked call is, bit for bit,
-        # the single-field call on row i with coefficient i; max_face_speed
-        # gives per axis an array of row maxima, 0-d for a single field
+        # the single-field call on row i with coefficient i
         g, f, c, coeffs = data
         column = np.array(coeffs).reshape((-1,) + (1,) * g.dim)
         lap = laplacian_neumann(g, f)
         tax = taxis_divergence(g, c, f, column)
-        speeds = max_face_speed(g, f, column)
         assert lap.shape == tax.shape == f.shape
-        assert len(speeds) == g.dim and all(s.shape == (len(coeffs),) for s in speeds)
         for i, coeff in enumerate(coeffs):
             assert same_bits(lap[i], laplacian_neumann(g, f[i]))
             assert same_bits(tax[i], taxis_divergence(g, c[i], f[i], coeff))
-            single = max_face_speed(g, f[i], coeff)
-            assert len(single) == g.dim
-            for s, one in zip(speeds, single):
-                assert same_bits(one, s[i])

@@ -16,6 +16,7 @@ from regenfv import (
     StepControl,
     SupplySchedule,
     TrajectoryRecorder,
+    apply_dose,
     eval_supply,
     integrate,
     laplacian_neumann,
@@ -26,7 +27,7 @@ from regenfv import (
     step,
     taxis_divergence,
 )
-from regenfv.grid import max_face_speed
+from regenfv.stepping import _stability_bound
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
@@ -56,9 +57,10 @@ def reference_bound(state, p):
     diff_max = max(p.a1, p.a2, p.d_chi, p.eps)
     bound = min(bound, min(grid.spacing) ** 2 / (2.0 * grid.dim * diff_max))
     for s_field, coeff in ((state.tau, p.b_tau), (state.chi, p.b_chi)):
-        for axis, speed in enumerate(max_face_speed(grid, s_field, coeff)):
+        for axis, h in enumerate(grid.spacing):
+            speed = coeff * np.max(np.abs(np.diff(s_field, axis=axis) * (1.0 / h)))
             if speed > 0:
-                bound = min(bound, grid.spacing[axis] / speed)
+                bound = min(bound, h / speed)
     c1, c2, tau = state.c1, state.c2, state.tau
     rate = float(np.max(p.beta * (1.0 + 2.0 * c1 + c2 + tau)))
     if p.eps > 0:
@@ -98,6 +100,37 @@ def reference_clamp(fields, cell_volume):
         debts.append(-float(np.sum(arr[neg])) * cell_volume if neg.any() else 0.0)
         clamped.append(np.where(neg, 0.0, arr))
     return clamped, debts
+
+
+def stacked_reference_step(state, p, alphas, schedule, dt):
+    """The step as it was before the fused step, kept here as the reference:
+    one public operator call per operator on the stacked rows, then the
+    clamp and the jump doses. Returns (u, positivity_debt)."""
+    grid, u = state.grid, state.u
+    c1, c2, chi, tau = u
+    column = lambda *v: np.reshape(v, (-1,) + (1,) * grid.dim)
+    lap = laplacian_neumann(grid, u if p.eps > 0 else u[:3])
+    rhs = lap[:3]
+    rhs *= column(p.a1, p.a2, p.d_chi)
+    rhs[:2] -= taxis_divergence(grid, u[:2], u[3:1:-1], column(p.b_tau, p.b_chi))
+    for row, r in zip(rhs, reaction_rhs(c1, c2, chi, tau, p, *alphas)):
+        row += r
+    rhs[2] += eval_supply(schedule, state.t, grid.measure)
+    new = np.empty_like(u)
+    np.multiply(dt, rhs, out=new[:3])
+    new[:3] += u[:3]
+    np.multiply(tau, np.exp(-(p.mu + p.delta * c1) * dt), out=new[3])
+    new[3] += dt * (c2 / (1.0 + c2))
+    if p.eps > 0:
+        new[3] += (dt * p.eps) * lap[3]
+    debt = state.positivity_debt
+    if new.min() < 0:
+        debt = debt + sum(-float(np.sum(row[row < 0])) * grid.cell_volume for row in new)
+        new[new < 0] = 0.0
+    out = SimState(state.t + dt, new, grid, debt)
+    if schedule.mode == "jump" and state.t + 1e-12 < schedule.dose_times[0] <= out.t + 1e-12:
+        out = apply_dose(out, schedule)
+    return out.u, out.positivity_debt
 
 
 @hst.composite
@@ -280,6 +313,61 @@ class TestStackedStep:
         assert out.positivity_debt == 0.25 + (debts[0] + debts[1] + debts[2] + debts[3])
 
 
+class TestStepControl:
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_horizon(self, t_end):
+        # a nan horizon would save at t = nan; an infinite one makes the save
+        # timeline endless
+        with pytest.raises(ValueError, match="t_end must be finite and nonnegative"):
+            StepControl(t_end=t_end, save_every=0.1)
+
+
+class TestFusedStep:
+    @settings(max_examples=150, deadline=None)
+    @given(rough_step_cases())
+    def test_fused_step_equals_stacked_reference_bitwise(self, case):
+        # the same bits whether step computes the bound, reuses the faces the
+        # bound carries (as run does) or gets a plain float bound
+        st, p, alphas, schedule, dt, bound = case
+        carried = _stability_bound(st, p)
+        assert same_bits(float(carried), bound)
+        ref_u, ref_debt = stacked_reference_step(st, p, alphas, schedule, dt)
+        for given_bound in (None, carried, float(carried)):
+            out = step(st, p, alphas, schedule, dt, stability_bound=given_bound)
+            assert out.t == st.t + dt
+            assert same_bits(out.u, ref_u)
+            assert same_bits(out.positivity_debt, ref_debt)
+            assert not np.shares_memory(out.u, st.u)
+
+    def test_bound_from_another_state_or_params_does_not_lend_its_faces(self):
+        g = Grid((7, 5), (1.4, 0.6))
+        x, y = g.coordinate_arrays()
+        a = uniform_state(g, c1=0.5, c2=0.2, chi=1.0, tau=0.5)
+        b = a.replace(u=a.u * (1.0 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)))
+        p, q = params(eps=0.2), params(eps=0.2, b_tau=0.3, b_chi=2.0)
+        dt = 0.5 * _stability_bound(b, p)
+        expected = step(b, p, ALPHAS, SupplySchedule(), dt).u
+        for other in (_stability_bound(a, p), _stability_bound(b, q)):
+            got = step(b, p, ALPHAS, SupplySchedule(), dt, stability_bound=other)
+            assert same_bits(got.u, expected)
+
+    def test_advection_limit_per_axis_and_row(self):
+        # 2D, non-square cells: the limit is min over axes and signal rows of
+        # h / (b * max|face gradient|)
+        g = Grid((6, 4), (1.2, 0.5))
+        x, y = g.coordinate_arrays()
+        tau, chi = 0.5 + 0.3 * x, 1.0 + 2.0 * y * y
+        st = SimState(0.0, np.array((g.field(0.0), g.field(0.0), g.field(chi), g.field(tau))), g)
+        p = params(a1=1e-12, a2=1e-12, d_chi=1e-12, beta=1e-12, a_chi=1e-12,
+                   delta=1e-12, mu=1e-12, b_tau=0.7, b_chi=0.4)
+        speeds = [(h, coeff * np.max(np.abs(np.diff(s_field, axis=axis))) / h)
+                  for s_field, coeff in ((tau, p.b_tau), (chi, p.b_chi))
+                  for axis, h in enumerate(g.spacing)]
+        assert sum(speed == 0 for _, speed in speeds) == 2  # tau is flat in y, chi in x
+        limit = min(h / speed for h, speed in speeds if speed > 0)
+        assert _stability_bound(st, p) == pytest.approx(limit, rel=1e-12)
+
+
 class TestRun:
     def test_zero_horizon_returns_initial_with_one_record(self):
         g = Grid((10,), (1.0,))
@@ -330,24 +418,30 @@ class TestRun:
         assert times == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2], abs=1e-12)
 
     def test_saved_states_are_never_written_afterwards(self):
-        # jump doses on and between save times; each saved state must still
-        # hold, after the run, the values it held when it was handed out
-        g = Grid((12,), (1.0,))
-        x = g.axis_centers(0)
-        st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
-        st = st.replace(u=st.u * (1.0 + 0.3 * np.cos(np.pi * x)))
+        # jump doses on and between save times, in 1D with eps = 0 and on a
+        # non-square 2D grid with eps > 0; each saved state must still hold,
+        # after the run, the values it held when it was handed out, and no
+        # two saved states may share memory
         schedule = SupplySchedule(dose_times=(0.05, 0.07, 0.1, 0.1 + 1e-3), chi0=0.7, mode="jump")
-        recorder, copies = TrajectoryRecorder(), []
+        for g, p in ((Grid((12,), (1.0,)), params()),
+                     (Grid((7, 5), (1.3, 0.7)), params(eps=0.3))):
+            x = g.coordinate_arrays()[0]
+            st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
+            st = st.replace(u=st.u * (1.0 + 0.3 * np.cos(np.pi * x)))
+            recorder, copies = TrajectoryRecorder(), []
 
-        def sink(index, state):
-            recorder(index, state)
-            copies.append(state.u.copy())
+            def sink(index, state):
+                recorder(index, state)
+                copies.append(state.u.copy())
 
-        run(st, params(), ALPHAS, schedule, StepControl(t_end=0.2, dt_max=1e-2, save_every=0.05),
-            snapshot_sink=sink)
-        assert len(recorder.states) == 5
-        for state, copy in zip(recorder.states, copies, strict=True):
-            assert same_bits(state.u, copy)
+            run(st, p, ALPHAS, schedule, StepControl(t_end=0.2, dt_max=1e-2, save_every=0.05),
+                snapshot_sink=sink)
+            assert len(recorder.states) == 5
+            for state, copy in zip(recorder.states, copies, strict=True):
+                assert same_bits(state.u, copy)
+            for i, a in enumerate(recorder.states):
+                for b in recorder.states[i + 1:]:
+                    assert not np.shares_memory(a.u, b.u)
 
     def test_uniform_run_matches_oracle(self):
         p = params(a1=0.05, a2=0.05, d_chi=0.05, a_chi=0.8, beta=1.0,
