@@ -176,19 +176,22 @@ def jump_doses(s: SupplySchedule, t0: float, t1: float) -> list[float]:
 
 
 def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
-    """Instantaneous supply density at time t: chi0/|Omega| inside a pulse window.
+    """Instantaneous supply density at time t: chi0/|Omega| per pulse window
+    [t_k, t_k + width) containing t, so overlapping pulses add up and each
+    pulse delivers chi0 * width.
 
     Jump-mode doses are measures in time handled by apply_dose, so the density
-    is 0 there. The return value never exceeds chi0/|Omega|.
+    is 0 there. The return value is k * chi0/|Omega| with k the number of
+    active windows.
     """
     if s.mode != "pulse" or s.chi0 == 0.0:
         return 0.0
+    active = 0
     for tk in s.dose_times:
-        if tk <= t < tk + s.width:
-            return s.chi0 / domain_measure
         if tk > t:
             break
-    return 0.0
+        active += t < tk + s.width
+    return active * (s.chi0 / domain_measure)
 
 
 def reaction_rhs(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction, alpha2: RateFunction):

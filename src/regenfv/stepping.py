@@ -1,11 +1,23 @@
-"""Explicit time integration of the coupled system with positivity control.
+"""Time integration of the coupled system with positivity control.
 
 The cell equations (c1, c2) and the medium (chi) advance by forward Euler on
-diffusion + upwinded taxis + reactions. The matrix equation (tau) multiplies
-its local linear sink -(mu + delta*c1)*tau by the exact exponential factor and
-treats the production term and the eps-diffusion explicitly; the pure-decay
+upwinded taxis + reactions, plus diffusion as below. The matrix equation
+(tau) multiplies its local linear sink -(mu + delta*c1)*tau by the exact
+exponential factor and treats the production term explicitly; the pure-decay
 scenario then reproduces tau0*exp(-mu t) at every step, while the coupled
 scheme stays first-order overall.
+
+Diffusion (of c1, c2, chi, and of tau when eps > 0) is exact in time on 1D
+grids and explicit on 2D grids. In 1D the step multiplies the interior face
+differences of each row by phi1(dt a L_f), where L_f is the Laplacian of the
+interior faces (zero end faces) and phi1(z) = expm1(z)/z, and then takes the
+same zero-flux divergence as the explicit step: since
+Div phi1(dt a L_f) Grad = phi1(dt a L) L, the diffusion part of the update is
+exp(dt a L) u. The discrete cosine/sine transforms diagonalise L and L_f, so
+the factor is dense but known in closed form. Mass still telescopes, a
+uniform row has zero face differences and so stays untouched, and the step
+needs no diffusion limit, only the advection and reaction limits. In 2D the
+stability bound keeps the diffusion limit h^2 / (2 dim max diffusivity).
 
 Any cell driven below zero by reaction stiffness is clamped to zero and the
 clamped magnitude accumulates in a positivity-debt counter carried by the
@@ -24,6 +36,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, StabilityError
 from .grid import Grid, _face_diffs, _flux_divergence, _upwind_flux
@@ -97,7 +110,8 @@ def _constants(p: ModelParams, grid: Grid):
     """Per (params, grid): per axis (back, h, 1/h, shape of its face array),
     ``back`` counting the grid axes after it; the grid axes; read-only columns
     of the diffusivities (a1, a2, d_chi) and taxis coefficients (b_tau, b_chi);
-    and the explicit diffusion limit h^2 / (2 dim max diffusivity)."""
+    and the diffusion limit: h^2 / (2 dim max diffusivity) in 2D, none (inf)
+    in 1D, where ``step`` advances diffusion exactly in time."""
     dim = grid.dim
     axes = tuple((dim - 1 - axis, h, 1.0 / h, (6, *(n + (a == axis) for a, n in enumerate(grid.shape))))
                  for axis, h in enumerate(grid.spacing))
@@ -105,8 +119,33 @@ def _constants(p: ModelParams, grid: Grid):
     for column in columns:
         column.flags.writeable = False
     diff_max = max(p.a1, p.a2, p.d_chi, p.eps)
-    limit = min(grid.spacing) ** 2 / (2.0 * dim * diff_max) if diff_max > 0 else math.inf
+    limit = min(grid.spacing) ** 2 / (2.0 * dim * diff_max) if dim > 1 else math.inf
     return axes, tuple(range(-dim, 0)), *columns, limit
+
+
+@lru_cache(maxsize=8)
+def _diffusion_factors(n: int, h: float, dt: float, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Read-only stack of the face factors phi1(dt a L_f), one per a in ``coeffs``,
+    for an axis of n cells of width h. L_f, the Laplacian of the n - 1 interior
+    faces with zero end faces, is V diag(lambda) V with
+    V_jk = sqrt(2/n) sin(pi j k / n) and lambda_k = -(2 - 2 cos(pi k / n)) / h^2
+    (computed as -(2 sin(pi k / 2n) / h)^2, free of cancellation), and
+    phi1(z) = expm1(z)/z. Since 2 sin(x) sin(y) = cos(x - y) - cos(x + y), the
+    factor is Toeplitz minus Hankel: P_ij = c_|i-j| - c_(i+j) with
+    c_d = (1/n) sum_k phi1(z_k) cos(pi k d / n), one real FFT of length 2n.
+    That is O(n^2) work per dt, and no BLAS call, so the bits do not depend
+    on threading."""
+    k = np.arange(1, n)
+    z = np.multiply.outer(np.multiply(dt, coeffs), -(2.0 * np.sin((np.pi / (2 * n)) * k) / h) ** 2)
+    phi = np.zeros((len(coeffs), n))
+    phi[:, 1:] = np.expm1(z) / z
+    half = np.fft.rfft(phi, 2 * n).real / n  # c_d for d = 0..n
+    c = np.concatenate((half, half[:, -2:1:-1]), axis=1)  # and c_(2n - d) = c_d up to 2n - 2
+    windows = lambda v: sliding_window_view(v, n - 1, axis=-1)  # windows(v)[i, j] = v[i + j]
+    toeplitz = windows(np.concatenate((c[:, n - 2:0:-1], c[:, :n - 1]), axis=1))[..., ::-1]
+    out = toeplitz - windows(c[:, 2:])
+    out.flags.writeable = False
+    return out
 
 
 def _transport_faces(u: np.ndarray, axes, grid_axes, taxis_coeffs) -> tuple[list, list]:
@@ -128,13 +167,15 @@ def _transport_faces(u: np.ndarray, axes, grid_axes, taxis_coeffs) -> tuple[list
 
 class _Bound(float):
     """A stability bound that keeps the transport faces of the state and params
-    it was computed from, so the step taken under it does not build them again."""
+    it was computed from, so the step taken under it does not build them again.
+    That step takes the faces over (``faces`` becomes None), since in 1D it
+    writes into them."""
 
     __slots__ = ("u", "p", "faces")
 
 
 def _stability_bound(state: SimState, p: ModelParams) -> _Bound:
-    """Raw explicit-stability bound: min of diffusion, advection, reaction limits."""
+    """Raw stability bound: min of the diffusion (2D only), advection and reaction limits."""
     axes, grid_axes, _, taxis_coeffs, bound = _constants(p, state.grid)
     u = state.u
     faces, speeds = _transport_faces(u, axes, grid_axes, taxis_coeffs)
@@ -206,7 +247,8 @@ def step(
     DivergenceError (naming field and cell) if a non-finite value appears.
     Jump doses landing in (t, t+dt] are applied after the update.
     ``stability_bound`` lets the driver reuse its own bound computation (and
-    the faces of a ``_Bound`` computed from this state and ``p``).
+    the faces of a ``_Bound`` computed from this state and ``p``, which the
+    step takes over, so a second step under the same bound builds its own).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -218,15 +260,22 @@ def step(
     u = state.u
     c1, c2, chi, tau = u
     axes, grid_axes, diffusivities, taxis_coeffs, _ = _constants(p, grid)
-    if isinstance(bound, _Bound) and bound.u is u and bound.p is p:
-        faces = bound.faces
+    if isinstance(bound, _Bound) and bound.u is u and bound.p is p and bound.faces is not None:
+        faces, bound.faces = bound.faces, None  # taken over: the 1D factor writes into them
     else:
         faces = _transport_faces(u, axes, grid_axes, taxis_coeffs)[0]
 
     # c1, c2, chi: forward Euler on diffusion - taxis (c1 up tau, c2 up chi)
     # + reactions. One divergence of the stacked face rows gives both taxis
-    # terms and the Laplacians of c1, c2, chi (and tau when eps > 0).
+    # terms and the diffusion terms of c1, c2, chi (and tau when eps > 0).
     rows = 6 if p.eps > 0 else 5
+    if grid.dim == 1:
+        # exact in time: with the face differences times phi1(dt a L_f), the
+        # divergence is phi1(dt a L) L u, so u + dt a div = exp(dt a L) u
+        inner = faces[0][2:rows, 1:-1]
+        factors = _diffusion_factors(grid.cells[0], grid.spacing[0], dt,
+                                     (p.a1, p.a2, p.d_chi, p.eps)[:rows - 2])
+        inner[...] = np.matmul(factors, inner[..., None])[..., 0]
     div = _flux_divergence((f[:rows], back, inv_h) for f, (back, _, inv_h, _) in zip(faces, axes))
     rhs = div[2:5]
     rhs *= diffusivities
@@ -239,7 +288,8 @@ def step(
     new[:3] += u[:3]
 
     # tau: exact exponential factor on the linear sink, explicit production,
-    # explicit eps-diffusion (zero when eps=0, the limit model's pointwise ODE).
+    # eps-diffusion as for the other rows (zero when eps=0, the limit model's
+    # pointwise ODE).
     np.multiply(tau, np.exp(-(p.mu + p.delta * c1) * dt), out=new[3])
     new[3] += dt * (c2 / (1.0 + c2))
     if p.eps > 0:
@@ -313,7 +363,7 @@ def run(
             bound = _stability_bound(state, p)  # it carries the faces that step reuses
             dt = min(_capped_dt(bound, ctrl, state.t), target - state.t)
             state = step(state, p, alphas, schedule, dt, stability_bound=bound)
-            del bound  # free the faces before the next bound or a save
+            del bound  # drop the old state's u before the next bound or a save
         state = state.replace(t=target)  # land exactly, no drift
         if is_save:
             saves += 1

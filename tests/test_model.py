@@ -96,6 +96,11 @@ class TestEvalSupply:
         vals = [eval_supply(s, float(t), 2.0) for t in ts]
         assert all(0.0 <= v <= 3.0 / 2.0 for v in vals)
 
+    def test_overlapping_windows_add(self):
+        s = SupplySchedule(dose_times=(1.0, 1.2, 1.4), chi0=3.0, mode="pulse", width=0.5)
+        assert [eval_supply(s, t, 2.0) for t in (0.9, 1.1, 1.3, 1.45, 1.5, 1.7, 1.9)] == \
+            [0.0, 1.5, 3.0, 4.5, 3.0, 1.5, 0.0]
+
     def test_jump_mode_has_zero_density(self):
         s = SupplySchedule(dose_times=(1.0,), chi0=1.0, mode="jump")
         assert eval_supply(s, 1.0, 1.0) == 0.0

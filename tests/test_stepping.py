@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from regenfv import (
     eval_supply,
     integrate,
     laplacian_neumann,
+    parse_config,
     reaction_rhs,
     rk4_solve,
     run,
@@ -27,7 +30,8 @@ from regenfv import (
     step,
     taxis_divergence,
 )
-from regenfv.stepping import _stability_bound
+from regenfv import stepping
+from regenfv.stepping import FIELDS, _diffusion_factors, _stability_bound
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
@@ -51,11 +55,13 @@ def same_bits(a, b) -> bool:
 
 
 def reference_bound(state, p):
-    """The stability bound written field by field with the public operators."""
+    """The stability bound written field by field with the public operators;
+    the diffusion limit applies on 2D grids only (1D diffusion is exact)."""
     grid = state.grid
     bound = math.inf
-    diff_max = max(p.a1, p.a2, p.d_chi, p.eps)
-    bound = min(bound, min(grid.spacing) ** 2 / (2.0 * grid.dim * diff_max))
+    if grid.dim == 2:
+        diff_max = max(p.a1, p.a2, p.d_chi, p.eps)
+        bound = min(bound, min(grid.spacing) ** 2 / (2.0 * grid.dim * diff_max))
     for s_field, coeff in ((state.tau, p.b_tau), (state.chi, p.b_chi)):
         for axis, h in enumerate(grid.spacing):
             speed = coeff * np.max(np.abs(np.diff(s_field, axis=axis) * (1.0 / h)))
@@ -71,23 +77,45 @@ def reference_bound(state, p):
     return min(bound, 1.0 / rate) if rate > 0 else bound
 
 
+def exact_1d_laplacian(grid, f, factor):
+    """On a 1D grid, the zero-flux divergence of ``factor`` times the interior
+    face differences of f (row by row for stacked rows and factors). With the
+    step's face factor phi1(dt a L_f) this is (exp(dt a L) - 1) f / (dt a)."""
+    inv_h = 1.0 / grid.spacing[0]
+    faces = np.zeros(f.shape[:-1] + (f.shape[-1] + 1,))
+    faces[..., 1:-1] = np.matmul(factor, (np.diff(f) * inv_h)[..., None])[..., 0]
+    return np.diff(faces) * inv_h
+
+
+def diffusion_operator(grid, p, dt):
+    """The step's diffusion operator of row(s) i (c1, c2, chi, tau) applied to f:
+    the public laplacian_neumann on 2D grids; on 1D grids exact_1d_laplacian with
+    the step's face factor of that row."""
+    if grid.dim == 2:
+        return lambda i, f: laplacian_neumann(grid, f)
+    coeffs = (p.a1, p.a2, p.d_chi, p.eps)[:4 if p.eps > 0 else 3]
+    factors = _diffusion_factors(grid.cells[0], grid.spacing[0], dt, coeffs)
+    return lambda i, f: exact_1d_laplacian(grid, f, factors[i])
+
+
 def reference_update(state, p, alphas, schedule, dt):
-    """The explicit update written field by field (one operator call per field),
-    before clamping and dosing: [c1, c2, chi, tau]."""
+    """The update written field by field (one operator call per field), before
+    clamping and dosing: [c1, c2, chi, tau]."""
     grid = state.grid
+    lap = diffusion_operator(grid, p, dt)
     c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
     r1, r2, r3, _ = reaction_rhs(c1, c2, chi, tau, p, *alphas)
     new_c1 = c1 + dt * (
-        p.a1 * laplacian_neumann(grid, c1) - taxis_divergence(grid, c1, tau, p.b_tau) + r1
+        p.a1 * lap(0, c1) - taxis_divergence(grid, c1, tau, p.b_tau) + r1
     )
     new_c2 = c2 + dt * (
-        p.a2 * laplacian_neumann(grid, c2) - taxis_divergence(grid, c2, chi, p.b_chi) + r2
+        p.a2 * lap(1, c2) - taxis_divergence(grid, c2, chi, p.b_chi) + r2
     )
     supply = eval_supply(schedule, state.t, grid.measure)
-    new_chi = chi + dt * (p.d_chi * laplacian_neumann(grid, chi) + r3 + supply)
+    new_chi = chi + dt * (p.d_chi * lap(2, chi) + r3 + supply)
     new_tau = tau * np.exp(-(p.mu + p.delta * c1) * dt) + dt * (c2 / (1.0 + c2))
     if p.eps > 0:
-        new_tau = new_tau + dt * p.eps * laplacian_neumann(grid, tau)
+        new_tau = new_tau + dt * p.eps * lap(3, tau)
     return [new_c1, new_c2, new_chi, new_tau]
 
 
@@ -104,12 +132,14 @@ def reference_clamp(fields, cell_volume):
 
 def stacked_reference_step(state, p, alphas, schedule, dt):
     """The step as it was before the fused step, kept here as the reference:
-    one public operator call per operator on the stacked rows, then the
-    clamp and the jump doses. Returns (u, positivity_debt)."""
+    one operator call per operator on the stacked rows (on 1D grids the
+    diffusion operator applies the step's face factors), then the clamp and
+    the jump doses. Returns (u, positivity_debt)."""
     grid, u = state.grid, state.u
     c1, c2, chi, tau = u
     column = lambda *v: np.reshape(v, (-1,) + (1,) * grid.dim)
-    lap = laplacian_neumann(grid, u if p.eps > 0 else u[:3])
+    rows = slice(0, 4 if p.eps > 0 else 3)
+    lap = diffusion_operator(grid, p, dt)(rows, u[rows])
     rhs = lap[:3]
     rhs *= column(p.a1, p.a2, p.d_chi)
     rhs[:2] -= taxis_divergence(grid, u[:2], u[3:1:-1], column(p.b_tau, p.b_chi))
@@ -166,13 +196,24 @@ def rough_step_cases(draw):
 
 class TestStableDt:
     def test_pure_diffusion_limit(self):
-        # only a1 large: h^2/(2*d*a1) with h=0.1, d=1 -> 0.005
-        g = Grid((10,), (1.0,))
+        # 2D keeps explicit diffusion. Only a1 large: h^2/(2*d*a1) with
+        # h=0.1, d=2 -> 0.0025
+        g = Grid((10, 10), (1.0, 1.0))
         p = params(a1=1.0, a2=1e-12, d_chi=1e-12, beta=1e-12, a_chi=1e-12,
                    delta=1e-12, mu=1e-12, b_tau=1e-12, b_chi=1e-12)
         st = uniform_state(g)
         ctrl = StepControl(t_end=1.0, dt_max=math.inf, cfl_safety=1.0)
-        assert stable_dt(st, p, ctrl) == pytest.approx(0.005, rel=1e-9)
+        assert stable_dt(st, p, ctrl) == pytest.approx(0.0025, rel=1e-9)
+
+    def test_reaction_limit_binds_in_1d(self):
+        # 1D diffusion is exact in time, so no diffusion limit: with a1 large
+        # the reaction limit 1/(delta*max c1 + mu) = 1/0.5 binds
+        g = Grid((10,), (1.0,))
+        p = params(a1=1.0, a2=1e-12, d_chi=1e-12, beta=1e-12, a_chi=1e-12,
+                   delta=1e-12, mu=0.5, b_tau=1e-12, b_chi=1e-12)
+        st = uniform_state(g)
+        ctrl = StepControl(t_end=1.0, dt_max=math.inf, cfl_safety=1.0)
+        assert stable_dt(st, p, ctrl) == pytest.approx(2.0, rel=1e-9)
 
     def test_dt_max_binds_on_quiet_state(self):
         g = Grid((10,), (1.0,))
@@ -332,7 +373,9 @@ class TestFusedStep:
         carried = _stability_bound(st, p)
         assert same_bits(float(carried), bound)
         ref_u, ref_debt = stacked_reference_step(st, p, alphas, schedule, dt)
-        for given_bound in (None, carried, float(carried)):
+        # step takes over the faces a bound carries: reusing the bound must
+        # not apply the 1D face factor twice
+        for given_bound in (None, carried, carried, float(carried)):
             out = step(st, p, alphas, schedule, dt, stability_bound=given_bound)
             assert out.t == st.t + dt
             assert same_bits(out.u, ref_u)
@@ -366,6 +409,90 @@ class TestFusedStep:
         assert sum(speed == 0 for _, speed in speeds) == 2  # tau is flat in y, chi in x
         limit = min(h / speed for h, speed in speeds if speed > 0)
         assert _stability_bound(st, p) == pytest.approx(limit, rel=1e-12)
+
+
+@hst.composite
+def diffusion_cases(draw):
+    """A 1D state with O(1) rows, some of them uniform, on 3-257 cells of a
+    domain of length other than 1; random diffusivities with eps = 0 or > 0;
+    transport and reactions made negligible (tiny taxis coefficients and sink
+    rates, no proliferation, switching or uptake); dt log-uniform in
+    [1e-13, 10], capped at the stability bound (the eps-damping of the cell
+    equations sets it when eps > 0)."""
+    n = draw(hst.integers(3, 257))
+    grid = Grid((n,), (draw(hst.sampled_from([0.2, 0.75, 1.5, 4.0])),))
+    rows = []
+    for lo in (0.0, 0.0, 0.01, 0.01):
+        if draw(hst.booleans()):
+            rows.append(np.full(n, draw(hst.floats(lo, 2.0))))
+        else:
+            rows.append(np.random.default_rng(draw(hst.integers(0, 2**32 - 1))).uniform(lo, 2.0, n))
+    state = SimState(0.0, np.array(rows), grid)
+    positive = hst.floats(0.01, 2.0)
+    p = ModelParams(a1=draw(positive), a2=draw(positive), b_tau=1e-30, b_chi=1e-30,
+                    d_chi=draw(positive), a_chi=0.0, beta=0.0, delta=1e-30, mu=1e-30,
+                    eps=draw(hst.sampled_from([0.0, 0.01, 0.3, 0.9])))
+    dt = min(10.0 ** draw(hst.floats(-13.0, 1.0)), reference_bound(state, p))
+    return state, p, dt
+
+
+def dense_exp_laplacian(grid, a, dt, f):
+    """exp(dt a L) f for the 1D Neumann Laplacian L, assembled column by column
+    from laplacian_neumann and exponentiated through np.linalg.eigh. eigh finds
+    the zero eigenvalue of L only to about 2^-52 |L|, which exp would turn into
+    an error dt a 2^-52 |L| on the mean; L has zero column sums, so the mean is
+    carried exactly and only f - mean goes through the eigenbasis."""
+    n = grid.cells[0]
+    lap = np.stack([laplacian_neumann(grid, e) for e in np.eye(n)], axis=1)
+    w, q = np.linalg.eigh(lap)
+    mean = np.mean(f)
+    return mean + (q * np.exp(dt * a * w)) @ (q.T @ (f - mean))
+
+
+def face_factor_stiffness(grid, a, dt):
+    """z_max phi1(z_1), with z_k = dt a |lambda_k| for the smallest and largest
+    face eigenvalues: the ratio by which the flux form amplifies rounding. The
+    face product P (Grad u) is exact only to 2^-52 |P| |Grad u|, where |P| ~
+    phi1(z_1), and the divergence scales that error by dt a |lambda_max|."""
+    n, h = grid.cells[0], grid.spacing[0]
+    z_1, z_max = (dt * a * (2.0 * math.sin(math.pi * k / (2 * n)) / h) ** 2 for k in (1, n - 1))
+    return z_max * -math.expm1(-z_1) / z_1
+
+
+class TestExactDiffusion1D:
+    @settings(max_examples=60, deadline=None)
+    @given(diffusion_cases())
+    def test_step_equals_dense_matrix_exponential(self, case):
+        st, p, dt = case
+        grid, u = st.grid, st.u
+        out = step(st, p, NO_SWITCH, SupplySchedule(), dt)
+        r1, r2, _, _ = reaction_rhs(*u, p, *NO_SWITCH)  # the eps-damping when eps > 0
+        c1, c2, chi, tau = (dense_exp_laplacian(grid, a, dt, row) if a > 0 else row
+                            for a, row in zip((p.a1, p.a2, p.d_chi, p.eps), u))
+        tau = tau + dt * (u[1] / (1.0 + u[1]))  # production; the sink factor is exp(-1e-29 dt) = 1
+        expected = np.maximum(np.array((c1 + dt * r1, c2 + dt * r2, chi, tau)), 0.0)  # clamp
+        # Against an exact long-double DCT solution, the step erred by under
+        # 1e-15 on O(1) rows of up to 64 cells with dt a |lambda_max| <= 4
+        # (four times the explicit limit); stiffer, the flux form loses up to
+        # 0.7 * 2^-52 |u| (1 + stiffness), 1.1e-12 at 257 cells. The dense
+        # reference itself errs by up to 5e-14 at 257 cells.
+        stiffness = max(face_factor_stiffness(grid, a, dt) for a in (p.a1, p.a2, p.d_chi, p.eps) if a > 0)
+        scale = max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(out.u - expected)) <= 2.0**-52 * scale * (256 + 8 * stiffness)
+
+        explicit = stacked_reference_step(st, p, NO_SWITCH, SupplySchedule(), dt)[0]
+        for name, row, new, ref in zip(FIELDS, u, out.u, explicit):
+            if np.ptp(row) == 0.0:  # zero face differences: no diffusion, bit for bit
+                assert same_bits(new, ref), name
+        pure = [2] + ([0, 1] if p.eps == 0 else [])  # rows whose only term is diffusion
+        for i in pure:  # the divergence telescopes: mass moves at rounding only
+            drift = abs(np.sum(out.u[i]) - np.sum(u[i]))
+            assert drift <= 2.0**-52 * grid.cells[0] * 16 * np.max(u[i]), FIELDS[i]
+
+    def test_factor_is_cached_per_dt_and_read_only(self):
+        factors = _diffusion_factors(16, 0.25, 1e-3, (0.1, 0.2, 0.3))
+        assert factors.shape == (3, 15, 15) and not factors.flags.writeable
+        assert _diffusion_factors(16, 0.25, 1e-3, (0.1, 0.2, 0.3)) is factors
 
 
 class TestRun:
@@ -465,6 +592,38 @@ class TestRun:
                     StepControl(t_end=0.2, dt_max=7e-3, save_every=0.1))
         gain = integrate(g, final.chi) - 0.5
         assert gain == pytest.approx(1.0 * 0.03, abs=1e-14)
+
+    def test_overlapping_pulses_add_their_doses(self):
+        # criterion 9's budget with pulse windows [0.2, 0.25) and [0.22, 0.27)
+        # overlapping: each pulse delivers chi0 * width, so the medium gains
+        # 2 * 0.05 (one density for both windows would give 0.07), in the PDE
+        # run and in the oracle alike
+        p = params(a_chi=0.0, d_chi=0.2)
+        g = Grid((32,), (1.0,))
+        sched = SupplySchedule(dose_times=(0.2, 0.22), chi0=1.0, mode="pulse", width=0.05)
+        st = uniform_state(g, c1=0.3, c2=0.1, chi=0.7, tau=0.4)
+        final = run(st, p, ALPHAS, sched, StepControl(t_end=1.0, dt_max=2e-3, save_every=0.25))
+        gain = integrate(g, final.chi) - integrate(g, st.chi)
+        assert abs(gain - 2 * 0.05) <= 1e-12
+        oracle = rk4_solve(HomogeneousState(0.0, 0.3, 0.1, 0.7, 0.4), p, ALPHAS, sched,
+                           dt=1e-3, t_end=1.0).final
+        assert abs(oracle.chi - 0.7 - 2 * 0.05) <= 1e-12
+
+    def test_threeweek_protocol_takes_800_steps_over_4_days(self, monkeypatch):
+        # 32 cells, dt_max = 0.005: with exact 1D diffusion dt_max binds, so
+        # 4 days take 800 steps (3 280 under the explicit diffusion limit)
+        cfg = parse_config((Path(__file__).resolve().parents[1] / "configs/threeweek_dosing.cfg").read_text())
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(stepping, "step", counted)
+        final = run(cfg.build_initial(), cfg.params, cfg.alphas, cfg.schedule,
+                    replace(cfg.ctrl, t_end=4.0))
+        assert final.t == 4.0 and len(calls) == 800 and max(calls) == 0.005
+        assert final.positivity_debt == 0.0
 
     def test_nonnegativity_and_debt_on_taxis_run(self):
         rng = np.random.default_rng(9)
