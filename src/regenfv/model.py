@@ -175,6 +175,12 @@ def jump_doses(s: SupplySchedule, t0: float, t1: float) -> list[float]:
     return [td for td in s.dose_times if t0 + EVENT_TOL < td <= t1 + EVENT_TOL]
 
 
+def dose_density(s: SupplySchedule, domain_measure: float) -> float:
+    """chi0/|Omega|: the rise of chi at a jump dose, and the supply density of
+    one active pulse, so that each dose adds exactly chi0 of medium mass."""
+    return s.chi0 / domain_measure
+
+
 def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
     """Instantaneous supply density at time t: chi0/|Omega| per pulse window
     [t_k, t_k + width) containing t, so overlapping pulses add up and each
@@ -191,7 +197,7 @@ def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
         if tk > t:
             break
         active += t < tk + s.width
-    return active * (s.chi0 / domain_measure)
+    return active * dose_density(s, domain_measure)
 
 
 def reaction_rhs(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction, alpha2: RateFunction):
@@ -202,17 +208,31 @@ def reaction_rhs(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction, alpha2:
     phenotype switching conserves total cell mass pointwise. Arguments must
     lie in the nonnegative orthant; callers validate their data at entry.
     """
+    r1, r2, r3 = cell_medium_reactions(c1, c2, chi, tau, p, alpha1, alpha2,
+                                       p.eps if p.eps > 0.0 else None)
+    r4 = -p.delta * c1 * tau - p.mu * tau + c2 / (1.0 + c2)
+    return r1, r2, r3, r4
+
+
+def cell_medium_reactions(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction,
+                          alpha2: RateFunction, eps):
+    """r1, r2, r3 of ``reaction_rhs``: the reactions of the two cell equations
+    and the medium, which the stepper adds to their transport. ``eps`` is the
+    strength of the damping -eps*c^theta, None for the limit model; a column
+    such as ``(m, 1, ...)`` damps each leading row of c1 and c2 with its own
+    value, so one call serves every member of a sweep. The tau equation's
+    reaction is not computed: the stepper treats its sink exactly.
+    """
     a1v = eval_rate(alpha1, chi)
     a2v = eval_rate(alpha2, chi)
     switch = a1v * c1 / (1.0 + c1) - a2v * c2 / (1.0 + c2)
     r1 = -switch + p.beta * c1 * (1.0 - c1 - c2 - tau)
     r2 = switch
-    if p.eps > 0.0:
-        r1 = r1 - p.eps * c1**p.theta
-        r2 = r2 - p.eps * c2**p.theta
+    if eps is not None:
+        r1 = r1 - eps * c1**p.theta
+        r2 = r2 - eps * c2**p.theta
     r3 = -p.a_chi * (c1 + c2) * chi
-    r4 = -p.delta * c1 * tau - p.mu * tau + c2 / (1.0 + c2)
-    return r1, r2, r3, r4
+    return r1, r2, r3
 
 
 def apply_dose(state, s: SupplySchedule):
@@ -224,5 +244,5 @@ def apply_dose(state, s: SupplySchedule):
     if s.mode != "jump":
         raise ValueError("apply_dose is only meaningful in jump mode")
     u = state.u.copy()
-    u[2] += s.chi0 / state.grid.measure
+    u[2] += dose_density(s, state.grid.measure)
     return state.replace(u=u)

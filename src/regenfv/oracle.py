@@ -21,6 +21,7 @@ from .model import (
     ModelParams,
     RateFunction,
     SupplySchedule,
+    dose_density,
     eval_supply,
     event_timeline,
     jump_doses,
@@ -79,7 +80,9 @@ def rk4_solve(
 
     alpha1, alpha2 = alphas
 
-    def rhs(t, c1, c2, chi, tau):
+    supply = 0.0  # the supply density of the current inter-event interval
+
+    def rhs(c1, c2, chi, tau):
         # Stage extrapolations may dip infinitesimally negative; the model is
         # defined on the nonnegative orthant, so clip stage inputs.
         c1 = c1 if c1 > 0 else 0.0
@@ -87,9 +90,9 @@ def rk4_solve(
         chi = chi if chi > 0 else 0.0
         tau = tau if tau > 0 else 0.0
         r1, r2, r3, r4 = reaction_rhs(c1, c2, chi, tau, p, alpha1, alpha2)
-        return r1, r2, r3 + eval_supply(schedule, t, domain_measure), r4
+        return r1, r2, r3 + supply, r4
 
-    increment = schedule.chi0 / domain_measure
+    increment = dose_density(schedule, domain_measure)
     tol = 1e-12 * max(1.0, t_end)
 
     times = [0.0]
@@ -98,14 +101,17 @@ def rk4_solve(
     t, c1, c2, chi, tau = 0.0, y0.c1, y0.c2, y0.chi, y0.tau
     for event, is_save in event_timeline(schedule, t_end, save_every):
         t_prev = t
+        # Pulse edges are events, so the supply is constant between two of
+        # them: evaluated once, mid-interval, no stage sees the next interval's.
+        supply = eval_supply(schedule, 0.5 * (t + event), domain_measure)
         while t < event - tol:
             h = min(dt, event - t)
-            k1 = rhs(t, c1, c2, chi, tau)
-            k2 = rhs(t + 0.5 * h, c1 + 0.5 * h * k1[0], c2 + 0.5 * h * k1[1],
+            k1 = rhs(c1, c2, chi, tau)
+            k2 = rhs(c1 + 0.5 * h * k1[0], c2 + 0.5 * h * k1[1],
                      chi + 0.5 * h * k1[2], tau + 0.5 * h * k1[3])
-            k3 = rhs(t + 0.5 * h, c1 + 0.5 * h * k2[0], c2 + 0.5 * h * k2[1],
+            k3 = rhs(c1 + 0.5 * h * k2[0], c2 + 0.5 * h * k2[1],
                      chi + 0.5 * h * k2[2], tau + 0.5 * h * k2[3])
-            k4 = rhs(t + h, c1 + h * k3[0], c2 + h * k3[1],
+            k4 = rhs(c1 + h * k3[0], c2 + h * k3[1],
                      chi + h * k3[2], tau + h * k3[3])
             w = h / 6.0
             c1 += w * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])

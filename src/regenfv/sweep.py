@@ -6,6 +6,16 @@ c1, chi, tau; the L^{5/4}-in-time W^{1,5/4}-in-space norm for c2, matching the
 solution classes the limit object lives in) plus the size of the artificial
 terms eps*int int c^theta and eps*int int |grad tau|^2/tau per member, which
 must shrink as eps does.
+
+``run_sweep`` steps all members together, as one ``(m, 4, *shape)`` member
+stack with one shared dt, through the driver that ``run`` uses. Where dt_max
+binds every member, as on ``configs/default_1d.cfg``, each member equals its
+own run bit for bit. Where the members' limits differ (in 2D the diffusion
+limit falls as eps grows; in any dimension the advection and reaction limits
+depend on each member's eps and state), all take the smallest member dt, so
+each member's trajectory is the run it would make with that dt as its
+dt_max. Errors name the member's eps. Each ``Trajectory`` holds a contiguous
+slice of one ``(m, n_t, 4, *shape)`` array.
 """
 
 from __future__ import annotations
@@ -17,9 +27,9 @@ import numpy as np
 
 from .diagnostics import fisher_integrand
 from .grid import Grid, gradient_components
-from .model import ModelParams, RateFunction, SupplySchedule
-from .stepping import FIELDS, SimState, StepControl, run
-from .weakform import Trajectory, TrajectoryRecorder
+from .model import ModelParams, RateFunction, SupplySchedule, event_timeline
+from .stepping import FIELDS, SimState, StepControl, _march
+from .weakform import Trajectory
 
 
 @dataclass(frozen=True)
@@ -118,24 +128,20 @@ def artificial_terms(traj: Trajectory) -> tuple[float, float, float]:
     return p.eps * float(s1), p.eps * float(s2), p.eps * float(s3)
 
 
-def run_member(cfg: SweepConfig, eps: float) -> Trajectory:
-    """One sweep member: the base problem with the given regularization strength."""
-    params = dc_replace(cfg.params, eps=eps)
-    recorder = TrajectoryRecorder()
-    run(
-        cfg.initial,
-        params,
-        cfg.alphas,
-        cfg.schedule,
-        cfg.ctrl,
-        snapshot_sink=recorder,
-    )
-    return recorder.trajectory(params, cfg.alphas, cfg.schedule)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Run every member and assemble distances and artificial-term sizes."""
-    trajectories = [run_member(cfg, eps) for eps in cfg.eps_list]
+    """Step every member in one batch and assemble distances and artificial-term sizes."""
+    members = tuple(dc_replace(cfg.params, eps=eps) for eps in cfg.eps_list)
+    events = event_timeline(cfg.schedule, cfg.ctrl.t_end, cfg.ctrl.save_every)
+    n_t = 1 + sum(is_save for _, is_save in events)
+    times, u = np.empty(n_t), np.empty((len(members), n_t, 4, *cfg.initial.grid.shape))
+
+    def save(index: int, t: float, stack: np.ndarray, debts: list[float]) -> None:
+        times[index] = t
+        u[:, index] = stack
+
+    _march(cfg.initial, members, cfg.alphas, cfg.schedule, cfg.ctrl, save, named=True)
+    trajectories = [Trajectory(times, member_u, cfg.initial.grid, params, cfg.alphas, cfg.schedule)
+                    for member_u, params in zip(u, members)]
     entries = []
     for j, (eps, traj) in enumerate(zip(cfg.eps_list, trajectories)):
         art = artificial_terms(traj)

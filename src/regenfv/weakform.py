@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Grid, gradient_components, integrate
-from .model import ModelParams, RateFunction, SupplySchedule, eval_rate
+from .model import ModelParams, RateFunction, SupplySchedule, dose_density, eval_rate
 from .stepping import SimState
 
 
@@ -247,7 +247,7 @@ def _supply_term(traj: Trajectory, psi: TestFunction) -> float:
     if sched.chi0 == 0.0 or not sched.dose_times:
         return 0.0
     s_int = integrate(grid, psi.spatial(grid))
-    amplitude, total = sched.chi0 / grid.measure, 0.0
+    amplitude, total = dose_density(sched, grid.measure), 0.0
     for td in sched.dose_times:
         if sched.mode == "pulse":
             total += amplitude * s_int * psi.g_integral(td, td + sched.width)

@@ -13,6 +13,7 @@ from regenfv import (
     event_timeline,
     reaction_rhs,
 )
+from regenfv.model import cell_medium_reactions
 
 
 def default_params(**overrides):
@@ -203,6 +204,23 @@ class TestReactionRhs:
             scal = reaction_rhs(c1[i], c2[i], chi[i], tau[i], p, *self.alphas)
             for v, s in zip(vec, scal):
                 assert v[i] == pytest.approx(s, rel=1e-15)
+
+    def test_eps_column_damps_each_member_bitwise(self):
+        # one call with an (m, 1) eps column gives, row by row, the r1..r3 of
+        # reaction_rhs at each member's eps
+        alphas = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
+        rng = np.random.default_rng(8)
+        c1, c2, chi, tau = rng.uniform(0, 2, size=(4, 3, 17))
+        eps = (0.5, 0.25, 0.0625)
+        p = default_params(eps=eps[0], theta=3.3)
+        stacked = cell_medium_reactions(c1, c2, chi, tau, p, *alphas, np.reshape(eps, (3, 1)))
+        for j, e in enumerate(eps):
+            member = reaction_rhs(c1[j], c2[j], chi[j], tau[j], default_params(eps=e, theta=3.3), *alphas)
+            for got, want in zip(stacked, member[:3], strict=True):
+                assert np.array_equal(got[j], want)
+        limit = cell_medium_reactions(c1, c2, chi, tau, p, *alphas, None)
+        for got, want in zip(limit, reaction_rhs(c1, c2, chi, tau, default_params(), *alphas)):
+            assert np.array_equal(got, want)
 
 
 class TestApplyDose:

@@ -81,6 +81,21 @@ class TestRk4:
         # density gain = amplitude * width = (1/|Omega|) * 0.1 on |Omega| = 1
         assert traj.final.chi == pytest.approx(0.1, abs=1e-12)
 
+    def test_supply_starts_exactly_at_the_pulse_edge(self):
+        # the supply is constant between events: the substep that lands on
+        # the pulse start must not see the pulse (its last RK4 stage did,
+        # adding 1.67e-3 to chi by t = 0.25 at dt = 1e-2), and mid-pulse chi
+        # has gained exactly chi0 * elapsed (no uptake, no cells)
+        s = SupplySchedule(dose_times=(0.25,), chi0=1.0, mode="pulse", width=0.1)
+        p = params(a_chi=0.0)
+        y0 = HomogeneousState(0.0, 0.0, 0.0, 0.3, 0.1)
+        for dt in (1e-2, 1e-3):
+            traj = rk4_solve(y0, p, NO_SWITCH, s, dt=dt, t_end=0.4, save_every=0.05)
+            none = rk4_solve(y0, p, NO_SWITCH, SupplySchedule(), dt=dt, t_end=0.4, save_every=0.05)
+            assert traj.times[5] == 0.25
+            assert traj.values[5, 2] == none.values[5, 2] == 0.3
+            assert traj.values[6, 2] == pytest.approx(0.3 + 0.05, abs=1e-15)  # t = 0.3
+
     def test_stiffness_error_advises_smaller_dt(self):
         p = params(beta=10.0)
         y0 = HomogeneousState(0.0, 2.0, 0.0, 0.0, 0.0)

@@ -17,6 +17,7 @@ from regenfv import (
     StabilityError,
     StepControl,
     SupplySchedule,
+    SweepConfig,
     TrajectoryRecorder,
     apply_dose,
     eval_supply,
@@ -26,6 +27,7 @@ from regenfv import (
     reaction_rhs,
     rk4_solve,
     run,
+    run_sweep,
     stable_dt,
     step,
     taxis_divergence,
@@ -367,15 +369,14 @@ class TestFusedStep:
     @settings(max_examples=150, deadline=None)
     @given(rough_step_cases())
     def test_fused_step_equals_stacked_reference_bitwise(self, case):
-        # the same bits whether step computes the bound, reuses the faces the
-        # bound carries (as run does) or gets a plain float bound
+        # the same bits whether step computes the bound or is given it, and
+        # when one state is stepped twice (the 1D face factor writes into the
+        # faces of its own step only)
         st, p, alphas, schedule, dt, bound = case
-        carried = _stability_bound(st, p)
-        assert same_bits(float(carried), bound)
+        computed = _stability_bound(st, p)
+        assert same_bits(computed, bound)
         ref_u, ref_debt = stacked_reference_step(st, p, alphas, schedule, dt)
-        # step takes over the faces a bound carries: reusing the bound must
-        # not apply the 1D face factor twice
-        for given_bound in (None, carried, carried, float(carried)):
+        for given_bound in (None, computed, computed):
             out = step(st, p, alphas, schedule, dt, stability_bound=given_bound)
             assert out.t == st.t + dt
             assert same_bits(out.u, ref_u)
@@ -561,14 +562,25 @@ class TestRun:
                 recorder(index, state)
                 copies.append(state.u.copy())
 
-            run(st, p, ALPHAS, schedule, StepControl(t_end=0.2, dt_max=1e-2, save_every=0.05),
-                snapshot_sink=sink)
+            ctrl = StepControl(t_end=0.2, dt_max=1e-2, save_every=0.05)
+            run(st, p, ALPHAS, schedule, ctrl, snapshot_sink=sink)
             assert len(recorder.states) == 5
             for state, copy in zip(recorder.states, copies, strict=True):
                 assert same_bits(state.u, copy)
-            for i, a in enumerate(recorder.states):
-                for b in recorder.states[i + 1:]:
-                    assert not np.shares_memory(a.u, b.u)
+            saved = [state.u for state in recorder.states]
+            # the sweep (eps > 0; dt_max, or in 2D the diffusion limit of the
+            # a's, binds every member alike): each member's trajectory holds
+            # what that member's run handed out, and no two share memory
+            eps_list = (0.4, 0.2)
+            sweep = run_sweep(SweepConfig(eps_list, p, ALPHAS, schedule, st, ctrl))
+            for eps, traj in zip(eps_list, sweep.trajectories):
+                copies.clear()
+                run(st, replace(p, eps=eps), ALPHAS, schedule, ctrl, snapshot_sink=sink)
+                assert same_bits(traj.u, np.array(copies))
+                saved.append(traj.u)
+            for i, a in enumerate(saved):
+                for b in saved[i + 1:]:
+                    assert not np.shares_memory(a, b)
 
     def test_uniform_run_matches_oracle(self):
         p = params(a1=0.05, a2=0.05, d_chi=0.05, a_chi=0.8, beta=1.0,
@@ -614,12 +626,13 @@ class TestRun:
         # 4 days take 800 steps (3 280 under the explicit diffusion limit)
         cfg = parse_config((Path(__file__).resolve().parents[1] / "configs/threeweek_dosing.cfg").read_text())
         calls = []
+        advance = stepping._advance
 
         def counted(*args, **kwargs):
-            calls.append(args[4])
-            return step(*args, **kwargs)
+            calls.append(args[6])  # dt
+            return advance(*args, **kwargs)
 
-        monkeypatch.setattr(stepping, "step", counted)
+        monkeypatch.setattr(stepping, "_advance", counted)
         final = run(cfg.build_initial(), cfg.params, cfg.alphas, cfg.schedule,
                     replace(cfg.ctrl, t_end=4.0))
         assert final.t == 4.0 and len(calls) == 800 and max(calls) == 0.005

@@ -1,23 +1,30 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regenfv import (
+    DivergenceError,
     Grid,
     ModelParams,
     RateFunction,
     SimState,
+    StabilityError,
     StepControl,
     SupplySchedule,
     SweepConfig,
     compare_to_limit,
     integrate,
     laplacian_neumann,
+    parse_config,
     run,
     run_sweep,
+    stable_dt,
 )
+from regenfv import stepping
 from regenfv.diagnostics import fisher_integrand
 from regenfv.grid import gradient_components
 from regenfv.stepping import FIELDS
@@ -176,10 +183,9 @@ class TestCompareToLimit:
         cfg = make_config((0.3, 0.15), t_end=0.05, n=24)
         a, b = run_sweep(cfg), run_sweep(cfg)
         assert a.csv_text() == b.csv_text()
-        for ta, tb in zip(a.trajectories, b.trajectories):
-            for sa, sb in zip(ta.u, tb.u):
-                assert np.array_equal(sa[0], sb[0])
-                assert np.array_equal(sa[3], sb[3])
+        for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
+            assert np.array_equal(ta.times, tb.times)
+            assert np.array_equal(ta.u, tb.u)
 
 
 # The distances and artificial terms as they were computed before trajectories
@@ -243,3 +249,107 @@ class TestStackedContractions:
         assert pair_distances(a, b) == per_snapshot_distances(a, b)
         assert artificial_terms(a) == per_snapshot_artificial_terms(a)
         assert artificial_terms(b) == per_snapshot_artificial_terms(b)
+
+
+@st.composite
+def batched_sweeps(draw):
+    """A sweep of 1 to 5 members (decreasing eps, repeats allowed) on 3 to 80
+    cells of rough data, with one pulse or jump dose inside the horizon.
+    Taxis and reactions are mild enough that dt_max binds every step of every
+    member: with data in [0, 1] each advection limit is at least
+    h^2 / max(b) >= 1.5e-3 and each reaction limit at least 0.1, against
+    dt_max = 5e-4 over 0.01 time units."""
+    n = draw(st.integers(3, 80))
+    g = Grid((n,), (1.0,))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.0, 1.0, (4, n)) * (rng.random((4, n)) > 0.3)
+    u[2:] += 0.01  # chi, tau > 0
+    eps_list = tuple(sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5)), reverse=True))
+    p = params(b_tau=draw(st.floats(0.01, 0.1)), b_chi=draw(st.floats(0.01, 0.1)),
+               theta=draw(st.floats(2.5, 4.0)))
+    dose = draw(st.floats(0.001, 0.009))
+    if draw(st.booleans()):
+        schedule = SupplySchedule((dose,), chi0=draw(st.floats(0.0, 2.0)), mode="pulse",
+                                  width=draw(st.floats(1e-4, 0.02)))
+    else:
+        schedule = SupplySchedule((dose,), chi0=draw(st.floats(0.0, 2.0)), mode="jump")
+    ctrl = StepControl(t_end=0.01, dt_max=5e-4, cfl_safety=1.0, save_every=draw(st.sampled_from([None, 0.0025])))
+    return SweepConfig(eps_list, p, ALPHAS, schedule, SimState(0.0, u, g), ctrl)
+
+
+class TestBatchedSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(batched_sweeps())
+    def test_each_member_equals_its_one_member_sweep_bitwise(self, cfg):
+        batched = run_sweep(cfg)
+        for eps, traj in zip(cfg.eps_list, batched.trajectories, strict=True):
+            (alone,) = run_sweep(replace(cfg, eps_list=(eps,))).trajectories
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.u, alone.u)
+            assert traj.u.flags.c_contiguous
+
+    def test_2d_members_share_the_smallest_dt(self):
+        # in 2D the diffusion limit h^2 / (2 dim max(a1, a2, d_chi, eps)) falls
+        # as eps grows past the other diffusivities, and it binds here (taxis
+        # and reactions are slow): every member steps with the largest-eps
+        # member's capped dt, so each equals its own run under that dt_max
+        g = Grid((6, 5), (1.2, 0.8))
+        x, y = g.coordinate_arrays()
+        wave = np.cos(np.pi * x / 1.2) * np.cos(np.pi * y / 0.8)
+        u = np.array((0.3 + 0.1 * wave, 0.05 + 0.02 * wave, 1.0 + 0.1 * wave, 0.4 + 0.05 * wave))
+        p = params(a1=0.01, a2=0.01, d_chi=0.01, b_tau=0.01, b_chi=0.01)
+        initial = SimState(0.0, u, g)
+        ctrl = StepControl(t_end=0.05, dt_max=1.0, cfl_safety=0.5, save_every=0.01)
+        eps_list = (0.5, 0.3, 0.1)
+        capped = [stable_dt(initial, replace(p, eps=eps), ctrl) for eps in eps_list]
+        assert capped[0] == pytest.approx(0.5 * (0.16**2) / (2 * 2 * 0.5), rel=1e-12)  # h_y = 0.16
+        assert capped[0] < capped[1] < capped[2]
+        batched = run_sweep(SweepConfig(eps_list, p, ALPHAS, SupplySchedule(), initial, ctrl))
+        shared = replace(ctrl, dt_max=capped[0])
+        for eps, traj in zip(eps_list, batched.trajectories, strict=True):
+            rec = TrajectoryRecorder()
+            run(initial, replace(p, eps=eps), ALPHAS, SupplySchedule(), shared, snapshot_sink=rec)
+            alone = rec.trajectory(replace(p, eps=eps), ALPHAS, SupplySchedule())
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.u, alone.u)
+        # alone under its own dt_max, the smallest-eps member takes longer steps
+        rec = TrajectoryRecorder()
+        run(initial, replace(p, eps=eps_list[-1]), ALPHAS, SupplySchedule(), ctrl, snapshot_sink=rec)
+        assert not np.array_equal(rec.trajectory(p, ALPHAS, SupplySchedule()).u, batched.trajectories[-1].u)
+
+    def test_eps_sweep_shape_takes_750_core_calls(self, monkeypatch):
+        # the default 1D problem on 64 cells to t_end 0.075 (pulse at 0.05):
+        # dt_max = 1e-4 binds, so the 4 members take 750 shared steps (3 000
+        # steps when each member ran alone)
+        cfg = parse_config((Path(__file__).resolve().parents[1] / "configs/default_1d.cfg").read_text())
+        calls = []
+        advance = stepping._advance
+
+        def counted(*args, **kwargs):
+            calls.append((args[1].shape, args[6]))  # (member stack shape, dt)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(stepping, "_advance", counted)
+        report = run_sweep(SweepConfig(
+            (0.5, 0.25, 0.125, 0.0625), cfg.params, cfg.alphas,
+            replace(cfg.schedule, dose_times=(0.05,), width=0.025), cfg.build_initial(),
+            replace(cfg.ctrl, t_end=0.075)))
+        assert len(calls) == 750
+        assert {shape for shape, _ in calls} == {(4, 4, 64)}
+        assert max(dt for _, dt in calls) == 1e-4
+        assert [traj.times[-1] for traj in report.trajectories] == [0.075] * 4
+
+    def test_errors_name_the_member(self):
+        # c1 ~ 1e250 with theta = 2.1: the damping rate eps*theta*c1^1.1 is
+        # finite, so the step is taken, but eps*c1^2.1 overflows
+        cfg = make_config((0.5, 0.25), t_end=0.05, n=24)
+        u = cfg.initial.u.copy()
+        u[0] *= 1e250
+        with pytest.raises(DivergenceError, match=r"non-finite c1 at cell \(\d+,\) \(t=[^)]*\) \(sweep member eps=0\.5\)$"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_sweep(replace(cfg, params=params(theta=2.1), initial=cfg.initial.replace(u=u)))
+        # c1 ~ 1e120 with theta = 4: the damping rate overflows, so no dt is left
+        u[0] *= 1e-130
+        with pytest.raises(StabilityError, match=r"^no finite positive timestep .*\(sweep member eps=0\.5\)$"):
+            with np.errstate(over="ignore"):
+                run_sweep(replace(cfg, initial=cfg.initial.replace(u=u)))
