@@ -13,7 +13,7 @@ limit model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -97,14 +97,19 @@ class RateFunction:
         return self.amplitude
 
 
+def _bind_rate(f: RateFunction, maximum: Callable) -> Callable:
+    """``f`` as a function of z alone, its constants resolved once; ``maximum``
+    floors the saturating form: ``max`` for float z, ``np.maximum`` for arrays."""
+    amplitude = f.amplitude
+    if f.kind == "constant":
+        return lambda z: amplitude
+    half_saturation, floor = f.half_saturation, f.floor
+    return lambda z: maximum(amplitude * z / (half_saturation + z), floor)
+
+
 def eval_rate(f: RateFunction, z):
     """Evaluate a rate function at z >= 0 (scalar or array); result in (0, amplitude]."""
-    if f.kind == "constant":
-        return f.amplitude
-    value = f.amplitude * z / (f.half_saturation + z)
-    if isinstance(value, float):
-        return max(value, f.floor)
-    return np.maximum(value, f.floor)
+    return _bind_rate(f, np.maximum if isinstance(z, np.ndarray) else max)(z)
 
 
 @dataclass(frozen=True)
@@ -200,39 +205,54 @@ def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
     return active * dose_density(s, domain_measure)
 
 
+def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, eps=None,
+                   arrays: bool = False, matrix: bool = True, clip: bool = False) -> Callable:
+    """The reaction terms as one function ``reactions(c1, c2, chi, tau)`` of the
+    state, with the coefficients of ``p`` and both rates resolved here, once:
+    the one place each term is written.
+
+    It returns (r1, r2, r3, r4), or (r1, r2, r3) when ``matrix`` is False (the
+    stepper treats the tau equation's sink exactly); the medium supply is added
+    separately. The alpha-exchange terms in r1 and r2 are exact negatives of
+    each other, so phenotype switching conserves total cell mass pointwise.
+    ``eps`` is the strength of the damping -eps*c^theta, None for the limit
+    model; a column such as ``(m, 1, ...)`` damps each leading row of c1 and c2
+    with its own value, so one call serves every member of a sweep.
+    ``arrays`` selects array arguments, else floats. The state must lie in the
+    nonnegative orthant; with ``clip`` (floats only) a float argument that is
+    not positive reads as 0.0, as the oracle's RK4 stage extrapolations may
+    dip infinitesimally below zero.
+    """
+    rate1, rate2 = (_bind_rate(f, np.maximum if arrays else max) for f in (alpha1, alpha2))
+    beta, theta, a_chi, delta, mu = p.beta, p.theta, p.a_chi, p.delta, p.mu
+
+    def reactions(c1, c2, chi, tau):
+        if clip:
+            c1 = c1 if c1 > 0 else 0.0
+            c2 = c2 if c2 > 0 else 0.0
+            chi = chi if chi > 0 else 0.0
+            tau = tau if tau > 0 else 0.0
+        switch = rate1(chi) * c1 / (1.0 + c1) - rate2(chi) * c2 / (1.0 + c2)
+        r1 = -switch + beta * c1 * (1.0 - c1 - c2 - tau)
+        r2 = switch
+        if eps is not None:
+            r1 = r1 - eps * c1**theta
+            r2 = r2 - eps * c2**theta
+        r3 = -a_chi * (c1 + c2) * chi
+        if not matrix:
+            return r1, r2, r3
+        return r1, r2, r3, -delta * c1 * tau - mu * tau + c2 / (1.0 + c2)
+
+    return reactions
+
+
 def reaction_rhs(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction, alpha2: RateFunction):
-    """Non-transport right-hand sides of the four equations at one state.
-
-    Returns (r1, r2, r3, r4); the medium supply is added separately. The
-    alpha-exchange terms in r1 and r2 are exact negatives of each other, so
-    phenotype switching conserves total cell mass pointwise. Arguments must
-    lie in the nonnegative orthant; callers validate their data at entry.
-    """
-    r1, r2, r3 = cell_medium_reactions(c1, c2, chi, tau, p, alpha1, alpha2,
-                                       p.eps if p.eps > 0.0 else None)
-    r4 = -p.delta * c1 * tau - p.mu * tau + c2 / (1.0 + c2)
-    return r1, r2, r3, r4
-
-
-def cell_medium_reactions(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction,
-                          alpha2: RateFunction, eps):
-    """r1, r2, r3 of ``reaction_rhs``: the reactions of the two cell equations
-    and the medium, which the stepper adds to their transport. ``eps`` is the
-    strength of the damping -eps*c^theta, None for the limit model; a column
-    such as ``(m, 1, ...)`` damps each leading row of c1 and c2 with its own
-    value, so one call serves every member of a sweep. The tau equation's
-    reaction is not computed: the stepper treats its sink exactly.
-    """
-    a1v = eval_rate(alpha1, chi)
-    a2v = eval_rate(alpha2, chi)
-    switch = a1v * c1 / (1.0 + c1) - a2v * c2 / (1.0 + c2)
-    r1 = -switch + p.beta * c1 * (1.0 - c1 - c2 - tau)
-    r2 = switch
-    if eps is not None:
-        r1 = r1 - eps * c1**p.theta
-        r2 = r2 - eps * c2**p.theta
-    r3 = -p.a_chi * (c1 + c2) * chi
-    return r1, r2, r3
+    """Non-transport right-hand sides (r1, r2, r3, r4) of the four equations at
+    one state, floats or arrays: ``bind_reactions`` at ``p.eps``, bound for
+    one call. Arguments must lie in the nonnegative orthant; callers validate
+    their data at entry."""
+    arrays = any(isinstance(v, np.ndarray) for v in (c1, c2, chi, tau))
+    return bind_reactions(p, alpha1, alpha2, p.eps if p.eps > 0.0 else None, arrays)(c1, c2, chi, tau)
 
 
 def apply_dose(state, s: SupplySchedule):

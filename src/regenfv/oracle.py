@@ -12,6 +12,7 @@ value bit-reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,17 +22,17 @@ from .model import (
     ModelParams,
     RateFunction,
     SupplySchedule,
+    bind_reactions,
     dose_density,
     eval_supply,
     event_timeline,
     jump_doses,
-    reaction_rhs,
 )
 
 
 @dataclass(frozen=True)
 class HomogeneousState:
-    """Uniform-in-space state: time plus the four nonnegative concentrations."""
+    """Uniform-in-space state: time plus the four finite nonnegative concentrations."""
 
     t: float
     c1: float
@@ -40,8 +41,8 @@ class HomogeneousState:
     tau: float
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.chi, self.tau) < 0:
-            raise ValueError("homogeneous state components must be nonnegative")
+        if not all(0 <= v < math.inf for v in (self.c1, self.c2, self.chi, self.tau)):
+            raise ValueError("homogeneous state components must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -73,25 +74,21 @@ def rk4_solve(
     saves fall on exact multiples of it. Jump doses are applied between
     steps, before a save at the same instant, so saved rows are right limits.
     A component below -1e-10 after a step raises StiffnessError (advice:
-    reduce dt), smaller undershoots are clipped to zero.
+    reduce dt), smaller undershoots are clipped to zero. A dt, t_end or
+    domain_measure that is not finite and in range, or a save_every that is
+    not positive, raises ValueError.
     """
-    if dt <= 0 or t_end < 0:
-        raise ValueError("dt must be positive and t_end nonnegative")
+    if not (0 < dt < math.inf and 0 <= t_end < math.inf and 0 < domain_measure < math.inf):
+        raise ValueError("dt and domain_measure must be finite and positive, t_end finite and nonnegative")
+    if save_every is not None and not save_every > 0:
+        raise ValueError("save_every must be positive")
 
-    alpha1, alpha2 = alphas
-
-    supply = 0.0  # the supply density of the current inter-event interval
-
-    def rhs(c1, c2, chi, tau):
-        # Stage extrapolations may dip infinitesimally negative; the model is
-        # defined on the nonnegative orthant, so clip stage inputs.
-        c1 = c1 if c1 > 0 else 0.0
-        c2 = c2 if c2 > 0 else 0.0
-        chi = chi if chi > 0 else 0.0
-        tau = tau if tau > 0 else 0.0
-        r1, r2, r3, r4 = reaction_rhs(c1, c2, chi, tau, p, alpha1, alpha2)
-        return r1, r2, r3 + supply, r4
-
+    # The stage function, bound once: the reaction terms with every coefficient
+    # resolved, one call per RK4 stage. Stage extrapolations may dip
+    # infinitesimally negative; the model is defined on the nonnegative
+    # orthant, so it clips its inputs. The supply density of the current
+    # inter-event interval is added to each stage's chi rate.
+    rates = bind_reactions(p, *alphas, p.eps if p.eps > 0.0 else None, clip=True)
     increment = dose_density(schedule, domain_measure)
     tol = 1e-12 * max(1.0, t_end)
 
@@ -104,30 +101,37 @@ def rk4_solve(
         # Pulse edges are events, so the supply is constant between two of
         # them: evaluated once, mid-interval, no stage sees the next interval's.
         supply = eval_supply(schedule, 0.5 * (t + event), domain_measure)
-        while t < event - tol:
-            h = min(dt, event - t)
-            k1 = rhs(c1, c2, chi, tau)
-            k2 = rhs(c1 + 0.5 * h * k1[0], c2 + 0.5 * h * k1[1],
-                     chi + 0.5 * h * k1[2], tau + 0.5 * h * k1[3])
-            k3 = rhs(c1 + 0.5 * h * k2[0], c2 + 0.5 * h * k2[1],
-                     chi + 0.5 * h * k2[2], tau + 0.5 * h * k2[3])
-            k4 = rhs(c1 + h * k3[0], c2 + h * k3[1],
-                     chi + h * k3[2], tau + h * k3[3])
+        end = event - tol
+        while t < end:
+            h = event - t  # min(dt, event - t), without a call per step
+            if not h < dt:
+                h = dt
+            hh = 0.5 * h  # exact: c + 0.5 * h * k evaluates (0.5 * h) * k
+            # stage i gives the rates (ai, bi, xi, yi) of (c1, c2, chi, tau)
+            a1, b1, x1, y1 = rates(c1, c2, chi, tau)
+            x1 += supply
+            a2, b2, x2, y2 = rates(c1 + hh * a1, c2 + hh * b1, chi + hh * x1, tau + hh * y1)
+            x2 += supply
+            a3, b3, x3, y3 = rates(c1 + hh * a2, c2 + hh * b2, chi + hh * x2, tau + hh * y2)
+            x3 += supply
+            a4, b4, x4, y4 = rates(c1 + h * a3, c2 + h * b3, chi + h * x3, tau + h * y3)
+            x4 += supply
             w = h / 6.0
-            c1 += w * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            c2 += w * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            chi += w * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-            tau += w * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+            c1 += w * (a1 + 2.0 * (a2 + a3) + a4)
+            c2 += w * (b1 + 2.0 * (b2 + b3) + b4)
+            chi += w * (x1 + 2.0 * (x2 + x3) + x4)
+            tau += w * (y1 + 2.0 * (y2 + y3) + y4)
             t += h
 
-            low = min(c1, c2, chi, tau)
-            if low < -1e-10:
-                raise StiffnessError(
-                    f"component fell to {low:g} at t={t:g}; reduce the oracle dt"
-                )
-            if low < 0.0:
-                c1, c2 = max(c1, 0.0), max(c2, 0.0)
-                chi, tau = max(chi, 0.0), max(tau, 0.0)
+            if c1 < 0.0 or c2 < 0.0 or chi < 0.0 or tau < 0.0:  # rare: no min call per step
+                low = min(c1, c2, chi, tau)
+                if low < -1e-10:
+                    raise StiffnessError(
+                        f"component fell to {low:g} at t={t:g}; reduce the oracle dt"
+                    )
+                if low < 0.0:
+                    c1, c2 = max(c1, 0.0), max(c2, 0.0)
+                    chi, tau = max(chi, 0.0), max(tau, 0.0)
         t = event
         for _ in jump_doses(schedule, t_prev, event):
             chi += increment

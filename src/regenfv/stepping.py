@@ -61,7 +61,7 @@ from .model import (
     ModelParams,
     RateFunction,
     SupplySchedule,
-    cell_medium_reactions,
+    bind_reactions,
     dose_density,
     eval_supply,
     event_timeline,
@@ -295,13 +295,15 @@ def _nonfinite(u: np.ndarray) -> Optional[str]:
 
 
 def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
-             alphas: tuple[RateFunction, RateFunction], schedule: SupplySchedule, dt: float,
+             reactions: Callable, schedule: SupplySchedule, dt: float,
              faces: list, bounds: list[float]) -> tuple[np.ndarray, list[float]]:
     """The step core: advance the ``(m, 4, *shape)`` member stack u from t by
     the shared dt and return the new stack and the members' positivity debts.
 
-    ``faces`` are u's transport faces (the 1D factor writes into them) and
-    ``bounds`` the members' raw stability bounds, each checked against dt.
+    ``reactions`` gives r1, r2, r3 of the stack (``bind_reactions`` with the
+    batch's eps column, bound once per run), ``faces`` are u's transport faces
+    (the 1D factor writes into them) and ``bounds`` the members' raw stability
+    bounds, each checked against dt.
     Raises StabilityError, and
     DivergenceError naming the field and cell, as ``step`` documents; each
     error names the member by its tag.
@@ -326,7 +328,7 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     rhs = div[:, 2:5]
     rhs *= batch.diffusivities
     rhs[:, :2] -= div[:, :2]
-    for row, r in zip(rhs.swapaxes(0, 1), cell_medium_reactions(c1, c2, chi, tau, p, *alphas, batch.eps_column)):
+    for row, r in zip(rhs.swapaxes(0, 1), reactions(c1, c2, chi, tau)):
         row += r
     rhs[:, 2] += eval_supply(schedule, t, grid.measure)
     # allocated after the temporaries, so it sits above them on the heap:
@@ -383,7 +385,8 @@ def step(
     faces, bounds = _faces_and_bounds(u, batch)
     if stability_bound is not None:
         bounds = [stability_bound]
-    new, (debt,) = _advance(state.t, u, [state.positivity_debt], batch, alphas, schedule, dt, faces, bounds)
+    reactions = bind_reactions(batch.p, *alphas, batch.eps_column, arrays=True, matrix=False)
+    new, (debt,) = _advance(state.t, u, [state.positivity_debt], batch, reactions, schedule, dt, faces, bounds)
     # a copy, so the state owns its u and its rows are views of it
     return SimState(state.t + dt, new[0].copy(), state.grid, debt)
 
@@ -425,6 +428,7 @@ def _march(
     """
     validate_initial_state(initial, members[0])
     batch = _batch(members, initial.grid, named)
+    reactions = bind_reactions(batch.p, *alphas, batch.eps_column, arrays=True, matrix=False)
     t, u = 0.0, np.broadcast_to(initial.u, (len(members), *initial.u.shape))  # read-only, no copy
     debts = [initial.positivity_debt] * len(members)
     emit(0, t, u, debts)
@@ -435,7 +439,7 @@ def _march(
             dt = target - t
             for bound, tag in zip(bounds, batch.tags):
                 dt = min(_capped_dt(bound, ctrl, t, tag), dt)
-            new, debts = _advance(t, u, debts, batch, alphas, schedule, dt, faces, bounds)
+            new, debts = _advance(t, u, debts, batch, reactions, schedule, dt, faces, bounds)
             del faces  # freed before the next step builds its own
             t, u = t + dt, new
         t = target  # land exactly, no drift

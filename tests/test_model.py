@@ -13,7 +13,7 @@ from regenfv import (
     event_timeline,
     reaction_rhs,
 )
-from regenfv.model import cell_medium_reactions
+from regenfv.model import bind_reactions
 
 
 def default_params(**overrides):
@@ -213,12 +213,12 @@ class TestReactionRhs:
         c1, c2, chi, tau = rng.uniform(0, 2, size=(4, 3, 17))
         eps = (0.5, 0.25, 0.0625)
         p = default_params(eps=eps[0], theta=3.3)
-        stacked = cell_medium_reactions(c1, c2, chi, tau, p, *alphas, np.reshape(eps, (3, 1)))
+        stacked = bind_reactions(p, *alphas, np.reshape(eps, (3, 1)), arrays=True, matrix=False)(c1, c2, chi, tau)
         for j, e in enumerate(eps):
             member = reaction_rhs(c1[j], c2[j], chi[j], tau[j], default_params(eps=e, theta=3.3), *alphas)
             for got, want in zip(stacked, member[:3], strict=True):
                 assert np.array_equal(got[j], want)
-        limit = cell_medium_reactions(c1, c2, chi, tau, p, *alphas, None)
+        limit = bind_reactions(p, *alphas, None, arrays=True, matrix=False)(c1, c2, chi, tau)
         for got, want in zip(limit, reaction_rhs(c1, c2, chi, tau, default_params(), *alphas)):
             assert np.array_equal(got, want)
 

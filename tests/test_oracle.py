@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from regenfv import (
     Grid,
@@ -16,6 +17,8 @@ from regenfv import (
     rk4_solve,
     run,
 )
+from regenfv import model
+from regenfv.oracle import OracleTrajectory
 
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
@@ -141,3 +144,159 @@ class TestAgreementWithRun:
         for (t, *pde), ode in zip(rows, ref.values):
             gap = max(abs(a - b) / abs(b) for a, b in zip(pde, ode))
             assert gap <= 5e-3, (t, pde, ode.tolist())
+
+
+def reference_rk4(y0, p, alphas, schedule, dt, t_end, domain_measure=1.0, save_every=None):
+    """The RK4 loop as it was before the reaction terms were bound once per
+    solve, verbatim: a stage closure that clips its inputs and calls
+    ``model.reaction_rhs``, and stages indexed as ``k1[0]``."""
+    alpha1, alpha2 = alphas
+
+    supply = 0.0
+
+    def rhs(c1, c2, chi, tau):
+        c1 = c1 if c1 > 0 else 0.0
+        c2 = c2 if c2 > 0 else 0.0
+        chi = chi if chi > 0 else 0.0
+        tau = tau if tau > 0 else 0.0
+        r1, r2, r3, r4 = model.reaction_rhs(c1, c2, chi, tau, p, alpha1, alpha2)
+        return r1, r2, r3 + supply, r4
+
+    increment = model.dose_density(schedule, domain_measure)
+    tol = 1e-12 * max(1.0, t_end)
+
+    times = [0.0]
+    values = [(y0.c1, y0.c2, y0.chi, y0.tau)]
+
+    t, c1, c2, chi, tau = 0.0, y0.c1, y0.c2, y0.chi, y0.tau
+    for event, is_save in model.event_timeline(schedule, t_end, save_every):
+        t_prev = t
+        supply = model.eval_supply(schedule, 0.5 * (t + event), domain_measure)
+        while t < event - tol:
+            h = min(dt, event - t)
+            k1 = rhs(c1, c2, chi, tau)
+            k2 = rhs(c1 + 0.5 * h * k1[0], c2 + 0.5 * h * k1[1],
+                     chi + 0.5 * h * k1[2], tau + 0.5 * h * k1[3])
+            k3 = rhs(c1 + 0.5 * h * k2[0], c2 + 0.5 * h * k2[1],
+                     chi + 0.5 * h * k2[2], tau + 0.5 * h * k2[3])
+            k4 = rhs(c1 + h * k3[0], c2 + h * k3[1],
+                     chi + h * k3[2], tau + h * k3[3])
+            w = h / 6.0
+            c1 += w * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+            c2 += w * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+            chi += w * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+            tau += w * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+            t += h
+
+            low = min(c1, c2, chi, tau)
+            if low < -1e-10:
+                raise StiffnessError(
+                    f"component fell to {low:g} at t={t:g}; reduce the oracle dt"
+                )
+            if low < 0.0:
+                c1, c2 = max(c1, 0.0), max(c2, 0.0)
+                chi, tau = max(chi, 0.0), max(tau, 0.0)
+        t = event
+        for _ in model.jump_doses(schedule, t_prev, event):
+            chi += increment
+        if is_save:
+            times.append(t)
+            values.append((c1, c2, chi, tau))
+    return OracleTrajectory(np.asarray(times), np.asarray(values))
+
+
+# components: ordinary values, exact zeros (the saturating rate's floor at
+# chi = 0) and subnormals, where (0.5 * h) * k and 0.5 * (h * k) can round apart
+components = st.one_of(st.floats(0.0, 2.0), st.just(0.0), st.floats(0.0, 2.2e-308))
+
+
+@st.composite
+def rates(draw):
+    amplitude = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    if draw(st.booleans()):
+        return RateFunction("constant", amplitude)
+    return RateFunction("saturating", amplitude, draw(st.floats(0.01, 2.0)))
+
+
+@st.composite
+def oracle_cases(draw):
+    """Random problems for the bound RK4 loop: parameters (eps in (0, 1) with
+    theta, or the limit model), both rate kinds, pulse and jump schedules
+    (pulses may overlap), save cadences, and decay rates up to 40 against
+    steps up to 0.2, so stage extrapolations fall below zero and are clipped."""
+    coeff = lambda: draw(st.floats(0.05, 40.0))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.999)))
+    p = ModelParams(a1=1.0, a2=1.0, b_tau=1.0, b_chi=1.0, d_chi=1.0,
+                    a_chi=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+                    beta=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+                    delta=coeff(), mu=coeff(), eps=eps, theta=draw(st.floats(2.1, 6.0)))
+    t_end = draw(st.floats(0.0, 1.5))
+    doses = sorted(set(draw(st.lists(st.floats(0.01, 1.5), max_size=4))))
+    if draw(st.booleans()):
+        schedule = SupplySchedule(tuple(doses), draw(st.floats(0.0, 3.0)), "jump")
+    else:  # widths beyond the dose spacing overlap the pulses
+        schedule = SupplySchedule(tuple(doses), draw(st.floats(0.0, 3.0)), "pulse",
+                                  draw(st.floats(0.01, 0.8)))
+    y0 = HomogeneousState(0.0, *(draw(components) for _ in range(4)))
+    save_every = draw(st.one_of(st.none(), st.floats(0.05, 0.5)))
+    return dict(y0=y0, p=p, alphas=(draw(rates()), draw(rates())), schedule=schedule,
+                dt=draw(st.floats(1e-3, 0.2)), t_end=t_end,
+                domain_measure=draw(st.floats(0.5, 2.0)), save_every=save_every)
+
+
+def outcome(solve, case):
+    """The bytes of a solve's times and values (signed zeros count), or its stiffness error."""
+    try:
+        traj = solve(**case)
+    except StiffnessError as exc:
+        return f"StiffnessError: {exc}"
+    return traj.times.tobytes(), traj.values.tobytes()
+
+
+class TestBitPinned:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    @example(dict(  # tau decays at h*mu = 4 per step: stage inputs are clipped
+        y0=HomogeneousState(0.0, 0.3, 0.2, 0.0, 0.5),
+        p=params(mu=40.0, delta=3.0, eps=0.4, theta=3.5), alphas=ALPHAS,
+        schedule=SupplySchedule((0.1, 0.15), 1.0, "pulse", 0.3), dt=0.1, t_end=1.0,
+        domain_measure=1.0, save_every=0.25))
+    @example(dict(  # subnormal c1: 0.5 * (h * k) in a stage input would change its bits
+        y0=HomogeneousState(0.0, 3.3e-311, 0.0, 1.0, 0.0), p=params(beta=0.3), alphas=NO_SWITCH,
+        schedule=SupplySchedule(), dt=0.013, t_end=0.1, domain_measure=1.0, save_every=None))
+    def test_rk4_solve_equals_the_reference_loop_bitwise(self, case):
+        assert outcome(rk4_solve, case) == outcome(reference_rk4, case)
+
+
+class TestNonFiniteInput:
+    y0 = HomogeneousState(0.0, 0.1, 0.1, 0.1, 0.1)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            rk4_solve(self.y0, params(), ALPHAS, SupplySchedule(), dt=dt, t_end=1.0)
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            rk4_solve(self.y0, params(), ALPHAS, SupplySchedule(), dt=1e-3, t_end=t_end)
+
+    @pytest.mark.parametrize("measure", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_domain_measure(self, measure):
+        with pytest.raises(ValueError, match="domain_measure"):
+            rk4_solve(self.y0, params(), ALPHAS, SupplySchedule(), dt=1e-3, t_end=1.0,
+                      domain_measure=measure)
+
+    @pytest.mark.parametrize("save_every", [math.nan, 0.0, -0.1])
+    def test_rejects_bad_save_every(self, save_every):
+        with pytest.raises(ValueError, match="save_every"):
+            rk4_solve(self.y0, params(), ALPHAS, SupplySchedule(), dt=1e-3, t_end=1.0,
+                      save_every=save_every)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_state_rejects_bad_components(self, bad):
+        for i in range(4):
+            values = [0.1] * 4
+            values[i] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                HomogeneousState(0.0, *values)
