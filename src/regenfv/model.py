@@ -17,10 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Absolute tolerance for "an event lies in (t0, t1]": a dose or edge closer
-# than this to a step end counts as landed on.
-EVENT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -127,14 +123,14 @@ class SupplySchedule:
         object.__setattr__(self, "dose_times", tuple(float(t) for t in self.dose_times))
         if self.mode not in ("pulse", "jump"):
             raise ValueError(f"unknown supply mode {self.mode!r}")
-        if self.chi0 < 0:
-            raise ValueError("chi0 must be nonnegative")
-        if any(t < 0 for t in self.dose_times):
-            raise ValueError("dose times must be nonnegative")
+        if not 0 <= self.chi0 < np.inf:
+            raise ValueError(f"chi0 must be finite and nonnegative, got {self.chi0}")
+        if not all(0 <= t < np.inf for t in self.dose_times):
+            raise ValueError(f"dose times must be finite and nonnegative, got {self.dose_times}")
         if any(b <= a for a, b in zip(self.dose_times, self.dose_times[1:])):
             raise ValueError("dose times must be strictly increasing")
-        if self.mode == "pulse" and not self.width > 0:
-            raise ValueError("pulse width must be positive")
+        if self.mode == "pulse" and not 0 < self.width < np.inf:
+            raise ValueError(f"pulse width must be finite and positive, got {self.width}")
         if self.mode == "jump" and 0.0 in self.dose_times:
             raise ValueError(
                 "a jump dose at t=0 would never be applied; fold it into the initial "
@@ -142,42 +138,50 @@ class SupplySchedule:
             )
 
 
+def landing_tol(t_end: float) -> float:
+    """The one landing tolerance of a run to t_end, 1e-12*max(1, t_end): a step
+    end this close below an event lands on it, and events this close merge."""
+    return 1e-12 * max(1.0, t_end)
+
+
 def event_timeline(
-    s: SupplySchedule, t_end: float, save_every: Optional[float] = None
-) -> list[tuple[float, bool]]:
-    """Sorted (time, is_save) events in (0, t_end] that an integrator lands on.
+    s: SupplySchedule, t_end: float, save_every: Optional[float] = None, domain_measure: float = 1.0
+) -> list[tuple[float, bool, float, Optional[float]]]:
+    """Sorted events (time, is_save, supply, dose) in (0, t_end] that an
+    integrator lands on: ``supply`` is the pulse supply density on the interval
+    ending at the event, ``dose`` the rise of chi by the jump doses landing
+    with it (None where none does).
 
     Events are the jump doses in (0, t_end], the pulse edges in (0, t_end),
-    the multiples of ``save_every`` below t_end, and t_end itself (a save).
-    Events closer than 1e-12*max(1, t_end) merge into the earlier one. States
-    saved at an event are right limits: a jump dose there is already applied.
+    the multiples of ``save_every`` and t_end (a save). Events within tol =
+    ``landing_tol(t_end)`` of each other (a dose after t_end too) merge into
+    the earlier one, or into t_end; a merged dose or edge counts there. An
+    integrator steps to t >= event - tol, lands, adds the dose, then saves.
     """
-    if t_end <= EVENT_TOL:  # nothing to land on
+    tol = landing_tol(t_end)
+    if t_end <= tol:  # nothing to land on
         return []
-    if s.mode == "jump":
-        raw = [(td, False) for td in s.dose_times if 0 < td <= t_end]
-    else:
-        edges = (e for td in s.dose_times for e in (td, td + s.width))
-        raw = [(e, False) for e in edges if 0 < e < t_end]
-    k = 1
-    while save_every is not None and k * save_every < t_end - EVENT_TOL:
-        raw.append((k * save_every, True))
+    # (time, is_save, change of the active pulse count at it, doses at it)
+    raw, k = [(t_end, True, 0, 0)], 1
+    while save_every is not None and k * save_every < t_end - tol:
+        raw.append((k * save_every, True, 0, 0))
         k += 1
-    raw.append((t_end, True))
-    merged: list[tuple[float, bool]] = []
-    for t, is_save in sorted(raw):
-        if merged and t - merged[-1][0] <= 1e-12 * max(1.0, t_end):
-            merged[-1] = (merged[-1][0], merged[-1][1] or is_save)
+    if s.mode == "jump":
+        raw += [(td, False, 0, 1) for td in s.dose_times if 0 < td <= t_end + tol]
+    else:
+        edges = ((e, change) for td in s.dose_times for e, change in ((td, 1), (td + s.width, -1)))
+        raw += [(e, False, change, 0) for e, change in edges if 0 < e < t_end]
+    # merged events hold the active pulse count before them; pulses at t = 0 are on from the start
+    merged, active = [], s.dose_times.count(0.0) if s.mode == "pulse" else 0
+    for t, is_save, change, doses in sorted(raw):
+        if merged and t - merged[-1][0] <= tol:
+            t0, save0, before, doses0 = merged[-1]
+            merged[-1] = (t if t == t_end else t0, save0 or is_save, before, doses0 + doses)
         else:
-            merged.append((t, is_save))
-    return merged
-
-
-def jump_doses(s: SupplySchedule, t0: float, t1: float) -> list[float]:
-    """The jump-dose times an integrator crosses stepping from t0 to t1: (t0, t1] up to EVENT_TOL."""
-    if s.mode != "jump":
-        return []
-    return [td for td in s.dose_times if t0 + EVENT_TOL < td <= t1 + EVENT_TOL]
+            merged.append((t, is_save, active, doses))
+        active += change
+    density = dose_density(s, domain_measure)
+    return [(t, is_save, n * density, doses * density if doses else None) for t, is_save, n, doses in merged]
 
 
 def dose_density(s: SupplySchedule, domain_measure: float) -> float:
@@ -191,9 +195,10 @@ def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
     [t_k, t_k + width) containing t, so overlapping pulses add up and each
     pulse delivers chi0 * width.
 
-    Jump-mode doses are measures in time handled by apply_dose, so the density
-    is 0 there. The return value is k * chi0/|Omega| with k the number of
-    active windows.
+    Jump-mode doses are measures in time, so the density is 0 there: the
+    integrators add each dose as the increment its ``event_timeline`` event
+    carries, and ``step`` adds those it crosses. The return value is
+    k * chi0/|Omega| with k the number of active windows.
     """
     if s.mode != "pulse" or s.chi0 == 0.0:
         return 0.0

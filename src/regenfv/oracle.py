@@ -2,9 +2,10 @@
 
 Classical RK4 with a fixed nominal step, shortened locally so that the events
 of the model-core timeline (jump doses, pulse edges, save times) land on step
-boundaries. Deliberately shares nothing with the PDE stepper beyond the
-model core (reaction terms, supply, timeline), so uniform-data PDE runs can
-be checked against a genuinely independent path.
+boundaries, with the supply and doses the timeline gives, as in the PDE
+driver. Deliberately shares nothing with the PDE stepper beyond the model
+core (reaction terms, timeline), so uniform-data PDE runs can be checked
+against a genuinely independent path.
 
 Fixed-step RK4 (rather than an adaptive library solver) keeps every reference
 value bit-reproducible across runs and platforms.
@@ -23,10 +24,8 @@ from .model import (
     RateFunction,
     SupplySchedule,
     bind_reactions,
-    dose_density,
-    eval_supply,
     event_timeline,
-    jump_doses,
+    landing_tol,
 )
 
 
@@ -71,8 +70,9 @@ def rk4_solve(
     """Integrate the homogeneous system to t_end with fixed-step RK4.
 
     ``save_every`` selects the output cadence (None keeps only t=0 and t_end);
-    saves fall on exact multiples of it. Jump doses are applied between
-    steps, before a save at the same instant, so saved rows are right limits.
+    saves fall on exact multiples of it. Every stage adds the supply density of
+    its ``event_timeline`` interval to the chi rate; an event's jump dose is
+    added on landing, before its save, so saved rows are right limits.
     A component below -1e-10 after a step raises StiffnessError (advice:
     reduce dt), smaller undershoots are clipped to zero. A dt, t_end or
     domain_measure that is not finite and in range, or a save_every that is
@@ -86,21 +86,15 @@ def rk4_solve(
     # The stage function, bound once: the reaction terms with every coefficient
     # resolved, one call per RK4 stage. Stage extrapolations may dip
     # infinitesimally negative; the model is defined on the nonnegative
-    # orthant, so it clips its inputs. The supply density of the current
-    # inter-event interval is added to each stage's chi rate.
+    # orthant, so it clips its inputs.
     rates = bind_reactions(p, *alphas, p.eps if p.eps > 0.0 else None, clip=True)
-    increment = dose_density(schedule, domain_measure)
-    tol = 1e-12 * max(1.0, t_end)
+    tol = landing_tol(t_end)
 
     times = [0.0]
     values = [(y0.c1, y0.c2, y0.chi, y0.tau)]
 
     t, c1, c2, chi, tau = 0.0, y0.c1, y0.c2, y0.chi, y0.tau
-    for event, is_save in event_timeline(schedule, t_end, save_every):
-        t_prev = t
-        # Pulse edges are events, so the supply is constant between two of
-        # them: evaluated once, mid-interval, no stage sees the next interval's.
-        supply = eval_supply(schedule, 0.5 * (t + event), domain_measure)
+    for event, is_save, supply, dose in event_timeline(schedule, t_end, save_every, domain_measure):
         end = event - tol
         while t < end:
             h = event - t  # min(dt, event - t), without a call per step
@@ -133,8 +127,8 @@ def rk4_solve(
                     c1, c2 = max(c1, 0.0), max(c2, 0.0)
                     chi, tau = max(chi, 0.0), max(tau, 0.0)
         t = event
-        for _ in jump_doses(schedule, t_prev, event):
-            chi += increment
+        if dose is not None:
+            chi += dose
         if is_save:
             times.append(t)
             values.append((c1, c2, chi, tau))

@@ -23,9 +23,10 @@ Any cell driven below zero by reaction stiffness is clamped to zero and the
 clamped magnitude accumulates in a positivity-debt counter carried by the
 state, making the approximation auditable.
 
-The driver shortens steps so that save times, jump-dose times, and pulse
-edges are hit exactly; sources are therefore never straddled and the dosing
-mass budget is exact to rounding.
+The driver lands exactly on every event of the model's ``event_timeline``
+(save times, jump doses, pulse edges), steps each interval with the supply
+density the timeline gives it and adds an event's jump dose on landing, so
+sources are never straddled and the dosing mass budget is exact to rounding.
 
 One step core advances a stack of members, one ``(m, 4, *shape)`` array, by
 one shared dt, and one driver marches it: ``run`` is the one-member case, and
@@ -57,7 +58,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DivergenceError, StabilityError
 from .grid import Grid, _face_diffs, _flux_divergence, _upwind_flux
 from .model import (
-    EVENT_TOL,
     ModelParams,
     RateFunction,
     SupplySchedule,
@@ -65,7 +65,7 @@ from .model import (
     dose_density,
     eval_supply,
     event_timeline,
-    jump_doses,
+    landing_tol,
 )
 
 
@@ -295,22 +295,17 @@ def _nonfinite(u: np.ndarray) -> Optional[str]:
 
 
 def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
-             reactions: Callable, schedule: SupplySchedule, dt: float,
-             faces: list, bounds: list[float]) -> tuple[np.ndarray, list[float]]:
+             reactions: Callable, supply: float, dt: float,
+             faces: list) -> tuple[np.ndarray, list[float]]:
     """The step core: advance the ``(m, 4, *shape)`` member stack u from t by
-    the shared dt and return the new stack and the members' positivity debts.
+    the shared dt, with the supply density ``supply``, and return the new
+    stack, clamped but not dosed, and the members' positivity debts.
 
     ``reactions`` gives r1, r2, r3 of the stack (``bind_reactions`` with the
     batch's eps column, bound once per run), ``faces`` are u's transport faces
-    (the 1D factor writes into them) and ``bounds`` the members' raw stability
-    bounds, each checked against dt.
-    Raises StabilityError, and
-    DivergenceError naming the field and cell, as ``step`` documents; each
-    error names the member by its tag.
+    (the 1D factor writes into them); dt is within every member's bound.
+    Raises DivergenceError naming the field, the cell and the member's tag.
     """
-    for bound, tag in zip(bounds, batch.tags):
-        if dt > bound * (1.0 + 1e-9):
-            raise StabilityError(f"dt={dt:g} exceeds stability bound {bound:g}{tag}")
     grid, p, rows = batch.grid, batch.p, batch.rows
     c1, c2, chi, tau = u.swapaxes(0, 1)
 
@@ -330,7 +325,7 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     rhs[:, :2] -= div[:, :2]
     for row, r in zip(rhs.swapaxes(0, 1), reactions(c1, c2, chi, tau)):
         row += r
-    rhs[:, 2] += eval_supply(schedule, t, grid.measure)
+    rhs[:, 2] += supply
     # allocated after the temporaries, so it sits above them on the heap:
     # allocated first, on 128^2 grids glibc trims and regrows the heap top
     # every step (12 times the page faults of a 2D run)
@@ -359,8 +354,6 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     if new.min() < 0:
         debts = [debt + sum(_clamp(row, grid.cell_volume) for row in member) if member.min() < 0 else debt
                  for debt, member in zip(debts, new)]
-    for _ in jump_doses(schedule, t, t_new):
-        new[:, 2] += dose_density(schedule, grid.measure)
     return new, debts
 
 
@@ -370,23 +363,26 @@ def step(
     alphas: tuple[RateFunction, RateFunction],
     schedule: SupplySchedule,
     dt: float,
-    stability_bound: Optional[float] = None,
 ) -> SimState:
-    """Advance the coupled system by one step of size dt.
+    """Advance the coupled system by one step of size dt with the supply
+    density at t, then apply the jump doses in (t, t+dt] up to ``landing_tol``.
 
     Raises StabilityError when dt exceeds the raw stability bound and
     DivergenceError (naming field and cell) if a non-finite value appears.
-    Jump doses landing in (t, t+dt] are applied after the update.
-    ``stability_bound`` replaces the bound computed from the state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     u, batch = state.u[None], _batch((p,), state.grid)
-    faces, bounds = _faces_and_bounds(u, batch)
-    if stability_bound is not None:
-        bounds = [stability_bound]
+    faces, (bound,) = _faces_and_bounds(u, batch)
+    if dt > bound * (1.0 + 1e-9):
+        raise StabilityError(f"dt={dt:g} exceeds stability bound {bound:g}")
     reactions = bind_reactions(batch.p, *alphas, batch.eps_column, arrays=True, matrix=False)
-    new, (debt,) = _advance(state.t, u, [state.positivity_debt], batch, reactions, schedule, dt, faces, bounds)
+    supply = eval_supply(schedule, state.t, state.grid.measure)
+    new, (debt,) = _advance(state.t, u, [state.positivity_debt], batch, reactions, supply, dt, faces)
+    tol = landing_tol(state.t + dt)
+    for td in schedule.dose_times if schedule.mode == "jump" else ():
+        if state.t + tol < td <= state.t + dt + tol:
+            new[:, 2] += dose_density(schedule, state.grid.measure)
     # a copy, so the state owns its u and its rows are views of it
     return SimState(state.t + dt, new[0].copy(), state.grid, debt)
 
@@ -421,7 +417,8 @@ def _march(
 ) -> tuple[float, np.ndarray, list[float]]:
     """The one driver: march every member from ``initial`` (taken at t = 0) to
     t_end with one shared dt, the smallest of the members' capped dts, landing
-    exactly on every event, and return the final (t, member stack, debts).
+    exactly on every event of ``event_timeline``, with its supply and dose,
+    and return the final (t, member stack, debts).
     ``emit(index, t, u, debts)`` receives the ``(m, 4, *shape)`` member stack
     at t = 0 and at every save; nothing writes to a stack after it is
     emitted. ``named`` makes errors name the member.
@@ -432,17 +429,21 @@ def _march(
     t, u = 0.0, np.broadcast_to(initial.u, (len(members), *initial.u.shape))  # read-only, no copy
     debts = [initial.positivity_debt] * len(members)
     emit(0, t, u, debts)
-    saves = 0
-    for target, is_save in event_timeline(schedule, ctrl.t_end, ctrl.save_every):
-        while t < target - EVENT_TOL:
+    saves, tol = 0, landing_tol(ctrl.t_end)
+    for event, is_save, supply, dose in event_timeline(schedule, ctrl.t_end, ctrl.save_every, initial.grid.measure):
+        before = u
+        while t < event - tol:
             faces, bounds = _faces_and_bounds(u, batch)
-            dt = target - t
+            dt = event - t
             for bound, tag in zip(bounds, batch.tags):
                 dt = min(_capped_dt(bound, ctrl, t, tag), dt)
-            new, debts = _advance(t, u, debts, batch, reactions, schedule, dt, faces, bounds)
+            new, debts = _advance(t, u, debts, batch, reactions, supply, dt, faces)
             del faces  # freed before the next step builds its own
             t, u = t + dt, new
-        t = target  # land exactly, no drift
+        t = event  # land exactly, no drift
+        if dose is not None:
+            u = u.copy() if u is before else u  # no step here (a dose at t <= tol): u was emitted
+            u[:, 2] += dose
         if is_save:
             saves += 1
             emit(saves, t, u, debts)

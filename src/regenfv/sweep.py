@@ -132,7 +132,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Step every member in one batch and assemble distances and artificial-term sizes."""
     members = tuple(dc_replace(cfg.params, eps=eps) for eps in cfg.eps_list)
     events = event_timeline(cfg.schedule, cfg.ctrl.t_end, cfg.ctrl.save_every)
-    n_t = 1 + sum(is_save for _, is_save in events)
+    n_t = 1 + sum(is_save for _, is_save, _, _ in events)
     times, u = np.empty(n_t), np.empty((len(members), n_t, 4, *cfg.initial.grid.shape))
 
     def save(index: int, t: float, stack: np.ndarray, debts: list[float]) -> None:

@@ -119,18 +119,22 @@ class TestEvalSupply:
 
 class TestEventTimeline:
     def test_jump_doses_and_saves_merge(self):
+        # each event: (time, is_save, supply density before it, dose increment)
         s = SupplySchedule(dose_times=(0.5, 1.2), chi0=1.0, mode="jump")
-        events = event_timeline(s, 1.5, save_every=0.5)
-        assert events == [(0.5, True), (1.0, True), (1.2, False), (1.5, True)]
+        events = event_timeline(s, 1.5, save_every=0.5, domain_measure=2.0)
+        assert events == [(0.5, True, 0.0, 0.5), (1.0, True, 0.0, None),
+                          (1.2, False, 0.0, 0.5), (1.5, True, 0.0, None)]
 
     def test_pulse_edges_inside_horizon_only(self):
+        # the pulse at 0 is on from the start; the one at 0.9 ends after t_end
         s = SupplySchedule(dose_times=(0.0, 0.9), chi0=1.0, mode="pulse", width=0.2)
-        assert event_timeline(s, 1.0) == [(0.2, False), (0.9, False), (1.0, True)]
+        assert event_timeline(s, 1.0) == [(0.2, False, 1.0, None), (0.9, False, 0.0, None),
+                                          (1.0, True, 1.0, None)]
 
     def test_saves_are_exact_multiples(self):
         events = event_timeline(SupplySchedule(), 3.0, save_every=0.1)
-        assert [t for t, _ in events] == [k * 0.1 for k in range(1, 30)] + [3.0]
-        assert all(is_save for _, is_save in events)
+        assert [t for t, *_ in events] == [k * 0.1 for k in range(1, 30)] + [3.0]
+        assert all(event[1:] == (True, 0.0, None) for event in events)
 
     def test_zero_horizon_has_no_events(self):
         assert event_timeline(SupplySchedule(), 0.0, save_every=0.1) == []

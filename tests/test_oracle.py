@@ -148,8 +148,10 @@ class TestAgreementWithRun:
 
 def reference_rk4(y0, p, alphas, schedule, dt, t_end, domain_measure=1.0, save_every=None):
     """The RK4 loop as it was before the reaction terms were bound once per
-    solve, verbatim: a stage closure that clips its inputs and calls
-    ``model.reaction_rhs``, and stages indexed as ``k1[0]``."""
+    solve: a stage closure that clips its inputs and calls
+    ``model.reaction_rhs``, and stages indexed as ``k1[0]``, verbatim. The
+    supply and the jump-dose increment come from the timeline's events, as
+    in ``rk4_solve``."""
     alpha1, alpha2 = alphas
 
     supply = 0.0
@@ -162,16 +164,13 @@ def reference_rk4(y0, p, alphas, schedule, dt, t_end, domain_measure=1.0, save_e
         r1, r2, r3, r4 = model.reaction_rhs(c1, c2, chi, tau, p, alpha1, alpha2)
         return r1, r2, r3 + supply, r4
 
-    increment = model.dose_density(schedule, domain_measure)
     tol = 1e-12 * max(1.0, t_end)
 
     times = [0.0]
     values = [(y0.c1, y0.c2, y0.chi, y0.tau)]
 
     t, c1, c2, chi, tau = 0.0, y0.c1, y0.c2, y0.chi, y0.tau
-    for event, is_save in model.event_timeline(schedule, t_end, save_every):
-        t_prev = t
-        supply = model.eval_supply(schedule, 0.5 * (t + event), domain_measure)
+    for event, is_save, supply, dose in model.event_timeline(schedule, t_end, save_every, domain_measure):
         while t < event - tol:
             h = min(dt, event - t)
             k1 = rhs(c1, c2, chi, tau)
@@ -197,8 +196,8 @@ def reference_rk4(y0, p, alphas, schedule, dt, t_end, domain_measure=1.0, save_e
                 c1, c2 = max(c1, 0.0), max(c2, 0.0)
                 chi, tau = max(chi, 0.0), max(tau, 0.0)
         t = event
-        for _ in model.jump_doses(schedule, t_prev, event):
-            chi += increment
+        if dose is not None:
+            chi += dose
         if is_save:
             times.append(t)
             values.append((c1, c2, chi, tau))
