@@ -26,14 +26,12 @@ from .model import (
     ModelParams,
     RateFunction,
     SupplySchedule,
-    apply_dose,
     eval_rate,
-    eval_supply,
     event_timeline,
     reaction_rhs,
 )
 from .oracle import HomogeneousState, OracleTrajectory, rk4_solve
-from .stepping import SimState, StepControl, run, stable_dt, step
+from .stepping import SimState, StepControl, run, stable_dt
 from .sweep import SweepConfig, SweepReport, compare_to_limit, run_sweep
 from .weakform import (
     TestFunction,

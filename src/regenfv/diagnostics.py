@@ -47,10 +47,10 @@ class EntropyParams:
     varrho: float = 0.0
 
     def __post_init__(self):
-        if not self.zeta > 0:
-            raise ValueError("zeta must be positive")
-        if self.varrho < 0:
-            raise ValueError("varrho must be nonnegative")
+        if not 0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
+        if not 0 <= self.varrho < math.inf:
+            raise ValueError(f"varrho must be finite and nonnegative, got {self.varrho}")
 
 
 @dataclass(frozen=True)

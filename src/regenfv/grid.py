@@ -12,6 +12,7 @@ input gives row by row the single-field results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +37,10 @@ class Grid:
             raise ValueError("grid dimension must be 1 or 2")
         if len(self.lengths) != len(self.cells):
             raise ValueError("cells and lengths must have matching dimension")
-        if any(n < 3 for n in self.cells):
-            raise ValueError("need at least 3 cells per axis")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("domain lengths must be positive")
+        if not all(isinstance(n, numbers.Integral) and n >= 3 for n in self.cells):
+            raise ValueError(f"cells must be integers, at least 3 per axis, got {self.cells}")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"domain lengths must be finite and positive, got {self.lengths}")
         spacing = tuple(L / n for L, n in zip(self.lengths, self.cells))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "n_cells", math.prod(self.cells))

@@ -2,7 +2,9 @@
 
 Everything here is a pure function of its arguments; both the PDE stepper and
 the homogeneous ODE reference build on these and nothing else, so the two
-integration paths stay independent above this layer.
+integration paths stay independent above this layer. ``event_timeline`` is the
+one rule that turns a schedule's dose times into the supply density of each
+interval and the chi increment of each jump dose, for both integrators.
 
 State variables: c1 (stem cells), c2 (chondrocytes), chi (differentiation
 medium), tau (extracellular matrix). The regularized variant adds -eps*c^theta
@@ -42,6 +44,9 @@ class ModelParams:
     theta: float = 4.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"parameter {name} must be finite, got {value}")
         positives = {
             "a1": self.a1, "a2": self.a2, "b_tau": self.b_tau, "b_chi": self.b_chi,
             "d_chi": self.d_chi, "delta": self.delta, "mu": self.mu,
@@ -78,6 +83,9 @@ class RateFunction:
     def __post_init__(self):
         if self.kind not in ("constant", "saturating"):
             raise ValueError(f"unknown rate kind {self.kind!r}")
+        for name in ("amplitude", "half_saturation", "floor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"rate {name} must be finite, got {getattr(self, name)}")
         if self.amplitude < 0:
             raise ValueError("rate amplitude must be nonnegative")
         if self.kind == "saturating" and not self.half_saturation > 0:
@@ -190,26 +198,6 @@ def dose_density(s: SupplySchedule, domain_measure: float) -> float:
     return s.chi0 / domain_measure
 
 
-def eval_supply(s: SupplySchedule, t: float, domain_measure: float) -> float:
-    """Instantaneous supply density at time t: chi0/|Omega| per pulse window
-    [t_k, t_k + width) containing t, so overlapping pulses add up and each
-    pulse delivers chi0 * width.
-
-    Jump-mode doses are measures in time, so the density is 0 there: the
-    integrators add each dose as the increment its ``event_timeline`` event
-    carries, and ``step`` adds those it crosses. The return value is
-    k * chi0/|Omega| with k the number of active windows.
-    """
-    if s.mode != "pulse" or s.chi0 == 0.0:
-        return 0.0
-    active = 0
-    for tk in s.dose_times:
-        if tk > t:
-            break
-        active += t < tk + s.width
-    return active * dose_density(s, domain_measure)
-
-
 def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, eps=None,
                    arrays: bool = False, matrix: bool = True, clip: bool = False) -> Callable:
     """The reaction terms as one function ``reactions(c1, c2, chi, tau)`` of the
@@ -258,16 +246,3 @@ def reaction_rhs(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction, alpha2:
     their data at entry."""
     arrays = any(isinstance(v, np.ndarray) for v in (c1, c2, chi, tau))
     return bind_reactions(p, alpha1, alpha2, p.eps if p.eps > 0.0 else None, arrays)(c1, c2, chi, tau)
-
-
-def apply_dose(state, s: SupplySchedule):
-    """Increment chi uniformly by chi0/|Omega| (jump mode only).
-
-    The total added medium mass is exactly chi0; all other fields untouched.
-    Returns a new state.
-    """
-    if s.mode != "jump":
-        raise ValueError("apply_dose is only meaningful in jump mode")
-    u = state.u.copy()
-    u[2] += dose_density(s, state.grid.measure)
-    return state.replace(u=u)

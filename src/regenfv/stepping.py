@@ -27,6 +27,8 @@ The driver lands exactly on every event of the model's ``event_timeline``
 (save times, jump doses, pulse edges), steps each interval with the supply
 density the timeline gives it and adds an event's jump dose on landing, so
 sources are never straddled and the dosing mass budget is exact to rounding.
+It is the only way a state advances: there is no public single step, whose
+dt and supply would come from outside the timeline.
 
 One step core advances a stack of members, one ``(m, 4, *shape)`` array, by
 one shared dt, and one driver marches it: ``run`` is the one-member case, and
@@ -62,8 +64,6 @@ from .model import (
     RateFunction,
     SupplySchedule,
     bind_reactions,
-    dose_density,
-    eval_supply,
     event_timeline,
     landing_tol,
 )
@@ -79,9 +79,9 @@ class SimState:
 
     ``positivity_debt`` is the cumulative clamped mass (see module docstring).
     Construction does not check ``u``; ``run`` validates its initial state once
-    (``validate_initial_state``) and ``step`` keeps it finite. A state owns
-    ``u``: nothing writes to it after the state is handed out, so saved states
-    stay valid.
+    (``validate_initial_state``) and the step core's finiteness check keeps it
+    finite. A state owns ``u``: nothing writes to it after the state is handed
+    out, so saved states stay valid.
     """
 
     t: float
@@ -153,7 +153,6 @@ class _Batch:
     tags: tuple[str, ...]
 
 
-@lru_cache(maxsize=32)
 def _batch(members: tuple[ModelParams, ...], grid: Grid, named: bool = False) -> _Batch:
     """The ``_Batch`` of ``members`` on ``grid``; ``named`` (sweeps) tags each
     member with its eps, else the tags are empty."""
@@ -355,36 +354,6 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
         debts = [debt + sum(_clamp(row, grid.cell_volume) for row in member) if member.min() < 0 else debt
                  for debt, member in zip(debts, new)]
     return new, debts
-
-
-def step(
-    state: SimState,
-    p: ModelParams,
-    alphas: tuple[RateFunction, RateFunction],
-    schedule: SupplySchedule,
-    dt: float,
-) -> SimState:
-    """Advance the coupled system by one step of size dt with the supply
-    density at t, then apply the jump doses in (t, t+dt] up to ``landing_tol``.
-
-    Raises StabilityError when dt exceeds the raw stability bound and
-    DivergenceError (naming field and cell) if a non-finite value appears.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    u, batch = state.u[None], _batch((p,), state.grid)
-    faces, (bound,) = _faces_and_bounds(u, batch)
-    if dt > bound * (1.0 + 1e-9):
-        raise StabilityError(f"dt={dt:g} exceeds stability bound {bound:g}")
-    reactions = bind_reactions(batch.p, *alphas, batch.eps_column, arrays=True, matrix=False)
-    supply = eval_supply(schedule, state.t, state.grid.measure)
-    new, (debt,) = _advance(state.t, u, [state.positivity_debt], batch, reactions, supply, dt, faces)
-    tol = landing_tol(state.t + dt)
-    for td in schedule.dose_times if schedule.mode == "jump" else ():
-        if state.t + tol < td <= state.t + dt + tol:
-            new[:, 2] += dose_density(schedule, state.grid.measure)
-    # a copy, so the state owns its u and its rows are views of it
-    return SimState(state.t + dt, new[0].copy(), state.grid, debt)
 
 
 def validate_initial_state(state: SimState, p: ModelParams) -> None:

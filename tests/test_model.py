@@ -1,15 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from regenfv import (
+    EntropyParams,
     Grid,
     ModelParams,
     RateFunction,
-    SimState,
     SupplySchedule,
-    apply_dose,
     eval_rate,
-    eval_supply,
     event_timeline,
     reaction_rhs,
 )
@@ -78,34 +78,33 @@ class TestEvalRate:
             assert np.all(vals > 0) and np.all(vals <= 1.3)
 
 
+def supply_at(s, t, domain_measure, t_end):
+    """Supply density at a time t strictly inside an event interval."""
+    return next(supply for te, _, supply, _ in event_timeline(s, t_end, domain_measure=domain_measure)
+                if te > t)
+
+
 class TestEvalSupply:
     def test_inside_pulse_window(self):
         s = SupplySchedule(dose_times=(3.0,), chi0=1.0, mode="pulse", width=0.1)
-        assert eval_supply(s, 3.05, 1.0) == 1.0
+        assert supply_at(s, 3.05, 1.0, t_end=4.0) == 1.0
 
     def test_outside_pulse_window(self):
         s = SupplySchedule(dose_times=(3.0,), chi0=1.0, mode="pulse", width=0.1)
-        assert eval_supply(s, 2.9, 1.0) == 0.0
+        assert supply_at(s, 2.9, 1.0, t_end=4.0) == 0.0
 
     def test_amplitude_formula(self):
         s = SupplySchedule(dose_times=(3.0, 6.0), chi0=2.0, mode="pulse", width=0.5)
-        assert eval_supply(s, 6.25, 4.0) == 0.5
+        assert supply_at(s, 6.25, 4.0, t_end=7.0) == 0.5
 
     def test_never_exceeds_density_bound(self):
         s = SupplySchedule(dose_times=(0.5, 2.0, 4.5), chi0=3.0, mode="pulse", width=0.25)
         ts = np.linspace(0.0, 5.0, 1000)
-        vals = [eval_supply(s, float(t), 2.0) for t in ts]
+        vals = [supply_at(s, float(t), 2.0, t_end=6.0) for t in ts]
         assert all(0.0 <= v <= 3.0 / 2.0 for v in vals)
 
-    def test_overlapping_windows_add(self):
-        s = SupplySchedule(dose_times=(1.0, 1.2, 1.4), chi0=3.0, mode="pulse", width=0.5)
-        assert [eval_supply(s, t, 2.0) for t in (0.9, 1.1, 1.3, 1.45, 1.5, 1.7, 1.9)] == \
-            [0.0, 1.5, 3.0, 4.5, 3.0, 1.5, 0.0]
 
-    def test_jump_mode_has_zero_density(self):
-        s = SupplySchedule(dose_times=(1.0,), chi0=1.0, mode="jump")
-        assert eval_supply(s, 1.0, 1.0) == 0.0
-
+class TestSupplySchedule:
     def test_dose_times_must_increase(self):
         with pytest.raises(ValueError):
             SupplySchedule(dose_times=(2.0, 1.0), chi0=1.0)
@@ -138,6 +137,27 @@ class TestEventTimeline:
 
     def test_zero_horizon_has_no_events(self):
         assert event_timeline(SupplySchedule(), 0.0, save_every=0.1) == []
+
+    @pytest.mark.parametrize("schedule, t_end, supplies", [
+        # each window adds chi0/|Omega| = 1.5 while it is open, so overlaps add up
+        (SupplySchedule((1.0, 1.2, 1.4), chi0=3.0, mode="pulse", width=0.5), 2.0,
+         [0.0, 1.5, 3.0, 4.5, 3.0, 1.5, 0.0]),
+        # disjoint windows: 1.5 inside each, 0 outside, never more
+        (SupplySchedule((0.5, 2.0, 4.5), chi0=3.0, mode="pulse", width=0.25), 5.0,
+         [0.0, 1.5, 0.0, 1.5, 0.0, 1.5, 0.0]),
+        # jump doses are measures in time: no supply density on any interval
+        (SupplySchedule((1.0, 1.5), chi0=3.0, mode="jump"), 2.0, [0.0, 0.0, 0.0]),
+    ], ids=["overlapping", "separate", "jump"])
+    def test_supply_on_each_interval(self, schedule, t_end, supplies):
+        # (time, supply density on the interval ending there) on |Omega| = 2
+        events = event_timeline(schedule, t_end, domain_measure=2.0)
+        if schedule.mode == "pulse":
+            edges = sorted(e for td in schedule.dose_times for e in (td, td + schedule.width) if e < t_end)
+            doses = [None] * len(supplies)
+        else:
+            edges, doses = list(schedule.dose_times), [1.5, 1.5, None]
+        assert events == [(t, t == t_end, supply, dose)
+                          for t, supply, dose in zip(edges + [t_end], supplies, doses, strict=True)]
 
 
 class TestReactionRhs:
@@ -227,53 +247,28 @@ class TestReactionRhs:
             assert np.array_equal(got, want)
 
 
-class TestApplyDose:
-    def make_state(self, grid, chi_value):
-        zero = grid.field(0.0)
-        return SimState(0.0, np.array((zero, zero, grid.field(chi_value), grid.field(0.1))), grid)
 
-    def test_uniform_increment_on_unit_domain(self):
-        g = Grid((10,), (1.0,))
-        s = SupplySchedule(dose_times=(1.0,), chi0=1.0, mode="jump")
-        dosed = apply_dose(self.make_state(g, 0.2), s)
-        assert np.allclose(dosed.chi, 1.2, rtol=0, atol=1e-15)
-
-    def test_zero_dose_is_identity(self):
-        g = Grid((10,), (1.0,))
-        s = SupplySchedule(dose_times=(1.0,), chi0=0.0, mode="jump")
-        state = self.make_state(g, 0.2)
-        dosed = apply_dose(state, s)
-        assert np.array_equal(dosed.chi, state.chi)
-
-    def test_mass_bookkeeping_two_doses(self):
-        from regenfv import integrate
-
-        g = Grid((8,), (2.0,))  # |Omega| = 2
-        s = SupplySchedule(dose_times=(1.0, 2.0), chi0=0.5, mode="jump")
-        state = self.make_state(g, 0.3)
-        before = integrate(g, state.chi)
-        state = apply_dose(state, s)
-        mid = integrate(g, state.chi)
-        state = apply_dose(state, s)
-        after = integrate(g, state.chi)
-        assert mid - before == pytest.approx(0.5, abs=1e-14)
-        assert after - before == pytest.approx(1.0, abs=1e-14)
-
-    def test_adds_to_a_copy_of_chi_only(self):
-        g = Grid((6, 5), (1.3, 0.7))
-        rng = np.random.default_rng(5)
-        state = SimState(0.0, rng.uniform(0.0, 2.0, (4, 6, 5)), g)
-        before = state.u.copy()
-        s = SupplySchedule(dose_times=(1.0,), chi0=0.45, mode="jump")
-        dosed = apply_dose(state, s)
-        assert np.array_equal(state.u, before)  # the input state is not written
-        assert not np.shares_memory(dosed.u, state.u)
-        for row in (0, 1, 3):
-            assert dosed.u[row].tobytes() == before[row].tobytes()
-        assert dosed.u[2].tobytes() == (before[2] + 0.45 / g.measure).tobytes()
-
-    def test_pulse_mode_is_a_usage_error(self):
-        g = Grid((8,), (1.0,))
-        s = SupplySchedule(dose_times=(1.0,), chi0=1.0, mode="pulse", width=0.1)
-        with pytest.raises(ValueError):
-            apply_dose(self.make_state(g, 0.2), s)
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("make, name", [
+        (lambda: default_params(beta=math.nan), "beta"),
+        (lambda: default_params(a_chi=math.nan), "a_chi"),
+        (lambda: default_params(a1=math.inf), "a1"),
+        (lambda: default_params(mu=math.inf), "mu"),
+        (lambda: default_params(theta=math.inf), "theta"),
+        (lambda: RateFunction("constant", math.nan), "amplitude"),
+        (lambda: RateFunction("saturating", math.inf), "amplitude"),
+        (lambda: RateFunction("saturating", 1.0, half_saturation=math.inf), "half_saturation"),
+        (lambda: RateFunction("saturating", 1.0, floor=math.nan), "floor"),
+        (lambda: Grid((8,), (math.nan,)), "lengths"),
+        (lambda: Grid((8, 8), (1.0, math.inf)), "lengths"),
+        (lambda: Grid((3.5,), (1.0,)), "cells"),
+        (lambda: EntropyParams(zeta=math.inf), "zeta"),
+        (lambda: EntropyParams(varrho=math.nan), "varrho"),
+    ], ids=["beta-nan", "a_chi-nan", "a1-inf", "mu-inf", "theta-inf", "amplitude-nan",
+            "amplitude-inf", "half_saturation-inf", "floor-nan", "lengths-nan", "lengths-inf",
+            "cells-3.5", "zeta-inf", "varrho-nan"])
+    def test_rejected_naming_the_field(self, make, name):
+        # a NaN or infinite coefficient would surface later as a numerical
+        # failure (beta = nan: "non-finite c1") instead of a bad input
+        with pytest.raises(ValueError, match=name):
+            make()

@@ -14,13 +14,10 @@ from regenfv import (
     ModelParams,
     RateFunction,
     SimState,
-    StabilityError,
     StepControl,
     SupplySchedule,
     SweepConfig,
     TrajectoryRecorder,
-    apply_dose,
-    eval_supply,
     integrate,
     laplacian_neumann,
     parse_config,
@@ -29,7 +26,6 @@ from regenfv import (
     run,
     run_sweep,
     stable_dt,
-    step,
     taxis_divergence,
 )
 from regenfv import stepping
@@ -101,9 +97,9 @@ def diffusion_operator(grid, p, dt):
     return lambda i, f: exact_1d_laplacian(grid, f, factors[i])
 
 
-def reference_update(state, p, alphas, schedule, dt):
-    """The update written field by field (one operator call per field), before
-    clamping and dosing: [c1, c2, chi, tau]."""
+def reference_update(state, p, alphas, supply, dt):
+    """The update with the supply density ``supply`` written field by field
+    (one operator call per field), before clamping: [c1, c2, chi, tau]."""
     grid = state.grid
     lap = diffusion_operator(grid, p, dt)
     c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
@@ -114,7 +110,6 @@ def reference_update(state, p, alphas, schedule, dt):
     new_c2 = c2 + dt * (
         p.a2 * lap(1, c2) - taxis_divergence(grid, c2, chi, p.b_chi) + r2
     )
-    supply = eval_supply(schedule, state.t, grid.measure)
     new_chi = chi + dt * (p.d_chi * lap(2, chi) + r3 + supply)
     new_tau = tau * np.exp(-(p.mu + p.delta * c1) * dt) + dt * (c2 / (1.0 + c2))
     if p.eps > 0:
@@ -122,13 +117,14 @@ def reference_update(state, p, alphas, schedule, dt):
     return [new_c1, new_c2, new_chi, new_tau]
 
 
-def unchecked_step(state, p, alphas, dt):
-    """``step`` without its stability check, for a dt beyond the bound: the
-    step core called directly, with no supply and no doses."""
+def unchecked_step(state, p, alphas, dt, supply=0.0):
+    """One step of the driver's step core from ``state`` by dt with the supply
+    density ``supply``: no stability check (dt may exceed the bound) and no
+    doses."""
     u, batch = state.u[None], stepping._batch((p,), state.grid)
     faces, _ = stepping._faces_and_bounds(u, batch)
     reactions = bind_reactions(p, *alphas, batch.eps_column, arrays=True, matrix=False)
-    new, (debt,) = stepping._advance(state.t, u, [state.positivity_debt], batch, reactions, 0.0, dt, faces)
+    new, (debt,) = stepping._advance(state.t, u, [state.positivity_debt], batch, reactions, supply, dt, faces)
     return SimState(state.t + dt, new[0], state.grid, debt)
 
 
@@ -143,11 +139,11 @@ def reference_clamp(fields, cell_volume):
     return clamped, debts
 
 
-def stacked_reference_step(state, p, alphas, schedule, dt):
+def stacked_reference_step(state, p, alphas, supply, dt):
     """The step as it was before the fused step, kept here as the reference:
     one operator call per operator on the stacked rows (on 1D grids the
-    diffusion operator applies the step's face factors), then the clamp and
-    the jump doses. Returns (u, positivity_debt)."""
+    diffusion operator applies the step's face factors) with the supply
+    density ``supply``, then the clamp. Returns (u, positivity_debt)."""
     grid, u = state.grid, state.u
     c1, c2, chi, tau = u
     column = lambda *v: np.reshape(v, (-1,) + (1,) * grid.dim)
@@ -158,7 +154,7 @@ def stacked_reference_step(state, p, alphas, schedule, dt):
     rhs[:2] -= taxis_divergence(grid, u[:2], u[3:1:-1], column(p.b_tau, p.b_chi))
     for row, r in zip(rhs, reaction_rhs(c1, c2, chi, tau, p, *alphas)):
         row += r
-    rhs[2] += eval_supply(schedule, state.t, grid.measure)
+    rhs[2] += supply
     new = np.empty_like(u)
     np.multiply(dt, rhs, out=new[:3])
     new[:3] += u[:3]
@@ -170,18 +166,15 @@ def stacked_reference_step(state, p, alphas, schedule, dt):
     if new.min() < 0:
         debt = debt + sum(-float(np.sum(row[row < 0])) * grid.cell_volume for row in new)
         new[new < 0] = 0.0
-    out = SimState(state.t + dt, new, grid, debt)
-    tol = 1e-12 * max(1.0, out.t)  # the landing tolerance of a run ending at t + dt
-    if schedule.mode == "jump" and state.t + tol < schedule.dose_times[0] <= out.t + tol:
-        out = apply_dose(out, schedule)
-    return out.u, out.positivity_debt
+    return new, debt
 
 
 @hst.composite
 def rough_step_cases(draw):
     """A rough nonnegative 1D or 2D state (2D grids may be non-square), random
-    coefficients with eps = 0 or eps > 0, a pulse or jump schedule whose dose
-    may fall inside the step, and a dt at or below the stability bound."""
+    coefficients with eps = 0 or eps > 0, a supply density as the event
+    timeline gives one (0, 1 or 2 active pulses of chi0/|Omega|), and a dt at
+    or below the stability bound."""
     cells = tuple(draw(hst.lists(hst.integers(3, 12), min_size=1, max_size=2)))
     grid = Grid(cells, tuple(draw(hst.floats(0.5, 2.0)) for _ in cells))
     rough = lambda lo, hi: draw(arrays(np.float64, cells, elements=hst.floats(lo, hi)))
@@ -199,13 +192,8 @@ def rough_step_cases(draw):
               RateFunction("constant", draw(hst.floats(0.0, 2.0))))
     bound = reference_bound(state, p)
     dt = bound * draw(hst.floats(0.05, 1.0))
-    dose = t + dt * draw(hst.floats(-1.0, 2.0))  # before, inside or after (t, t + dt]
-    if draw(hst.booleans()):
-        schedule = SupplySchedule((dose,), chi0=draw(hst.floats(0.0, 3.0)), mode="pulse",
-                                  width=draw(hst.floats(0.5, 2.0)) * dt)
-    else:
-        schedule = SupplySchedule((dose,), chi0=draw(hst.floats(0.0, 3.0)), mode="jump")
-    return state, p, alphas, schedule, dt, bound
+    supply = draw(hst.sampled_from([0, 1, 2])) * draw(hst.floats(0.0, 3.0)) / grid.measure
+    return state, p, alphas, supply, dt, bound
 
 
 class TestStableDt:
@@ -253,7 +241,8 @@ class TestStep:
     def test_origin_is_equilibrium(self):
         g = Grid((12,), (1.0,))
         st = uniform_state(g)
-        out = step(st, params(), NO_SWITCH, SupplySchedule(), dt=1e-3)
+        assert 1e-3 <= _stability_bound(st, params())
+        out = unchecked_step(st, params(), NO_SWITCH, dt=1e-3)
         assert out.t == pytest.approx(1e-3)
         for name, arr in out.fields().items():
             assert np.array_equal(arr, np.zeros(12)), name
@@ -265,10 +254,11 @@ class TestStep:
         p = params(mu=2.0)
         st = uniform_state(g, tau=0.7)
         dt = 5e-3
-        out = step(st, p, NO_SWITCH, SupplySchedule(), dt=dt)
+        assert dt <= _stability_bound(st, p)
+        out = unchecked_step(st, p, NO_SWITCH, dt=dt)
         assert np.allclose(out.tau, 0.7 * math.exp(-2.0 * dt), rtol=1e-15)
         for _ in range(9):
-            out = step(out, p, NO_SWITCH, SupplySchedule(), dt=dt)
+            out = unchecked_step(out, p, NO_SWITCH, dt=dt)
         assert np.allclose(out.tau, 0.7 * math.exp(-2.0 * 10 * dt), rtol=1e-13)
 
     def test_uniform_state_stays_uniform(self):
@@ -276,15 +266,10 @@ class TestStep:
         g = Grid((16, 16), (1.0, 1.0))
         p = params(a_chi=0.8, beta=0.9, delta=0.7, mu=0.6, eps=0.3)
         st = uniform_state(g, *rng.uniform(0.1, 1.0, size=4))
-        out = step(st, p, ALPHAS, SupplySchedule(), dt=5e-4)
+        out = run(st, p, ALPHAS, SupplySchedule(), StepControl(t_end=5e-4, dt_max=5e-4))
+        assert out.t == 5e-4
         for name, arr in out.fields().items():
             assert np.ptp(arr) == 0.0, name
-
-    def test_oversized_dt_raises(self):
-        g = Grid((10,), (1.0,))
-        st = uniform_state(g, chi=1.0, tau=1.0)
-        with pytest.raises(StabilityError):
-            step(st, params(), NO_SWITCH, SupplySchedule(), dt=1.0)
 
     def test_divergence_names_field_and_cell(self):
         g = Grid((10,), (1.0,))
@@ -293,16 +278,6 @@ class TestStep:
             with np.errstate(over="ignore", invalid="ignore"):
                 # bypass the stability check to force an overflow
                 unchecked_step(st, params(beta=1e200), NO_SWITCH, dt=1.0)
-
-    def test_jump_dose_fires_when_crossed(self):
-        g = Grid((10,), (1.0,))
-        sched = SupplySchedule(dose_times=(0.05,), chi0=1.0, mode="jump")
-        p = params(a1=1e-3, a2=1e-3, d_chi=1e-3, a_chi=0.0)
-        st = uniform_state(g, chi=0.2, tau=0.1, t=0.04)
-        out = step(st, p, NO_SWITCH, sched, dt=0.01)
-        assert np.allclose(out.chi, 1.2, atol=1e-12)
-        again = step(out, p, NO_SWITCH, sched, dt=0.01)  # same dose never refires
-        assert np.allclose(again.chi, 1.2, atol=1e-12)
 
     def test_positivity_clamp_accumulates_debt(self):
         g = Grid((10,), (1.0,))
@@ -317,30 +292,16 @@ class TestStackedStep:
     @settings(max_examples=120, deadline=None)
     @given(rough_step_cases())
     def test_step_equals_per_field_reference_bitwise(self, case):
-        st, p, alphas, schedule, dt, bound = case
+        st, p, alphas, supply, dt, bound = case
         ctrl = StepControl(t_end=1.0, cfl_safety=1.0)
         assert stable_dt(st, p, ctrl) == bound
-        out = step(st, p, alphas, schedule, dt)
-        fields, debts = reference_clamp(reference_update(st, p, alphas, schedule, dt),
+        out = unchecked_step(st, p, alphas, dt, supply)
+        fields, debts = reference_clamp(reference_update(st, p, alphas, supply, dt),
                                         st.grid.cell_volume)
-        t_new, tol = st.t + dt, 1e-12 * max(1.0, st.t + dt)
-        if schedule.mode == "jump" and st.t + tol < schedule.dose_times[0] <= t_new + tol:
-            fields[2] = fields[2] + schedule.chi0 / st.grid.measure
-        assert out.t == t_new
+        assert out.t == st.t + dt
         for name, ref in zip(("c1", "c2", "chi", "tau"), fields):
             assert same_bits(getattr(out, name), ref), name
         assert out.positivity_debt == st.positivity_debt + (debts[0] + debts[1] + debts[2] + debts[3])
-
-    def test_new_fields_are_views_of_u(self):
-        g = Grid((6, 5), (1.0, 1.0))
-        st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
-        out = step(st, params(), ALPHAS, SupplySchedule(), dt=1e-4)
-        assert out.u.shape == (4, 6, 5) and out.u.dtype == np.float64
-        assert not np.shares_memory(out.u, st.u)
-        for i, arr in enumerate((out.c1, out.c2, out.chi, out.tau)):
-            assert arr.base is out.u and same_bits(arr, out.u[i])
-        assert list(out.fields()) == ["c1", "c2", "chi", "tau"]
-        assert all(arr.base is out.u for arr in out.fields().values())
 
     def test_clamp_zeroes_exactly_the_negative_cells(self):
         # reaction-driven undershoot in c1, c2 (eps damping) and chi (uptake),
@@ -352,7 +313,7 @@ class TestStackedStep:
                                      g.field(np.tile([0.2, 3.0, 0.2], 3)),
                                      g.field(0.5), g.field(0.5))), g, positivity_debt=0.25)
         dt = 0.1
-        raw = reference_update(st, p, NO_SWITCH, SupplySchedule(), dt)
+        raw = reference_update(st, p, NO_SWITCH, 0.0, dt)
         negative = [arr < 0 for arr in raw]
         assert [neg.any() for neg in negative] == [True, True, True, False]
         assert not all(neg.all() for neg in negative[:3])
@@ -381,11 +342,11 @@ class TestFusedStep:
     def test_fused_step_equals_stacked_reference_bitwise(self, case):
         # the same bits when one state is stepped twice (the 1D face factor
         # writes into the faces of its own step only)
-        st, p, alphas, schedule, dt, bound = case
+        st, p, alphas, supply, dt, bound = case
         assert same_bits(_stability_bound(st, p), bound)
-        ref_u, ref_debt = stacked_reference_step(st, p, alphas, schedule, dt)
+        ref_u, ref_debt = stacked_reference_step(st, p, alphas, supply, dt)
         for _ in range(2):
-            out = step(st, p, alphas, schedule, dt)
+            out = unchecked_step(st, p, alphas, dt, supply)
             assert out.t == st.t + dt
             assert same_bits(out.u, ref_u)
             assert same_bits(out.positivity_debt, ref_debt)
@@ -462,7 +423,7 @@ class TestExactDiffusion1D:
     def test_step_equals_dense_matrix_exponential(self, case):
         st, p, dt = case
         grid, u = st.grid, st.u
-        out = step(st, p, NO_SWITCH, SupplySchedule(), dt)
+        out = unchecked_step(st, p, NO_SWITCH, dt)
         r1, r2, _, _ = reaction_rhs(*u, p, *NO_SWITCH)  # the eps-damping when eps > 0
         c1, c2, chi, tau = (dense_exp_laplacian(grid, a, dt, row) if a > 0 else row
                             for a, row in zip((p.a1, p.a2, p.d_chi, p.eps), u))
@@ -477,7 +438,7 @@ class TestExactDiffusion1D:
         scale = max(1.0, np.max(np.abs(expected)))
         assert np.max(np.abs(out.u - expected)) <= 2.0**-52 * scale * (256 + 8 * stiffness)
 
-        explicit = stacked_reference_step(st, p, NO_SWITCH, SupplySchedule(), dt)[0]
+        explicit = stacked_reference_step(st, p, NO_SWITCH, 0.0, dt)[0]
         for name, row, new, ref in zip(FIELDS, u, out.u, explicit):
             if np.ptp(row) == 0.0:  # zero face differences: no diffusion, bit for bit
                 assert same_bits(new, ref), name
