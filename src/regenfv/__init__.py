@@ -3,6 +3,8 @@ tissue-regeneration model, with entropy monitors, bound certificates,
 weak-form residual checks, and a vanishing-regularization harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import RunConfig, echo_text, parse_config
 from .diagnostics import (
     DiagnosticsRecord,
@@ -41,5 +43,7 @@ from .weakform import (
     residual_table,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above also bind
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]
 __version__ = "0.1.0"

@@ -164,6 +164,8 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def _cmd_weakcheck(cfg: RunConfig, args) -> int:
+    if not cfg.snapshots:
+        raise ConfigError("weakcheck reads the snapshots of a run, and this config sets output.snapshots = 0")
     try:
         powers = tuple(int(tok) for tok in args.psi_m.replace(",", " ").split())
     except ValueError:
@@ -229,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the run configuration")
         cmd.add_argument("--out", default="", help="output directory (overrides output.dir)")
-        cmd.add_argument("--strict", action="store_true",
-                         help="exit 3 when a bound certificate fails")
+        if name == "run":
+            cmd.add_argument("--strict", action="store_true", help="exit 3 when a bound certificate fails")
         if name == "sweep":
             cmd.add_argument("--eps-list", default="", help="comma-separated decreasing eps values")
         if name == "weakcheck":

@@ -31,6 +31,7 @@ from .stepping import SimState
 
 TOL_REL = 1e-8  # relative slack of the c1 mass and tau sup certificates
 TOL_ABS = 1e-12  # undershoot below zero that the nonnegativity certificate allows
+TAU_LOG_FLOOR = 1e-30  # tau's floor before the 1D Hessian diagnostic takes its logarithm
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,11 @@ def dissipation_D(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
     return _functionals(state, p, ep)[1]
 
 
-def hessian_tau_1d(grid: Grid, tau: np.ndarray, floor: float = 1e-30) -> float:
+def hessian_tau_1d(grid: Grid, tau: np.ndarray) -> float:
     """1D-only integral of tau*|d^2 ln(tau)/dx^2|^2 with mirrored ghosts."""
     if grid.dim != 1:
         raise ValueError("the Hessian diagnostic is implemented in 1D only")
-    return integrate(grid, tau * laplacian_neumann(grid, np.log(np.maximum(tau, floor))) ** 2)
+    return integrate(grid, tau * laplacian_neumann(grid, np.log(np.maximum(tau, TAU_LOG_FLOOR))) ** 2)
 
 
 def c1_mass_bound(

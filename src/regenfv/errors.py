@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class StabilityError(RuntimeError):
-    """A timestep exceeded the explicit stability bound."""
+    """No finite positive timestep exists: the stability bound or dt_max is not finite and positive."""
 
 
 class DivergenceError(RuntimeError):

@@ -6,6 +6,10 @@ integration paths stay independent above this layer. ``event_timeline`` is the
 one rule that turns a schedule's dose times into the supply density of each
 interval and the chi increment of each jump dose, for both integrators.
 
+``bind_reactions`` is the one place the reaction kinetics are written: the
+stepper, the weak-form residuals and the oracle all evaluate the terms it
+returns.
+
 State variables: c1 (stem cells), c2 (chondrocytes), chi (differentiation
 medium), tau (extracellular matrix). The regularized variant adds -eps*c^theta
 damping to both cell equations and eps-diffusion to tau; eps=0 selects the
@@ -71,29 +75,26 @@ class RateFunction:
     """Bounded positive switching rate: constant or Michaelis-Menten in chi.
 
     The amplitude is the certified supremum (0 < value <= amplitude for all
-    z >= 0). The saturating form is floored at ``floor`` (default
-    1e-12*amplitude) so strict positivity survives z=0.
+    z >= 0 when the amplitude is positive). The saturating form is floored at
+    ``floor``, derived as 1e-12*amplitude, so strict positivity survives z=0.
     """
 
     kind: str
     amplitude: float
     half_saturation: float = 1.0
-    floor: float = field(default=-1.0)
+    floor: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("constant", "saturating"):
             raise ValueError(f"unknown rate kind {self.kind!r}")
-        for name in ("amplitude", "half_saturation", "floor"):
+        for name in ("amplitude", "half_saturation"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"rate {name} must be finite, got {getattr(self, name)}")
         if self.amplitude < 0:
             raise ValueError("rate amplitude must be nonnegative")
         if self.kind == "saturating" and not self.half_saturation > 0:
             raise ValueError("half-saturation must be positive")
-        if self.floor < 0:
-            object.__setattr__(self, "floor", 1e-12 * self.amplitude)
-        if self.floor > self.amplitude:
-            raise ValueError("positivity floor cannot exceed the amplitude")
+        object.__setattr__(self, "floor", 1e-12 * self.amplitude)
 
     @property
     def bound(self) -> float:
@@ -202,11 +203,14 @@ def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, e
                    arrays: bool = False, matrix: bool = True, clip: bool = False) -> Callable:
     """The reaction terms as one function ``reactions(c1, c2, chi, tau)`` of the
     state, with the coefficients of ``p`` and both rates resolved here, once:
-    the one place each term is written.
+    the one place each term is written, for the stepper, the weak form and
+    the oracle alike.
 
-    It returns (r1, r2, r3, r4), or (r1, r2, r3) when ``matrix`` is False (the
-    stepper treats the tau equation's sink exactly); the medium supply is added
-    separately. The alpha-exchange terms in r1 and r2 are exact negatives of
+    It returns (r1, r2, r3, r4) with r4 = -delta c1 tau - mu tau + c2/(1 + c2).
+    When ``matrix`` is False it returns (r1, r2, r3, c2/(1 + c2), mu + delta c1)
+    instead: tau's production and the rate of its linear sink, which the
+    stepper treats exactly. The medium supply is added separately. The
+    alpha-exchange terms in r1 and r2 are exact negatives of
     each other, so phenotype switching conserves total cell mass pointwise.
     ``eps`` is the strength of the damping -eps*c^theta, None for the limit
     model; a column such as ``(m, 1, ...)`` damps each leading row of c1 and c2
@@ -233,7 +237,7 @@ def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, e
             r2 = r2 - eps * c2**theta
         r3 = -a_chi * (c1 + c2) * chi
         if not matrix:
-            return r1, r2, r3
+            return r1, r2, r3, c2 / (1.0 + c2), mu + delta * c1
         return r1, r2, r3, -delta * c1 * tau - mu * tau + c2 / (1.0 + c2)
 
     return reactions

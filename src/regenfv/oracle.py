@@ -75,9 +75,12 @@ def rk4_solve(
     added on landing, before its save, so saved rows are right limits.
     A component below -1e-10 after a step raises StiffnessError (advice:
     reduce dt), smaller undershoots are clipped to zero. A dt, t_end or
-    domain_measure that is not finite and in range, or a save_every that is
-    not positive, raises ValueError.
+    domain_measure that is not finite and in range, a save_every that is
+    not positive, or a y0 that is not at t = 0 (the dose schedule's origin)
+    raises ValueError.
     """
+    if y0.t != 0.0:
+        raise ValueError(f"the oracle starts at t=0 (its dose schedule's origin), not at t={y0.t!r}")
     if not (0 < dt < math.inf and 0 <= t_end < math.inf and 0 < domain_measure < math.inf):
         raise ValueError("dt and domain_measure must be finite and positive, t_end finite and nonnegative")
     if save_every is not None and not save_every > 0:

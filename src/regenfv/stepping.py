@@ -300,13 +300,13 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     the shared dt, with the supply density ``supply``, and return the new
     stack, clamped but not dosed, and the members' positivity debts.
 
-    ``reactions`` gives r1, r2, r3 of the stack (``bind_reactions`` with the
-    batch's eps column, bound once per run), ``faces`` are u's transport faces
+    ``reactions`` gives r1, r2, r3 of the stack and tau's production and sink
+    rate (``bind_reactions`` with the batch's eps column and ``matrix=False``,
+    bound once per run), ``faces`` are u's transport faces
     (the 1D factor writes into them); dt is within every member's bound.
     Raises DivergenceError naming the field, the cell and the member's tag.
     """
-    grid, p, rows = batch.grid, batch.p, batch.rows
-    c1, c2, chi, tau = u.swapaxes(0, 1)
+    grid, rows = batch.grid, batch.rows
 
     # c1, c2, chi: forward Euler on diffusion - taxis (c1 up tau, c2 up chi)
     # + reactions. One divergence of the stacked face rows gives both taxis
@@ -322,8 +322,10 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     rhs = div[:, 2:5]
     rhs *= batch.diffusivities
     rhs[:, :2] -= div[:, :2]
-    for row, r in zip(rhs.swapaxes(0, 1), reactions(c1, c2, chi, tau)):
+    *rates, produce, sink = reactions(*u.swapaxes(0, 1))
+    for row, r in zip(rhs.swapaxes(0, 1), rates):
         row += r
+    del rates  # freed before `new` exists: kept, they raise a 2D run's page faults sixfold
     rhs[:, 2] += supply
     # allocated after the temporaries, so it sits above them on the heap:
     # allocated first, on 128^2 grids glibc trims and regrows the heap top
@@ -335,8 +337,8 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     # tau: exact exponential factor on the linear sink, explicit production,
     # eps-diffusion as for the other rows (zero when eps=0, the limit model's
     # pointwise ODE).
-    np.multiply(tau, np.exp(-(p.mu + p.delta * c1) * dt), out=new[:, 3])
-    new[:, 3] += dt * (c2 / (1.0 + c2))
+    np.multiply(u[:, 3], np.exp(-sink * dt), out=new[:, 3])
+    new[:, 3] += dt * produce
     if batch.eps_column is not None:
         new[:, 3] += (dt * batch.eps_column) * div[:, 5]
 
@@ -357,9 +359,11 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
 
 
 def validate_initial_state(state: SimState, p: ModelParams) -> None:
-    """Check a state entering ``run``: float64 u of shape (4, *grid.shape), finite,
-    c1,c2 >= 0, chi,tau > 0."""
+    """Check a state entering ``run``: at t = 0, float64 u of shape (4, *grid.shape),
+    finite, c1,c2 >= 0, chi,tau > 0."""
     u, shape = state.u, (4, *state.grid.shape)
+    if state.t != 0.0:
+        raise ValueError(f"a run starts at t=0 (its dose schedule's origin), not at t={state.t!r}")
     if not (isinstance(u, np.ndarray) and u.dtype == np.float64 and u.shape == shape):
         raise ValueError(f"u must be a float64 array of shape {shape}, "
                          f"not {getattr(u, 'dtype', type(u).__name__)} of shape {np.shape(u)}")
@@ -384,7 +388,7 @@ def _march(
     emit: Callable[[int, float, np.ndarray, list[float]], None],
     named: bool = False,
 ) -> tuple[float, np.ndarray, list[float]]:
-    """The one driver: march every member from ``initial`` (taken at t = 0) to
+    """The one driver: march every member from ``initial`` (at t = 0) to
     t_end with one shared dt, the smallest of the members' capped dts, landing
     exactly on every event of ``event_timeline``, with its supply and dose,
     and return the final (t, member stack, debts).
@@ -433,16 +437,15 @@ def run(
     ``record_sink`` receives the state snapshot at each save point (the caller
     turns it into a DiagnosticsRecord); ``snapshot_sink`` receives
     (index, state) at the same points. Deterministic given its inputs. The
-    one-member case of the driver that also steps sweeps.
+    one-member case of the driver that also steps sweeps. ``initial`` must
+    be at t = 0: the dose schedule's times count from there.
     """
-    start = initial if initial.t == 0.0 else initial.replace(t=0.0)
-
     def emit(index: int, t: float, u: np.ndarray, debts: list[float]) -> None:
-        state = SimState(t, u[0], start.grid, debts[0]) if index else start
+        state = SimState(t, u[0], initial.grid, debts[0]) if index else initial
         if record_sink is not None:
             record_sink(state)
         if snapshot_sink is not None:
             snapshot_sink(index, state)
 
-    t, u, debts = _march(start, (p,), alphas, schedule, ctrl, emit)
-    return SimState(t, u[0], start.grid, debts[0]) if t > 0.0 else start
+    t, u, debts = _march(initial, (p,), alphas, schedule, ctrl, emit)
+    return SimState(t, u[0], initial.grid, debts[0]) if t > 0.0 else initial

@@ -17,6 +17,7 @@ identically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Grid, gradient_components, integrate
-from .model import ModelParams, RateFunction, SupplySchedule, dose_density, eval_rate
+from .model import ModelParams, RateFunction, SupplySchedule, bind_reactions, dose_density
 from .stepping import SimState
 
 
@@ -52,14 +53,13 @@ class TestFunction:
     """Separable Neumann-compatible space-time test function.
 
     ``modes`` holds one nonnegative integer per axis; ``power`` is the
-    temporal exponent m >= 1; ``horizon`` is the weak-form horizon T;
-    ``amplitude`` scales the whole function (residuals are |a|-homogeneous).
+    temporal exponent m >= 1; ``horizon`` is the weak-form horizon T. The
+    spatial part has unit amplitude.
     """
 
     modes: tuple[int, ...]
     power: int
     horizon: float
-    amplitude: float = 1.0
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -73,22 +73,14 @@ class TestFunction:
             raise ValueError("horizon must be positive")
 
     def spatial(self, grid: Grid) -> np.ndarray:
-        """S(x) at cell centers: the amplitude times one cosine factor per axis."""
-        out = self.amplitude
-        for cos_kx, _, _ in _axis_factors(self.modes, grid):
-            out = out * cos_kx
-        return out
+        """S(x) at cell centers: the product of one cosine factor per axis."""
+        return math.prod(cos_kx for cos_kx, _, _ in _axis_factors(self.modes, grid))
 
     def spatial_gradient(self, grid: Grid) -> tuple[np.ndarray, ...]:
         """grad S(x) at cell centers, one array per axis."""
         factors = _axis_factors(self.modes, grid)
-        comps = []
-        for axis in range(grid.dim):
-            comp = self.amplitude
-            for a, (_, cos_wx, dcos_wx) in enumerate(factors):
-                comp = comp * (dcos_wx if a == axis else cos_wx)
-            comps.append(comp)
-        return tuple(comps)
+        return tuple(math.prod(dcos if a == axis else cos for a, (_, cos, dcos) in enumerate(factors))
+                     for axis in range(grid.dim))
 
     def laplace_factor(self, grid: Grid) -> float:
         """Delta S = -factor * S with factor = sum (k_i pi / L_i)^2."""
@@ -178,36 +170,25 @@ def _trapz(traj: Trajectory, series: np.ndarray) -> float:
 
 
 def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
-    """Per spatial part (modes, amplitude) of ``psis``, the snapshot series of
+    """Per spatial part (``psi.modes``) of ``psis``, the snapshot series of
     every spatial integral the four identities use, keyed by term name.
 
-    Each snapshot is visited once: its psi-independent fields (gradients,
-    switching and logistic prefixes, products) are built once, then weighted
-    by each part's S and grad S. Every integrand keeps the left-to-right order
-    of its identity, e.g. ``(rate * c1 / (1 + c1)) * S``.
+    Each snapshot is visited once: its psi-independent fields (gradients, the
+    reaction terms r1-r4 of ``bind_reactions``, c2 chi) are built once, then
+    weighted by each part's S and grad S, e.g. ``r1 * S``.
     """
     grid, p = traj.grid, traj.params
-    alpha1, alpha2 = traj.alphas
+    reactions = bind_reactions(p, *traj.alphas, p.eps if p.eps > 0.0 else None, arrays=True)
     parts = {}
     for psi in psis:
         _check_horizon(traj, psi)
-        parts.setdefault((psi.modes, psi.amplitude), psi)
+        parts.setdefault(psi.modes, psi)
     series = {key: {} for key in parts}
     for u in traj.u:
-        c1, c2, chi, tau = u
+        c1, c2, chi, _ = u
         grads = gradient_components(grid, u)  # per axis, rows c1, c2, chi, tau
-        weighted = {  # integrand field * S
-            "c1": c1, "c2": c2, "chi": chi, "tau": tau,
-            "sw_in": eval_rate(alpha1, chi) * c1 / (1.0 + c1),
-            "sw_out": eval_rate(alpha2, chi) * c2 / (1.0 + c2),
-            "logistic": c1 * (1.0 - c1 - c2 - tau),
-            "c2_chi": c2 * chi,
-            "c1_chi": c1 * chi,
-            "tau_c1": tau * c1,
-            "produce": c2 / (1.0 + c2),
-        }
-        if p.eps > 0:
-            weighted.update(damp_c1=c1**p.theta, damp_c2=c2**p.theta)
+        weighted = dict(zip(("c1", "c2", "chi", "tau", "r1", "r2", "r3", "r4", "c2_chi"),  # integrand field * S
+                            (*u, *reactions(*u), c2 * chi)))
         for key, psi in parts.items():
             S, gS = psi.spatial(grid), psi.spatial_gradient(grid)
             dots = sum(d * dS for d, dS in zip(grads, gS))  # per row, grad f . grad S
@@ -222,23 +203,17 @@ def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
 
 
 def _rhs_c1(traj: Trajectory, psi: TestFunction, J) -> float:
-    """Stem cells: diffusion, haptotaxis up tau, switching, logistic growth."""
+    """Stem cells: diffusion, haptotaxis up tau, reactions (switching, logistic growth, damping)."""
     p = traj.params
-    rhs = (-p.a1 * J("grad_c1") + p.b_tau * J("taxis") - J("sw_in") + J("sw_out")
-           + p.beta * J("logistic"))
-    if p.eps > 0:
-        rhs -= p.eps * J("damp_c1")
-    return rhs
+    return -p.a1 * J("grad_c1") + p.b_tau * J("taxis") + J("r1")
 
 
 def _rhs_c2(traj: Trajectory, psi: TestFunction, J) -> float:
-    """Chondrocytes: the c2*chi term pairs with Delta psi = -kappa_sq * psi."""
+    """Chondrocytes: diffusion, chemotaxis, reactions (switching, damping).
+    The c2*chi term pairs with Delta psi = -kappa_sq * psi."""
     p = traj.params
-    rhs = (-p.a2 * J("grad_c2") + p.b_chi * psi.laplace_factor(traj.grid) * J("c2_chi")
-           - p.b_chi * J("chi_grad") + J("sw_in") - J("sw_out"))
-    if p.eps > 0:
-        rhs -= p.eps * J("damp_c2")
-    return rhs
+    return (-p.a2 * J("grad_c2") + p.b_chi * psi.laplace_factor(traj.grid) * J("c2_chi")
+            - p.b_chi * J("chi_grad") + J("r2"))
 
 
 def _supply_term(traj: Trajectory, psi: TestFunction) -> float:
@@ -257,19 +232,14 @@ def _supply_term(traj: Trajectory, psi: TestFunction) -> float:
 
 
 def _rhs_chi(traj: Trajectory, psi: TestFunction, J) -> float:
-    """Medium: diffusion, uptake by both cell types, supply."""
-    p = traj.params
-    return (-p.d_chi * J("grad_chi") - p.a_chi * J("c1_chi") - p.a_chi * J("c2_chi")
-            + _supply_term(traj, psi))
+    """Medium: diffusion, reactions (uptake by both cell types), supply."""
+    return -traj.params.d_chi * J("grad_chi") + J("r3") + _supply_term(traj, psi)
 
 
 def _rhs_tau(traj: Trajectory, psi: TestFunction, J) -> float:
-    """Matrix: degradation, decay, production; grad tau enters only when eps > 0."""
+    """Matrix: reactions (degradation, decay, production); grad tau enters only when eps > 0."""
     p = traj.params
-    rhs = -p.delta * J("tau_c1") - p.mu * J("tau") + J("produce")
-    if p.eps > 0:
-        rhs -= p.eps * J("grad_tau")
-    return rhs
+    return J("r4") - p.eps * J("grad_tau") if p.eps > 0 else J("r4")
 
 
 _RHS = {"c1": _rhs_c1, "c2": _rhs_c2, "chi": _rhs_chi, "tau": _rhs_tau}
@@ -280,7 +250,7 @@ def _residuals(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_
     series = _spatial_series(traj, psis)
     rows = []
     for psi in psis:
-        sr = series[(psi.modes, psi.amplitude)]
+        sr = series[psi.modes]
         g, gp = psi.g(traj.times), psi.g_prime(traj.times)
         J = lambda name: _trapz(traj, sr[name] * g)  # time integral of a series against g
         for eq in equations:

@@ -346,10 +346,19 @@ class TestWeakcheckCommand:
         assert got.u.tobytes() == want.u.tobytes()
 
     def test_weakcheck_without_snapshots_is_config_error(self, tmp_path):
-        cfg = write_config(tmp_path, BASE)
+        cfg = write_config(tmp_path, BASE + "output.snapshots = 1\n")
         out = tmp_path / "empty"
         out.mkdir()
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+
+    def test_weakcheck_names_snapshots_turned_off(self, tmp_path, capsys):
+        # the run's files are all there; the config is what has no snapshots
+        cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0", "control.t_end = 0.02"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config sets output.snapshots = 0\n" in capsys.readouterr().err
+        assert not (out / "weakform.csv").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--psi-m", "abc"], "malformed --psi-m 'abc'"),
@@ -376,6 +385,10 @@ class TestUsageErrors:
          "argument --psi-kmax: invalid int value: 'abc'"),
         (["oracle", "--config", "{cfg}", "--dt", "x"], "argument --dt: invalid float value: 'x'"),
         (["run", "--out", "o"], "the following arguments are required: --config"),
+        # only run has certificates for --strict to check
+        (["sweep", "--config", "{cfg}", "--eps-list", "0.5", "--strict"], "unrecognized arguments: --strict"),
+        (["weakcheck", "--config", "{cfg}", "--strict"], "unrecognized arguments: --strict"),
+        (["oracle", "--config", "{cfg}", "--strict"], "unrecognized arguments: --strict"),
     ])
     def test_usage_error_exits_one(self, tmp_path, capsys, argv, message):
         cfg = write_config(tmp_path, BASE)

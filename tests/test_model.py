@@ -69,6 +69,12 @@ class TestEvalRate:
         f = RateFunction("saturating", 2.0, half_saturation=0.5)
         assert 0 < eval_rate(f, 0.0) <= 2.0
 
+    def test_floor_is_derived_from_the_amplitude(self):
+        # a caller-chosen floor of 0 would make the saturating rate vanish at z = 0
+        assert RateFunction("saturating", 2.0).floor == 2e-12
+        with pytest.raises(TypeError, match="floor"):
+            RateFunction("saturating", 1.0, floor=0.0)
+
     def test_output_in_unit_interval_of_amplitude(self):
         rng = np.random.default_rng(7)
         for kind in ("constant", "saturating"):
@@ -231,7 +237,7 @@ class TestReactionRhs:
 
     def test_eps_column_damps_each_member_bitwise(self):
         # one call with an (m, 1) eps column gives, row by row, the r1..r3 of
-        # reaction_rhs at each member's eps
+        # reaction_rhs at each member's eps, then tau's production and sink rate
         alphas = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
         rng = np.random.default_rng(8)
         c1, c2, chi, tau = rng.uniform(0, 2, size=(4, 3, 17))
@@ -240,11 +246,15 @@ class TestReactionRhs:
         stacked = bind_reactions(p, *alphas, np.reshape(eps, (3, 1)), arrays=True, matrix=False)(c1, c2, chi, tau)
         for j, e in enumerate(eps):
             member = reaction_rhs(c1[j], c2[j], chi[j], tau[j], default_params(eps=e, theta=3.3), *alphas)
-            for got, want in zip(stacked, member[:3], strict=True):
+            for got, want in zip(stacked[:3], member[:3], strict=True):
                 assert np.array_equal(got[j], want)
         limit = bind_reactions(p, *alphas, None, arrays=True, matrix=False)(c1, c2, chi, tau)
-        for got, want in zip(limit, reaction_rhs(c1, c2, chi, tau, default_params(), *alphas)):
+        for got, want in zip(limit[:3], reaction_rhs(c1, c2, chi, tau, default_params(), *alphas)[:3], strict=True):
             assert np.array_equal(got, want)
+        for tau_terms in (stacked[3:], limit[3:]):
+            produce, sink = tau_terms
+            assert np.array_equal(produce, c2 / (1.0 + c2))
+            assert np.array_equal(sink, p.mu + p.delta * c1)
 
 
 
@@ -258,14 +268,13 @@ class TestNonFiniteInput:
         (lambda: RateFunction("constant", math.nan), "amplitude"),
         (lambda: RateFunction("saturating", math.inf), "amplitude"),
         (lambda: RateFunction("saturating", 1.0, half_saturation=math.inf), "half_saturation"),
-        (lambda: RateFunction("saturating", 1.0, floor=math.nan), "floor"),
         (lambda: Grid((8,), (math.nan,)), "lengths"),
         (lambda: Grid((8, 8), (1.0, math.inf)), "lengths"),
         (lambda: Grid((3.5,), (1.0,)), "cells"),
         (lambda: EntropyParams(zeta=math.inf), "zeta"),
         (lambda: EntropyParams(varrho=math.nan), "varrho"),
     ], ids=["beta-nan", "a_chi-nan", "a1-inf", "mu-inf", "theta-inf", "amplitude-nan",
-            "amplitude-inf", "half_saturation-inf", "floor-nan", "lengths-nan", "lengths-inf",
+            "amplitude-inf", "half_saturation-inf", "lengths-nan", "lengths-inf",
             "cells-3.5", "zeta-inf", "varrho-nan"])
     def test_rejected_naming_the_field(self, make, name):
         # a NaN or infinite coefficient would surface later as a numerical

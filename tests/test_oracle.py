@@ -292,6 +292,12 @@ class TestNonFiniteInput:
             rk4_solve(self.y0, params(), ALPHAS, SupplySchedule(), dt=1e-3, t_end=1.0,
                       save_every=save_every)
 
+    def test_rejects_a_start_past_t0_naming_its_time(self):
+        # the dose schedule counts from t = 0, so a later y0 cannot be continued
+        y0 = HomogeneousState(0.25, 0.1, 0.1, 0.1, 0.1)
+        with pytest.raises(ValueError, match=r"not at t=0\.25"):
+            rk4_solve(y0, params(), ALPHAS, SupplySchedule(), dt=1e-3, t_end=1.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
     def test_state_rejects_bad_components(self, bad):
         for i in range(4):

@@ -483,6 +483,15 @@ class TestRun:
         with pytest.raises(ValueError, match=r"non-finite initial tau at cell \(2, 4\)"):
             run(st, params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
 
+    def test_rejects_a_state_past_t0_naming_its_time(self):
+        # the dose schedule counts from t = 0: continuing from a final state
+        # would replay it, so run refuses instead of resetting the time
+        g = Grid((10,), (1.0,))
+        st = uniform_state(g, c1=0.5, chi=1.0, tau=0.5, t=0.25)
+        schedule = SupplySchedule(dose_times=(0.1,), chi0=0.5, mode="jump")
+        with pytest.raises(ValueError, match=r"not at t=0\.25"):
+            run(st, params(), NO_SWITCH, schedule, StepControl(t_end=0.5))
+
     def test_rejects_shape_mismatch(self):
         g = Grid((10,), (1.0,))
         st = uniform_state(g, c1=0.5, chi=1.0, tau=0.5)

@@ -113,18 +113,6 @@ class TestTestFunction:
         with pytest.raises(ValueError, match="horizon"):
             residual(traj, psi, "c1")
 
-    def test_residual_homogeneous_in_amplitude(self):
-        g = Grid((32,), (1.0,))
-        x = g.axis_centers(0)
-        st = SimState(0.0, np.array((g.field(0.4 + 0.2 * np.cos(np.pi * x)), g.field(0.05),
-                                     g.field(1.0 + 0.2 * np.cos(np.pi * x)), g.field(0.4))), g)
-        traj = run_trajectory(st, params(a1=0.05, a2=0.05, d_chi=0.05),
-                              ALPHAS, SupplySchedule(), 0.2, 1e-3, 0.02)
-        for eq in FIELDS:
-            base = residual(traj, TestFunction((2,), 1, 0.2), eq)
-            scaled = residual(traj, TestFunction((2,), 1, 0.2, amplitude=3.0), eq)
-            assert scaled == pytest.approx(3.0 * base, rel=1e-10)
-
 
 class TestMassBudgetReduction:
     def test_spatially_constant_psi_reduces_to_mass_balance(self):
@@ -299,10 +287,12 @@ class TestRefinement:
 
 # The per-test-function formulas as they were before the table was evaluated
 # snapshot by snapshot: S and grad S from meshgrid coordinates, every series
-# rebuilt per test function. The evaluation order of each integrand is the
-# reference that the snapshot-major table must reproduce bit for bit.
+# rebuilt per test function, the reaction terms those of ``bind_reactions``.
+# The evaluation order of each integrand is the reference that the
+# snapshot-major table must reproduce bit for bit. TestMassBudgetReduction
+# checks the reaction terms themselves against hand-written formulas.
 def meshgrid_spatial(psi, grid):
-    out = np.full(grid.shape, psi.amplitude)
+    out = np.ones(grid.shape)
     for k, x, L in zip(psi.modes, grid.coordinate_arrays(), grid.lengths):
         out = out * np.cos(k * np.pi * x / L)
     return out
@@ -312,7 +302,7 @@ def meshgrid_spatial_gradient(psi, grid):
     coords = grid.coordinate_arrays()
     comps = []
     for axis in range(grid.dim):
-        comp = np.full(grid.shape, psi.amplitude)
+        comp = np.ones(grid.shape)
         for a, (k, x, L) in enumerate(zip(psi.modes, coords, grid.lengths)):
             w = k * np.pi / L
             comp = comp * (-w * np.sin(w * x) if a == axis else np.cos(w * x))
@@ -321,11 +311,11 @@ def meshgrid_spatial_gradient(psi, grid):
 
 
 def reference_residuals(traj, psi):
-    from regenfv import eval_rate
     from regenfv.grid import gradient_components
+    from regenfv.model import bind_reactions
 
     grid, p = traj.grid, traj.params
-    alpha1, alpha2 = traj.alphas
+    reactions = bind_reactions(p, *traj.alphas, p.eps if p.eps > 0 else None, arrays=True)
     S, gS = meshgrid_spatial(psi, grid), meshgrid_spatial_gradient(psi, grid)
     t = traj.times
     g, gp = psi.g(t), psi.g_prime(t)
@@ -339,20 +329,17 @@ def reference_residuals(traj, psi):
     def trapz(values):
         return float(np.trapezoid(values, t))
 
-    sw_in = series(lambda s: eval_rate(alpha1, s.chi) * s.c1 / (1.0 + s.c1) * S)
-    sw_out = series(lambda s: eval_rate(alpha2, s.chi) * s.c2 / (1.0 + s.c2) * S)
+    def reaction(i):  # the time integral of the reaction term r_(i+1) against psi
+        return trapz(series(lambda s: reactions(*s.u)[i] * S) * g)
+
     out = {}
 
     a = series(lambda s: s.c1 * S)
     rhs = (
         -p.a1 * trapz(series(lambda s: grad_dot(s.c1)) * g)
         + p.b_tau * trapz(series(lambda s: s.c1 * grad_dot(s.tau)) * g)
-        - trapz(sw_in * g)
-        + trapz(sw_out * g)
-        + p.beta * trapz(series(lambda s: s.c1 * (1.0 - s.c1 - s.c2 - s.tau) * S) * g)
+        + reaction(0)
     )
-    if p.eps > 0:
-        rhs -= p.eps * trapz(series(lambda s: s.c1**p.theta * S) * g)
     out["c1"] = abs(-trapz(a * gp) - a[0] - rhs)
 
     a = series(lambda s: s.c2 * S)
@@ -360,28 +347,20 @@ def reference_residuals(traj, psi):
         -p.a2 * trapz(series(lambda s: grad_dot(s.c2)) * g)
         + p.b_chi * psi.laplace_factor(grid) * trapz(series(lambda s: s.c2 * s.chi * S) * g)
         - p.b_chi * trapz(series(lambda s: s.chi * grad_dot(s.c2)) * g)
-        + trapz(sw_in * g)
-        - trapz(sw_out * g)
+        + reaction(1)
     )
-    if p.eps > 0:
-        rhs -= p.eps * trapz(series(lambda s: s.c2**p.theta * S) * g)
     out["c2"] = abs(-trapz(a * gp) - a[0] - rhs)
 
     a = series(lambda s: s.chi * S)
     rhs = (
         -p.d_chi * trapz(series(lambda s: grad_dot(s.chi)) * g)
-        - p.a_chi * trapz(series(lambda s: s.c1 * s.chi * S) * g)
-        - p.a_chi * trapz(series(lambda s: s.c2 * s.chi * S) * g)
+        + reaction(2)
         + _supply_term(traj, psi)
     )
     out["chi"] = abs(-trapz(a * gp) - a[0] - rhs)
 
     a = series(lambda s: s.tau * S)
-    rhs = (
-        -p.delta * trapz(series(lambda s: s.tau * s.c1 * S) * g)
-        - p.mu * trapz(a * g)
-        + trapz(series(lambda s: s.c2 / (1.0 + s.c2) * S) * g)
-    )
+    rhs = reaction(3)
     if p.eps > 0:
         rhs -= p.eps * trapz(series(lambda s: grad_dot(s.tau)) * g)
     out["tau"] = abs(-trapz(a * gp) - a[0] - rhs)
@@ -449,8 +428,7 @@ class TestSnapshotMajorTable:
     @given(rough_trajectories(), st.data())
     def test_single_residuals_equal_per_test_function_formulas(self, traj, data):
         modes = tuple(data.draw(st.integers(0, 4)) for _ in range(traj.grid.dim))
-        psi = TestFunction(modes, data.draw(st.sampled_from([1, 2, 3])), traj.horizon,
-                           amplitude=data.draw(not_one(0.2, 3.0)))
+        psi = TestFunction(modes, data.draw(st.sampled_from([1, 2, 3])), traj.horizon)
         ref = reference_residuals(traj, psi)
         for name in FIELDS:
             assert residual(traj, psi, name) == ref[name], name
@@ -459,7 +437,7 @@ class TestSnapshotMajorTable:
     @given(grids(), st.data())
     def test_separable_factors_equal_meshgrid_formulas(self, grid, data):
         modes = tuple(data.draw(st.integers(0, 5)) for _ in range(grid.dim))
-        psi = TestFunction(modes, 1, 1.0, amplitude=data.draw(not_one(0.2, 3.0)))
+        psi = TestFunction(modes, 1, 1.0)
         S = psi.spatial(grid)
         assert S.shape == grid.shape and np.array_equal(S, meshgrid_spatial(psi, grid))
         for got, want in zip(psi.spatial_gradient(grid), meshgrid_spatial_gradient(psi, grid),
