@@ -1,49 +1,40 @@
 """Finite-volume simulator for a four-species haptotaxis-chemotaxis
 tissue-regeneration model, with entropy monitors, bound certificates,
 weak-form residual checks, and a vanishing-regularization harness.
+
+The namespace is lazy (PEP 562): ``import regenfv`` loads no submodule, and
+each public name imports its module on first use.
 """
 
-from types import ModuleType as _ModuleType
+import importlib
 
-from .config import RunConfig, echo_text, parse_config
-from .diagnostics import (
-    DiagnosticsRecord,
-    EntropyParams,
-    MonitorReport,
-    compute_record,
-    dissipation_D,
-    entropy_E,
-    entropy_inequality_monitor,
-)
-from .errors import ConfigError, DivergenceError, StabilityError, StiffnessError
-from .grid import (
-    Grid,
-    gradient_components,
-    gradient_sq,
-    integrate,
-    laplacian_neumann,
-    taxis_divergence,
-)
-from .model import (
-    ModelParams,
-    RateFunction,
-    SupplySchedule,
-    eval_rate,
-    event_timeline,
-    reaction_rhs,
-)
-from .oracle import HomogeneousState, OracleTrajectory, rk4_solve
-from .stepping import SimState, StepControl, run, stable_dt
-from .sweep import SweepConfig, SweepReport, compare_to_limit, run_sweep
-from .weakform import (
-    TestFunction,
-    Trajectory,
-    TrajectoryRecorder,
-    residual,
-    residual_table,
-)
+_EXPORTS = {
+    "config": ("RunConfig", "echo_text", "parse_config", "EntropyParams", "StepControl"),
+    "diagnostics": ("DiagnosticsRecord", "MonitorReport", "compute_record", "dissipation_D",
+                    "entropy_E", "entropy_inequality_monitor"),
+    "errors": ("ConfigError", "DivergenceError", "StabilityError", "StiffnessError"),
+    "grid": ("Grid", "gradient_components", "gradient_sq", "integrate", "laplacian_neumann",
+             "taxis_divergence"),
+    "model": ("ModelParams", "RateFunction", "SupplySchedule", "eval_rate", "event_timeline",
+              "reaction_rhs"),
+    "oracle": ("HomogeneousState", "OracleTrajectory", "rk4_solve"),
+    "stepping": ("SimState", "run", "stable_dt"),
+    "sweep": ("SweepConfig", "SweepReport", "compare_to_limit", "run_sweep"),
+    "weakform": ("TestFunction", "Trajectory", "TrajectoryRecorder", "residual", "residual_table"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# the public names, without the submodules that the imports above also bind
-__all__ = [name for name, value in globals().items()
-           if not (name.startswith("_") or isinstance(value, _ModuleType))]
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

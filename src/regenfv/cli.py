@@ -16,23 +16,19 @@ import math
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import RunConfig, echo_text, parse_config
-from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import ConfigError, DivergenceError, StabilityError, StiffnessError
 from .grid import Grid
-from .oracle import HomogeneousState, rk4_solve
-from .stepping import SimState, run
-from .sweep import SweepConfig, run_sweep
-from .weakform import Trajectory, residual_table
 
-
-def _write_diagnostics_csv(path: Path, records: list[DiagnosticsRecord]) -> None:
-    lines = [",".join(DiagnosticsRecord.CSV_COLUMNS)]
-    lines.extend(rec.csv_row() for rec in records)
-    path.write_text("\n".join(lines) + "\n")
+# Each command imports the modules it runs inside its function, so that no
+# command loads the code of another; these two names serve annotations only.
+if TYPE_CHECKING:
+    from .stepping import SimState
+    from .weakform import Trajectory
 
 
 @lru_cache(maxsize=4)
@@ -62,6 +58,8 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
     The files are outside input: a malformed one, or one whose cell centers
     are not those of the configured grid, is a ConfigError naming it.
     """
+    from .weakform import Trajectory
+
     diag_path = out_dir / "diagnostics.csv"
     if not diag_path.exists():
         raise ConfigError(f"no diagnostics.csv in {out_dir}; run with output.snapshots = 1 first")
@@ -102,18 +100,22 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
         raise ConfigError(f"{out_dir}: {exc}") from None
 
 
-def _resolve_out(cfg: RunConfig, args) -> Path:
+def _out_dir(cfg: RunConfig, args) -> Path:
+    """The output directory, not yet created: a command creates it only once
+    its inputs are validated, so a rejected command leaves nothing behind."""
     out = args.out or cfg.out_dir
     if not out:
         raise ConfigError("no output directory: pass --out or set output.dir")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def _cmd_run(cfg: RunConfig, args) -> int:
-    out = _resolve_out(cfg, args)
+    from .diagnostics import DiagnosticsRecord, compute_record
+    from .stepping import run
+
+    out = _out_dir(cfg, args)
     initial = cfg.build_initial()
+    out.mkdir(parents=True, exist_ok=True)
     records: list[DiagnosticsRecord] = []
 
     def record_sink(state: SimState) -> None:
@@ -129,7 +131,9 @@ def _cmd_run(cfg: RunConfig, args) -> int:
         record_sink=record_sink, snapshot_sink=snapshot_sink)
 
     (out / "config_echo.txt").write_text(echo_text(cfg))
-    _write_diagnostics_csv(out / "diagnostics.csv", records)
+    lines = [",".join(DiagnosticsRecord.CSV_COLUMNS)]
+    lines.extend(rec.csv_row() for rec in records)
+    (out / "diagnostics.csv").write_text("\n".join(lines) + "\n")
 
     if args.strict:
         for rec in records:
@@ -140,7 +144,9 @@ def _cmd_run(cfg: RunConfig, args) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> int:
-    out = _resolve_out(cfg, args)
+    from .sweep import SweepConfig, run_sweep
+
+    out = _out_dir(cfg, args)
     if not args.eps_list:
         raise ConfigError("sweep needs --eps-list, e.g. --eps-list 0.5,0.25,0.125")
     try:
@@ -159,11 +165,14 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = run_sweep(sweep_cfg)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(report.csv_text())
     return 0
 
 
 def _cmd_weakcheck(cfg: RunConfig, args) -> int:
+    from .weakform import residual_table
+
     if not cfg.snapshots:
         raise ConfigError("weakcheck reads the snapshots of a run, and this config sets output.snapshots = 0")
     try:
@@ -174,7 +183,7 @@ def _cmd_weakcheck(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--psi-m needs temporal exponents of at least 1, got {args.psi_m!r}")
     if args.psi_kmax < 0:
         raise ConfigError(f"--psi-kmax must be nonnegative, got {args.psi_kmax}")
-    out = _resolve_out(cfg, args)
+    out = _out_dir(cfg, args)
     traj = load_trajectory(cfg, out)
     rows = residual_table(traj, k_max=args.psi_kmax, powers=powers)
     lines = ["equation,k,m,residual,level"]
@@ -186,11 +195,13 @@ def _cmd_weakcheck(cfg: RunConfig, args) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, args) -> int:
+    from .oracle import HomogeneousState, rk4_solve
+
+    out = _out_dir(cfg, args)
     t_end = cfg.ctrl.t_end
     dt = args.dt if args.dt is not None else (t_end / 1000.0 if t_end > 0 else 1e-3)
     if not 0.0 < dt < math.inf:
         raise ConfigError(f"--dt must be finite and positive, got {dt}")
-    out = _resolve_out(cfg, args)
     uniform = {}
     for section, spec in cfg.initial.items():
         if spec.kind != "uniform":
@@ -204,6 +215,7 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
         y0, cfg.params, cfg.alphas, cfg.schedule, dt=dt, t_end=t_end,
         domain_measure=cfg.grid.measure, save_every=cfg.ctrl.save_every,
     )
+    out.mkdir(parents=True, exist_ok=True)
     lines = ["t,c1,c2,chi,tau"]
     for t, row in zip(traj.times, traj.values):
         lines.append(",".join(repr(float(v)) for v in (t, *row)))
@@ -250,9 +262,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         try:
-            text = Path(args.config).read_text()
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
         return _COMMANDS[args.command](parse_config(text), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,6 +7,9 @@ explicit, and ``echo_text`` emits the canonical form so that
 parse(echo(parse(text))) == parse(text). The fields of ``ModelParams``,
 ``SupplySchedule``, ``StepControl`` and ``EntropyParams`` are the keys of the
 params, schedule, control and entropy sections, with their order and defaults.
+The first two live in ``regenfv.model``; the step policy ``StepControl`` and
+the functional weights ``EntropyParams`` live here, so that parsing a
+configuration imports neither the stepper nor the diagnostics.
 
 The four initial-data sections are named after the fields they seed (c10,
 c20, chi0, tau0); each takes exactly one of the initializers
@@ -27,14 +30,16 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .diagnostics import EntropyParams
 from .errors import ConfigError
 from .grid import Grid
 from .model import ModelParams, RateFunction, SupplySchedule
-from .stepping import SimState, StepControl
+
+if TYPE_CHECKING:
+    from .stepping import SimState
 
 _INITIAL_SECTIONS = ("c10", "c20", "chi0", "tau0")
 # Sign rules, checked where the key is read so that the error names its line.
@@ -45,6 +50,46 @@ _SIGN_RULES = {
     **dict.fromkeys(("params.a_chi", "params.beta", "control.t_end"), "nonnegative"),
 }
 _MAY_BE_INFINITE = "control.dt_max"  # its default, inf, is echoed and must parse back
+
+
+@dataclass(frozen=True)
+class StepControl:
+    """Timestep policy: hard cap, CFL safety factor, horizon, save cadence."""
+
+    t_end: float
+    dt_max: float = math.inf
+    cfl_safety: float = 0.5
+    save_every: Optional[float] = None
+
+    def __post_init__(self):
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if not self.dt_max > 0:
+            raise ValueError("dt_max must be positive")
+        if not 0 < self.cfl_safety <= 1:
+            raise ValueError("cfl_safety must lie in (0, 1]")
+        if self.save_every is not None and not self.save_every > 0:
+            raise ValueError("save_every must be positive")
+
+
+@dataclass(frozen=True)
+class EntropyParams:
+    """User knobs of the combined functionals.
+
+    ``zeta`` weighs the medium terms; the theoretically optimal choice
+    involves an interpolation constant with no computable value, so it stays
+    a diagnostic parameter (the functionals' finiteness does not depend on
+    it). ``varrho`` is the decay weight used only by the inequality monitor.
+    """
+
+    zeta: float = 1.0
+    varrho: float = 0.0
+
+    def __post_init__(self):
+        if not 0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
+        if not 0 <= self.varrho < math.inf:
+            raise ValueError(f"varrho must be finite and nonnegative, got {self.varrho}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +146,8 @@ class RunConfig:
         return (self.alpha1, self.alpha2)
 
     def build_initial(self) -> SimState:
+        from .stepping import SimState
+
         arrays = {}
         for section, spec in self.initial.items():
             try:

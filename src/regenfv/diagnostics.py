@@ -21,37 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
 from .grid import Grid, gradient_sq, integrate, laplacian_neumann
 from .model import ModelParams, RateFunction
-from .stepping import SimState
+
+if TYPE_CHECKING:
+    from .config import EntropyParams
+    from .stepping import SimState
 
 TOL_REL = 1e-8  # relative slack of the c1 mass and tau sup certificates
 TOL_ABS = 1e-12  # undershoot below zero that the nonnegativity certificate allows
 TAU_LOG_FLOOR = 1e-30  # tau's floor before the 1D Hessian diagnostic takes its logarithm
-
-
-@dataclass(frozen=True)
-class EntropyParams:
-    """User knobs of the combined functionals.
-
-    ``zeta`` weighs the medium terms; the theoretically optimal choice
-    involves an interpolation constant with no computable value, so it stays
-    a diagnostic parameter (the functionals' finiteness does not depend on
-    it). ``varrho`` is the decay weight used only by the inequality monitor.
-    """
-
-    zeta: float = 1.0
-    varrho: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.zeta < math.inf:
-            raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
-        if not 0 <= self.varrho < math.inf:
-            raise ValueError(f"varrho must be finite and nonnegative, got {self.varrho}")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,6 +67,9 @@ from .model import (
     event_timeline,
     landing_tol,
 )
+
+if TYPE_CHECKING:
+    from .config import StepControl
 
 
 FIELDS = ("c1", "c2", "chi", "tau")
@@ -99,26 +102,6 @@ class SimState:
 
     def fields(self) -> dict[str, np.ndarray]:
         return dict(zip(FIELDS, self.u))
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Timestep policy: hard cap, CFL safety factor, horizon, save cadence."""
-
-    t_end: float
-    dt_max: float = math.inf
-    cfl_safety: float = 0.5
-    save_every: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0 <= self.t_end < math.inf:
-            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.save_every is not None and not self.save_every > 0:
-            raise ValueError("save_every must be positive")
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,18 @@ slice of one ``(m, n_t, 4, *shape)`` array.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .diagnostics import fisher_integrand
 from .grid import Grid, gradient_components
 from .model import ModelParams, RateFunction, SupplySchedule, event_timeline
-from .stepping import FIELDS, SimState, StepControl, _march
+from .stepping import FIELDS, SimState, _march
 from .weakform import Trajectory
+
+if TYPE_CHECKING:
+    from .config import StepControl
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .grid import Grid, gradient_components, integrate
 from .model import ModelParams, RateFunction, SupplySchedule, bind_reactions, dose_density
-from .stepping import SimState
+
+if TYPE_CHECKING:
+    from .stepping import SimState
 
 
 @lru_cache(maxsize=64)

@@ -51,6 +51,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 1
 
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"grid.dim = 1\xff\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {cfg} is not UTF-8 text:")
+
     def test_bad_value_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("params.mu = 0.9", "params.mu = -1"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -149,6 +155,7 @@ class TestBadInputFiles:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: c10: cannot read") and "absent.txt" in err
+        assert not (tmp_path / "o").exists()  # validated before the output directory is made
 
     def test_initializer_file_with_wrong_value_count(self, tmp_path, capsys):
         code, err = self.run_with_c10_file(tmp_path, capsys, "0.5\n" * 15)
@@ -265,7 +272,7 @@ class TestOracleCommand:
         out = tmp_path / "o"
         assert main(["oracle", "--config", str(cfg), "--out", str(out), f"--dt={dt}"]) == 1
         assert capsys.readouterr().err.startswith("config error: --dt must be finite and positive")
-        assert not (out / "oracle.csv").exists()
+        assert not out.exists()
 
     def test_default_dt_is_a_thousandth_of_t_end(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -278,6 +285,7 @@ class TestOracleCommand:
         text = BASE.replace("chi0.uniform = 1.0", "chi0.cosine = 1.0 0.2 1")
         cfg = write_config(tmp_path, text)
         assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_stiff_oracle_exits_two(self, tmp_path):
         # save_every must not cap the step below the stiff dt
@@ -304,6 +312,14 @@ class TestSweepCommand:
     def test_sweep_without_eps_list_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("eps_list", ["0.1,abc", "0.1,0.5"])
+    def test_bad_eps_list_is_config_error(self, tmp_path, eps_list):
+        cfg = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--eps-list", eps_list]) == 1
+        assert not out.exists()
 
 
 class TestWeakcheckCommand:
@@ -350,6 +366,13 @@ class TestWeakcheckCommand:
         out = tmp_path / "empty"
         out.mkdir()
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+
+    def test_weakcheck_on_absent_folder_creates_none(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE + "output.snapshots = 1\n")
+        out = tmp_path / "absent"
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: no diagnostics.csv in {out}")
+        assert not out.exists()
 
     def test_weakcheck_names_snapshots_turned_off(self, tmp_path, capsys):
         # the run's files are all there; the config is what has no snapshots

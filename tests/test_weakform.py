@@ -20,7 +20,7 @@ from regenfv import (
     residual_table,
     run,
 )
-from regenfv.diagnostics import EntropyParams
+from regenfv.config import EntropyParams
 from regenfv.stepping import FIELDS
 from regenfv.weakform import _supply_term
 
