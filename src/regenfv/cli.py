@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
@@ -37,19 +39,126 @@ def _coordinate_text(grid: Grid) -> tuple[str, ...]:
     return tuple(map(",".join, zip(*(map(repr, c.ravel().tolist()) for c in grid.coordinate_arrays()))))
 
 
-_SNAPSHOT_BLOCK = 4096  # cells per piece of snapshot text
+_SNAPSHOT_BLOCK = 4096  # cells per piece of snapshot text; also the fewest cells sent to writers
 
 
-def _snapshot_blocks(state: SimState):
-    """The snapshot CSV text in pieces of ``_SNAPSHOT_BLOCK`` cells, so that
-    only one piece's Python lists and strings are alive at a time."""
-    grid, block = state.grid, _SNAPSHOT_BLOCK
-    coords, u = _coordinate_text(grid), state.u.reshape(4, -1)
+def _snapshot_blocks(grid: Grid, u: np.ndarray):
+    """The snapshot CSV text of the ``(4, *grid.shape)`` fields ``u`` in
+    pieces of ``_SNAPSHOT_BLOCK`` cells, so that only one piece's Python
+    lists and strings are alive at a time."""
+    block = _SNAPSHOT_BLOCK
+    coords, u = _coordinate_text(grid), u.reshape(4, -1)
     yield ("x,y," if grid.dim == 2 else "x,") + "c1,c2,chi,tau\n"
     for start in range(0, grid.n_cells, block):
         values = u[:, start:start + block].tolist()
         rows = zip(coords[start:start + block], *(map(repr, row) for row in values))
         yield "\n".join(map(",".join, rows)) + "\n"
+
+
+def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> None:
+    """Write one snapshot file; a file that cannot be written is a ConfigError naming it."""
+    try:
+        with path.open("w") as fh:
+            fh.writelines(_snapshot_blocks(grid, u))
+    except OSError as exc:
+        raise ConfigError(f"cannot write snapshot {path}: {exc.strerror or exc}") from None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+class _Writers:
+    """Snapshot writer processes, forked once at the start of a run, so that
+    formatting the text of large snapshots (``repr`` of every value) runs on
+    the idle CPUs while the run steps on.
+
+    Save k goes down lane ``k % lanes``, a pipe to one writer, as an 8-byte
+    index and the raw bytes of ``state.u``; a full pipe blocks ``send``, so at
+    most one snapshot per lane waits in memory. A writer that cannot write a
+    file reports it on the shared error pipe, reads its lane to the end and
+    exits nonzero. POSIX only (``os.fork``); the writers call no BLAS.
+    """
+
+    def __init__(self, out: Path, grid: Grid, lanes: int):
+        _coordinate_text(grid)  # built once, inherited by every writer
+        self.out = out
+        self.lanes: list[tuple[int, BinaryIO]] = []
+        self.errors, errors_w = os.pipe()
+        try:
+            for _ in range(lanes):
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        # a lane reaches EOF only once no writer holds its write end
+                        for fd in (w, self.errors, *(fh.fileno() for _, fh in self.lanes)):
+                            os.close(fd)
+                        status = _serve(r, errors_w, out, grid)
+                    finally:
+                        os._exit(status)
+                os.close(r)
+                self.lanes.append((pid, open(w, "wb")))
+        except BaseException:
+            os.close(errors_w)
+            self.close(report=False)
+            raise
+        os.close(errors_w)
+
+    def __enter__(self) -> _Writers:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # an error of the run itself (or an interrupt) comes before a failed write
+        self.close(report=exc_type is None)
+
+    def send(self, index: int, state: SimState) -> None:
+        fh = self.lanes[index % len(self.lanes)][1]
+        fh.write(index.to_bytes(8, "little"))
+        fh.write(np.ascontiguousarray(state.u))
+        fh.flush()
+
+    def close(self, report: bool = True) -> None:
+        """Close every lane and reap every writer; with ``report``, a failed
+        write is a ConfigError."""
+        statuses = []
+        for pid, fh in self.lanes:
+            try:
+                fh.close()
+            except BrokenPipeError:  # the writer is gone; its status tells why
+                pass
+            statuses.append(os.waitpid(pid, 0)[1])
+        with open(self.errors, "rb") as fh:
+            messages = fh.read().decode(errors="replace").splitlines()
+        if report and messages:
+            raise ConfigError(messages[0])
+        if report and any(statuses):
+            raise ConfigError(f"a snapshot writer failed (wait status {max(statuses)}); "
+                              f"the snap_*.csv files in {self.out} may be incomplete")
+
+
+def _serve(lane: int, errors: int, out: Path, grid: Grid) -> int:
+    """A writer's loop: write each snapshot that arrives on ``lane``."""
+    u = np.empty((4, *grid.shape))
+    status = 0
+    with open(lane, "rb") as fh:
+        while head := fh.read(8):
+            if len(head) < 8 or fh.readinto(u) < u.nbytes:
+                return 1  # the sender stopped inside a snapshot
+            if status:
+                continue  # read the lane to its end so that the sender never blocks
+            try:
+                _write_snapshot(out / f"snap_{int.from_bytes(head, 'little')}.csv", grid, u)
+            except ConfigError as exc:
+                # 512 bytes, POSIX's least PIPE_BUF, arrive in one piece
+                os.write(errors, str(exc).encode()[:511] + b"\n")
+                status = 1
+    return status
 
 
 def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
@@ -106,7 +215,11 @@ def _out_dir(cfg: RunConfig, args) -> Path:
     out = args.out or cfg.out_dir
     if not out:
         raise ConfigError("no output directory: pass --out or set output.dir")
-    return Path(out)
+    out = Path(out)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"output directory {out}: {path} exists and is not a directory")
+    return out
 
 
 def _cmd_run(cfg: RunConfig, args) -> int:
@@ -121,14 +234,19 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     def record_sink(state: SimState) -> None:
         records.append(compute_record(state, cfg.params, cfg.alphas, initial, cfg.entropy))
 
-    snapshot_sink = None
+    snapshot_sink, writers = None, nullcontext()
     if cfg.snapshots:
-        def snapshot_sink(index: int, state: SimState) -> None:
-            with (out / f"snap_{index}.csv").open("w") as fh:
-                fh.writelines(_snapshot_blocks(state))
+        lanes = _usable_cpus()
+        if initial.grid.n_cells >= _SNAPSHOT_BLOCK and lanes > 1:
+            writers = _Writers(out, initial.grid, lanes)
+            snapshot_sink = writers.send
+        else:
+            def snapshot_sink(index: int, state: SimState) -> None:
+                _write_snapshot(out / f"snap_{index}.csv", state.grid, state.u)
 
-    run(initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl,
-        record_sink=record_sink, snapshot_sink=snapshot_sink)
+    with writers:
+        run(initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl,
+            record_sink=record_sink, snapshot_sink=snapshot_sink)
 
     (out / "config_echo.txt").write_text(echo_text(cfg))
     lines = [",".join(DiagnosticsRecord.CSV_COLUMNS)]

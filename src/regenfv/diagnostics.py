@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 
 TOL_REL = 1e-8  # relative slack of the c1 mass and tau sup certificates
 TOL_ABS = 1e-12  # undershoot below zero that the nonnegativity certificate allows
-TAU_LOG_FLOOR = 1e-30  # tau's floor before the 1D Hessian diagnostic takes its logarithm
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,8 @@ def _functionals(state: SimState, p: ModelParams, ep: EntropyParams):
     """(E, D, int |grad tau|^2/tau, int |grad chi|^2) at one state.
 
     Builds each gradient field once: the Fisher integrands of c1, c2 and tau,
-    |grad chi|^2 and the chi Laplacian. D is every dissipation term except the
-    1D Hessian term (``hessian_tau_1d``).
+    |grad chi|^2 and the chi Laplacian. D leaves out the 1D Hessian term
+    tau*|d^2 ln(tau)/dx^2|^2, which no output reads.
     """
     grid = state.grid
     c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
@@ -133,15 +132,8 @@ def entropy_E(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
 
 
 def dissipation_D(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
-    """The dissipation functional (all terms except the 1D Hessian term, see hessian_tau_1d)."""
+    """The dissipation functional (all terms except the 1D Hessian term of tau)."""
     return _functionals(state, p, ep)[1]
-
-
-def hessian_tau_1d(grid: Grid, tau: np.ndarray) -> float:
-    """1D-only integral of tau*|d^2 ln(tau)/dx^2|^2 with mirrored ghosts."""
-    if grid.dim != 1:
-        raise ValueError("the Hessian diagnostic is implemented in 1D only")
-    return integrate(grid, tau * laplacian_neumann(grid, np.log(np.maximum(tau, TAU_LOG_FLOOR))) ** 2)
 
 
 def c1_mass_bound(

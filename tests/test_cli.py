@@ -1,3 +1,4 @@
+import os
 from unittest.mock import patch
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from regenfv import Grid, SimState, TrajectoryRecorder, diagnostics, parse_config, run
 from regenfv import cli
 from regenfv.cli import load_trajectory, main
+from regenfv.errors import DivergenceError
 
 BASE = """
 grid.dim = 1
@@ -133,10 +135,132 @@ class TestSnapshotWriter:
         u = data.draw(arrays(np.float64, (4, *cells), elements=SNAPSHOT_VALUES))
         state = SimState(0.0, u, grid)
         expected = row_wise_snapshot_text(state)
-        assert "".join(cli._snapshot_blocks(state)) == expected
+        assert "".join(cli._snapshot_blocks(grid, u)) == expected
         # pieces that end inside the grid, on its last cell and past it
         with patch.object(cli, "_SNAPSHOT_BLOCK", data.draw(hst.integers(1, grid.n_cells + 1))):
-            assert "".join(cli._snapshot_blocks(state)) == expected
+            assert "".join(cli._snapshot_blocks(grid, u)) == expected
+
+
+SNAPSHOT_RUN = BASE.replace("control.t_end = 1.0", "control.t_end = 0.03").replace(
+    "c10.uniform = 0.5", "c10.cosine = 0.5 0.2 1").replace(
+    "tau0.uniform = 0.4", "tau0.cosine = 0.4 0.1 2") + \
+    "control.save_every = 0.005\noutput.snapshots = 1\ncontrol.dt_max = 2e-4\n"
+SNAPSHOT_RUN_2D = SNAPSHOT_RUN.replace("grid.dim = 1", "grid.dim = 2").replace(
+    "grid.nx = 16", "grid.nx = 7\ngrid.ny = 5\ngrid.ly = 0.7").replace(
+    "cosine = 0.5 0.2 1", "cosine = 0.5 0.2 1 2").replace("cosine = 0.4 0.1 2", "cosine = 0.4 0.1 2 1")
+
+
+class TestSnapshotWriterLanes:
+    """Snapshots sent down the forked writer lanes: the in-process bytes,
+    and no writer left behind on any exit path."""
+
+    LANES = 3  # fewer than the seven saves of SNAPSHOT_RUN, and not a divisor of them
+
+    @pytest.fixture(autouse=True)
+    def lanes(self, monkeypatch):
+        # every snapshot is above the gate, on any machine
+        monkeypatch.setattr(cli, "_SNAPSHOT_BLOCK", 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: self.LANES)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(real_fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield forks
+        assert len(forks) == self.LANES
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def recorded_states(self, text):
+        rc = parse_config(text)
+        rec = TrajectoryRecorder()
+        with np.errstate(over="ignore"):
+            try:
+                run(rc.build_initial(), rc.params, rc.alphas, rc.schedule, rc.ctrl, snapshot_sink=rec)
+            except DivergenceError:
+                pass
+        return rec.states
+
+    @pytest.mark.parametrize("text", [SNAPSHOT_RUN, SNAPSHOT_RUN_2D], ids=["1d", "2d"])
+    def test_bytes_equal_row_wise_repr(self, tmp_path, text):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        states = self.recorded_states(text)
+        assert len(states) == 7
+        assert sorted(p.name for p in out.glob("snap_*.csv")) == sorted(f"snap_{i}.csv" for i in range(7))
+        for index, state in enumerate(states):
+            assert (out / f"snap_{index}.csv").read_text() == row_wise_snapshot_text(state)
+
+    # a huge jump dose at t = 0.0225 overflows the medium: exit 2 after five saves
+    DIVERGING = SNAPSHOT_RUN + "schedule.mode = jump\nschedule.dose_times = 0.0225\nschedule.chi0 = 1e308\n"
+
+    def test_diverging_run_keeps_its_snapshots(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", str(write_config(tmp_path, self.DIVERGING)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        states = self.recorded_states(self.DIVERGING)
+        assert len(states) == 5
+        assert len(list(out.glob("snap_*.csv"))) == 5
+        for index, state in enumerate(states):
+            assert (out / f"snap_{index}.csv").read_text() == row_wise_snapshot_text(state)
+
+    def test_run_error_comes_before_a_failed_write(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "snap_1.csv").mkdir(parents=True)
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", str(write_config(tmp_path, self.DIVERGING)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+    def test_strict_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(diagnostics, "c1_mass_bound", lambda p, alpha2, initial: 1e-6)
+        out = tmp_path / "out"
+        args = ["run", "--config", str(write_config(tmp_path, SNAPSHOT_RUN)), "--out", str(out), "--strict"]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "certificate failure at t=0\n"
+        assert len(list(out.glob("snap_*.csv"))) == 7
+
+    def test_failed_write_is_config_error(self, tmp_path, capsys):
+        check_failed_write(tmp_path, capsys)
+
+
+def check_failed_write(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "snap_1.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(write_config(tmp_path, SNAPSHOT_RUN)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot write snapshot {out / 'snap_1.csv'}: Is a directory\n")
+
+
+def test_failed_write_in_process_is_config_error(tmp_path, capsys):
+    check_failed_write(tmp_path, capsys)
+
+
+class TestOutputLocation:
+    """An --out that cannot be a folder is a config error before any work."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", []), ("sweep", ["--eps-list", "0.5,0.25"]), ("weakcheck", []), ("oracle", []),
+    ])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_existing_file_is_config_error(self, tmp_path, capsys, monkeypatch, command, extra, below):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for module, name in (("regenfv.stepping", "run"), ("regenfv.sweep", "run_sweep"),
+                             ("regenfv.oracle", "rk4_solve"), ("regenfv.cli", "load_trajectory")):
+            monkeypatch.setattr(f"{module}.{name}", no_work)
+        cfg = write_config(tmp_path, BASE + "output.snapshots = 1\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a folder\n")
+        out = blocker / "sub" if below else blocker
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: output directory {out}: {blocker} exists and is not a directory\n")
+        assert blocker.read_text() == "not a folder\n"
 
 
 class TestBadInputFiles:

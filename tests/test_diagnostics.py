@@ -28,7 +28,6 @@ from regenfv.diagnostics import (
     c1_mass_bound,
     fisher_integrand,
     gradient_sq,
-    hessian_tau_1d,
     tau_linf_bound,
 )
 
@@ -142,17 +141,6 @@ class TestDissipation:
         xs = np.linspace(0, 1, 20001)
         integrand = np.pi**2 * np.sin(np.pi * xs) ** 2 / (2.0 + np.cos(np.pi * xs))
         exact = np.trapezoid(integrand, xs)
-        assert got == pytest.approx(exact, rel=1e-3)
-
-    def test_hessian_1d_on_neumann_compatible_field(self):
-        # tau = exp(cos(pi x)): ln tau = cos(pi x) is even-extendable, so the
-        # mirrored stencil is consistent; integrand tau * pi^4 cos^2(pi x)
-        g = Grid((256,), (1.0,))
-        x = g.axis_centers(0)
-        tau = np.exp(np.cos(np.pi * x))
-        got = hessian_tau_1d(g, tau)
-        xs = np.linspace(0, 1, 20001)
-        exact = np.trapezoid(np.exp(np.cos(np.pi * xs)) * np.pi**4 * np.cos(np.pi * xs) ** 2, xs)
         assert got == pytest.approx(exact, rel=1e-3)
 
 
