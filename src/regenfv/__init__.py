@@ -13,12 +13,10 @@ _EXPORTS = {
     "diagnostics": ("DiagnosticsRecord", "MonitorReport", "compute_record", "dissipation_D",
                     "entropy_E", "entropy_inequality_monitor"),
     "errors": ("ConfigError", "DivergenceError", "StabilityError", "StiffnessError"),
-    "grid": ("Grid", "gradient_components", "gradient_sq", "integrate", "laplacian_neumann",
-             "taxis_divergence"),
-    "model": ("ModelParams", "RateFunction", "SupplySchedule", "eval_rate", "event_timeline",
-              "reaction_rhs"),
+    "grid": ("Grid", "gradient_components", "gradient_sq", "integrate", "laplacian_neumann"),
+    "model": ("ModelParams", "RateFunction", "SupplySchedule", "event_timeline"),
     "oracle": ("HomogeneousState", "OracleTrajectory", "rk4_solve"),
-    "stepping": ("SimState", "run", "stable_dt"),
+    "stepping": ("SimState", "run"),
     "sweep": ("SweepConfig", "SweepReport", "compare_to_limit", "run_sweep"),
     "weakform": ("TestFunction", "Trajectory", "TrajectoryRecorder", "residual", "residual_table"),
 }

@@ -20,7 +20,7 @@ ln(2 + c) and are therefore always positive.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace as dc_replace
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
@@ -145,7 +145,7 @@ def c1_mass_bound(
     omega = initial.grid.measure
     return max(
         integrate(initial.grid, initial.c1),
-        0.5 * omega * (1.0 + math.sqrt(4.0 * alpha2.bound / p.beta)),
+        0.5 * omega * (1.0 + math.sqrt(4.0 * alpha2.amplitude / p.beta)),
     )
 
 
@@ -174,7 +174,7 @@ def compute_record(
         stats[f"mass_{name}"] = integrate(grid, f)
         stats[f"min_{name}"] = float(np.min(f))
         stats[f"max_{name}"] = float(np.max(f))
-    clipped = state.replace(u=np.where(state.u < 0, 0.0, state.u))  # keeps -0.0 bit for bit
+    clipped = dc_replace(state, u=np.where(state.u < 0, 0.0, state.u))  # keeps -0.0 bit for bit
     entropy, dissipation, fisher_tau, grad_chi_sq = _functionals(clipped, p, ep)
     return DiagnosticsRecord(
         t=state.t,

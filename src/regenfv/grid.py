@@ -148,22 +148,6 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     return _flux_divergence((_face_diffs(f, back, inv_h), back, inv_h) for back, inv_h in _axes(grid))
 
 
-def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff) -> np.ndarray:
-    """Finite-volume divergence of the taxis flux coeff*c*grad(s), coeff >= 0.
-
-    Face velocities are central-differenced; the advected value c is taken
-    from the upwind cell, which preserves c >= 0 under the advective CFL
-    bound. Boundary faces carry zero flux. For stacked ``(k, *shape)`` inputs
-    ``coeff`` may be a ``(k, 1, ...)`` column of per-row coefficients.
-    """
-    def flux(back, inv_h):
-        v = _face_diffs(s, back, inv_h)
-        v *= coeff
-        return _upwind_flux(v, c, back, out=v)
-
-    return _flux_divergence((flux(back, inv_h), back, inv_h) for back, inv_h in _axes(grid))
-
-
 def gradient_sq(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Cellwise |grad f|^2: per axis, the mean of the two squared face differences.
 

@@ -96,11 +96,6 @@ class RateFunction:
             raise ValueError("half-saturation must be positive")
         object.__setattr__(self, "floor", 1e-12 * self.amplitude)
 
-    @property
-    def bound(self) -> float:
-        """The certified upper bound M_alpha."""
-        return self.amplitude
-
 
 def _bind_rate(f: RateFunction, maximum: Callable) -> Callable:
     """``f`` as a function of z alone, its constants resolved once; ``maximum``
@@ -110,11 +105,6 @@ def _bind_rate(f: RateFunction, maximum: Callable) -> Callable:
         return lambda z: amplitude
     half_saturation, floor = f.half_saturation, f.floor
     return lambda z: maximum(amplitude * z / (half_saturation + z), floor)
-
-
-def eval_rate(f: RateFunction, z):
-    """Evaluate a rate function at z >= 0 (scalar or array); result in (0, amplitude]."""
-    return _bind_rate(f, np.maximum if isinstance(z, np.ndarray) else max)(z)
 
 
 @dataclass(frozen=True)
@@ -200,7 +190,7 @@ def dose_density(s: SupplySchedule, domain_measure: float) -> float:
 
 
 def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, eps=None,
-                   arrays: bool = False, matrix: bool = True, clip: bool = False) -> Callable:
+                   arrays: bool = False, matrix: bool = True) -> Callable:
     """The reaction terms as one function ``reactions(c1, c2, chi, tau)`` of the
     state, with the coefficients of ``p`` and both rates resolved here, once:
     the one place each term is written, for the stepper, the weak form and
@@ -216,15 +206,15 @@ def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, e
     model; a column such as ``(m, 1, ...)`` damps each leading row of c1 and c2
     with its own value, so one call serves every member of a sweep.
     ``arrays`` selects array arguments, else floats. The state must lie in the
-    nonnegative orthant; with ``clip`` (floats only) a float argument that is
-    not positive reads as 0.0, as the oracle's RK4 stage extrapolations may
-    dip infinitesimally below zero.
+    nonnegative orthant; a float argument that is not positive reads as 0.0,
+    as the oracle's RK4 stage extrapolations may dip infinitesimally below
+    zero.
     """
     rate1, rate2 = (_bind_rate(f, np.maximum if arrays else max) for f in (alpha1, alpha2))
     beta, theta, a_chi, delta, mu = p.beta, p.theta, p.a_chi, p.delta, p.mu
 
     def reactions(c1, c2, chi, tau):
-        if clip:
+        if not arrays:
             c1 = c1 if c1 > 0 else 0.0
             c2 = c2 if c2 > 0 else 0.0
             chi = chi if chi > 0 else 0.0
@@ -241,12 +231,3 @@ def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, e
         return r1, r2, r3, -delta * c1 * tau - mu * tau + c2 / (1.0 + c2)
 
     return reactions
-
-
-def reaction_rhs(c1, c2, chi, tau, p: ModelParams, alpha1: RateFunction, alpha2: RateFunction):
-    """Non-transport right-hand sides (r1, r2, r3, r4) of the four equations at
-    one state, floats or arrays: ``bind_reactions`` at ``p.eps``, bound for
-    one call. Arguments must lie in the nonnegative orthant; callers validate
-    their data at entry."""
-    arrays = any(isinstance(v, np.ndarray) for v in (c1, c2, chi, tau))
-    return bind_reactions(p, alpha1, alpha2, p.eps if p.eps > 0.0 else None, arrays)(c1, c2, chi, tau)

@@ -89,8 +89,8 @@ def rk4_solve(
     # The stage function, bound once: the reaction terms with every coefficient
     # resolved, one call per RK4 stage. Stage extrapolations may dip
     # infinitesimally negative; the model is defined on the nonnegative
-    # orthant, so it clips its inputs.
-    rates = bind_reactions(p, *alphas, p.eps if p.eps > 0.0 else None, clip=True)
+    # orthant, so the float form clips its inputs.
+    rates = bind_reactions(p, *alphas, p.eps if p.eps > 0.0 else None)
     tol = landing_tol(t_end)
 
     times = [0.0]

@@ -19,9 +19,9 @@ uniform row has zero face differences and so stays untouched, and the step
 needs no diffusion limit, only the advection and reaction limits. In 2D the
 stability bound keeps the diffusion limit h^2 / (2 dim max diffusivity).
 
-Any cell driven below zero by reaction stiffness is clamped to zero and the
-clamped magnitude accumulates in a positivity-debt counter carried by the
-state, making the approximation auditable.
+Any cell driven below zero, mostly by the upwind taxis outflow that the update
+charges against the undiffused state, is clamped to zero; the clamped mass
+accumulates in a positivity-debt counter carried by the state, for audit.
 
 The driver lands exactly on every event of the model's ``event_timeline``
 (save times, jump doses, pulse edges), steps each interval with the supply
@@ -96,9 +96,6 @@ class SimState:
     c2 = property(lambda self: self.u[1])
     chi = property(lambda self: self.u[2])
     tau = property(lambda self: self.u[3])
-
-    def replace(self, **kwargs) -> "SimState":
-        return dc_replace(self, **kwargs)
 
     def fields(self) -> dict[str, np.ndarray]:
         return dict(zip(FIELDS, self.u))
@@ -175,8 +172,8 @@ def _diffusion_factors(n: int, h: float, dt: float, coeffs: tuple[float, ...]) -
     phi1(z) = expm1(z)/z. Since 2 sin(x) sin(y) = cos(x - y) - cos(x + y), the
     factor is Toeplitz minus Hankel: P_ij = c_|i-j| - c_(i+j) with
     c_d = (1/n) sum_k phi1(z_k) cos(pi k d / n), one real FFT of length 2n.
-    That is O(n^2) work per dt, and no BLAS call, so the bits do not depend
-    on threading."""
+    Building it is O(n^2) work per dt with no BLAS call; ``_advance`` applies it
+    by ``np.matmul``, which calls BLAS, so CI checks its bits on one thread."""
     k = np.arange(1, n)
     z = np.multiply.outer(np.multiply(dt, coeffs), -(2.0 * np.sin((np.pi / (2 * n)) * k) / h) ** 2)
     phi = np.zeros((len(coeffs), n))
@@ -235,18 +232,6 @@ def _faces_and_bounds(u: np.ndarray, batch: _Batch) -> tuple[list, list[float]]:
         rate = max(rate, p.delta * max_c1 + p.mu)
         bounds.append(min(bound, 1.0 / rate) if rate > 0 else bound)
     return faces, bounds
-
-
-def _stability_bound(state: SimState, p: ModelParams) -> float:
-    """Raw stability bound of one state: min of the diffusion (2D only), advection and reaction limits."""
-    return _faces_and_bounds(state.u[None], _batch((p,), state.grid))[1][0]
-
-
-def stable_dt(state: SimState, p: ModelParams, ctrl: StepControl) -> float:
-    """Largest admissible dt: cfl_safety times the stability bound, capped by dt_max.
-
-    Raises StabilityError when that is not finite and positive."""
-    return _capped_dt(_stability_bound(state, p), ctrl, state.t)
 
 
 def _capped_dt(bound: float, ctrl: StepControl, t: float, tag: str = "") -> float:

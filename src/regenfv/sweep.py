@@ -27,7 +27,7 @@ import numpy as np
 
 from .diagnostics import fisher_integrand
 from .grid import Grid, gradient_components
-from .model import ModelParams, RateFunction, SupplySchedule, event_timeline
+from .model import ModelParams, RateFunction, SupplySchedule, event_timeline, landing_tol
 from .stepping import FIELDS, SimState, _march
 from .weakform import Trajectory
 
@@ -54,6 +54,8 @@ class SweepConfig:
         # non-strict: repeated values are the determinism check
         if any(b > a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be decreasing")
+        if self.ctrl.t_end <= landing_tol(self.ctrl.t_end):  # then the event timeline holds no save
+            raise ValueError(f"a sweep needs a save after t=0: t_end must exceed 1e-12, got {self.ctrl.t_end!r}")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,36 @@
+"""What the tests measure the library against: the single-field taxis
+divergence, the reference that the fused step must match bit for bit, and
+the stability bound and capped dt of one state, taken through the step
+core's own ``_faces_and_bounds`` and ``_capped_dt``."""
+
+import numpy as np
+
+from regenfv import stepping
+from regenfv.grid import Grid, _axes, _face_diffs, _flux_divergence, _upwind_flux
+
+
+def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff) -> np.ndarray:
+    """Finite-volume divergence of the taxis flux coeff*c*grad(s), coeff >= 0.
+
+    Face velocities are central-differenced; the advected value c is taken
+    from the upwind cell, which preserves c >= 0 under the advective CFL
+    bound. Boundary faces carry zero flux. For stacked ``(k, *shape)`` inputs
+    ``coeff`` may be a ``(k, 1, ...)`` column of per-row coefficients.
+    """
+    def flux(back, inv_h):
+        v = _face_diffs(s, back, inv_h)
+        v *= coeff
+        return _upwind_flux(v, c, back, out=v)
+
+    return _flux_divergence((flux(back, inv_h), back, inv_h) for back, inv_h in _axes(grid))
+
+
+def stability_bound(state, p):
+    """Raw stability bound of one state: min of the diffusion (2D only), advection and reaction limits."""
+    return stepping._faces_and_bounds(state.u[None], stepping._batch((p,), state.grid))[1][0]
+
+
+def stable_dt(state, p, ctrl):
+    """Largest admissible dt: cfl_safety times the stability bound, capped by
+    dt_max; raises StabilityError when that is not finite and positive."""
+    return stepping._capped_dt(stability_bound(state, p), ctrl, state.t)

@@ -445,6 +445,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--eps-list", eps_list]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_end", ["0.0", "1e-13"])
+    def test_horizon_without_a_save_is_config_error(self, tmp_path, capsys, t_end):
+        # at t_end <= 1e-12 the event timeline holds no save: rejected before any step
+        cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0", f"control.t_end = {t_end}"))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--eps-list", "0.5,0.25"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: a sweep needs a save after t=0: t_end must exceed 1e-12, got {float(t_end)!r}\n"
+        assert not out.exists()
+
 
 class TestWeakcheckCommand:
     def test_weakcheck_on_stored_snapshots(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ class TestCertificates:
         ref = self.record(zeroed)
         name = FIELDS[row]
         for value, certified in ((-1e-15, True), (-1e-11, False)):
-            st = zeroed.replace(u=zeroed.u.copy())
+            st = replace(zeroed, u=zeroed.u.copy())
             st.u[row, 3] = value
             rec = self.record(st)
             assert rec.cert_nonneg is certified

@@ -11,8 +11,9 @@ from regenfv import (
     gradient_sq,
     integrate,
     laplacian_neumann,
-    taxis_divergence,
 )
+
+from references import taxis_divergence
 
 
 class TestGrid:

@@ -9,11 +9,9 @@ from regenfv import (
     ModelParams,
     RateFunction,
     SupplySchedule,
-    eval_rate,
     event_timeline,
-    reaction_rhs,
 )
-from regenfv.model import bind_reactions
+from regenfv.model import _bind_rate, bind_reactions
 
 
 def default_params(**overrides):
@@ -47,27 +45,32 @@ class TestModelParams:
             default_params(theta=2.0)
 
 
+def rate(f, z):
+    """The rate function f at z >= 0 as the reaction terms bind it, for float or array z."""
+    return _bind_rate(f, np.maximum if isinstance(z, np.ndarray) else max)(z)
+
+
 class TestEvalRate:
     def test_constant_returns_amplitude(self):
         f = RateFunction("constant", 0.7)
-        assert eval_rate(f, 3.0) == 0.7
+        assert rate(f, 3.0) == 0.7
 
     def test_half_saturation_point(self):
         f = RateFunction("saturating", 1.0, half_saturation=1.0)
-        assert eval_rate(f, 1.0) == pytest.approx(0.5, abs=0.0)
+        assert rate(f, 1.0) == pytest.approx(0.5, abs=0.0)
 
     def test_bounded_by_amplitude_over_ten_decades(self):
         # monotone limit of A*z/(K+z) checked by sampling z over 1e-6..1e6
         f = RateFunction("saturating", 2.0, half_saturation=0.5)
         zs = np.logspace(-6, 6, 200)
-        values = eval_rate(f, zs)
+        values = rate(f, zs)
         assert np.all(values <= 2.0)
         assert np.all(np.diff(values) >= 0)
-        assert eval_rate(f, 1e6) <= 2.0
+        assert rate(f, 1e6) <= 2.0
 
     def test_strictly_positive_even_at_zero(self):
         f = RateFunction("saturating", 2.0, half_saturation=0.5)
-        assert 0 < eval_rate(f, 0.0) <= 2.0
+        assert 0 < rate(f, 0.0) <= 2.0
 
     def test_floor_is_derived_from_the_amplitude(self):
         # a caller-chosen floor of 0 would make the saturating rate vanish at z = 0
@@ -80,7 +83,7 @@ class TestEvalRate:
         for kind in ("constant", "saturating"):
             f = RateFunction(kind, 1.3, half_saturation=0.2)
             z = rng.uniform(0, 50, size=500)
-            vals = np.broadcast_to(eval_rate(f, z), z.shape)
+            vals = np.broadcast_to(rate(f, z), z.shape)
             assert np.all(vals > 0) and np.all(vals <= 1.3)
 
 
@@ -171,19 +174,19 @@ class TestReactionRhs:
 
     def test_origin_is_equilibrium(self):
         p = default_params()
-        assert reaction_rhs(0.0, 0.0, 0.0, 0.0, p, *self.alphas) == (0.0, 0.0, 0.0, -0.0)
+        assert bind_reactions(p, *self.alphas)(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, -0.0)
 
     def test_logistic_fixed_point(self):
         p = default_params(beta=1.0)
         a_off = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
-        r1, r2, r3, r4 = reaction_rhs(1.0, 0.0, 0.0, 0.0, p, *a_off)
+        r1, r2, r3, r4 = bind_reactions(p, *a_off)(1.0, 0.0, 0.0, 0.0)
         assert (r1, r2, r3, r4) == (0.0, 0.0, 0.0, 0.0)
 
     def test_hand_evaluated_uptake_and_matrix_lines(self):
         # c1=1, c2=1, chi=1, tau=0.5, a_chi=delta=mu=1:
         #   r4 = -1*0.5 - 1*0.5 + 1/(1+1) = -0.5,  r3 = -(1+1)*1 = -2
         p = default_params()
-        _, _, r3, r4 = reaction_rhs(1.0, 1.0, 1.0, 0.5, p, *self.alphas)
+        _, _, r3, r4 = bind_reactions(p, *self.alphas)(1.0, 1.0, 1.0, 0.5)
         assert r4 == pytest.approx(-0.5, abs=1e-15)
         assert r3 == pytest.approx(-2.0, abs=1e-15)
 
@@ -191,14 +194,14 @@ class TestReactionRhs:
         # state (c1, c2, chi, tau) = (0.6, 0.1, 1.0, 0.2); coefficients below.
         p = default_params(a_chi=0.8, beta=1.0, delta=0.7, mu=0.9)
         alphas = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
-        a1v = eval_rate(alphas[0], 1.0)  # 1.2 * 1 / 1.5 = 0.8
+        a1v = max(1.2 * 1.0 / (0.5 + 1.0), 1e-12 * 1.2)  # max(A z/(K + z), 1e-12 A) = 0.8
         assert a1v == pytest.approx(0.8, rel=1e-15)
         switch = a1v * 0.6 / 1.6 - 0.4 * 0.1 / 1.1
         r1_hand = -switch + 1.0 * 0.6 * (1.0 - 0.6 - 0.1 - 0.2)
         r2_hand = switch
         r3_hand = -0.8 * (0.6 + 0.1) * 1.0
         r4_hand = -0.7 * 0.6 * 0.2 - 0.9 * 0.2 + 0.1 / 1.1
-        r1, r2, r3, r4 = reaction_rhs(0.6, 0.1, 1.0, 0.2, p, *alphas)
+        r1, r2, r3, r4 = bind_reactions(p, *alphas)(0.6, 0.1, 1.0, 0.2)
         assert r1 == pytest.approx(r1_hand, rel=1e-15)
         assert r2 == pytest.approx(r2_hand, rel=1e-15)
         assert r3 == pytest.approx(r3_hand, rel=1e-15)
@@ -207,37 +210,49 @@ class TestReactionRhs:
     def test_switch_terms_are_exact_negatives(self):
         p = default_params(beta=0.0)
         rng = np.random.default_rng(11)
+        reactions = bind_reactions(p, *self.alphas)
         for _ in range(100):
             c1, c2, chi, tau = rng.uniform(0, 3, size=4)
-            r1, r2, _, _ = reaction_rhs(c1, c2, chi, tau, p, *self.alphas)
+            r1, r2, _, _ = reactions(c1, c2, chi, tau)
             assert r1 + r2 == pytest.approx(0.0, abs=1e-15)
 
     def test_switch_conserves_with_damping_off(self):
         p = default_params(beta=0.0, eps=0.0)
-        r1, r2, _, _ = reaction_rhs(0.3, 1.7, 2.0, 0.1, p, *self.alphas)
+        r1, r2, _, _ = bind_reactions(p, *self.alphas)(0.3, 1.7, 2.0, 0.1)
         assert r1 + r2 == 0.0
 
     def test_damping_term_enters_with_eps(self):
         p0 = default_params(eps=0.0)
         p5 = default_params(eps=0.5, theta=4.0)
-        r1_0, r2_0, _, _ = reaction_rhs(1.5, 0.5, 0.0, 0.0, p0, *self.alphas)
-        r1_5, r2_5, _, _ = reaction_rhs(1.5, 0.5, 0.0, 0.0, p5, *self.alphas)
+        r1_0, r2_0, _, _ = bind_reactions(p0, *self.alphas)(1.5, 0.5, 0.0, 0.0)
+        r1_5, r2_5, _, _ = bind_reactions(p5, *self.alphas, p5.eps)(1.5, 0.5, 0.0, 0.0)
         assert r1_5 - r1_0 == pytest.approx(-0.5 * 1.5**4, rel=1e-14)
         assert r2_5 - r2_0 == pytest.approx(-0.5 * 0.5**4, rel=1e-14)
+
+    def test_float_form_reads_a_tiny_negative_as_zero(self):
+        # the oracle's RK4 stage extrapolations may dip just below zero; each
+        # component reads as 0.0 (a negative float to the power 4.5 is complex)
+        p = default_params(eps=0.3, theta=4.5)
+        reactions = bind_reactions(p, RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4), p.eps)
+        state = (0.6, 0.1, 1.0, 0.2)
+        for i in range(4):
+            dipped, zeroed = list(state), list(state)
+            dipped[i], zeroed[i] = -1e-12, 0.0
+            assert reactions(*dipped) == reactions(*zeroed), i
 
     def test_vectorized_matches_scalar(self):
         p = default_params(eps=0.2)
         rng = np.random.default_rng(3)
         c1, c2, chi, tau = (rng.uniform(0, 2, size=8) for _ in range(4))
-        vec = reaction_rhs(c1, c2, chi, tau, p, *self.alphas)
+        vec = bind_reactions(p, *self.alphas, p.eps, arrays=True)(c1, c2, chi, tau)
         for i in range(8):
-            scal = reaction_rhs(c1[i], c2[i], chi[i], tau[i], p, *self.alphas)
+            scal = bind_reactions(p, *self.alphas, p.eps)(c1[i], c2[i], chi[i], tau[i])
             for v, s in zip(vec, scal):
                 assert v[i] == pytest.approx(s, rel=1e-15)
 
     def test_eps_column_damps_each_member_bitwise(self):
         # one call with an (m, 1) eps column gives, row by row, the r1..r3 of
-        # reaction_rhs at each member's eps, then tau's production and sink rate
+        # the terms bound at each member's eps, then tau's production and sink rate
         alphas = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
         rng = np.random.default_rng(8)
         c1, c2, chi, tau = rng.uniform(0, 2, size=(4, 3, 17))
@@ -245,11 +260,13 @@ class TestReactionRhs:
         p = default_params(eps=eps[0], theta=3.3)
         stacked = bind_reactions(p, *alphas, np.reshape(eps, (3, 1)), arrays=True, matrix=False)(c1, c2, chi, tau)
         for j, e in enumerate(eps):
-            member = reaction_rhs(c1[j], c2[j], chi[j], tau[j], default_params(eps=e, theta=3.3), *alphas)
+            reactions = bind_reactions(default_params(eps=e, theta=3.3), *alphas, e, arrays=True)
+            member = reactions(c1[j], c2[j], chi[j], tau[j])
             for got, want in zip(stacked[:3], member[:3], strict=True):
                 assert np.array_equal(got[j], want)
         limit = bind_reactions(p, *alphas, None, arrays=True, matrix=False)(c1, c2, chi, tau)
-        for got, want in zip(limit[:3], reaction_rhs(c1, c2, chi, tau, default_params(), *alphas)[:3], strict=True):
+        alone = bind_reactions(default_params(), *alphas, arrays=True)(c1, c2, chi, tau)
+        for got, want in zip(limit[:3], alone[:3], strict=True):
             assert np.array_equal(got, want)
         for tau_terms in (stacked[3:], limit[3:]):
             produce, sink = tau_terms

@@ -148,11 +148,11 @@ class TestAgreementWithRun:
 
 def reference_rk4(y0, p, alphas, schedule, dt, t_end, domain_measure=1.0, save_every=None):
     """The RK4 loop as it was before the reaction terms were bound once per
-    solve: a stage closure that clips its inputs and calls
-    ``model.reaction_rhs``, and stages indexed as ``k1[0]``, verbatim. The
-    supply and the jump-dose increment come from the timeline's events, as
-    in ``rk4_solve``."""
-    alpha1, alpha2 = alphas
+    solve: a stage closure that clips its inputs and calls the reaction
+    terms, and stages indexed as ``k1[0]``, verbatim. The supply and the
+    jump-dose increment come from the timeline's events, as in
+    ``rk4_solve``."""
+    reactions = model.bind_reactions(p, *alphas, p.eps if p.eps > 0.0 else None)
 
     supply = 0.0
 
@@ -161,7 +161,7 @@ def reference_rk4(y0, p, alphas, schedule, dt, t_end, domain_measure=1.0, save_e
         c2 = c2 if c2 > 0 else 0.0
         chi = chi if chi > 0 else 0.0
         tau = tau if tau > 0 else 0.0
-        r1, r2, r3, r4 = model.reaction_rhs(c1, c2, chi, tau, p, alpha1, alpha2)
+        r1, r2, r3, r4 = reactions(c1, c2, chi, tau)
         return r1, r2, r3 + supply, r4
 
     tol = 1e-12 * max(1.0, t_end)

@@ -24,6 +24,25 @@ def test_star_import_binds_the_api_and_no_submodule():
 
 
 class TestLazyNamespace:
+    def test_public_names_are_pinned(self):
+        assert regenfv.__all__ == [
+            "RunConfig", "echo_text", "parse_config", "EntropyParams", "StepControl",
+            "DiagnosticsRecord", "MonitorReport", "compute_record", "dissipation_D", "entropy_E",
+            "entropy_inequality_monitor",
+            "ConfigError", "DivergenceError", "StabilityError", "StiffnessError",
+            "Grid", "gradient_components", "gradient_sq", "integrate", "laplacian_neumann",
+            "ModelParams", "RateFunction", "SupplySchedule", "event_timeline",
+            "HomogeneousState", "OracleTrajectory", "rk4_solve",
+            "SimState", "run",
+            "SweepConfig", "SweepReport", "compare_to_limit", "run_sweep",
+            "TestFunction", "Trajectory", "TrajectoryRecorder", "residual", "residual_table",
+        ]
+
+    @pytest.mark.parametrize("name", ["eval_rate", "reaction_rhs", "taxis_divergence", "stable_dt"])
+    def test_removed_names_raise_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=repr(name)):
+            getattr(regenfv, name)
+
     def test_dir_lists_every_public_name(self):
         assert set(regenfv.__all__) <= set(dir(regenfv))
 

@@ -21,16 +21,15 @@ from regenfv import (
     integrate,
     laplacian_neumann,
     parse_config,
-    reaction_rhs,
     rk4_solve,
     run,
     run_sweep,
-    stable_dt,
-    taxis_divergence,
 )
 from regenfv import stepping
 from regenfv.model import bind_reactions
-from regenfv.stepping import FIELDS, _diffusion_factors, _stability_bound
+from regenfv.stepping import FIELDS, _diffusion_factors
+
+from references import stability_bound, stable_dt, taxis_divergence
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
@@ -103,7 +102,7 @@ def reference_update(state, p, alphas, supply, dt):
     grid = state.grid
     lap = diffusion_operator(grid, p, dt)
     c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
-    r1, r2, r3, _ = reaction_rhs(c1, c2, chi, tau, p, *alphas)
+    r1, r2, r3, _ = bind_reactions(p, *alphas, p.eps or None, arrays=True)(c1, c2, chi, tau)
     new_c1 = c1 + dt * (
         p.a1 * lap(0, c1) - taxis_divergence(grid, c1, tau, p.b_tau) + r1
     )
@@ -152,7 +151,7 @@ def stacked_reference_step(state, p, alphas, supply, dt):
     rhs = lap[:3]
     rhs *= column(p.a1, p.a2, p.d_chi)
     rhs[:2] -= taxis_divergence(grid, u[:2], u[3:1:-1], column(p.b_tau, p.b_chi))
-    for row, r in zip(rhs, reaction_rhs(c1, c2, chi, tau, p, *alphas)):
+    for row, r in zip(rhs, bind_reactions(p, *alphas, p.eps or None, arrays=True)(c1, c2, chi, tau)):
         row += r
     rhs[2] += supply
     new = np.empty_like(u)
@@ -241,7 +240,7 @@ class TestStep:
     def test_origin_is_equilibrium(self):
         g = Grid((12,), (1.0,))
         st = uniform_state(g)
-        assert 1e-3 <= _stability_bound(st, params())
+        assert 1e-3 <= stability_bound(st, params())
         out = unchecked_step(st, params(), NO_SWITCH, dt=1e-3)
         assert out.t == pytest.approx(1e-3)
         for name, arr in out.fields().items():
@@ -254,7 +253,7 @@ class TestStep:
         p = params(mu=2.0)
         st = uniform_state(g, tau=0.7)
         dt = 5e-3
-        assert dt <= _stability_bound(st, p)
+        assert dt <= stability_bound(st, p)
         out = unchecked_step(st, p, NO_SWITCH, dt=dt)
         assert np.allclose(out.tau, 0.7 * math.exp(-2.0 * dt), rtol=1e-15)
         for _ in range(9):
@@ -343,7 +342,7 @@ class TestFusedStep:
         # the same bits when one state is stepped twice (the 1D face factor
         # writes into the faces of its own step only)
         st, p, alphas, supply, dt, bound = case
-        assert same_bits(_stability_bound(st, p), bound)
+        assert same_bits(stability_bound(st, p), bound)
         ref_u, ref_debt = stacked_reference_step(st, p, alphas, supply, dt)
         for _ in range(2):
             out = unchecked_step(st, p, alphas, dt, supply)
@@ -366,7 +365,7 @@ class TestFusedStep:
                   for axis, h in enumerate(g.spacing)]
         assert sum(speed == 0 for _, speed in speeds) == 2  # tau is flat in y, chi in x
         limit = min(h / speed for h, speed in speeds if speed > 0)
-        assert _stability_bound(st, p) == pytest.approx(limit, rel=1e-12)
+        assert stability_bound(st, p) == pytest.approx(limit, rel=1e-12)
 
 
 @hst.composite
@@ -424,7 +423,7 @@ class TestExactDiffusion1D:
         st, p, dt = case
         grid, u = st.grid, st.u
         out = unchecked_step(st, p, NO_SWITCH, dt)
-        r1, r2, _, _ = reaction_rhs(*u, p, *NO_SWITCH)  # the eps-damping when eps > 0
+        r1, r2, _, _ = bind_reactions(p, *NO_SWITCH, p.eps or None, arrays=True)(*u)  # the eps-damping when eps > 0
         c1, c2, chi, tau = (dense_exp_laplacian(grid, a, dt, row) if a > 0 else row
                             for a, row in zip((p.a1, p.a2, p.d_chi, p.eps), u))
         tau = tau + dt * (u[1] / (1.0 + u[1]))  # production; the sink factor is exp(-1e-29 dt) = 1
@@ -500,7 +499,7 @@ class TestRun:
                r"int64 of shape \(4, 10\)": np.ones((4, 10), dtype=np.int64)}
         for message, u in bad.items():
             with pytest.raises(ValueError, match=r"shape \(4, 10\), not " + message):
-                run(st.replace(u=u), params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
+                run(replace(st, u=u), params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
 
     def test_records_at_uniform_save_times(self):
         g = Grid((10,), (1.0,))
@@ -521,7 +520,7 @@ class TestRun:
                      (Grid((7, 5), (1.3, 0.7)), params(eps=0.3))):
             x = g.coordinate_arrays()[0]
             st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
-            st = st.replace(u=st.u * (1.0 + 0.3 * np.cos(np.pi * x)))
+            st = replace(st, u=st.u * (1.0 + 0.3 * np.cos(np.pi * x)))
             recorder, copies = TrajectoryRecorder(), []
 
             def sink(index, state):
@@ -645,7 +644,7 @@ class TestRun:
                                      g.field(0.02), g.field(1.0 + 0.3 * np.cos(np.pi * x)),
                                      g.field(0.4))), g)
         mass0 = integrate(g, st.c2)
-        bound_rate = ALPHAS[0].bound * g.measure
+        bound_rate = ALPHAS[0].amplitude * g.measure
         masses = []
         run(st, p, ALPHAS, SupplySchedule(),
             StepControl(t_end=1.0, dt_max=2e-3, save_every=0.1),

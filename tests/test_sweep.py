@@ -22,7 +22,6 @@ from regenfv import (
     parse_config,
     run,
     run_sweep,
-    stable_dt,
 )
 from regenfv import stepping
 from regenfv.diagnostics import fisher_integrand
@@ -30,6 +29,8 @@ from regenfv.grid import gradient_components
 from regenfv.stepping import FIELDS
 from regenfv.sweep import artificial_terms, pair_distances
 from regenfv.weakform import Trajectory, TrajectoryRecorder
+
+from references import stable_dt
 
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
@@ -73,6 +74,14 @@ class TestSweepConfig:
             SweepConfig(eps_list=(0.25, 0.5), **base)
         with pytest.raises(ValueError):
             SweepConfig(eps_list=(1.0,), **base)
+
+    @pytest.mark.parametrize("t_end", [0.0, 1e-13, 1e-12])
+    def test_rejects_a_horizon_without_a_save(self, t_end):
+        # no save in the event timeline: the members would have no trajectory to compare
+        g = Grid((8,), (1.0,))
+        with pytest.raises(ValueError, match="a sweep needs a save after t=0"):
+            SweepConfig((0.5, 0.25), params(), ALPHAS, SupplySchedule(), default_initial(g),
+                        StepControl(t_end=t_end, save_every=0.1))
 
 
 class TestRunSweep:
@@ -347,9 +356,9 @@ class TestBatchedSweep:
         u[0] *= 1e250
         with pytest.raises(DivergenceError, match=r"non-finite c1 at cell \(\d+,\) \(t=[^)]*\) \(sweep member eps=0\.5\)$"):
             with np.errstate(over="ignore", invalid="ignore"):
-                run_sweep(replace(cfg, params=params(theta=2.1), initial=cfg.initial.replace(u=u)))
+                run_sweep(replace(cfg, params=params(theta=2.1), initial=replace(cfg.initial, u=u)))
         # c1 ~ 1e120 with theta = 4: the damping rate overflows, so no dt is left
         u[0] *= 1e-130
         with pytest.raises(StabilityError, match=r"^no finite positive timestep .*\(sweep member eps=0\.5\)$"):
             with np.errstate(over="ignore"):
-                run_sweep(replace(cfg, initial=cfg.initial.replace(u=u)))
+                run_sweep(replace(cfg, initial=replace(cfg.initial, u=u)))

@@ -143,9 +143,10 @@ class TestMassBudgetReduction:
         lhs = -np.trapezoid(mass * gp_t, times) - mass[0]
         kernels = []
         for s in snapshots(traj):
-            from regenfv import eval_rate
-            switch = (eval_rate(ALPHAS[0], s.chi) * s.c1 / (1 + s.c1)
-                      - eval_rate(ALPHAS[1], s.chi) * s.c2 / (1 + s.c2))
+            # the rates written out: max(A z/(K + z), 1e-12 A) for the saturating
+            # alpha1, the amplitude for the constant alpha2
+            alpha1 = np.maximum(1.2 * s.chi / (0.5 + s.chi), 1.2e-12)
+            switch = alpha1 * s.c1 / (1 + s.c1) - 0.4 * s.c2 / (1 + s.c2)
             kernels.append(integrate(traj.grid,
                                      -switch + p.beta * s.c1 * (1 - s.c1 - s.c2 - s.tau)))
         rhs = np.trapezoid(np.array(kernels) * g_t, times)
