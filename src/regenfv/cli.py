@@ -15,10 +15,11 @@ import argparse
 import math
 import os
 import sys
+from collections import deque
 from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def _coordinate_text(grid: Grid) -> tuple[str, ...]:
     return tuple(map(",".join, zip(*(map(repr, c.ravel().tolist()) for c in grid.coordinate_arrays()))))
 
 
-_SNAPSHOT_BLOCK = 4096  # cells per piece of snapshot text; also the fewest cells sent to writers
+_SNAPSHOT_BLOCK = 4096  # cells per piece of snapshot text; also the fewest cells for a forked writer
 
 
 def _snapshot_blocks(grid: Grid, u: np.ndarray):
@@ -73,92 +74,63 @@ def _usable_cpus() -> int:
 
 
 class _Writers:
-    """Snapshot writer processes, forked once at the start of a run, so that
-    formatting the text of large snapshots (``repr`` of every value) runs on
-    the idle CPUs while the run steps on.
+    """Snapshot writer processes, so that formatting the text of large
+    snapshots (``repr`` of every value) runs on the idle CPUs while the run
+    steps on.
 
-    Save k goes down lane ``k % lanes``, a pipe to one writer, as an 8-byte
-    index and the raw bytes of ``state.u``; a full pipe blocks ``send``, so at
-    most one snapshot per lane waits in memory. A writer that cannot write a
-    file reports it on the shared error pipe, reads its lane to the end and
-    exits nonzero. POSIX only (``os.fork``); the writers call no BLAS.
+    Each save forks one child, which writes its file from the state as it
+    stands at the fork (copy-on-write) and exits. At most ``slots`` children
+    are alive at once: a save first reaps the oldest when all are busy. A
+    child that cannot write its file sends the message on its own pipe, read
+    once it is reaped, and exits 1; after that no save forks another. POSIX
+    only (``os.fork``); the children call no BLAS.
     """
 
-    def __init__(self, out: Path, grid: Grid, lanes: int):
-        _coordinate_text(grid)  # built once, inherited by every writer
-        self.out = out
-        self.lanes: list[tuple[int, BinaryIO]] = []
-        self.errors, errors_w = os.pipe()
-        try:
-            for _ in range(lanes):
-                r, w = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
-                    try:
-                        # a lane reaches EOF only once no writer holds its write end
-                        for fd in (w, self.errors, *(fh.fileno() for _, fh in self.lanes)):
-                            os.close(fd)
-                        status = _serve(r, errors_w, out, grid)
-                    finally:
-                        os._exit(status)
-                os.close(r)
-                self.lanes.append((pid, open(w, "wb")))
-        except BaseException:
-            os.close(errors_w)
-            self.close(report=False)
-            raise
-        os.close(errors_w)
+    def __init__(self, out: Path, grid: Grid, slots: int):
+        _coordinate_text(grid)  # built once, inherited by every child
+        self.out, self.slots = out, slots
+        self.children: deque[tuple[int, int]] = deque()  # (pid, error pipe), oldest first
+        self.failure = ""
 
     def __enter__(self) -> _Writers:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        while self.children:
+            self._reap()
         # an error of the run itself (or an interrupt) comes before a failed write
-        self.close(report=exc_type is None)
+        if exc_type is None and self.failure:
+            raise ConfigError(self.failure)
 
     def send(self, index: int, state: SimState) -> None:
-        fh = self.lanes[index % len(self.lanes)][1]
-        fh.write(index.to_bytes(8, "little"))
-        fh.write(np.ascontiguousarray(state.u))
-        fh.flush()
-
-    def close(self, report: bool = True) -> None:
-        """Close every lane and reap every writer; with ``report``, a failed
-        write is a ConfigError."""
-        statuses = []
-        for pid, fh in self.lanes:
+        if len(self.children) == self.slots:
+            self._reap()
+        if self.failure:
+            return
+        errors, errors_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
             try:
-                fh.close()
-            except BrokenPipeError:  # the writer is gone; its status tells why
-                pass
-            statuses.append(os.waitpid(pid, 0)[1])
-        with open(self.errors, "rb") as fh:
-            messages = fh.read().decode(errors="replace").splitlines()
-        if report and messages:
-            raise ConfigError(messages[0])
-        if report and any(statuses):
-            raise ConfigError(f"a snapshot writer failed (wait status {max(statuses)}); "
-                              f"the snap_*.csv files in {self.out} may be incomplete")
-
-
-def _serve(lane: int, errors: int, out: Path, grid: Grid) -> int:
-    """A writer's loop: write each snapshot that arrives on ``lane``."""
-    u = np.empty((4, *grid.shape))
-    status = 0
-    with open(lane, "rb") as fh:
-        while head := fh.read(8):
-            if len(head) < 8 or fh.readinto(u) < u.nbytes:
-                return 1  # the sender stopped inside a snapshot
-            if status:
-                continue  # read the lane to its end so that the sender never blocks
-            try:
-                _write_snapshot(out / f"snap_{int.from_bytes(head, 'little')}.csv", grid, u)
+                _write_snapshot(self.out / f"snap_{index}.csv", state.grid, state.u)
+                status = 0
             except ConfigError as exc:
-                # 512 bytes, POSIX's least PIPE_BUF, arrive in one piece
-                os.write(errors, str(exc).encode()[:511] + b"\n")
-                status = 1
-    return status
+                # 512 bytes, POSIX's least PIPE_BUF, fit an empty pipe: the write never blocks
+                os.write(errors_w, str(exc).encode()[:512])
+            finally:
+                os._exit(status)
+        os.close(errors_w)
+        self.children.append((pid, errors))
+
+    def _reap(self) -> None:
+        """Wait for the oldest child; keep the first failure."""
+        pid, errors = self.children.popleft()
+        status = os.waitpid(pid, 0)[1]
+        with open(errors, "rb") as fh:
+            message = fh.read().decode(errors="replace")
+        if status and not self.failure:
+            self.failure = message or (f"a snapshot writer failed (wait status {status}); "
+                                       f"the snap_*.csv files in {self.out} may be incomplete")
 
 
 def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
@@ -229,29 +201,30 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     initial = cfg.build_initial()
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config_echo.txt").write_text(echo_text(cfg))
     records: list[DiagnosticsRecord] = []
-
-    def record_sink(state: SimState) -> None:
-        records.append(compute_record(state, cfg.params, cfg.alphas, initial, cfg.entropy))
 
     snapshot_sink, writers = None, nullcontext()
     if cfg.snapshots:
-        lanes = _usable_cpus()
-        if initial.grid.n_cells >= _SNAPSHOT_BLOCK and lanes > 1:
-            writers = _Writers(out, initial.grid, lanes)
+        slots = _usable_cpus()
+        if initial.grid.n_cells >= _SNAPSHOT_BLOCK and slots > 1:
+            writers = _Writers(out, initial.grid, slots)
             snapshot_sink = writers.send
         else:
             def snapshot_sink(index: int, state: SimState) -> None:
                 _write_snapshot(out / f"snap_{index}.csv", state.grid, state.u)
 
-    with writers:
+    # one flushed row per save, so that a run that fails keeps its history
+    with writers, (out / "diagnostics.csv").open("w") as diag:
+        diag.write(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
+
+        def record_sink(state: SimState) -> None:
+            records.append(compute_record(state, cfg.params, cfg.alphas, initial, cfg.entropy))
+            diag.write(records[-1].csv_row() + "\n")
+            diag.flush()
+
         run(initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl,
             record_sink=record_sink, snapshot_sink=snapshot_sink)
-
-    (out / "config_echo.txt").write_text(echo_text(cfg))
-    lines = [",".join(DiagnosticsRecord.CSV_COLUMNS)]
-    lines.extend(rec.csv_row() for rec in records)
-    (out / "diagnostics.csv").write_text("\n".join(lines) + "\n")
 
     if args.strict:
         for rec in records:

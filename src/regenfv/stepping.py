@@ -106,15 +106,15 @@ class _Batch:
     """What a step needs of one member stack on one grid, built once per run.
 
     Members differ only in eps; ``p`` is the first member's params. ``axes``
-    holds per grid axis (back, h, 1/h, shape of the member-stacked face
-    array), ``back`` counting the grid axes after it; ``speed_h`` the h of
-    each signal face-speed column (tau, chi per axis). The diffusivity and
-    taxis columns and the ``(m, 1, ...)`` eps column (None when eps = 0) are
-    read-only. ``rows`` counts the face rows a step diffuses: 5, or 6 with
-    tau when eps > 0. Per member: its eps, its diffusion limit (h^2 / (2 dim
-    max diffusivity) in 2D, inf in 1D, where diffusion is exact in time) and a
-    tag naming it in errors; ``factor_coeffs`` lists the diffusivities of the
-    1D face factors member by member, so one ``_diffusion_factors`` call builds
+    holds per grid axis (back, 1/h, shape of the member-stacked face array),
+    ``back`` counting the grid axes after it; ``speed_h`` the h of each signal
+    face-speed column (tau, chi per axis). The diffusivity and taxis columns
+    and the ``(m, 1, ...)`` eps column (None when eps = 0) are read-only.
+    ``rows`` counts the face rows a step diffuses: 5, or 6 with tau when
+    eps > 0. Per member: its eps, its diffusion limit (h^2 / (2 dim max
+    diffusivity) in 2D, inf in 1D, where diffusion is exact in time) and a tag
+    naming it in errors; ``factor_coeffs`` lists the diffusivities of the 1D
+    face factors member by member, so one ``_diffusion_factors`` call builds
     every member's rows.
     """
 
@@ -147,7 +147,7 @@ def _batch(members: tuple[ModelParams, ...], grid: Grid, named: bool = False) ->
     limit = lambda e: min(grid.spacing) ** 2 / (2.0 * dim * max(p.a1, p.a2, p.d_chi, e)) if dim > 1 else math.inf
     return _Batch(
         grid, p,
-        axes=tuple((dim - 1 - axis, h, 1.0 / h, (len(eps), 6, *(n + (a == axis) for a, n in enumerate(grid.shape))))
+        axes=tuple((dim - 1 - axis, 1.0 / h, (len(eps), 6, *(n + (a == axis) for a, n in enumerate(grid.shape))))
                    for axis, h in enumerate(grid.spacing)),
         speed_h=tuple(h for h in grid.spacing for _ in range(2)),
         grid_axes=tuple(range(-dim, 0)),
@@ -194,7 +194,7 @@ def _transport_faces(u: np.ndarray, batch: _Batch) -> tuple[list, list]:
     chi, tau), and per member the row maxima of |v| for the scaled signal face
     gradient v = (b_tau, b_chi) * grad(tau, chi) that carries those fluxes."""
     faces, speeds = [], []
-    for back, _, inv_h, shape in batch.axes:
+    for back, inv_h, shape in batch.axes:
         f = np.zeros(shape)
         _face_diffs(u, back, inv_h, out=f[:, 2:])
         v = f[:, 5:3:-1] * batch.taxis_coeffs
@@ -286,7 +286,7 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
         n = grid.cells[0]
         factors = _diffusion_factors(n, grid.spacing[0], dt, batch.factor_coeffs)
         inner[...] = np.matmul(factors.reshape(len(u), rows - 2, n - 1, n - 1), inner[..., None])[..., 0]
-    div = _flux_divergence((f[:, :rows], back, inv_h) for f, (back, _, inv_h, _) in zip(faces, batch.axes))
+    div = _flux_divergence((f[:, :rows], back, inv_h) for f, (back, inv_h, _) in zip(faces, batch.axes))
     rhs = div[:, 2:5]
     rhs *= batch.diffusivities
     rhs[:, :2] -= div[:, :2]

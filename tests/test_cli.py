@@ -1,4 +1,5 @@
 import os
+import signal
 from unittest.mock import patch
 
 import numpy as np
@@ -151,28 +152,50 @@ SNAPSHOT_RUN_2D = SNAPSHOT_RUN.replace("grid.dim = 1", "grid.dim = 2").replace(
 
 
 class TestSnapshotWriterLanes:
-    """Snapshots sent down the forked writer lanes: the in-process bytes,
-    and no writer left behind on any exit path."""
+    """Snapshots written by one forked child per save: the in-process bytes,
+    at most LANES children alive at once, and no child left behind (nor a
+    hung run) on any exit path."""
 
     LANES = 3  # fewer than the seven saves of SNAPSHOT_RUN, and not a divisor of them
 
     @pytest.fixture(autouse=True)
-    def lanes(self, monkeypatch):
+    def forks(self, monkeypatch):
         # every snapshot is above the gate, on any machine
         monkeypatch.setattr(cli, "_SNAPSHOT_BLOCK", 1)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: self.LANES)
-        forks = []
-        real_fork = os.fork
+        pids, alive, most = [], set(), 0
+        real_fork, real_waitpid = os.fork, os.waitpid
 
         def fork():
-            forks.append(real_fork())
-            return forks[-1]
+            nonlocal most
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+                alive.add(pid)
+                most = max(most, len(alive))
+            return pid
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            alive.discard(reaped[0])
+            return reaped
+
+        def hung(signum, frame):
+            signal.alarm(1)  # again, should the clean-up wait as well
+            raise TimeoutError("the run did not finish within 60 s")
 
         monkeypatch.setattr(os, "fork", fork)
-        yield forks
-        assert len(forks) == self.LANES
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield pids
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not alive and 0 < most <= self.LANES
         with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+            real_waitpid(-1, os.WNOHANG)
 
     def recorded_states(self, text):
         rc = parse_config(text)
@@ -185,11 +208,11 @@ class TestSnapshotWriterLanes:
         return rec.states
 
     @pytest.mark.parametrize("text", [SNAPSHOT_RUN, SNAPSHOT_RUN_2D], ids=["1d", "2d"])
-    def test_bytes_equal_row_wise_repr(self, tmp_path, text):
+    def test_bytes_equal_row_wise_repr(self, tmp_path, text, forks):
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
         states = self.recorded_states(text)
-        assert len(states) == 7
+        assert len(states) == len(forks) == 7
         assert sorted(p.name for p in out.glob("snap_*.csv")) == sorted(f"snap_{i}.csv" for i in range(7))
         for index, state in enumerate(states):
             assert (out / f"snap_{index}.csv").read_text() == row_wise_snapshot_text(state)
@@ -197,16 +220,21 @@ class TestSnapshotWriterLanes:
     # a huge jump dose at t = 0.0225 overflows the medium: exit 2 after five saves
     DIVERGING = SNAPSHOT_RUN + "schedule.mode = jump\nschedule.dose_times = 0.0225\nschedule.chi0 = 1e308\n"
 
-    def test_diverging_run_keeps_its_snapshots(self, tmp_path, capsys):
+    def test_diverging_run_keeps_its_snapshots(self, tmp_path, capsys, forks):
         out = tmp_path / "out"
         with np.errstate(over="ignore"):
             assert main(["run", "--config", str(write_config(tmp_path, self.DIVERGING)), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("numerical failure:")
         states = self.recorded_states(self.DIVERGING)
-        assert len(states) == 5
+        assert len(states) == len(forks) == 5
         assert len(list(out.glob("snap_*.csv"))) == 5
         for index, state in enumerate(states):
             assert (out / f"snap_{index}.csv").read_text() == row_wise_snapshot_text(state)
+        # and its diagnostics up to the last save, one row per snapshot
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert lines[0] == ",".join(diagnostics.DiagnosticsRecord.CSV_COLUMNS)
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [state.t for state in states]
+        assert (out / "config_echo.txt").exists()
 
     def test_run_error_comes_before_a_failed_write(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -215,16 +243,29 @@ class TestSnapshotWriterLanes:
             assert main(["run", "--config", str(write_config(tmp_path, self.DIVERGING)), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("numerical failure:")
 
-    def test_strict_failure(self, tmp_path, capsys, monkeypatch):
+    def test_strict_failure(self, tmp_path, capsys, monkeypatch, forks):
         monkeypatch.setattr(diagnostics, "c1_mass_bound", lambda p, alpha2, initial: 1e-6)
         out = tmp_path / "out"
         args = ["run", "--config", str(write_config(tmp_path, SNAPSHOT_RUN)), "--out", str(out), "--strict"]
         assert main(args) == 3
         assert capsys.readouterr().err == "certificate failure at t=0\n"
-        assert len(list(out.glob("snap_*.csv"))) == 7
+        assert len(list(out.glob("snap_*.csv"))) == len(forks) == 7
 
-    def test_failed_write_is_config_error(self, tmp_path, capsys):
+    def test_failed_write_is_config_error(self, tmp_path, capsys, forks):
         check_failed_write(tmp_path, capsys)
+        assert len(forks) < 7  # no save forks a child once a reaped one has failed
+
+    def test_many_failed_writes_report_the_first(self, tmp_path, capsys, forks):
+        # 31 saves, each onto a folder: the run stops forking at the first failure it reaps
+        text = SNAPSHOT_RUN.replace("control.save_every = 0.005", "control.save_every = 0.001")
+        out = tmp_path / "out"
+        for index in range(31):
+            (out / f"snap_{index}.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot write snapshot {out / 'snap_0.csv'}: Is a directory\n")
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 31
+        assert len(forks) < 31
 
 
 def check_failed_write(tmp_path, capsys):
