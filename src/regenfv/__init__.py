@@ -16,9 +16,9 @@ _EXPORTS = {
     "grid": ("Grid", "gradient_components", "gradient_sq", "integrate", "laplacian_neumann"),
     "model": ("ModelParams", "RateFunction", "SupplySchedule", "event_timeline"),
     "oracle": ("HomogeneousState", "OracleTrajectory", "rk4_solve"),
-    "stepping": ("SimState", "run"),
+    "stepping": ("SimState", "run", "trajectory"),
     "sweep": ("SweepConfig", "SweepReport", "compare_to_limit", "run_sweep"),
-    "weakform": ("TestFunction", "Trajectory", "TrajectoryRecorder", "residual", "residual_table"),
+    "weakform": ("TestFunction", "Trajectory", "residual", "residual_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

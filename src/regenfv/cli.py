@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from collections import deque
-from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -56,13 +55,15 @@ def _snapshot_blocks(grid: Grid, u: np.ndarray):
         yield "\n".join(map(",".join, rows)) + "\n"
 
 
-def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> None:
-    """Write one snapshot file; a file that cannot be written is a ConfigError naming it."""
+def _write_snapshot(path: Path, grid: Grid, u: np.ndarray) -> int:
+    """Write one snapshot file; return 0, or the errno of the write that
+    failed (255 when it names none)."""
     try:
         with path.open("w") as fh:
             fh.writelines(_snapshot_blocks(grid, u))
     except OSError as exc:
-        raise ConfigError(f"cannot write snapshot {path}: {exc.strerror or exc}") from None
+        return exc.errno or 255
+    return 0
 
 
 def _usable_cpus() -> int:
@@ -73,26 +74,28 @@ def _usable_cpus() -> int:
         return 1
 
 
-class _Writers:
-    """Snapshot writer processes, so that formatting the text of large
-    snapshots (``repr`` of every value) runs on the idle CPUs while the run
-    steps on.
+class _Snapshots:
+    """The snapshot sink of ``run``: each save writes ``snap_<index>.csv``.
 
-    Each save forks one child, which writes its file from the state as it
-    stands at the fork (copy-on-write) and exits. At most ``slots`` children
-    are alive at once: a save first reaps the oldest when all are busy. A
-    child that cannot write its file sends the message on its own pipe, read
-    once it is reaped, and exits 1; after that no save forks another. POSIX
-    only (``os.fork``); the children call no BLAS.
+    A snapshot of at least ``_SNAPSHOT_BLOCK`` cells, on a host with more
+    than one usable CPU, is written by a forked child, so that formatting its
+    text (``repr`` of every value) runs on an idle CPU while the run steps
+    on: the child writes the state as it stands at the fork (copy-on-write)
+    and exits with ``_write_snapshot``'s status, from which the parent
+    rebuilds the in-process message (a status of 255, or a signal, leaves no
+    errno to name). At most one child per usable CPU is alive: a save first
+    reaps the oldest when all are busy. The first failure reaped is kept, and
+    after it no save forks another child. POSIX only (``os.fork``); the
+    children call no BLAS. Smaller snapshots, and every snapshot on one usable
+    CPU, are written in process.
     """
 
-    def __init__(self, out: Path, grid: Grid, slots: int):
-        _coordinate_text(grid)  # built once, inherited by every child
-        self.out, self.slots = out, slots
-        self.children: deque[tuple[int, int]] = deque()  # (pid, error pipe), oldest first
-        self.failure = ""
+    def __init__(self, out: Path, grid: Grid):
+        self.out, self.failure = out, ""
+        self.slots = _usable_cpus() if grid.n_cells >= _SNAPSHOT_BLOCK else 1  # 1: write in process
+        self.children: deque[tuple[int, Path]] = deque()  # (pid, its file), oldest first
 
-    def __enter__(self) -> _Writers:
+    def __enter__(self) -> _Snapshots:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -103,34 +106,35 @@ class _Writers:
             raise ConfigError(self.failure)
 
     def send(self, index: int, state: SimState) -> None:
+        path = self.out / f"snap_{index}.csv"
+        if self.slots == 1:
+            errno = _write_snapshot(path, state.grid, state.u)
+            if errno:
+                raise ConfigError(f"cannot write snapshot {path}: {os.strerror(errno)}")
+            return
         if len(self.children) == self.slots:
             self._reap()
         if self.failure:
             return
-        errors, errors_w = os.pipe()
+        _coordinate_text(state.grid)  # built once, in the parent, and inherited by every child
         pid = os.fork()
         if pid == 0:
-            status = 1
+            status = 255  # also when the write raises something other than OSError
             try:
-                _write_snapshot(self.out / f"snap_{index}.csv", state.grid, state.u)
-                status = 0
-            except ConfigError as exc:
-                # 512 bytes, POSIX's least PIPE_BUF, fit an empty pipe: the write never blocks
-                os.write(errors_w, str(exc).encode()[:512])
+                status = _write_snapshot(path, state.grid, state.u)
             finally:
                 os._exit(status)
-        os.close(errors_w)
-        self.children.append((pid, errors))
+        self.children.append((pid, path))
 
     def _reap(self) -> None:
         """Wait for the oldest child; keep the first failure."""
-        pid, errors = self.children.popleft()
+        pid, path = self.children.popleft()
         status = os.waitpid(pid, 0)[1]
-        with open(errors, "rb") as fh:
-            message = fh.read().decode(errors="replace")
         if status and not self.failure:
-            self.failure = message or (f"a snapshot writer failed (wait status {status}); "
-                                       f"the snap_*.csv files in {self.out} may be incomplete")
+            errno = os.waitstatus_to_exitcode(status)
+            self.failure = (f"cannot write snapshot {path}: {os.strerror(errno)}" if 0 < errno < 255 else
+                            f"a snapshot writer failed (wait status {status}); "
+                            f"the snap_*.csv files in {self.out} may be incomplete")
 
 
 def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
@@ -202,35 +206,30 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     initial = cfg.build_initial()
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.txt").write_text(echo_text(cfg))
-    records: list[DiagnosticsRecord] = []
-
-    snapshot_sink, writers = None, nullcontext()
-    if cfg.snapshots:
-        slots = _usable_cpus()
-        if initial.grid.n_cells >= _SNAPSHOT_BLOCK and slots > 1:
-            writers = _Writers(out, initial.grid, slots)
-            snapshot_sink = writers.send
-        else:
-            def snapshot_sink(index: int, state: SimState) -> None:
-                _write_snapshot(out / f"snap_{index}.csv", state.grid, state.u)
+    last_t, failed_t = None, None  # the last save, and the first whose certificates fail
 
     # one flushed row per save, so that a run that fails keeps its history
-    with writers, (out / "diagnostics.csv").open("w") as diag:
+    with _Snapshots(out, initial.grid) as snapshots, (out / "diagnostics.csv").open("w") as diag:
         diag.write(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
 
         def record_sink(state: SimState) -> None:
-            records.append(compute_record(state, cfg.params, cfg.alphas, initial, cfg.entropy))
-            diag.write(records[-1].csv_row() + "\n")
+            nonlocal last_t, failed_t
+            rec = compute_record(state, cfg.params, cfg.alphas, initial, cfg.entropy)
+            diag.write(rec.csv_row() + "\n")
             diag.flush()
+            last_t = rec.t
+            if failed_t is None and not (rec.cert_c1_mass and rec.cert_tau_linf and rec.cert_nonneg):
+                failed_t = rec.t
 
-        run(initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl,
-            record_sink=record_sink, snapshot_sink=snapshot_sink)
+        try:
+            run(initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl,
+                record_sink=record_sink, snapshot_sink=snapshots.send if cfg.snapshots else None)
+        except (StabilityError, DivergenceError) as exc:
+            raise type(exc)(f"{exc}; last save t={last_t:g}") from None
 
-    if args.strict:
-        for rec in records:
-            if not (rec.cert_c1_mass and rec.cert_tau_linf and rec.cert_nonneg):
-                print(f"certificate failure at t={rec.t:g}", file=sys.stderr)
-                return 3
+    if args.strict and failed_t is not None:
+        print(f"certificate failure at t={failed_t:g}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -354,8 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(str(exc)) from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
         return _COMMANDS[args.command](parse_config(text), args)
@@ -365,6 +362,10 @@ def main(argv: list[str] | None = None) -> int:
     except (StabilityError, DivergenceError, StiffnessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a file of the config, the input or the output that cannot be read or written
+        print(f"config error: {exc.filename}: {exc.strerror}" if exc.filename else f"config error: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

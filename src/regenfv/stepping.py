@@ -44,7 +44,9 @@ output differs from separate runs: in 2D the diffusion limit falls as eps
 grows past the other diffusivities, and in any dimension the advection and
 reaction limits (the damping rate eps theta c^(theta-1) among them) depend
 on each member's eps and state. A 2D sweep then makes m times the largest
-member's step count instead of the sum of the members' counts.
+member's step count instead of the sum of the members' counts. One
+collector gathers the saves of a march into one ``(m, n_t, 4, *shape)`` array
+for sweeps and for ``trajectory``, the saves of ``run`` as one Trajectory.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .model import (
 
 if TYPE_CHECKING:
     from .config import StepControl
+    from .weakform import Trajectory
 
 
 FIELDS = ("c1", "c2", "chi", "tau")
@@ -417,3 +420,28 @@ def run(
 
     t, u, debts = _march(initial, (p,), alphas, schedule, ctrl, emit)
     return SimState(t, u[0], initial.grid, debts[0]) if t > 0.0 else initial
+
+
+def _trajectories(initial: SimState, members: tuple[ModelParams, ...], alphas: tuple[RateFunction, RateFunction],
+                  schedule: SupplySchedule, ctrl: StepControl, named: bool = False) -> tuple[Trajectory, ...]:
+    """The one collector of a march's saves: ``_march`` fills one preallocated
+    ``(m, n_t, 4, *shape)`` array, n_t = 1 + the saves of ``event_timeline``,
+    and each member's ``Trajectory`` is a contiguous slice of it."""
+    from .weakform import Trajectory  # loaded only by the commands that read whole trajectories
+
+    n_t = 1 + sum(is_save for _, is_save, _, _ in event_timeline(schedule, ctrl.t_end, ctrl.save_every))
+    times, u = np.empty(n_t), np.empty((len(members), n_t, 4, *initial.grid.shape))
+
+    def save(index: int, t: float, stack: np.ndarray, debts: list[float]) -> None:
+        times[index] = t
+        u[:, index] = stack
+
+    _march(initial, members, alphas, schedule, ctrl, save, named)
+    return tuple(Trajectory(times, member_u, initial.grid, q, alphas, schedule) for member_u, q in zip(u, members))
+
+
+def trajectory(initial: SimState, p: ModelParams, alphas: tuple[RateFunction, RateFunction],
+               schedule: SupplySchedule, ctrl: StepControl) -> Trajectory:
+    """The states that ``run`` emits (t=0 and every save) as one ``Trajectory``,
+    bit for bit; ``Trajectory`` raises ValueError when t_end leaves no save."""
+    return _trajectories(initial, (p,), alphas, schedule, ctrl)[0]

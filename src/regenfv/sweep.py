@@ -14,8 +14,10 @@ own run bit for bit. Where the members' limits differ (in 2D the diffusion
 limit falls as eps grows; in any dimension the advection and reaction limits
 depend on each member's eps and state), all take the smallest member dt, so
 each member's trajectory is the run it would make with that dt as its
-dt_max. Errors name the member's eps. Each ``Trajectory`` holds a contiguous
-slice of one ``(m, n_t, 4, *shape)`` array.
+dt_max. Errors name the member's eps. The members' trajectories come from
+the stepper's one collector of a march's saves (``stepping.trajectory`` is
+its one-member case): each ``Trajectory`` holds a contiguous slice of one
+``(m, n_t, 4, *shape)`` array.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 
 from .diagnostics import fisher_integrand
 from .grid import Grid, gradient_components
-from .model import ModelParams, RateFunction, SupplySchedule, event_timeline, landing_tol
-from .stepping import FIELDS, SimState, _march
+from .model import ModelParams, RateFunction, SupplySchedule, landing_tol
+from .stepping import FIELDS, SimState, _trajectories
 from .weakform import Trajectory
 
 if TYPE_CHECKING:
@@ -136,23 +138,13 @@ def artificial_terms(traj: Trajectory) -> tuple[float, float, float]:
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Step every member in one batch and assemble distances and artificial-term sizes."""
     members = tuple(dc_replace(cfg.params, eps=eps) for eps in cfg.eps_list)
-    events = event_timeline(cfg.schedule, cfg.ctrl.t_end, cfg.ctrl.save_every)
-    n_t = 1 + sum(is_save for _, is_save, _, _ in events)
-    times, u = np.empty(n_t), np.empty((len(members), n_t, 4, *cfg.initial.grid.shape))
-
-    def save(index: int, t: float, stack: np.ndarray, debts: list[float]) -> None:
-        times[index] = t
-        u[:, index] = stack
-
-    _march(cfg.initial, members, cfg.alphas, cfg.schedule, cfg.ctrl, save, named=True)
-    trajectories = [Trajectory(times, member_u, cfg.initial.grid, params, cfg.alphas, cfg.schedule)
-                    for member_u, params in zip(u, members)]
+    trajectories = _trajectories(cfg.initial, members, cfg.alphas, cfg.schedule, cfg.ctrl, named=True)
     entries = []
     for j, (eps, traj) in enumerate(zip(cfg.eps_list, trajectories)):
         art = artificial_terms(traj)
         dist = pair_distances(trajectories[j - 1], traj) if j > 0 else None
         entries.append(SweepEntry(eps, art[0], art[1], art[2], dist))
-    return SweepReport(tuple(entries), tuple(trajectories))
+    return SweepReport(tuple(entries), trajectories)
 
 
 def compare_to_limit(report: SweepReport, limit: Trajectory) -> list[dict]:

@@ -20,15 +20,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .grid import Grid, gradient_components, integrate
 from .model import ModelParams, RateFunction, SupplySchedule, bind_reactions, dose_density
-
-if TYPE_CHECKING:
-    from .stepping import SimState
 
 
 @lru_cache(maxsize=64)
@@ -135,29 +132,6 @@ class Trajectory:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
-
-
-class TrajectoryRecorder:
-    """Snapshot sink for stepping.run that assembles a Trajectory."""
-
-    def __init__(self):
-        self.times: list[float] = []
-        self.states: list[SimState] = []
-        self.grid: Grid | None = None
-
-    def __call__(self, index: int, state: SimState) -> None:
-        self.times.append(state.t)
-        self.states.append(state)
-        self.grid = state.grid
-
-    def trajectory(
-        self,
-        params: ModelParams,
-        alphas: tuple[RateFunction, RateFunction],
-        schedule: SupplySchedule,
-    ) -> Trajectory:
-        u = np.array([s.u for s in self.states])
-        return Trajectory(np.asarray(self.times), u, self.grid, params, alphas, schedule)
 
 
 def _check_horizon(traj: Trajectory, psi: TestFunction) -> None:

@@ -29,10 +29,11 @@ from regenfv import (
     rk4_solve,
     run,
     run_sweep,
+    trajectory,
 )
 from regenfv.diagnostics import c1_mass_bound, tau_linf_bound
 from regenfv.stepping import FIELDS
-from regenfv.weakform import Trajectory, TrajectoryRecorder, make_test_functions, residual
+from regenfv.weakform import Trajectory, make_test_functions, residual
 
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
@@ -283,11 +284,8 @@ def test_criterion_7_weak_form_residuals():
                                      g.field(0.05 + 0.02 * np.cos(np.pi * x)),
                                      g.field(1.0 + 0.2 * np.cos(np.pi * x)),
                                      g.field(0.4 + 0.1 * np.cos(np.pi * x)))), g)
-        rec = TrajectoryRecorder()
-        run(st, p, ALPHAS, SupplySchedule(),
-            StepControl(t_end=T, dt_max=dt_max, cfl_safety=1.0, save_every=save),
-            snapshot_sink=rec)
-        traj = rec.trajectory(p, ALPHAS, SupplySchedule())
+        traj = trajectory(st, p, ALPHAS, SupplySchedule(),
+                          StepControl(t_end=T, dt_max=dt_max, cfl_safety=1.0, save_every=save))
         psis = make_test_functions(g, T, k_max=3, powers=(1, 2))
         return {name: max(residual(traj, psi, name) for psi in psis)
                 for name in FIELDS}

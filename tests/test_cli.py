@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 from unittest.mock import patch
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from hypothesis.extra.numpy import arrays
 
-from regenfv import Grid, SimState, TrajectoryRecorder, diagnostics, parse_config, run
+from regenfv import Grid, SimState, diagnostics, parse_config, run, trajectory
 from regenfv import cli
 from regenfv.cli import load_trajectory, main
 from regenfv.errors import DivergenceError
@@ -50,9 +51,10 @@ class TestRunCommand:
         assert lines[0].startswith("t,mass_c1,mass_c2,mass_chi,mass_tau,min_c1,max_c1")
         assert (out / "config_echo.txt").exists()
 
-    def test_missing_config_is_config_error(self, tmp_path):
+    def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {tmp_path / 'nope.cfg'}: No such file or directory\n"
 
     def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin.cfg"
@@ -199,13 +201,14 @@ class TestSnapshotWriterLanes:
 
     def recorded_states(self, text):
         rc = parse_config(text)
-        rec = TrajectoryRecorder()
+        states = []
         with np.errstate(over="ignore"):
             try:
-                run(rc.build_initial(), rc.params, rc.alphas, rc.schedule, rc.ctrl, snapshot_sink=rec)
+                run(rc.build_initial(), rc.params, rc.alphas, rc.schedule, rc.ctrl,
+                    snapshot_sink=lambda index, state: states.append(state))
             except DivergenceError:
                 pass
-        return rec.states
+        return states
 
     @pytest.mark.parametrize("text", [SNAPSHOT_RUN, SNAPSHOT_RUN_2D], ids=["1d", "2d"])
     def test_bytes_equal_row_wise_repr(self, tmp_path, text, forks):
@@ -224,7 +227,8 @@ class TestSnapshotWriterLanes:
         out = tmp_path / "out"
         with np.errstate(over="ignore"):
             assert main(["run", "--config", str(write_config(tmp_path, self.DIVERGING)), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.endswith("; last save t=0.02\n")
         states = self.recorded_states(self.DIVERGING)
         assert len(states) == len(forks) == 5
         assert len(list(out.glob("snap_*.csv"))) == 5
@@ -267,6 +271,18 @@ class TestSnapshotWriterLanes:
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 31
         assert len(forks) < 31
 
+    def test_writer_failing_without_an_errno(self, tmp_path, capsys, monkeypatch, forks):
+        def broken(grid, u):
+            raise RuntimeError("not an OSError")
+
+        monkeypatch.setattr(cli, "_snapshot_blocks", broken)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, SNAPSHOT_RUN)), "--out", str(out)]) == 1
+        assert re.fullmatch(r"config error: a snapshot writer failed \(wait status \d+\); "
+                            rf"the snap_\*\.csv files in {re.escape(str(out))} may be incomplete\n",
+                            capsys.readouterr().err)
+        assert len(forks) < 7
+
 
 def check_failed_write(tmp_path, capsys):
     out = tmp_path / "out"
@@ -302,6 +318,24 @@ class TestOutputLocation:
         assert capsys.readouterr().err == (
             f"config error: output directory {out}: {blocker} exists and is not a directory\n")
         assert blocker.read_text() == "not a folder\n"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("run", "diagnostics.csv"), ("run", "config_echo.txt"), ("sweep", "sweep.csv"), ("oracle", "oracle.csv"),
+    ("weakcheck", "weakform.csv"), ("weakcheck", "diagnostics.csv"), ("weakcheck", "snap_3.csv"),
+])
+def test_file_that_is_a_folder_is_config_error(tmp_path, capsys, command, name):
+    # weakcheck reads the folder of a finished run, with that one file made a folder
+    text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.02") + \
+        "control.save_every = 0.005\noutput.snapshots = 1\n"
+    cfg, out = write_config(tmp_path, text), tmp_path / "out"
+    if command == "weakcheck":
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / name).unlink(missing_ok=True)
+    (out / name).mkdir(parents=True)
+    extra = ["--eps-list", "0.5,0.25"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == f"config error: {out / name}: Is a directory\n"
 
 
 class TestBadInputFiles:
@@ -528,9 +562,7 @@ class TestWeakcheckCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         rc = parse_config(text)
-        rec = TrajectoryRecorder()
-        run(rc.build_initial(), rc.params, rc.alphas, rc.schedule, rc.ctrl, snapshot_sink=rec)
-        want = rec.trajectory(rc.params, rc.alphas, rc.schedule)
+        want = trajectory(rc.build_initial(), rc.params, rc.alphas, rc.schedule, rc.ctrl)
         got = load_trajectory(rc, out)
         assert got.u.shape == (4, 4, *rc.grid.shape)
         assert got.times.tobytes() == want.times.tobytes()

@@ -33,12 +33,13 @@ class TestLazyNamespace:
             "Grid", "gradient_components", "gradient_sq", "integrate", "laplacian_neumann",
             "ModelParams", "RateFunction", "SupplySchedule", "event_timeline",
             "HomogeneousState", "OracleTrajectory", "rk4_solve",
-            "SimState", "run",
+            "SimState", "run", "trajectory",
             "SweepConfig", "SweepReport", "compare_to_limit", "run_sweep",
-            "TestFunction", "Trajectory", "TrajectoryRecorder", "residual", "residual_table",
+            "TestFunction", "Trajectory", "residual", "residual_table",
         ]
 
-    @pytest.mark.parametrize("name", ["eval_rate", "reaction_rhs", "taxis_divergence", "stable_dt"])
+    @pytest.mark.parametrize("name", ["eval_rate", "reaction_rhs", "taxis_divergence", "stable_dt",
+                                      "TrajectoryRecorder"])
     def test_removed_names_raise_attribute_error(self, name):
         with pytest.raises(AttributeError, match=repr(name)):
             getattr(regenfv, name)

@@ -17,13 +17,13 @@ from regenfv import (
     StepControl,
     SupplySchedule,
     SweepConfig,
-    TrajectoryRecorder,
     integrate,
     laplacian_neumann,
     parse_config,
     rk4_solve,
     run,
     run_sweep,
+    trajectory,
 )
 from regenfv import stepping
 from regenfv.model import bind_reactions
@@ -521,18 +521,18 @@ class TestRun:
             x = g.coordinate_arrays()[0]
             st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
             st = replace(st, u=st.u * (1.0 + 0.3 * np.cos(np.pi * x)))
-            recorder, copies = TrajectoryRecorder(), []
+            states, copies = [], []
 
             def sink(index, state):
-                recorder(index, state)
+                states.append(state)
                 copies.append(state.u.copy())
 
             ctrl = StepControl(t_end=0.2, dt_max=1e-2, save_every=0.05)
             run(st, p, ALPHAS, schedule, ctrl, snapshot_sink=sink)
-            assert len(recorder.states) == 5
-            for state, copy in zip(recorder.states, copies, strict=True):
+            assert len(states) == 5
+            for state, copy in zip(states, copies, strict=True):
                 assert same_bits(state.u, copy)
-            saved = [state.u for state in recorder.states]
+            saved = [state.u for state in states]
             # the sweep (eps > 0; dt_max, or in 2D the diffusion limit of the
             # a's, binds every member alike): each member's trajectory holds
             # what that member's run handed out, and no two share memory
@@ -546,6 +546,23 @@ class TestRun:
             for i, a in enumerate(saved):
                 for b in saved[i + 1:]:
                     assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trajectory_is_what_run_hands_its_sinks(self, dim):
+        # jump doses on a save and between saves; 1D with eps = 0, a
+        # non-square 2D grid with eps > 0
+        g, p = (Grid((12,), (1.0,)), params()) if dim == 1 else (Grid((7, 5), (1.3, 0.7)), params(eps=0.3))
+        schedule = SupplySchedule(dose_times=(0.05, 0.07), chi0=0.7, mode="jump")
+        x = g.coordinate_arrays()[0]
+        st = uniform_state(g, c1=0.5, c2=0.1, chi=1.0, tau=0.5)
+        st = replace(st, u=st.u * (1.0 + 0.3 * np.cos(np.pi * x)))
+        ctrl = StepControl(t_end=0.2, dt_max=1e-2, save_every=0.05)
+        states = []
+        run(st, p, ALPHAS, schedule, ctrl, snapshot_sink=lambda index, state: states.append(state))
+        traj = trajectory(st, p, ALPHAS, schedule, ctrl)
+        assert same_bits(traj.times, [state.t for state in states])
+        assert same_bits(traj.u, [state.u for state in states])
+        assert (traj.grid, traj.params, traj.alphas, traj.schedule) == (g, p, ALPHAS, schedule)
 
     def test_uniform_run_matches_oracle(self):
         p = params(a1=0.05, a2=0.05, d_chi=0.05, a_chi=0.8, beta=1.0,

@@ -20,15 +20,15 @@ from regenfv import (
     integrate,
     laplacian_neumann,
     parse_config,
-    run,
     run_sweep,
+    trajectory,
 )
 from regenfv import stepping
 from regenfv.diagnostics import fisher_integrand
 from regenfv.grid import gradient_components
 from regenfv.stepping import FIELDS
 from regenfv.sweep import artificial_terms, pair_distances
-from regenfv.weakform import Trajectory, TrajectoryRecorder
+from regenfv.weakform import Trajectory
 
 from references import stable_dt
 
@@ -153,10 +153,7 @@ class TestNorms:
 
 class TestCompareToLimit:
     def run_limit(self, cfg):
-        rec = TrajectoryRecorder()
-        run(cfg.initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl,
-            snapshot_sink=rec)
-        return rec.trajectory(cfg.params, cfg.alphas, cfg.schedule)
+        return trajectory(cfg.initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl)
 
     def test_distances_decrease_toward_limit(self):
         cfg = make_config((0.4, 0.2, 0.1), t_end=0.15, n=32)
@@ -316,15 +313,12 @@ class TestBatchedSweep:
         batched = run_sweep(SweepConfig(eps_list, p, ALPHAS, SupplySchedule(), initial, ctrl))
         shared = replace(ctrl, dt_max=capped[0])
         for eps, traj in zip(eps_list, batched.trajectories, strict=True):
-            rec = TrajectoryRecorder()
-            run(initial, replace(p, eps=eps), ALPHAS, SupplySchedule(), shared, snapshot_sink=rec)
-            alone = rec.trajectory(replace(p, eps=eps), ALPHAS, SupplySchedule())
+            alone = trajectory(initial, replace(p, eps=eps), ALPHAS, SupplySchedule(), shared)
             assert np.array_equal(traj.times, alone.times)
             assert np.array_equal(traj.u, alone.u)
         # alone under its own dt_max, the smallest-eps member takes longer steps
-        rec = TrajectoryRecorder()
-        run(initial, replace(p, eps=eps_list[-1]), ALPHAS, SupplySchedule(), ctrl, snapshot_sink=rec)
-        assert not np.array_equal(rec.trajectory(p, ALPHAS, SupplySchedule()).u, batched.trajectories[-1].u)
+        alone = trajectory(initial, replace(p, eps=eps_list[-1]), ALPHAS, SupplySchedule(), ctrl)
+        assert not np.array_equal(alone.u, batched.trajectories[-1].u)
 
     def test_eps_sweep_shape_takes_750_core_calls(self, monkeypatch):
         # the default 1D problem on 64 cells to t_end 0.075 (pulse at 0.05):

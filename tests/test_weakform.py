@@ -13,12 +13,11 @@ from regenfv import (
     SupplySchedule,
     TestFunction,
     Trajectory,
-    TrajectoryRecorder,
     compute_record,
     integrate,
     residual,
     residual_table,
-    run,
+    trajectory,
 )
 from regenfv.config import EntropyParams
 from regenfv.stepping import FIELDS
@@ -49,11 +48,8 @@ def snapshots(traj):
 
 
 def run_trajectory(state, p, alphas, schedule, t_end, dt_max, save):
-    rec = TrajectoryRecorder()
-    run(state, p, alphas, schedule,
-        StepControl(t_end=t_end, dt_max=dt_max, cfl_safety=1.0, save_every=save),
-        snapshot_sink=rec)
-    return rec.trajectory(p, alphas, schedule)
+    return trajectory(state, p, alphas, schedule,
+                      StepControl(t_end=t_end, dt_max=dt_max, cfl_safety=1.0, save_every=save))
 
 
 class TestZeroTrajectory:
@@ -77,13 +73,10 @@ class TestTrajectory:
                 Trajectory(times, np.zeros(shape), g, *model)
 
     @pytest.mark.parametrize("saves", [0, 1])
-    def test_recorder_needs_two_snapshots(self, saves):
+    def test_needs_two_snapshots(self, saves):
         g = Grid((6,), (1.0,))
-        rec = TrajectoryRecorder()
-        for i in range(saves):
-            rec(i, SimState(0.0, np.zeros((4, 6)), g))
         with pytest.raises(ValueError, match="at least two snapshots"):
-            rec.trajectory(params(), NO_SWITCH, SupplySchedule())
+            Trajectory(np.zeros(saves), np.zeros((saves, 4, 6)), g, params(), NO_SWITCH, SupplySchedule())
 
 
 class TestTestFunction:
@@ -126,12 +119,9 @@ class TestMassBudgetReduction:
         st = SimState(0.0, np.array((g.field(0.4 + 0.2 * np.cos(np.pi * x)),
                                      g.field(0.05), g.field(1.0 + 0.2 * np.cos(np.pi * x)),
                                      g.field(0.4))), g)
-        records, rec = [], TrajectoryRecorder()
-        run(st, p, ALPHAS, SupplySchedule(),
-            StepControl(t_end=0.2, dt_max=5e-4, cfl_safety=1.0, save_every=0.02),
-            record_sink=lambda s: records.append(compute_record(s, p, ALPHAS, st, EntropyParams())),
-            snapshot_sink=rec)
-        traj = rec.trajectory(p, ALPHAS, SupplySchedule())
+        traj = trajectory(st, p, ALPHAS, SupplySchedule(),
+                          StepControl(t_end=0.2, dt_max=5e-4, cfl_safety=1.0, save_every=0.02))
+        records = [compute_record(s, p, ALPHAS, st, EntropyParams()) for s in snapshots(traj)]
         T = traj.horizon
         psi = TestFunction((0,), 1, T)
 
