@@ -1,9 +1,12 @@
 """Command-line surface: run / sweep / weakcheck / oracle.
 
 All file output lives here: the per-run diagnostics CSV (fixed column order,
-booleans as 0/1, shortest round-trip decimals), optional per-save snapshot
-CSVs (snap_<index>.csv with columns x[,y],c1,c2,chi,tau), the canonical
-config echo, the sweep report CSV, and the weak-form residual report CSV.
+booleans as 0/1, shortest round-trip decimals), optional per-save snapshots
+(snap_<index>.csv with columns x[,y],c1,c2,chi,tau, and every save's state in
+one binary trajectory.npy), the canonical config echo, the sweep report CSV,
+and the weak-form residual report CSV. ``weakcheck`` reads a run back from
+its diagnostics.csv (the times), trajectory.npy (the states) and
+config_echo.txt (the grid), not from the snapshot text.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 certificate failure under --strict.
@@ -75,47 +78,65 @@ def _usable_cpus() -> int:
 
 
 class _Snapshots:
-    """The snapshot sink of ``run``: each save writes ``snap_<index>.csv``.
+    """The snapshot sink of ``run``: each save appends its state to
+    ``trajectory.npy`` and writes ``snap_<index>.csv``.
 
-    A snapshot of at least ``_SNAPSHOT_BLOCK`` cells, on a host with more
-    than one usable CPU, is written by a forked child, so that formatting its
-    text (``repr`` of every value) runs on an idle CPU while the run steps
-    on: the child writes the state as it stands at the fork (copy-on-write)
-    and exits with ``_write_snapshot``'s status, from which the parent
-    rebuilds the in-process message (a status of 255, or a signal, leaves no
-    errno to name). At most one child per usable CPU is alive: a save first
-    reaps the oldest when all are busy. The first failure reaped is kept, and
-    after it no save forks another child. POSIX only (``os.fork``); the
-    children call no BLAS. Smaller snapshots, and every snapshot on one usable
-    CPU, are written in process.
+    ``trajectory.npy`` is one ``.npy`` file (``np.lib.format`` version 1.0),
+    opened by the first save, whose header declares the planned
+    ``(n_t, 4, *grid.shape)`` ``<f8`` array, rows in ``FIELDS`` order. The
+    parent appends each save's bytes and flushes them before any child
+    forks, so the file always holds the saves so far: a run that stops early
+    leaves it short of its header.
+
+    A snapshot text of at least ``_SNAPSHOT_BLOCK`` cells, on a host with
+    more than one usable CPU, is written by a forked child, so that
+    formatting it (``repr`` of every value) runs on an idle CPU while the run
+    steps on: the child writes the state as it stands at the fork
+    (copy-on-write) and exits with ``_write_snapshot``'s status, from which
+    the parent rebuilds the in-process message (a status of 255, or a signal,
+    leaves no errno to name). At most one child per usable CPU is alive: a
+    save first reaps the oldest when all are busy. POSIX only (``os.fork``);
+    the children call no BLAS. Smaller snapshots, and every snapshot on one
+    usable CPU, are written in process. A failed text write stops nothing, on
+    either path: every save is tried, and the first failure, the lowest index
+    (children are reaped oldest first), is raised on exit.
     """
 
-    def __init__(self, out: Path, grid: Grid):
-        self.out, self.failure = out, ""
+    def __init__(self, out: Path, grid: Grid, n_t: int):
+        self.out, self.failure, self.shape = out, "", (n_t, 4, *grid.shape)
         self.slots = _usable_cpus() if grid.n_cells >= _SNAPSHOT_BLOCK else 1  # 1: write in process
         self.children: deque[tuple[int, Path]] = deque()  # (pid, its file), oldest first
+        self.states = None  # trajectory.npy, opened by the first save
 
     def __enter__(self) -> _Snapshots:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        while self.children:
-            self._reap()
+        try:
+            while self.children:
+                self._reap()
+        finally:
+            if self.states is not None:
+                self.states.close()
         # an error of the run itself (or an interrupt) comes before a failed write
         if exc_type is None and self.failure:
             raise ConfigError(self.failure)
 
     def send(self, index: int, state: SimState) -> None:
+        if index == 0:
+            self.states = (self.out / "trajectory.npy").open("wb")
+            np.lib.format.write_array_header_1_0(
+                self.states, {"descr": "<f8", "fortran_order": False, "shape": self.shape})
+        self.states.write(np.ascontiguousarray(state.u, "<f8").data)
+        self.states.flush()  # no pending bytes for a child to inherit, and a failed run keeps its saves
         path = self.out / f"snap_{index}.csv"
         if self.slots == 1:
             errno = _write_snapshot(path, state.grid, state.u)
-            if errno:
-                raise ConfigError(f"cannot write snapshot {path}: {os.strerror(errno)}")
+            if errno and not self.failure:
+                self.failure = f"cannot write snapshot {path}: {os.strerror(errno)}"
             return
         if len(self.children) == self.slots:
             self._reap()
-        if self.failure:
-            return
         _coordinate_text(state.grid)  # built once, in the parent, and inherited by every child
         pid = os.fork()
         if pid == 0:
@@ -138,10 +159,14 @@ class _Snapshots:
 
 
 def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
-    """Rebuild a Trajectory from diagnostics.csv and the snap_<index>.csv files.
+    """Rebuild a Trajectory from a run's diagnostics.csv (the times) and
+    trajectory.npy (the states).
 
-    The files are outside input: a malformed one, or one whose cell centers
-    are not those of the configured grid, is a ConfigError naming it.
+    The files are outside input, each refused with a ConfigError naming it: a
+    malformed or short (a run that stopped early) one, states of another
+    dtype or shape than ``(len(times), 4, *grid.shape)`` or holding
+    non-finite values, and a config_echo.txt whose ``grid.*`` lines are not
+    those of ``cfg`` (a run on another domain).
     """
     from .weakform import Trajectory
 
@@ -155,32 +180,29 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
             times = [float(line.split(",")[t_col]) for line in fh if line.strip()]
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"malformed {diag_path}: {exc}") from None
-    grid = cfg.grid
-    centers = np.column_stack([c.ravel() for c in grid.coordinate_arrays()])
-    u = np.empty((len(times), 4, *grid.shape))
-    for idx in range(len(times)):
-        snap = out_dir / f"snap_{idx}.csv"
-        if not snap.exists():
-            raise ConfigError(f"missing snapshot {snap}")
-        try:
-            data = np.atleast_2d(np.loadtxt(snap, delimiter=",", skiprows=1))
-        except ValueError as exc:
-            raise ConfigError(f"malformed snapshot {snap}: {exc}") from None
-        if data.shape != (grid.n_cells, grid.dim + 4):
-            raise ConfigError(
-                f"snapshot {snap} holds {data.shape[0]}x{data.shape[1]} values, "
-                f"expected {grid.n_cells}x{grid.dim + 4}"
-            )
-        if not np.isfinite(data).all():
-            raise ConfigError(f"snapshot {snap} holds non-finite values")
-        # written with repr, so the centers of the configured grid round-trip exactly
-        if not np.array_equal(data[:, : grid.dim], centers):
-            raise ConfigError(
-                f"snapshot {snap} has cell centers that differ from the configured grid"
-            )
-        u[idx].reshape(4, -1)[...] = data[:, grid.dim:].T
+    echo_path = out_dir / "config_echo.txt"
+    ran, configured = (
+        [line for line in text.splitlines() if line.startswith("grid.")]
+        for text in (echo_path.read_text(errors="replace"), echo_text(cfg))
+    )
+    if ran != configured:
+        raise ConfigError(f"{echo_path}: the run's grid ({', '.join(ran)}) "
+                          f"is not the configured grid ({', '.join(configured)})")
+    npy_path = out_dir / "trajectory.npy"
     try:
-        return Trajectory(np.asarray(times), u, grid, cfg.params, cfg.alphas, cfg.schedule)
+        with npy_path.open("rb") as fh:
+            u = np.load(fh)
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"malformed {npy_path}: {exc}") from None
+    expected = (len(times), 4, *cfg.grid.shape)
+    if not isinstance(u, np.ndarray) or u.dtype != np.dtype("<f8") or u.shape != expected:
+        found = f"{u.dtype.str} states of shape {u.shape}" if isinstance(u, np.ndarray) else "no array"
+        raise ConfigError(f"{npy_path} holds {found}, expected <f8 states of shape {expected}")
+    finite = np.isfinite(u).reshape(len(u), -1).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"{npy_path} holds non-finite values in save {finite.argmin()}")
+    try:
+        return Trajectory(np.asarray(times), u, cfg.grid, cfg.params, cfg.alphas, cfg.schedule)
     except ValueError as exc:
         raise ConfigError(f"{out_dir}: {exc}") from None
 
@@ -200,7 +222,7 @@ def _out_dir(cfg: RunConfig, args) -> Path:
 
 def _cmd_run(cfg: RunConfig, args) -> int:
     from .diagnostics import DiagnosticsRecord, compute_record
-    from .stepping import run
+    from .stepping import run, save_count
 
     out = _out_dir(cfg, args)
     initial = cfg.build_initial()
@@ -209,7 +231,8 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     last_t, failed_t = None, None  # the last save, and the first whose certificates fail
 
     # one flushed row per save, so that a run that fails keeps its history
-    with _Snapshots(out, initial.grid) as snapshots, (out / "diagnostics.csv").open("w") as diag:
+    with _Snapshots(out, initial.grid, save_count(cfg.schedule, cfg.ctrl)) as snapshots, \
+            (out / "diagnostics.csv").open("w") as diag:
         diag.write(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
 
         def record_sink(state: SimState) -> None:

@@ -422,14 +422,19 @@ def run(
     return SimState(t, u[0], initial.grid, debts[0]) if t > 0.0 else initial
 
 
+def save_count(schedule: SupplySchedule, ctrl: StepControl) -> int:
+    """The number of states a march emits: t = 0 and the saves of ``event_timeline``."""
+    return 1 + sum(is_save for _, is_save, _, _ in event_timeline(schedule, ctrl.t_end, ctrl.save_every))
+
+
 def _trajectories(initial: SimState, members: tuple[ModelParams, ...], alphas: tuple[RateFunction, RateFunction],
                   schedule: SupplySchedule, ctrl: StepControl, named: bool = False) -> tuple[Trajectory, ...]:
     """The one collector of a march's saves: ``_march`` fills one preallocated
-    ``(m, n_t, 4, *shape)`` array, n_t = 1 + the saves of ``event_timeline``,
-    and each member's ``Trajectory`` is a contiguous slice of it."""
+    ``(m, n_t, 4, *shape)`` array, n_t = ``save_count``, and each member's
+    ``Trajectory`` is a contiguous slice of it."""
     from .weakform import Trajectory  # loaded only by the commands that read whole trajectories
 
-    n_t = 1 + sum(is_save for _, is_save, _, _ in event_timeline(schedule, ctrl.t_end, ctrl.save_every))
+    n_t = save_count(schedule, ctrl)
     times, u = np.empty(n_t), np.empty((len(members), n_t, 4, *initial.grid.shape))
 
     def save(index: int, t: float, stack: np.ndarray, debts: list[float]) -> None:

@@ -1,7 +1,8 @@
 """What the tests measure the library against: the single-field taxis
-divergence, the reference that the fused step must match bit for bit, and
-the stability bound and capped dt of one state, taken through the step
-core's own ``_faces_and_bounds`` and ``_capped_dt``."""
+divergence, the reference that the fused step must match bit for bit, the
+stability bound and capped dt of one state, taken through the step core's
+own ``_faces_and_bounds`` and ``_capped_dt``, and the text reader of one
+``snap_<index>.csv``, against which ``trajectory.npy`` is checked."""
 
 import numpy as np
 
@@ -34,3 +35,14 @@ def stable_dt(state, p, ctrl):
     """Largest admissible dt: cfl_safety times the stability bound, capped by
     dt_max; raises StabilityError when that is not finite and positive."""
     return stepping._capped_dt(stability_bound(state, p), ctrl, state.t)
+
+
+def snapshot_state(path, grid: Grid) -> np.ndarray:
+    """The ``(4, *grid.shape)`` state of one ``snap_<index>.csv``, read with
+    ``np.loadtxt`` as ``weakcheck`` read it before ``trajectory.npy``. The
+    file must hold one row per cell of ``grid`` with its cell centers, which
+    ``repr`` text gives back exactly."""
+    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    assert data.shape == (grid.n_cells, grid.dim + 4), (path, data.shape)
+    assert np.array_equal(data[:, :grid.dim], np.column_stack([c.ravel() for c in grid.coordinate_arrays()]))
+    return np.ascontiguousarray(data[:, grid.dim:].T).reshape(4, *grid.shape)

@@ -13,6 +13,8 @@ from regenfv import cli
 from regenfv.cli import load_trajectory, main
 from regenfv.errors import DivergenceError
 
+from references import snapshot_state
+
 BASE = """
 grid.dim = 1
 grid.nx = 16
@@ -121,6 +123,18 @@ def row_wise_snapshot_text(state):
     return "\n".join(lines) + "\n"
 
 
+def check_trajectory_file(out, text):
+    """``trajectory.npy`` holds the states of ``trajectory`` bit for bit, and
+    each ``snap_<index>.csv`` holds the values of its row."""
+    rc = parse_config(text)
+    want = trajectory(rc.build_initial(), rc.params, rc.alphas, rc.schedule, rc.ctrl)
+    got = np.load(out / "trajectory.npy")
+    assert got.dtype.str == "<f8" and got.shape == want.u.shape
+    assert got.tobytes() == want.u.tobytes()
+    for index, state in enumerate(got):
+        assert snapshot_state(out / f"snap_{index}.csv", rc.grid).tobytes() == state.tobytes()
+
+
 # subnormals, the switches to exponent form (1e-5, 1e16), integers and -0.0
 SNAPSHOT_VALUES = hst.one_of(
     hst.sampled_from([0.0, -0.0, 5e-324, 1.5e-310, 1e-5, 9.99e-5, 1e16, 9.99e15, 3.0, -7.0, 1e300]),
@@ -219,6 +233,7 @@ class TestSnapshotWriterLanes:
         assert sorted(p.name for p in out.glob("snap_*.csv")) == sorted(f"snap_{i}.csv" for i in range(7))
         for index, state in enumerate(states):
             assert (out / f"snap_{index}.csv").read_text() == row_wise_snapshot_text(state)
+        check_trajectory_file(out, text)
 
     # a huge jump dose at t = 0.0225 overflows the medium: exit 2 after five saves
     DIVERGING = SNAPSHOT_RUN + "schedule.mode = jump\nschedule.dose_times = 0.0225\nschedule.chi0 = 1e308\n"
@@ -239,6 +254,14 @@ class TestSnapshotWriterLanes:
         assert lines[0] == ",".join(diagnostics.DiagnosticsRecord.CSV_COLUMNS)
         assert [float(line.split(",")[0]) for line in lines[1:]] == [state.t for state in states]
         assert (out / "config_echo.txt").exists()
+        # trajectory.npy: a header that plans all seven saves, then the five made, and weakcheck refuses it
+        with (out / "trajectory.npy").open("rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            assert np.lib.format.read_array_header_1_0(fh) == ((7, 4, 16), False, np.dtype("<f8"))
+            assert fh.read() == b"".join(state.u.tobytes() for state in states)
+        cfg = tmp_path / "run.cfg"
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: malformed {out / 'trajectory.npy'}: ")
 
     def test_run_error_comes_before_a_failed_write(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -257,10 +280,10 @@ class TestSnapshotWriterLanes:
 
     def test_failed_write_is_config_error(self, tmp_path, capsys, forks):
         check_failed_write(tmp_path, capsys)
-        assert len(forks) < 7  # no save forks a child once a reaped one has failed
+        assert len(forks) == 7  # every save is tried after a reaped one has failed
 
     def test_many_failed_writes_report_the_first(self, tmp_path, capsys, forks):
-        # 31 saves, each onto a folder: the run stops forking at the first failure it reaps
+        # 31 saves, each onto a folder: every save forks its writer, and the lowest index is reported
         text = SNAPSHOT_RUN.replace("control.save_every = 0.005", "control.save_every = 0.001")
         out = tmp_path / "out"
         for index in range(31):
@@ -269,7 +292,7 @@ class TestSnapshotWriterLanes:
         assert capsys.readouterr().err == (
             f"config error: cannot write snapshot {out / 'snap_0.csv'}: Is a directory\n")
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 31
-        assert len(forks) < 31
+        assert len(forks) == 31
 
     def test_writer_failing_without_an_errno(self, tmp_path, capsys, monkeypatch, forks):
         def broken(grid, u):
@@ -281,7 +304,7 @@ class TestSnapshotWriterLanes:
         assert re.fullmatch(r"config error: a snapshot writer failed \(wait status \d+\); "
                             rf"the snap_\*\.csv files in {re.escape(str(out))} may be incomplete\n",
                             capsys.readouterr().err)
-        assert len(forks) < 7
+        assert len(forks) == 7
 
 
 def check_failed_write(tmp_path, capsys):
@@ -290,6 +313,11 @@ def check_failed_write(tmp_path, capsys):
     assert main(["run", "--config", str(write_config(tmp_path, SNAPSHOT_RUN)), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"config error: cannot write snapshot {out / 'snap_1.csv'}: Is a directory\n")
+    # the run went on to its end: every other snapshot, every row and every state
+    assert sorted(p.name for p in out.glob("snap_*.csv") if p.is_file()) == [
+        f"snap_{index}.csv" for index in (0, 2, 3, 4, 5, 6)]
+    assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 7
+    assert np.load(out / "trajectory.npy").shape == (7, 4, 16)
 
 
 def test_failed_write_in_process_is_config_error(tmp_path, capsys):
@@ -321,8 +349,9 @@ class TestOutputLocation:
 
 
 @pytest.mark.parametrize("command, name", [
-    ("run", "diagnostics.csv"), ("run", "config_echo.txt"), ("sweep", "sweep.csv"), ("oracle", "oracle.csv"),
-    ("weakcheck", "weakform.csv"), ("weakcheck", "diagnostics.csv"), ("weakcheck", "snap_3.csv"),
+    ("run", "diagnostics.csv"), ("run", "config_echo.txt"), ("run", "trajectory.npy"), ("sweep", "sweep.csv"),
+    ("oracle", "oracle.csv"), ("weakcheck", "weakform.csv"), ("weakcheck", "diagnostics.csv"),
+    ("weakcheck", "trajectory.npy"), ("weakcheck", "config_echo.txt"),
 ])
 def test_file_that_is_a_folder_is_config_error(tmp_path, capsys, command, name):
     # weakcheck reads the folder of a finished run, with that one file made a folder
@@ -376,21 +405,38 @@ class TestBadInputFiles:
 
     def test_truncated_snapshot(self, tmp_path, capsys):
         cfg, out = self.snapshot_run(tmp_path)
-        snap = out / "snap_1.csv"
-        snap.write_text(snap.read_text()[:-40])
+        npy = out / "trajectory.npy"
+        npy.write_bytes(npy.read_bytes()[:-40])
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "snap_1.csv" in err
+        assert capsys.readouterr().err.startswith(f"config error: malformed {npy}: ")
 
     def test_snapshot_with_nan(self, tmp_path, capsys):
         cfg, out = self.snapshot_run(tmp_path)
-        snap = out / "snap_2.csv"
-        lines = snap.read_text().split("\n")
-        lines[3] = ",".join(lines[3].split(",")[:-1] + ["nan"])
-        snap.write_text("\n".join(lines))
+        npy = out / "trajectory.npy"
+        u = np.load(npy)
+        u[2, 3, 5] = np.nan
+        np.save(npy, u)
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "snap_2.csv holds non-finite" in err
+        assert capsys.readouterr().err == f"config error: {npy} holds non-finite values in save 2\n"
+
+    @pytest.mark.parametrize("keep", [2, 4], ids=["fewer-times", "more-times"])
+    def test_states_of_another_shape(self, tmp_path, capsys, keep):
+        # diagnostics.csv gives the times: one row less, or one more, than trajectory.npy's three states
+        cfg, out = self.snapshot_run(tmp_path)
+        diag = out / "diagnostics.csv"
+        lines = diag.read_text().splitlines()
+        diag.write_text("\n".join((lines + [lines[-1].replace("0.02,", "0.03,", 1)])[:1 + keep]) + "\n")
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"config error: {out / 'trajectory.npy'} holds <f8 states of shape "
+                                           f"(3, 4, 16), expected <f8 states of shape ({keep}, 4, 16)\n")
+
+    def test_states_of_another_dtype(self, tmp_path, capsys):
+        cfg, out = self.snapshot_run(tmp_path)
+        npy = out / "trajectory.npy"
+        np.save(npy, np.load(npy).astype(np.float32))
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"config error: {npy} holds <f4 states of shape (3, 4, 16), "
+                                           f"expected <f8 states of shape (3, 4, 16)\n")
 
     def test_malformed_diagnostics(self, tmp_path, capsys):
         cfg, out = self.snapshot_run(tmp_path)
@@ -413,8 +459,9 @@ class TestBadInputFiles:
         other = write_config(tmp_path, cfg.read_text().replace("grid.lx = 1.0", "grid.lx = 3"),
                              name="long.cfg")
         assert main(["weakcheck", "--config", str(other), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "snap_0.csv has cell centers" in err
+        assert capsys.readouterr().err == (
+            f"config error: {out / 'config_echo.txt'}: the run's grid (grid.dim = 1, grid.nx = 16, grid.lx = 1.0) "
+            "is not the configured grid (grid.dim = 1, grid.nx = 16, grid.lx = 3.0)\n")
         assert not (out / "weakform.csv").exists()
 
     def test_snapshots_from_other_grid_shape(self, tmp_path, capsys):
@@ -429,8 +476,10 @@ class TestBadInputFiles:
         other = write_config(tmp_path, text.replace("grid.nx = 8", "grid.nx = 12")
                              .replace("grid.ny = 6", "grid.ny = 4"), name="other.cfg")
         assert main(["weakcheck", "--config", str(other), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "snap_0.csv has cell centers" in err
+        assert capsys.readouterr().err == (
+            f"config error: {out / 'config_echo.txt'}: the run's grid (grid.dim = 2, grid.nx = 8, grid.lx = 1.0, "
+            "grid.ny = 6, grid.ly = 1.0) is not the configured grid (grid.dim = 2, grid.nx = 12, grid.lx = 1.0, "
+            "grid.ny = 4, grid.ly = 1.0)\n")
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 0
 
     def test_single_snapshot_is_config_error(self, tmp_path, capsys):
@@ -549,7 +598,7 @@ class TestWeakcheckCommand:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_reader_returns_the_recorded_trajectory(self, tmp_path, dim):
-        # repr-written snapshots read back bit for bit as the in-memory recording
+        # the states written in process read back bit for bit as the in-memory recording
         text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.03").replace(
             "c10.uniform = 0.5", "c10.cosine = 0.5 0.2 1 " + "2" * (dim - 1)).replace(
             "tau0.uniform = 0.4", "tau0.cosine = 0.4 0.1 2 " + "1" * (dim - 1)) + \
@@ -567,6 +616,7 @@ class TestWeakcheckCommand:
         assert got.u.shape == (4, 4, *rc.grid.shape)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.u.tobytes() == want.u.tobytes()
+        check_trajectory_file(out, text)
 
     def test_weakcheck_without_snapshots_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, BASE + "output.snapshots = 1\n")
