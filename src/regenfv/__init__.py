@@ -9,11 +9,11 @@ each public name imports its module on first use.
 import importlib
 
 _EXPORTS = {
-    "config": ("RunConfig", "echo_text", "parse_config", "EntropyParams", "StepControl"),
+    "config": ("RunConfig", "echo_text", "parse_config", "EntropyParams", "Grid", "StepControl"),
     "diagnostics": ("DiagnosticsRecord", "MonitorReport", "compute_record", "dissipation_D",
                     "entropy_E", "entropy_inequality_monitor"),
     "errors": ("ConfigError", "DivergenceError", "StabilityError", "StiffnessError"),
-    "grid": ("Grid", "gradient_components", "gradient_sq", "integrate", "laplacian_neumann"),
+    "grid": ("gradient_components", "gradient_sq", "integrate", "laplacian_neumann"),
     "model": ("ModelParams", "RateFunction", "SupplySchedule", "event_timeline"),
     "oracle": ("HomogeneousState", "OracleTrajectory", "rk4_solve"),
     "stepping": ("SimState", "run", "trajectory"),

@@ -23,15 +23,16 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .config import RunConfig, echo_text, parse_config
+from .config import Grid, RunConfig, echo_text, parse_config
 from .errors import ConfigError, DivergenceError, StabilityError, StiffnessError
-from .grid import Grid
 
 # Each command imports the modules it runs inside its function, so that no
-# command loads the code of another; these two names serve annotations only.
+# command loads the code of another, and numpy only where it builds or reads
+# arrays, so that the oracle, --help and usage errors run without it; these
+# names serve annotations only.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .stepping import SimState
     from .weakform import Trajectory
 
@@ -123,6 +124,8 @@ class _Snapshots:
             raise ConfigError(self.failure)
 
     def send(self, index: int, state: SimState) -> None:
+        import numpy as np
+
         if index == 0:
             self.states = (self.out / "trajectory.npy").open("wb")
             np.lib.format.write_array_header_1_0(
@@ -168,6 +171,8 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
     non-finite values, and a config_echo.txt whose ``grid.*`` lines are not
     those of ``cfg`` (a run on another domain).
     """
+    import numpy as np
+
     from .weakform import Trajectory
 
     diag_path = out_dir / "diagnostics.csv"
@@ -308,7 +313,7 @@ def _cmd_weakcheck(cfg: RunConfig, args) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, args) -> int:
-    from .oracle import HomogeneousState, rk4_solve
+    from .oracle import HomogeneousState, _rk4
 
     out = _out_dir(cfg, args)
     t_end = cfg.ctrl.t_end
@@ -324,13 +329,13 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
         t=0.0, c1=uniform["c10"], c2=uniform["c20"],
         chi=uniform["chi0"], tau=uniform["tau0"],
     )
-    traj = rk4_solve(
+    times, values = _rk4(
         y0, cfg.params, cfg.alphas, cfg.schedule, dt=dt, t_end=t_end,
         domain_measure=cfg.grid.measure, save_every=cfg.ctrl.save_every,
     )
     out.mkdir(parents=True, exist_ok=True)
     lines = ["t,c1,c2,chi,tau"]
-    for t, row in zip(traj.times, traj.values):
+    for t, row in zip(times, values):
         lines.append(",".join(repr(float(v)) for v in (t, *row)))
     (out / "oracle.csv").write_text("\n".join(lines) + "\n")
     return 0

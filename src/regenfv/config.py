@@ -7,9 +7,13 @@ explicit, and ``echo_text`` emits the canonical form so that
 parse(echo(parse(text))) == parse(text). The fields of ``ModelParams``,
 ``SupplySchedule``, ``StepControl`` and ``EntropyParams`` are the keys of the
 params, schedule, control and entropy sections, with their order and defaults.
-The first two live in ``regenfv.model``; the step policy ``StepControl`` and
-the functional weights ``EntropyParams`` live here, so that parsing a
-configuration imports neither the stepper nor the diagnostics.
+The first two live in ``regenfv.model``; the mesh ``Grid``, the step policy
+``StepControl`` and the functional weights ``EntropyParams`` live here, so
+that parsing a configuration imports none of the stepper, the operators and
+the diagnostics. Nothing here imports numpy at module level: only the code
+that builds arrays (``Grid``'s coordinate and field methods,
+``InitializerSpec.build`` and ``RunConfig.build_initial``) imports it, in its
+body, so that ``parse_config`` and the ``oracle`` command run without it.
 
 The four initial-data sections are named after the fields they seed (c10,
 c20, chi0, tau0); each takes exactly one of the initializers
@@ -27,18 +31,18 @@ section; nothing downstream re-checks the fields.
 from __future__ import annotations
 
 import math
+import numbers
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .errors import ConfigError
-from .grid import Grid
 from .model import ModelParams, RateFunction, SupplySchedule
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .stepping import SimState
 
 _INITIAL_SECTIONS = ("c10", "c20", "chi0", "tau0")
@@ -50,6 +54,73 @@ _SIGN_RULES = {
     **dict.fromkeys(("params.a_chi", "params.beta", "control.t_end"), "nonnegative"),
 }
 _MAY_BE_INFINITE = "control.dt_max"  # its default, inf, is echoed and must parse back
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Uniform 1D/2D cell-centered mesh with zero-flux faces.
+
+    ``cells`` and ``lengths`` are per-axis tuples; at least 3 cells per axis.
+    """
+
+    cells: tuple[int, ...]
+    lengths: tuple[float, ...]
+    spacing: tuple[float, ...] = field(init=False)
+    n_cells: int = field(init=False, repr=False)
+    cell_volume: float = field(init=False, repr=False)
+    measure: float = field(init=False, repr=False)  # domain measure |Omega|
+
+    def __post_init__(self):
+        if len(self.cells) not in (1, 2):
+            raise ValueError("grid dimension must be 1 or 2")
+        if len(self.lengths) != len(self.cells):
+            raise ValueError("cells and lengths must have matching dimension")
+        if not all(isinstance(n, numbers.Integral) and n >= 3 for n in self.cells):
+            raise ValueError(f"cells must be integers, at least 3 per axis, got {self.cells}")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"domain lengths must be finite and positive, got {self.lengths}")
+        spacing = tuple(L / n for L, n in zip(self.lengths, self.cells))
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "n_cells", math.prod(self.cells))
+        object.__setattr__(self, "cell_volume", math.prod(spacing))
+        object.__setattr__(self, "measure", math.prod(self.lengths))
+
+    @property
+    def dim(self) -> int:
+        return len(self.cells)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.cells
+
+    def axis_centers(self, axis: int) -> np.ndarray:
+        """Cell-center coordinates along one axis."""
+        import numpy as np
+
+        h = self.spacing[axis]
+        return (np.arange(self.cells[axis]) + 0.5) * h
+
+    def coordinate_arrays(self) -> tuple[np.ndarray, ...]:
+        """Cell-center coordinate arrays broadcast to the grid shape."""
+        import numpy as np
+
+        axes = [self.axis_centers(a) for a in range(self.dim)]
+        if self.dim == 1:
+            return (axes[0],)
+        return tuple(np.meshgrid(*axes, indexing="ij"))
+
+    def field(self, values) -> np.ndarray:
+        """Build a cell field from a scalar or array; rejects non-finite data."""
+        import numpy as np
+
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim == 0:
+            arr = np.full(self.shape, float(arr))
+        if arr.shape != self.shape:
+            raise ValueError(f"field shape {arr.shape} does not match grid {self.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("field contains non-finite values")
+        return arr.copy()
 
 
 @dataclass(frozen=True)
@@ -104,6 +175,8 @@ class InitializerSpec:
     path: str = ""
 
     def build(self, grid: Grid) -> np.ndarray:
+        import numpy as np
+
         if self.kind == "uniform":
             return grid.field(self.uniform)
         if self.kind == "cosine":
@@ -146,6 +219,8 @@ class RunConfig:
         return (self.alpha1, self.alpha2)
 
     def build_initial(self) -> SimState:
+        import numpy as np
+
         from .stepping import SimState
 
         arrays = {}

@@ -25,11 +25,11 @@ from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
-from .grid import Grid, gradient_sq, integrate, laplacian_neumann
+from .grid import gradient_sq, integrate, laplacian_neumann
 from .model import ModelParams, RateFunction
 
 if TYPE_CHECKING:
-    from .config import EntropyParams
+    from .config import EntropyParams, Grid
     from .stepping import SimState
 
 TOL_REL = 1e-8  # relative slack of the c1 mass and tau sup certificates

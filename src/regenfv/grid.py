@@ -1,9 +1,11 @@
-"""Uniform cell-centered rectangular mesh and zero-flux finite-volume operators.
+"""Zero-flux finite-volume operators on the uniform cell-centered mesh.
 
-Fields are plain float64 arrays of shape ``grid.shape`` (one value per cell).
-Every transport operator below is assembled in flux form with a vanishing
-flux on boundary faces, so its domain integral telescopes to zero exactly.
-Ghost values are mirror reflections, which makes the discrete normal
+This module holds the operators only; the mesh itself, ``Grid``, lives in
+``regenfv.config``, so that parsing a configuration loads neither this module
+nor numpy. Fields are plain float64 arrays of shape ``grid.shape`` (one value
+per cell). Every transport operator below is assembled in flux form with a
+vanishing flux on boundary faces, so its domain integral telescopes to zero
+exactly. Ghost values are mirror reflections, which makes the discrete normal
 derivative vanish at every boundary face. The operators act on the trailing
 ``grid.dim`` axes; leading axes pass through, so a stacked ``(k, *shape)``
 input gives row by row the single-field results.
@@ -11,72 +13,12 @@ input gives row by row the single-field results.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform 1D/2D cell-centered mesh with zero-flux faces.
-
-    ``cells`` and ``lengths`` are per-axis tuples; at least 3 cells per axis.
-    """
-
-    cells: tuple[int, ...]
-    lengths: tuple[float, ...]
-    spacing: tuple[float, ...] = field(init=False)
-    n_cells: int = field(init=False, repr=False)
-    cell_volume: float = field(init=False, repr=False)
-    measure: float = field(init=False, repr=False)  # domain measure |Omega|
-
-    def __post_init__(self):
-        if len(self.cells) not in (1, 2):
-            raise ValueError("grid dimension must be 1 or 2")
-        if len(self.lengths) != len(self.cells):
-            raise ValueError("cells and lengths must have matching dimension")
-        if not all(isinstance(n, numbers.Integral) and n >= 3 for n in self.cells):
-            raise ValueError(f"cells must be integers, at least 3 per axis, got {self.cells}")
-        if not all(0 < L < math.inf for L in self.lengths):
-            raise ValueError(f"domain lengths must be finite and positive, got {self.lengths}")
-        spacing = tuple(L / n for L, n in zip(self.lengths, self.cells))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "n_cells", math.prod(self.cells))
-        object.__setattr__(self, "cell_volume", math.prod(spacing))
-        object.__setattr__(self, "measure", math.prod(self.lengths))
-
-    @property
-    def dim(self) -> int:
-        return len(self.cells)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.cells
-
-    def axis_centers(self, axis: int) -> np.ndarray:
-        """Cell-center coordinates along one axis."""
-        h = self.spacing[axis]
-        return (np.arange(self.cells[axis]) + 0.5) * h
-
-    def coordinate_arrays(self) -> tuple[np.ndarray, ...]:
-        """Cell-center coordinate arrays broadcast to the grid shape."""
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
-
-    def field(self, values) -> np.ndarray:
-        """Build a cell field from a scalar or array; rejects non-finite data."""
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(self.shape, float(arr))
-        if arr.shape != self.shape:
-            raise ValueError(f"field shape {arr.shape} does not match grid {self.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field contains non-finite values")
-        return arr.copy()
+if TYPE_CHECKING:
+    from .config import Grid
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float:

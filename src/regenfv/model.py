@@ -13,15 +13,15 @@ returns.
 State variables: c1 (stem cells), c2 (chondrocytes), chi (differentiation
 medium), tau (extracellular matrix). The regularized variant adds -eps*c^theta
 damping to both cell equations and eps-diffusion to tau; eps=0 selects the
-limit model.
+limit model. numpy is imported only for array arguments
+(``bind_reactions(..., arrays=True)``): the oracle runs on floats without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"parameter {name} must be finite, got {value}")
         positives = {
             "a1": self.a1, "a2": self.a2, "b_tau": self.b_tau, "b_chi": self.b_chi,
@@ -88,7 +88,7 @@ class RateFunction:
         if self.kind not in ("constant", "saturating"):
             raise ValueError(f"unknown rate kind {self.kind!r}")
         for name in ("amplitude", "half_saturation"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"rate {name} must be finite, got {getattr(self, name)}")
         if self.amplitude < 0:
             raise ValueError("rate amplitude must be nonnegative")
@@ -122,13 +122,13 @@ class SupplySchedule:
         object.__setattr__(self, "dose_times", tuple(float(t) for t in self.dose_times))
         if self.mode not in ("pulse", "jump"):
             raise ValueError(f"unknown supply mode {self.mode!r}")
-        if not 0 <= self.chi0 < np.inf:
+        if not 0 <= self.chi0 < math.inf:
             raise ValueError(f"chi0 must be finite and nonnegative, got {self.chi0}")
-        if not all(0 <= t < np.inf for t in self.dose_times):
+        if not all(0 <= t < math.inf for t in self.dose_times):
             raise ValueError(f"dose times must be finite and nonnegative, got {self.dose_times}")
         if any(b <= a for a, b in zip(self.dose_times, self.dose_times[1:])):
             raise ValueError("dose times must be strictly increasing")
-        if self.mode == "pulse" and not 0 < self.width < np.inf:
+        if self.mode == "pulse" and not 0 < self.width < math.inf:
             raise ValueError(f"pulse width must be finite and positive, got {self.width}")
         if self.mode == "jump" and 0.0 in self.dose_times:
             raise ValueError(
@@ -210,7 +210,10 @@ def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, e
     as the oracle's RK4 stage extrapolations may dip infinitesimally below
     zero.
     """
-    rate1, rate2 = (_bind_rate(f, np.maximum if arrays else max) for f in (alpha1, alpha2))
+    maximum = max
+    if arrays:
+        from numpy import maximum
+    rate1, rate2 = (_bind_rate(f, maximum) for f in (alpha1, alpha2))
     beta, theta, a_chi, delta, mu = p.beta, p.theta, p.a_chi, p.delta, p.mu
 
     def reactions(c1, c2, chi, tau):

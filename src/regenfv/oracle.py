@@ -9,14 +9,18 @@ against a genuinely independent path.
 
 Fixed-step RK4 (rather than an adaptive library solver) keeps every reference
 value bit-reproducible across runs and platforms.
+
+The loop is written once, in ``_rk4``, on Python floats, and returns plain
+lists. It has two consumers: ``rk4_solve``, the library entry, wraps the lists
+in an ``OracleTrajectory`` of numpy arrays; the ``oracle`` command writes its
+rows straight from them, so that it never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import StiffnessError
 from .model import (
@@ -27,6 +31,9 @@ from .model import (
     event_timeline,
     landing_tol,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,17 @@ def rk4_solve(
     not positive, or a y0 that is not at t = 0 (the dose schedule's origin)
     raises ValueError.
     """
+    import numpy as np
+
+    times, values = _rk4(y0, p, alphas, schedule, dt, t_end, domain_measure, save_every)
+    return OracleTrajectory(np.asarray(times), np.asarray(values))
+
+
+def _rk4(y0: HomogeneousState, p: ModelParams, alphas: tuple[RateFunction, RateFunction],
+         schedule: SupplySchedule, dt: float, t_end: float, domain_measure: float = 1.0,
+         save_every: float | None = None) -> tuple[list[float], list[tuple[float, ...]]]:
+    """``rk4_solve`` as Python lists: the save times, and per save the
+    (c1, c2, chi, tau) floats."""
     if y0.t != 0.0:
         raise ValueError(f"the oracle starts at t=0 (its dose schedule's origin), not at t={y0.t!r}")
     if not (0 < dt < math.inf and 0 <= t_end < math.inf and 0 < domain_measure < math.inf):
@@ -135,4 +153,4 @@ def rk4_solve(
         if is_save:
             times.append(t)
             values.append((c1, c2, chi, tau))
-    return OracleTrajectory(np.asarray(times), np.asarray(values))
+    return times, values

@@ -60,7 +60,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, StabilityError
-from .grid import Grid, _face_diffs, _flux_divergence, _upwind_flux
+from .grid import _face_diffs, _flux_divergence, _upwind_flux
 from .model import (
     ModelParams,
     RateFunction,
@@ -71,7 +71,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .config import StepControl
+    from .config import Grid, StepControl
     from .weakform import Trajectory
 
 

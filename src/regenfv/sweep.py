@@ -28,13 +28,13 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .diagnostics import fisher_integrand
-from .grid import Grid, gradient_components
+from .grid import gradient_components
 from .model import ModelParams, RateFunction, SupplySchedule, landing_tol
 from .stepping import FIELDS, SimState, _trajectories
 from .weakform import Trajectory
 
 if TYPE_CHECKING:
-    from .config import StepControl
+    from .config import Grid, StepControl
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import Grid, gradient_components, integrate
+from .grid import gradient_components, integrate
 from .model import ModelParams, RateFunction, SupplySchedule, bind_reactions, dose_density
+
+if TYPE_CHECKING:
+    from .config import Grid
 
 
 @lru_cache(maxsize=64)

@@ -7,7 +7,8 @@ own ``_faces_and_bounds`` and ``_capped_dt``, and the text reader of one
 import numpy as np
 
 from regenfv import stepping
-from regenfv.grid import Grid, _axes, _face_diffs, _flux_divergence, _upwind_flux
+from regenfv.config import Grid
+from regenfv.grid import _axes, _face_diffs, _flux_divergence, _upwind_flux
 
 
 def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff) -> np.ndarray:

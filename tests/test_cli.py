@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from hypothesis.extra.numpy import arrays
 
-from regenfv import Grid, SimState, diagnostics, parse_config, run, trajectory
+from regenfv import (Grid, HomogeneousState, SimState, diagnostics, parse_config, rk4_solve, run,
+                     trajectory)
 from regenfv import cli
 from regenfv.cli import load_trajectory, main
 from regenfv.errors import DivergenceError
@@ -335,8 +336,10 @@ class TestOutputLocation:
         def no_work(*args, **kwargs):
             raise AssertionError("the command started its work")
 
+        # the oracle command calls the loop behind rk4_solve, so both are patched
         for module, name in (("regenfv.stepping", "run"), ("regenfv.sweep", "run_sweep"),
-                             ("regenfv.oracle", "rk4_solve"), ("regenfv.cli", "load_trajectory")):
+                             ("regenfv.oracle", "rk4_solve"), ("regenfv.oracle", "_rk4"),
+                             ("regenfv.cli", "load_trajectory")):
             monkeypatch.setattr(f"{module}.{name}", no_work)
         cfg = write_config(tmp_path, BASE + "output.snapshots = 1\n")
         blocker = tmp_path / "taken"
@@ -534,6 +537,28 @@ class TestOracleCommand:
         cfg = write_config(tmp_path, text)
         assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("schedule", [
+        "schedule.mode = jump\nschedule.dose_times = 0.05, 0.11\nschedule.chi0 = 0.5\n",
+        "schedule.mode = pulse\nschedule.width = 0.03\nschedule.dose_times = 0.0, 0.05\nschedule.chi0 = 0.5\n",
+    ], ids=["jump", "pulse"])
+    def test_oracle_csv_is_rk4_solve_bit_for_bit(self, tmp_path, schedule):
+        # the command writes the rows of the loop behind rk4_solve: the same numbers, bit for bit
+        text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.2") + \
+            "control.save_every = 0.025\n" + schedule
+        cfg_path, out = write_config(tmp_path, text), tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg_path), "--out", str(out), "--dt", "3e-3"]) == 0
+        lines = (out / "oracle.csv").read_text().splitlines()
+        assert lines[0] == "t,c1,c2,chi,tau"
+        written = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+        cfg = parse_config(text)
+        y0 = HomogeneousState(0.0, *(cfg.initial[s].uniform for s in ("c10", "c20", "chi0", "tau0")))
+        traj = rk4_solve(y0, cfg.params, cfg.alphas, cfg.schedule, dt=3e-3, t_end=cfg.ctrl.t_end,
+                         domain_measure=cfg.grid.measure, save_every=cfg.ctrl.save_every)
+        expected = np.column_stack((traj.times, traj.values))
+        assert written.shape == expected.shape == (9, 5)
+        assert written.tobytes() == expected.tobytes()
 
     def test_stiff_oracle_exits_two(self, tmp_path):
         # save_every must not cap the step below the stiff dt

@@ -26,11 +26,11 @@ def test_star_import_binds_the_api_and_no_submodule():
 class TestLazyNamespace:
     def test_public_names_are_pinned(self):
         assert regenfv.__all__ == [
-            "RunConfig", "echo_text", "parse_config", "EntropyParams", "StepControl",
+            "RunConfig", "echo_text", "parse_config", "EntropyParams", "Grid", "StepControl",
             "DiagnosticsRecord", "MonitorReport", "compute_record", "dissipation_D", "entropy_E",
             "entropy_inequality_monitor",
             "ConfigError", "DivergenceError", "StabilityError", "StiffnessError",
-            "Grid", "gradient_components", "gradient_sq", "integrate", "laplacian_neumann",
+            "gradient_components", "gradient_sq", "integrate", "laplacian_neumann",
             "ModelParams", "RateFunction", "SupplySchedule", "event_timeline",
             "HomogeneousState", "OracleTrajectory", "rk4_solve",
             "SimState", "run", "trajectory",
@@ -83,16 +83,18 @@ control.t_end = 0.01
 control.save_every = 0.005
 output.snapshots = 1
 """
-REPORT = "; print(' '.join(sorted(m for m in sys.modules if m.startswith('regenfv'))))"
-SETUP = {"regenfv", "regenfv.config", "regenfv.errors", "regenfv.grid", "regenfv.model",
-         "regenfv.stepping"}
-CLI_CORE = {"regenfv", "regenfv.cli", "regenfv.config", "regenfv.errors", "regenfv.grid",
-            "regenfv.model"}
+# the regenfv modules loaded, and numpy if it is
+REPORT = ("; print(' '.join(sorted(m for m in sys.modules "
+          "if m.startswith('regenfv') or m == 'numpy')))")
+PARSE = {"regenfv", "regenfv.config", "regenfv.errors", "regenfv.model"}
+SETUP = PARSE | {"regenfv.grid", "regenfv.stepping", "numpy"}
+CLI_CORE = PARSE | {"regenfv.cli"}
 
 
 class TestModulesPerCommand:
     """Each command imports only the modules it runs: a new top-level import
-    that pulls in another command's modules fails here."""
+    that pulls in another command's modules, or numpy where no array is
+    built, fails here."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -120,6 +122,15 @@ class TestModulesPerCommand:
     def test_import_loads_no_submodule(self, workdir):
         self.check(workdir, "; import regenfv", {"regenfv"})
 
+    def test_parse_config_loads_no_numpy(self, workdir):
+        self.check(workdir, "; import regenfv; regenfv.parse_config(open('run.cfg').read())", PARSE)
+
+    def test_help_and_usage_error_load_no_numpy(self, workdir):
+        self.check(workdir, "; import contextlib, io; from regenfv.cli import main\n"
+                   "try:\n    with contextlib.redirect_stdout(io.StringIO()): main(['--help'])\n"
+                   "except SystemExit as exc: assert exc.code == 0", CLI_CORE)
+        self.check(workdir, "; from regenfv.cli import main; assert main(['run']) == 1", CLI_CORE)
+
     def test_setup(self, workdir):
         self.check(workdir, "; import regenfv; "
                    "regenfv.parse_config(open('run.cfg').read()).build_initial()", SETUP)
@@ -127,7 +138,7 @@ class TestModulesPerCommand:
     def test_run_then_weakcheck(self, workdir):
         self.check(workdir, self.command("run"), SETUP | {"regenfv.cli", "regenfv.diagnostics"})
         self.check(workdir, self.command("weakcheck", "--psi-kmax", "1"),
-                   CLI_CORE | {"regenfv.weakform"})
+                   CLI_CORE | {"regenfv.grid", "regenfv.weakform", "numpy"})
 
     def test_oracle(self, workdir):
         self.check(workdir, self.command("oracle"), CLI_CORE | {"regenfv.oracle"})
