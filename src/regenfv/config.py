@@ -4,7 +4,9 @@ Format: one ``section.key = value`` per line, ``#`` starts a comment, numbers
 are decimal with optional exponent and finite (only ``control.dt_max`` may be
 ``inf``). Unknown keys are errors, not warnings. Parsing makes every default
 explicit, and ``echo_text`` emits the canonical form so that
-parse(echo(parse(text))) == parse(text). The fields of ``ModelParams``,
+parse(echo(parse(text))) == parse(text). Each range rule is stated once, by
+the class that holds the field, whose FieldError the parser turns into
+"line N: section.key must ...". The fields of ``ModelParams``,
 ``SupplySchedule``, ``StepControl`` and ``EntropyParams`` are the keys of the
 params, schedule, control and entropy sections, with their order and defaults.
 The first two live in ``regenfv.model``; the mesh ``Grid``, the step policy
@@ -22,10 +24,12 @@ c20, chi0, tau0); each takes exactly one of the initializers
     chi0.cosine = 1.0 0.5 1        # base amplitude kx [ky]
     tau0.file   = path/to/values.txt
 
-Initial data must be finite and satisfy c10, c20 >= 0 and chi0, tau0 > 0;
-violations are rejected while parsing (file initializers when the file is
-read, in ``build_initial``). Every such error is a ConfigError naming the
-section; nothing downstream re-checks the fields.
+Initial data must be finite and satisfy c10, c20 >= 0 and chi0, tau0 > 0,
+the rule ``model.check_initial`` states. Uniform and cosine data are checked
+while parsing, and the ConfigError names the line; file data are checked when
+the file is read, in ``build_initial``, and the ConfigError names the section.
+``run`` checks the state it starts from once more, with the same rule
+(``stepping.validate_initial_state``), as it checks every state handed to it.
 """
 
 from __future__ import annotations
@@ -35,25 +39,17 @@ import numbers
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import ConfigError
-from .model import ModelParams, RateFunction, SupplySchedule
+from .errors import ConfigError, FieldError, require
+from .model import ModelParams, RateFunction, SupplySchedule, check_initial
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .stepping import SimState
 
-_INITIAL_SECTIONS = ("c10", "c20", "chi0", "tau0")
-# Sign rules, checked where the key is read so that the error names its line.
-_SIGN_RULES = {
-    **dict.fromkeys(("grid.lx", "grid.ly", "params.a1", "params.a2", "params.b_tau", "params.b_chi",
-                     "params.d_chi", "params.delta", "params.mu", "rates.alpha1.k_half",
-                     "rates.alpha2.k_half", "control.save_every"), "strictly positive"),
-    **dict.fromkeys(("params.a_chi", "params.beta", "control.t_end"), "nonnegative"),
-}
-_MAY_BE_INFINITE = "control.dt_max"  # its default, inf, is echoed and must parse back
+_INITIAL_SECTIONS = ("c10", "c20", "chi0", "tau0")  # the rows c1, c2, chi, tau
 
 
 @dataclass(frozen=True)
@@ -72,13 +68,13 @@ class Grid:
 
     def __post_init__(self):
         if len(self.cells) not in (1, 2):
-            raise ValueError("grid dimension must be 1 or 2")
+            raise FieldError("cells", f"must have 1 or 2 axes, got {len(self.cells)}")
         if len(self.lengths) != len(self.cells):
-            raise ValueError("cells and lengths must have matching dimension")
-        if not all(isinstance(n, numbers.Integral) and n >= 3 for n in self.cells):
-            raise ValueError(f"cells must be integers, at least 3 per axis, got {self.cells}")
-        if not all(0 < L < math.inf for L in self.lengths):
-            raise ValueError(f"domain lengths must be finite and positive, got {self.lengths}")
+            raise FieldError("lengths", f"must have one entry per axis of cells, got {len(self.lengths)}")
+        for axis, (n, length) in enumerate(zip(self.cells, self.lengths)):
+            if not (isinstance(n, numbers.Integral) and n >= 3):
+                raise FieldError("cells", f"must be an integer of at least 3, got {n}", axis)
+            require("lengths", length, length > 0, "be strictly positive", axis)
         spacing = tuple(L / n for L, n in zip(self.lengths, self.cells))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "n_cells", math.prod(self.cells))
@@ -133,14 +129,12 @@ class StepControl:
     save_every: Optional[float] = None
 
     def __post_init__(self):
-        if not 0 <= self.t_end < math.inf:
-            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.save_every is not None and not self.save_every > 0:
-            raise ValueError("save_every must be positive")
+        require("t_end", self.t_end, self.t_end >= 0, "be nonnegative")
+        if self.dt_max != math.inf:  # inf, the default, sets no cap
+            require("dt_max", self.dt_max, self.dt_max > 0, "be strictly positive")
+        require("cfl_safety", self.cfl_safety, 0 < self.cfl_safety <= 1, "lie in (0, 1]")
+        if self.save_every is not None:
+            require("save_every", self.save_every, self.save_every > 0, "be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -157,10 +151,8 @@ class EntropyParams:
     varrho: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.zeta < math.inf:
-            raise ValueError(f"zeta must be finite and positive, got {self.zeta}")
-        if not 0 <= self.varrho < math.inf:
-            raise ValueError(f"varrho must be finite and nonnegative, got {self.varrho}")
+        require("zeta", self.zeta, self.zeta > 0, "be strictly positive")
+        require("varrho", self.varrho, self.varrho >= 0, "be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -223,14 +215,14 @@ class RunConfig:
 
         from .stepping import SimState
 
-        arrays = {}
-        for section, spec in self.initial.items():
+        rows = []
+        for row, section in enumerate(_INITIAL_SECTIONS):
             try:
-                arrays[section] = spec.build(self.grid)
+                rows.append(self.initial[section].build(self.grid))
             except ValueError as exc:  # ConfigError included
                 raise ConfigError(f"{section}: {exc}") from None
-            _check_initial_sign(section, float(np.min(arrays[section])))
-        return SimState(0.0, np.array([arrays[s] for s in _INITIAL_SECTIONS]), self.grid)
+            _check_initial(row, float(np.min(rows[-1])), section)
+        return SimState(0.0, np.array(rows), self.grid)
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -257,8 +249,13 @@ class _Entries:
         self.entries = entries
         self.used: set[str] = set()
 
-    def lineno(self, key: str):
-        return self.entries[key][1] if key in self.entries else "?"
+    def lineno(self, key: str) -> int:
+        return self.entries[key][1]
+
+    def error(self, key: str, rule: str) -> ConfigError:
+        """The ConfigError "line N: <key> <rule>", without the line for a key left at its default."""
+        where = f"line {self.lineno(key)}: " if key in self.entries else ""
+        return ConfigError(f"{where}{key} {rule}")
 
     def word(self, key: str, default=MISSING):
         """The key's text, marked as used, or ``default`` if the key is absent."""
@@ -269,30 +266,22 @@ class _Entries:
             raise ConfigError(f"missing required key {key}")
         return default
 
-    def raw_number(self, key: str) -> float:
-        """The key's text as a float, NaN and inf included."""
+    def number(self, key: str, default=MISSING):
+        """The key's text as a float, NaN and inf included (the field's class rules on it)."""
+        if key not in self.entries:
+            return self.word(key, default)
         text = self.word(key)
         try:
             return float(text)
         except ValueError:
             raise ConfigError(f"line {self.lineno(key)}: malformed number {text!r} for {key}") from None
 
-    def number(self, key: str, default=MISSING):
-        """A finite number (only control.dt_max may be inf) obeying the key's sign rule."""
-        if key in self.entries:
-            value = self.raw_number(key)
-            self._check_finite(key, value)
-        else:
-            value = self.word(key, default)
-        rule = _SIGN_RULES.get(key)
-        if rule and not (value > 0 if rule == "strictly positive" else value >= 0):
-            raise ConfigError(f"line {self.lineno(key)}: {key} must be {rule}, got {value:g}")
-        return value
-
     def integer(self, key: str, default=MISSING) -> int:
         value = self.number(key, default)
+        if not math.isfinite(value):  # int() takes neither NaN nor inf
+            raise self.error(key, f"must be finite, got {value}")
         if value != int(value):
-            raise ConfigError(f"line {self.lineno(key)}: {key} must be an integer")
+            raise self.error(key, "must be an integer")
         return int(value)
 
     def numbers(self, key: str, default=MISSING) -> tuple[float, ...]:
@@ -302,13 +291,7 @@ class _Entries:
             values = tuple(float(tok) for tok in self.word(key).replace(",", " ").split())
         except ValueError:
             raise ConfigError(f"line {self.lineno(key)}: malformed number list for {key}") from None
-        self._check_finite(key, *values)
         return values
-
-    def _check_finite(self, key: str, *values: float) -> None:
-        for value in values:
-            if not (math.isfinite(value) or (key == _MAY_BE_INFINITE and math.isinf(value))):
-                raise ConfigError(f"line {self.lineno(key)}: {key} must be finite, got {value}")
 
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.entries) - self.used)
@@ -316,12 +299,19 @@ class _Entries:
             raise ConfigError(f"line {self.lineno(unknown[0])}: unknown key {unknown[0]!r}")
 
 
-def _build(cls, **values):
-    """``cls(**values)``, its ValueError turned into a ConfigError."""
+def _build(e: _Entries, key: Callable[[FieldError], str], cls, **values):
+    """``cls(**values)``, its FieldError a ConfigError naming the key ``key(error)`` and its line."""
     try:
         return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except FieldError as exc:
+        raise e.error(key(exc), exc.rule) from None
+
+
+def _grid_key(exc: FieldError) -> str:
+    """grid.nx/ny for an axis of cells, grid.lx/ly of lengths, grid.dim for the axis count."""
+    if exc.axis is None:
+        return "grid.dim"
+    return {"cells": "grid.n", "lengths": "grid.l"}[exc.field] + "xy"[exc.axis]
 
 
 def _fmt(x: float) -> str:
@@ -344,7 +334,7 @@ def _section_keys(cls) -> tuple[tuple[str, str, object], ...]:
 def _parse_section(e: _Entries, section: str, cls, **defaults):
     """The dataclass ``cls`` read from the keys ``section.<field>``;
     ``defaults`` replaces dataclass defaults that depend on other keys."""
-    return _build(cls, **{
+    return _build(e, lambda exc: f"{section}.{exc.field}", cls, **{
         name: getattr(e, reader)(f"{section}.{name}", defaults.get(name, default))
         for name, reader, default in _section_keys(cls)
     })
@@ -357,20 +347,16 @@ def _echo_section(section: str, obj) -> list[str]:
 
 
 def _parse_rate(e: _Entries, prefix: str) -> RateFunction:
-    kind = e.word(f"{prefix}.kind", "constant")
-    amplitude = e.number(f"{prefix}.amplitude", 1.0)
-    if kind == "constant":
-        if f"{prefix}.k_half" in e.entries:
-            raise ConfigError(f"line {e.lineno(f'{prefix}.k_half')}: "
-                              f"{prefix}.k_half applies to the saturating kind only")
-        return _build(RateFunction, kind=kind, amplitude=amplitude)
-    if kind == "saturating":
-        return _build(RateFunction, kind=kind, amplitude=amplitude,
-                      half_saturation=e.number(f"{prefix}.k_half", 1.0))
-    raise ConfigError(f"line {e.lineno(f'{prefix}.kind')}: {prefix}.kind must be constant or saturating")
+    kind, k_half = e.word(f"{prefix}.kind", "constant"), f"{prefix}.k_half"
+    saturating = {"half_saturation": e.number(k_half, 1.0)} if kind == "saturating" else {}
+    rate = _build(e, lambda exc: f"{prefix}.{'k_half' if exc.field == 'half_saturation' else exc.field}",
+                  RateFunction, kind=kind, amplitude=e.number(f"{prefix}.amplitude", 1.0), **saturating)
+    if not saturating and k_half in e.entries:
+        raise e.error(k_half, "applies to the saturating kind only")
+    return rate
 
 
-def _parse_initializer(e: _Entries, section: str) -> InitializerSpec:
+def _parse_initializer(e: _Entries, row: int, section: str) -> InitializerSpec:
     kinds = [k for k in ("uniform", "cosine", "file") if f"{section}.{k}" in e.entries]
     if len(kinds) != 1:
         raise ConfigError(
@@ -381,9 +367,9 @@ def _parse_initializer(e: _Entries, section: str) -> InitializerSpec:
     if kind == "file":
         return InitializerSpec(kind="file", path=e.word(key))
     if kind == "uniform":
-        value = e.raw_number(key)
-        _check_initial_sign(section, value, where)
-        return InitializerSpec(kind="uniform", uniform=value)
+        spec = InitializerSpec(kind="uniform", uniform=e.number(key))
+        _check_initial(row, spec.uniform, section, where)
+        return spec
     toks = e.word(key).replace(",", " ").split()
     if len(toks) < 3:
         raise ConfigError(f"{where}cosine needs 'base amplitude kx [ky]'")
@@ -392,19 +378,16 @@ def _parse_initializer(e: _Entries, section: str) -> InitializerSpec:
         modes = tuple(int(t) for t in toks[2:])
     except ValueError:
         raise ConfigError(f"{where}malformed cosine spec for {section}") from None
-    _check_initial_sign(section, base - abs(amplitude), where)
+    _check_initial(row, base - abs(amplitude), section, where)
     return InitializerSpec(kind="cosine", base=base, amplitude=amplitude, modes=modes)
 
 
-def _check_initial_sign(section: str, low: float, where: str = "") -> None:
-    """Reject a lowest initial value that is non-finite or breaks the section's sign rule."""
-    if not math.isfinite(low):
-        raise ConfigError(f"{where}{section} must be finite")
-    if section in ("c10", "c20") and low < 0:
-        raise ConfigError(f"{where}{section} must be nonnegative")
-    if section in ("chi0", "tau0") and low <= 0:
-        raise ConfigError(f"{where}{section} must be strictly positive "
-                          "(initial-data assumption chi0, tau0 > 0)")
+def _check_initial(row: int, low: float, section: str, where: str = "") -> None:
+    """``check_initial`` on a section's lowest value, its FieldError a ConfigError after ``where``."""
+    try:
+        check_initial(row, low, section)
+    except FieldError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -413,24 +396,22 @@ def parse_config(text: str) -> RunConfig:
 
     dim = e.integer("grid.dim")
     if dim not in (1, 2):
-        raise ConfigError("grid.dim must be 1 or 2")
+        raise e.error("grid.dim", f"must be 1 or 2, got {dim}")
     cells, lengths = zip(*((e.integer(f"grid.n{a}"), e.number(f"grid.l{a}")) for a in "xy"[:dim]))
-    grid = _build(Grid, cells=cells, lengths=lengths)
+    grid = _build(e, _grid_key, Grid, cells=cells, lengths=lengths)
 
     params = _parse_section(e, "params", ModelParams)
-    if not params.theta > max(2, dim):
-        raise ConfigError(f"params.theta must exceed max(2, dim)={max(2, dim)}")
     alpha1 = _parse_rate(e, "rates.alpha1")
     alpha2 = _parse_rate(e, "rates.alpha2")
     schedule = _parse_section(e, "schedule", SupplySchedule)
     t_end = e.number("control.t_end")
     ctrl = _parse_section(e, "control", StepControl, save_every=t_end / 100.0 if t_end > 0 else 1.0)
     entropy = _parse_section(e, "entropy", EntropyParams)
-    initial = {section: _parse_initializer(e, section) for section in _INITIAL_SECTIONS}
+    initial = {section: _parse_initializer(e, row, section) for row, section in enumerate(_INITIAL_SECTIONS)}
 
     snapshots = e.integer("output.snapshots", 0)
     if snapshots not in (0, 1):
-        raise ConfigError("output.snapshots must be 0 or 1")
+        raise e.error("output.snapshots", f"must be 0 or 1, got {snapshots}")
     out_dir = e.word("output.dir", "")
 
     e.reject_unknown()

@@ -10,6 +10,10 @@ interval and the chi increment of each jump dose, for both integrators.
 stepper, the weak-form residuals and the oracle all evaluate the terms it
 returns.
 
+The coefficient classes state the range rule of each of their fields, and
+``check_initial`` states the initial-data assumption, each once: parsing a
+configuration, building its initial data and starting a run all call them.
+
 State variables: c1 (stem cells), c2 (chondrocytes), chi (differentiation
 medium), tau (extracellular matrix). The regularized variant adds -eps*c^theta
 damping to both cell equations and eps-diffusion to tau; eps=0 selects the
@@ -19,9 +23,10 @@ limit model. numpy is imported only for array arguments
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+from .errors import FieldError, require
 
 
 @dataclass(frozen=True)
@@ -31,8 +36,8 @@ class ModelParams:
     Diffusivities, taxis coefficients, and the matrix decay rates are strictly
     positive; ``beta`` and ``a_chi`` may be zero to switch proliferation or
     medium uptake off. ``eps`` in [0, 1) selects the regularized variant when
-    positive; ``theta`` is the damping exponent, required > 2 (and > spatial
-    dimension, checked at run setup).
+    positive; ``theta`` is the damping exponent, required > 2, which is also
+    above the dimension of every grid (1D or 2D).
     """
 
     a1: float
@@ -48,26 +53,15 @@ class ModelParams:
     theta: float = 4.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"parameter {name} must be finite, got {value}")
-        positives = {
-            "a1": self.a1, "a2": self.a2, "b_tau": self.b_tau, "b_chi": self.b_chi,
-            "d_chi": self.d_chi, "delta": self.delta, "mu": self.mu,
-        }
-        for name, value in positives.items():
-            if not value > 0:
-                raise ValueError(f"parameter {name} must be strictly positive, got {value}")
         # beta and a_chi admit 0 so the conservation and dosing-budget checks
         # can switch proliferation and uptake off; the mass bound degenerates
         # gracefully (M1 -> infinity as beta -> 0).
-        for name, value in (("beta", self.beta), ("a_chi", self.a_chi)):
-            if value < 0:
-                raise ValueError(f"parameter {name} must be nonnegative, got {value}")
-        if not 0 <= self.eps < 1:
-            raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
-        if not self.theta > 2:
-            raise ValueError(f"theta must exceed 2, got {self.theta}")
+        for name, value in vars(self).items():
+            ok, rule = {
+                "a_chi": (value >= 0, "be nonnegative"), "beta": (value >= 0, "be nonnegative"),
+                "eps": (0 <= value < 1, "lie in [0, 1)"), "theta": (value > 2, "exceed 2"),
+            }.get(name, (value > 0, "be strictly positive"))
+            require(name, value, ok, rule)
 
 
 @dataclass(frozen=True)
@@ -86,14 +80,10 @@ class RateFunction:
 
     def __post_init__(self):
         if self.kind not in ("constant", "saturating"):
-            raise ValueError(f"unknown rate kind {self.kind!r}")
-        for name in ("amplitude", "half_saturation"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"rate {name} must be finite, got {getattr(self, name)}")
-        if self.amplitude < 0:
-            raise ValueError("rate amplitude must be nonnegative")
-        if self.kind == "saturating" and not self.half_saturation > 0:
-            raise ValueError("half-saturation must be positive")
+            raise FieldError("kind", f"must be constant or saturating, got {self.kind!r}")
+        require("amplitude", self.amplitude, self.amplitude >= 0, "be nonnegative")
+        h = self.half_saturation
+        require("half_saturation", h, h > 0 or self.kind == "constant", "be strictly positive")
         object.__setattr__(self, "floor", 1e-12 * self.amplitude)
 
 
@@ -120,21 +110,25 @@ class SupplySchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "dose_times", tuple(float(t) for t in self.dose_times))
-        if self.mode not in ("pulse", "jump"):
-            raise ValueError(f"unknown supply mode {self.mode!r}")
-        if not 0 <= self.chi0 < math.inf:
-            raise ValueError(f"chi0 must be finite and nonnegative, got {self.chi0}")
-        if not all(0 <= t < math.inf for t in self.dose_times):
-            raise ValueError(f"dose times must be finite and nonnegative, got {self.dose_times}")
+        for t in self.dose_times:
+            require("dose_times", t, t >= 0, "be nonnegative")
         if any(b <= a for a, b in zip(self.dose_times, self.dose_times[1:])):
-            raise ValueError("dose times must be strictly increasing")
-        if self.mode == "pulse" and not 0 < self.width < math.inf:
-            raise ValueError(f"pulse width must be finite and positive, got {self.width}")
+            raise FieldError("dose_times", f"must be strictly increasing, got {self.dose_times}")
+        require("chi0", self.chi0, self.chi0 >= 0, "be nonnegative")
+        if self.mode not in ("pulse", "jump"):
+            raise FieldError("mode", f"must be pulse or jump, got {self.mode!r}")
+        require("width", self.width, self.width > 0, "be strictly positive")
         if self.mode == "jump" and 0.0 in self.dose_times:
-            raise ValueError(
-                "a jump dose at t=0 would never be applied; fold it into the initial "
-                "medium (the chi0 section) instead"
-            )
+            raise FieldError("dose_times", "must not hold t=0 in jump mode: a jump dose at t=0 would "
+                             "never be applied; fold it into the initial medium (the chi0 section) instead")
+
+
+def check_initial(row: int, low: float, name: str) -> None:
+    """The initial-data assumption on row ``row`` (c1, c2, chi, tau) of a
+    state, given its lowest value ``low``: finite, c1, c2 >= 0 and chi, tau > 0.
+    The FieldError names ``name``."""
+    cells = row < 2
+    require(name, low, low >= 0 if cells else low > 0, "be nonnegative" if cells else "be strictly positive")
 
 
 def landing_tol(t_end: float) -> float:

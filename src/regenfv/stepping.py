@@ -66,6 +66,7 @@ from .model import (
     RateFunction,
     SupplySchedule,
     bind_reactions,
+    check_initial,
     event_timeline,
     landing_tol,
 )
@@ -329,9 +330,9 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     return new, debts
 
 
-def validate_initial_state(state: SimState, p: ModelParams) -> None:
+def validate_initial_state(state: SimState) -> None:
     """Check a state entering ``run``: at t = 0, float64 u of shape (4, *grid.shape),
-    finite, c1,c2 >= 0, chi,tau > 0."""
+    finite (naming the cell where not), and obeying ``check_initial``."""
     u, shape = state.u, (4, *state.grid.shape)
     if state.t != 0.0:
         raise ValueError(f"a run starts at t=0 (its dose schedule's origin), not at t={state.t!r}")
@@ -341,13 +342,8 @@ def validate_initial_state(state: SimState, p: ModelParams) -> None:
     where = _nonfinite(u)
     if where is not None:
         raise ValueError(f"non-finite initial {where}")
-    min_c1, min_c2, min_chi, min_tau = u.reshape(4, -1).min(axis=1)
-    if min_c1 < 0 or min_c2 < 0:
-        raise ValueError("initial cell fractions must be nonnegative")
-    if min_chi <= 0 or min_tau <= 0:
-        raise ValueError("initial chi and tau must be strictly positive")
-    if not p.theta > max(2, state.grid.dim):
-        raise ValueError(f"theta must exceed max(2, dim)={max(2, state.grid.dim)}")
+    for row, (name, low) in enumerate(zip(FIELDS, u.reshape(4, -1).min(axis=1))):
+        check_initial(row, float(low), f"initial {name}")
 
 
 def _march(
@@ -367,7 +363,7 @@ def _march(
     at t = 0 and at every save; nothing writes to a stack after it is
     emitted. ``named`` makes errors name the member.
     """
-    validate_initial_state(initial, members[0])
+    validate_initial_state(initial)
     batch = _batch(members, initial.grid, named)
     reactions = bind_reactions(batch.p, *alphas, batch.eps_column, arrays=True, matrix=False)
     t, u = 0.0, np.broadcast_to(initial.u, (len(members), *initial.u.shape))  # read-only, no copy

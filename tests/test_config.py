@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,9 @@ class TestNonFiniteNumbers:
         "entropy.varrho = {}",
         "schedule.dose_times = 1 {}",
         "rates.alpha1.amplitude = {}",
+        "grid.nx = {}",
+        "grid.dim = {}",
+        "output.snapshots = {}",
     ])
     def test_rejected_at_parse_naming_line(self, line, value):
         key = line.split(" = ")[0]
@@ -273,8 +277,45 @@ class TestNonFiniteNumbers:
             parse_config(text)
 
     def test_negative_rate_amplitude_is_config_error(self):
-        with pytest.raises(ConfigError, match="rate amplitude must be nonnegative"):
-            parse_config(MINIMAL + "rates.alpha1.amplitude = -1\n")
+        text = MINIMAL + "rates.alpha1.amplitude = -1\n"
+        line = len(text.splitlines())
+        message = rf"^line {line}: rates\.alpha1\.amplitude must be nonnegative, got -1\.0$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+
+class TestRangeErrorsNameTheirLine:
+    """A value that breaks its field's range rule is a ConfigError naming the key
+    and its line, whichever class holds the rule."""
+
+    @pytest.mark.parametrize("line", [
+        "params.theta = 2",
+        "params.eps = 1",
+        "control.cfl_safety = 2",
+        "control.dt_max = 0",
+        "schedule.chi0 = -1",
+        "schedule.dose_times = 2 1",
+        "schedule.width = 0",
+        "schedule.mode = foo",
+        "rates.alpha1.amplitude = -1",
+        "entropy.zeta = 0",
+        "grid.nx = 2",
+        "grid.dim = 3",
+        "output.snapshots = 2",
+    ])
+    def test_rejected_value_names_key_and_line(self, line):
+        key = line.split(" = ")[0]
+        lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(key + " ")] + [line]
+        with pytest.raises(ConfigError, match=rf"^line {len(lines)}: {re.escape(key)} "):
+            parse_config("\n".join(lines) + "\n")
+
+    def test_jump_mode_rejects_a_negative_width(self):
+        # jump doses do not read width, but it is a pulse length all the same
+        text = MINIMAL + "schedule.dose_times = 1\nschedule.chi0 = 1.0\nschedule.mode = jump\nschedule.width = -1\n"
+        line = len(text.splitlines())
+        message = rf"^line {line}: schedule\.width must be strictly positive, got -1\.0$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
 
 
 def _number(low, high):
@@ -398,6 +439,15 @@ class TestInitialBuilders:
         cfg = parse_config(text)
         state = cfg.build_initial()
         assert np.allclose(state.tau, values)
+
+    def test_file_with_one_negative_value_rejected_at_build_naming_section(self, tmp_path):
+        values = np.full(16, 0.05)
+        values[5] = -0.01
+        path = tmp_path / "c2.txt"
+        np.savetxt(path, values)
+        cfg = parse_config(MINIMAL.replace("c20.uniform = 0.05", f"c20.file = {path}"))
+        with pytest.raises(ConfigError, match=r"^c20 must be nonnegative, got -0\.01$"):
+            cfg.build_initial()
 
     def test_file_with_nonpositive_values_rejected_at_build(self, tmp_path):
         values = np.zeros(16)

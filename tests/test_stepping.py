@@ -327,11 +327,15 @@ class TestStackedStep:
 
 
 class TestStepControl:
-    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
-    def test_rejects_bad_horizon(self, t_end):
+    @pytest.mark.parametrize("t_end, message", [
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+        (-1.0, r"must be nonnegative, got -1\.0"),
+    ], ids=["nan", "inf", "-1.0"])
+    def test_rejects_bad_horizon(self, t_end, message):
         # a nan horizon would save at t = nan; an infinite one makes the save
         # timeline endless
-        with pytest.raises(ValueError, match="t_end must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=rf"^t_end {message}$"):
             StepControl(t_end=t_end, save_every=0.1)
 
 
@@ -465,14 +469,14 @@ class TestRun:
     def test_initial_positivity_enforced(self):
         g = Grid((10,), (1.0,))
         st = uniform_state(g)  # chi = tau = 0 violates strict positivity
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match=r"^initial chi must be strictly positive, got 0\.0$"):
             run(st, params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
 
     def test_rejects_negative_c1_cell(self):
         g = Grid((10,), (1.0,))
         st = uniform_state(g, c1=0.5, chi=1.0, tau=0.5)
         st.c1[3] = -1e-9
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"^initial c1 must be nonnegative, got -1e-09$"):
             run(st, params(), NO_SWITCH, SupplySchedule(), StepControl(t_end=0.1))
 
     def test_rejects_nan_field_naming_it(self):
