@@ -1,5 +1,5 @@
 """Finite-volume simulator for a four-species haptotaxis-chemotaxis
-tissue-regeneration model, with entropy monitors, bound certificates,
+tissue-regeneration model, with entropy functionals, bound certificates,
 weak-form residual checks, and a vanishing-regularization harness.
 
 The namespace is lazy (PEP 562): ``import regenfv`` loads no submodule, and
@@ -10,8 +10,7 @@ import importlib
 
 _EXPORTS = {
     "config": ("RunConfig", "echo_text", "parse_config", "EntropyParams", "Grid", "StepControl"),
-    "diagnostics": ("DiagnosticsRecord", "MonitorReport", "compute_record", "dissipation_D",
-                    "entropy_E", "entropy_inequality_monitor"),
+    "diagnostics": ("DiagnosticsRecord", "compute_record", "dissipation_D", "entropy_E"),
     "errors": ("ConfigError", "DivergenceError", "StabilityError", "StiffnessError"),
     "grid": ("gradient_components", "gradient_sq", "integrate", "laplacian_neumann"),
     "model": ("ModelParams", "RateFunction", "SupplySchedule", "event_timeline"),

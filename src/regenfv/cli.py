@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -39,8 +40,10 @@ if TYPE_CHECKING:
 
 @lru_cache(maxsize=4)
 def _coordinate_text(grid: Grid) -> tuple[str, ...]:
-    """Per cell, its center coordinates as CSV text ('x' or 'x,y')."""
-    return tuple(map(",".join, zip(*(map(repr, c.ravel().tolist()) for c in grid.coordinate_arrays()))))
+    """Per cell, in row-major order, its center coordinates as CSV text ('x'
+    or 'x,y'), joined from the repr of each axis's centers."""
+    axes = [list(map(repr, grid.axis_centers(a).tolist())) for a in range(grid.dim)]
+    return tuple(map(",".join, itertools.product(*axes)))
 
 
 _SNAPSHOT_BLOCK = 4096  # cells per piece of snapshot text; also the fewest cells for a forked writer

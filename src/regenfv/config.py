@@ -25,9 +25,10 @@ c20, chi0, tau0); each takes exactly one of the initializers
     tau0.file   = path/to/values.txt
 
 Initial data must be finite and satisfy c10, c20 >= 0 and chi0, tau0 > 0,
-the rule ``model.check_initial`` states. Uniform and cosine data are checked
-while parsing, and the ConfigError names the line; file data are checked when
-the file is read, in ``build_initial``, and the ConfigError names the section.
+the rule ``model.check_initial`` states. Uniform data are checked while
+parsing, and the ConfigError names the line; cosine and file data are checked
+on the cells they build, in ``build_initial``, and the ConfigError names the
+section.
 ``run`` checks the state it starts from once more, with the same rule
 (``stepping.validate_initial_state``), as it checks every state handed to it.
 """
@@ -144,15 +145,13 @@ class EntropyParams:
     ``zeta`` weighs the medium terms; the theoretically optimal choice
     involves an interpolation constant with no computable value, so it stays
     a diagnostic parameter (the functionals' finiteness does not depend on
-    it). ``varrho`` is the decay weight used only by the inequality monitor.
+    it).
     """
 
     zeta: float = 1.0
-    varrho: float = 0.0
 
     def __post_init__(self):
         require("zeta", self.zeta, self.zeta > 0, "be strictly positive")
-        require("varrho", self.varrho, self.varrho >= 0, "be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,8 @@ class InitializerSpec:
             bump = np.ones(grid.shape)
             for k, x, L in zip(modes, grid.coordinate_arrays(), grid.lengths):
                 bump = bump * np.cos(k * np.pi * x / L)
-            return grid.field(values + self.amplitude * bump)
+            with np.errstate(over="ignore", invalid="ignore"):  # grid.field rejects what is not finite
+                return grid.field(values + self.amplitude * bump)
         try:
             data = np.loadtxt(self.path)
         except (OSError, ValueError) as exc:
@@ -378,7 +378,6 @@ def _parse_initializer(e: _Entries, row: int, section: str) -> InitializerSpec:
         modes = tuple(int(t) for t in toks[2:])
     except ValueError:
         raise ConfigError(f"{where}malformed cosine spec for {section}") from None
-    _check_initial(row, base - abs(amplitude), section, where)
     return InitializerSpec(kind="cosine", base=base, amplitude=amplitude, modes=modes)
 
 
@@ -405,7 +404,8 @@ def parse_config(text: str) -> RunConfig:
     alpha2 = _parse_rate(e, "rates.alpha2")
     schedule = _parse_section(e, "schedule", SupplySchedule)
     t_end = e.number("control.t_end")
-    ctrl = _parse_section(e, "control", StepControl, save_every=t_end / 100.0 if t_end > 0 else 1.0)
+    # t_end/100, or t_end where that quotient underflows to 0, or 1 at t_end = 0
+    ctrl = _parse_section(e, "control", StepControl, save_every=t_end / 100.0 or t_end or 1.0)
     entropy = _parse_section(e, "entropy", EntropyParams)
     initial = {section: _parse_initializer(e, row, section) for row, section in enumerate(_INITIAL_SECTIONS)}
 

@@ -20,8 +20,8 @@ ln(2 + c) and are therefore always positive.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace as dc_replace
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from dataclasses import dataclass, fields, replace as dc_replace
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -38,7 +38,7 @@ TOL_ABS = 1e-12  # undershoot below zero that the nonnegativity certificate allo
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Per-save-time scalar diagnostics; one CSV row (extras stay in memory)."""
+    """Per-save-time scalar diagnostics; one CSV row."""
 
     t: float
     mass_c1: float
@@ -61,8 +61,6 @@ class DiagnosticsRecord:
     cert_c1_mass: bool
     cert_tau_linf: bool
     cert_nonneg: bool
-    # in memory only: the fields with a default are not part of the CSV schema
-    mass_c1_sq: float = 0.0
 
     CSV_COLUMNS: ClassVar[tuple[str, ...]]
 
@@ -74,9 +72,7 @@ class DiagnosticsRecord:
         return ",".join(parts)
 
 
-DiagnosticsRecord.CSV_COLUMNS = tuple(
-    f.name for f in fields(DiagnosticsRecord) if f.default is MISSING
-)
+DiagnosticsRecord.CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def _xlogx(f: np.ndarray) -> np.ndarray:
@@ -187,55 +183,5 @@ def compute_record(
         cert_c1_mass=stats["mass_c1"] <= c1_mass_bound(p, alphas[1], initial) * (1.0 + TOL_REL),
         cert_tau_linf=stats["max_tau"] <= tau_linf_bound(p, initial) * (1.0 + TOL_REL),
         cert_nonneg=min(stats[f"min_{name}"] for name in state.fields()) >= -TOL_ABS,
-        mass_c1_sq=integrate(grid, state.c1**2),
     )
 
-
-@dataclass(frozen=True)
-class MonitorReport:
-    """Entropy-inequality structure report over a record series."""
-
-    max_lhs: float
-    max_rhs_proxy: float
-    sup_entropy: float
-    dissipation_integral: float
-    chi_sup: float
-
-
-def entropy_inequality_monitor(
-    records: Sequence[DiagnosticsRecord],
-    p: ModelParams,
-    ep: EntropyParams,
-) -> MonitorReport:
-    """Discrete left side E' + varrho*E + D per interior record, plus the
-    bounded quantities sup_t E and the time integral of D.
-
-    The right-hand proxy is the run maximum of
-    4*b_chi^2*a_chi^2*chi_inf^2/(d_chi^2*zeta) * int c1^2, with chi_inf taken
-    as the observed sup of chi over the series. Needs >= 3 uniformly spaced
-    records.
-    """
-    if len(records) < 3:
-        raise ValueError("the monitor needs at least 3 records")
-    times = np.array([r.t for r in records])
-    spacings = np.diff(times)
-    if np.max(spacings) - np.min(spacings) > 1e-9 * max(1.0, float(times[-1])):
-        raise ValueError("the monitor needs uniformly spaced records")
-    dt = float(spacings[0])
-
-    E = np.array([r.entropy_E for r in records])
-    D = np.array([r.dissipation_D for r in records])
-    dE = (E[2:] - E[:-2]) / (2.0 * dt)
-    lhs = dE + ep.varrho * E[1:-1] + D[1:-1]
-
-    chi_sup = max(r.max_chi for r in records)
-    const = 4.0 * p.b_chi**2 * p.a_chi**2 * chi_sup**2 / (p.d_chi**2 * ep.zeta)
-    rhs_proxy = const * max(r.mass_c1_sq for r in records)
-
-    return MonitorReport(
-        max_lhs=float(np.max(lhs)),
-        max_rhs_proxy=float(rhs_proxy),
-        sup_entropy=float(np.max(E)),
-        dissipation_integral=float(np.trapezoid(D, times)),
-        chi_sup=float(chi_sup),
-    )

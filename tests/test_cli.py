@@ -90,6 +90,23 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
 
+    @pytest.mark.parametrize("command, extra", [("run", []), ("sweep", ["--eps-list", "0.5,0.25"])])
+    def test_cosine_dipping_nonpositive_is_config_error(self, tmp_path, capsys, command, extra):
+        # cosine data are checked on the cells they build, before the output directory is made
+        cfg = write_config(tmp_path, BASE.replace("chi0.uniform = 1.0", "chi0.cosine = 0.5 0.6 1"))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+        assert re.fullmatch(r"config error: chi0 must be strictly positive, got -0\.09[0-9]*\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_subnormal_horizon_without_save_every_runs(self, tmp_path):
+        # t_end/100 underflows to 0 there; the default save_every is then t_end
+        cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0", "control.t_end = 1e-322"))
+        out = tmp_path / "out"
+        assert main(["run", "--strict", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "control.save_every = 1e-322\n" in (out / "config_echo.txt").read_text()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0",
                                                   "control.t_end = 0.1"))
@@ -397,6 +414,14 @@ class TestBadInputFiles:
         code, err = self.run_with_c10_file(tmp_path, capsys, "0.5\n" * 7 + "nan\n" + "0.5\n" * 8)
         assert code == 1
         assert err.startswith("config error: c10:") and "non-finite" in err
+
+    @pytest.mark.filterwarnings("error")  # one config error line, no numpy warning before it
+    @pytest.mark.parametrize("spec", ["inf -inf 1", "1e308 1e308 0", "nan 0.2 1"])
+    def test_cosine_with_non_finite_cells(self, tmp_path, capsys, spec):
+        cfg = write_config(tmp_path, BASE.replace("c10.uniform = 0.5", f"c10.cosine = {spec}"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: c10: field contains non-finite values\n"
+        assert not (tmp_path / "o").exists()
 
     def snapshot_run(self, tmp_path):
         text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.02") + \

@@ -67,7 +67,6 @@ control.dt_max = inf
 control.cfl_safety = 0.5
 control.save_every = 0.01
 entropy.zeta = 1.0
-entropy.varrho = 0.0
 output.snapshots = 0
 """
 
@@ -105,7 +104,6 @@ control.dt_max = 0.0001
 control.cfl_safety = 1.0
 control.save_every = 0.0125
 entropy.zeta = 1.0
-entropy.varrho = 0.0
 output.snapshots = 1
 """
 
@@ -143,7 +141,6 @@ control.dt_max = 0.005
 control.cfl_safety = 0.5
 control.save_every = 0.5
 entropy.zeta = 1.0
-entropy.varrho = 0.0
 output.snapshots = 0
 """
 
@@ -200,9 +197,23 @@ class TestParsing:
             parse_config(text)
 
     def test_cosine_dipping_nonpositive_rejected_for_chi(self):
-        text = MINIMAL.replace("chi0.uniform = 1.0", "chi0.cosine = 0.5 0.6 1")
-        with pytest.raises(ConfigError, match="chi0 must be strictly positive"):
-            parse_config(text)
+        # cosine data are checked on the cells they build, naming the section
+        cfg = parse_config(MINIMAL.replace("chi0.uniform = 1.0", "chi0.cosine = 0.5 0.6 1"))
+        with pytest.raises(ConfigError, match=r"^chi0 must be strictly positive, got -0\.09"):
+            cfg.build_initial()
+
+    @pytest.mark.parametrize("edits, lowest", [
+        ((("c10.cosine = 0.5 0.2 1", "c10.cosine = 0.1 0.5 0"),), 0.6),  # mode 0: every cell is 0.6
+        ((("c10.cosine = 0.5 0.2 1", "c10.cosine = 0.45 0.5 1"), ("grid.nx = 64", "grid.nx = 3")),
+         0.45 + 0.5 * math.cos(5 * math.pi / 6)),  # no cell center reaches base - amplitude
+    ], ids=["mode-0", "three-cells"])
+    def test_cosine_below_zero_only_off_the_cells_accepted(self, edits, lowest):
+        text = (CONFIGS / "default_1d.cfg").read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        c1 = parse_config(text).build_initial().c1
+        assert np.min(c1) == pytest.approx(lowest, rel=1e-12)
 
     def test_two_initializers_in_one_section_rejected(self):
         text = MINIMAL + "c10.cosine = 1.0 0.1 1\n"
@@ -252,7 +263,7 @@ class TestNonFiniteNumbers:
         "params.beta = {}",
         "params.a_chi = {}",
         "schedule.chi0 = {}",
-        "entropy.varrho = {}",
+        "entropy.zeta = {}",
         "schedule.dose_times = 1 {}",
         "rates.alpha1.amplitude = {}",
         "grid.nx = {}",
@@ -355,7 +366,6 @@ def config_texts(draw):
         "control.cfl_safety": ("0.5", _number(0.01, 1.0)),
         "control.save_every": (repr(t_end / 100.0 if t_end > 0 else 1.0), _number(1e-3, 5.0)),
         "entropy.zeta": ("1.0", _number(1e-3, 5.0)),
-        "entropy.varrho": ("0.0", _number(0.0, 5.0)),
         "output.snapshots": ("0", st.just("1")),
         "output.dir": (None, st.sampled_from(["out", "runs/a"])),
         "schedule.mode": ("pulse", st.just("jump")),
