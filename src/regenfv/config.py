@@ -43,7 +43,7 @@ from functools import cache
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConfigError, FieldError, require
-from .model import ModelParams, RateFunction, SupplySchedule, check_initial
+from .model import ModelParams, RateFunction, SupplySchedule, check_initial, landing_tol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,6 +131,9 @@ class StepControl:
 
     def __post_init__(self):
         require("t_end", self.t_end, self.t_end >= 0, "be nonnegative")
+        # a horizon within the landing tolerance of 0 holds no event: nothing would land on it
+        require("t_end", self.t_end, self.t_end == 0 or self.t_end > landing_tol(self.t_end),
+                "be 0 or exceed the landing tolerance 1e-12")
         if self.dt_max != math.inf:  # inf, the default, sets no cap
             require("dt_max", self.dt_max, self.dt_max > 0, "be strictly positive")
         require("cfl_safety", self.cfl_safety, 0 < self.cfl_safety <= 1, "lie in (0, 1]")
@@ -404,8 +407,7 @@ def parse_config(text: str) -> RunConfig:
     alpha2 = _parse_rate(e, "rates.alpha2")
     schedule = _parse_section(e, "schedule", SupplySchedule)
     t_end = e.number("control.t_end")
-    # t_end/100, or t_end where that quotient underflows to 0, or 1 at t_end = 0
-    ctrl = _parse_section(e, "control", StepControl, save_every=t_end / 100.0 or t_end or 1.0)
+    ctrl = _parse_section(e, "control", StepControl, save_every=t_end / 100.0 or 1.0)  # 1 at t_end = 0
     entropy = _parse_section(e, "entropy", EntropyParams)
     initial = {section: _parse_initializer(e, row, section) for row, section in enumerate(_INITIAL_SECTIONS)}
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .diagnostics import fisher_integrand
 from .grid import gradient_components
-from .model import ModelParams, RateFunction, SupplySchedule, landing_tol
+from .model import ModelParams, RateFunction, SupplySchedule
 from .stepping import FIELDS, SimState, _trajectories
 from .weakform import Trajectory
 
@@ -56,7 +56,7 @@ class SweepConfig:
         # non-strict: repeated values are the determinism check
         if any(b > a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be decreasing")
-        if self.ctrl.t_end <= landing_tol(self.ctrl.t_end):  # then the event timeline holds no save
+        if self.ctrl.t_end == 0:  # the event timeline holds no save; StepControl refuses any other such t_end
             raise ValueError(f"a sweep needs a save after t=0: t_end must exceed 1e-12, got {self.ctrl.t_end!r}")
 
 

@@ -100,12 +100,26 @@ class TestRunCommand:
                             capsys.readouterr().err)
         assert not out.exists()
 
-    def test_subnormal_horizon_without_save_every_runs(self, tmp_path):
-        # t_end/100 underflows to 0 there; the default save_every is then t_end
+    def test_subnormal_horizon_without_save_every_is_config_error(self, tmp_path, capsys):
+        # t_end/100 underflows to 0 there; the error names t_end, the key the file holds
         cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0", "control.t_end = 1e-322"))
         out = tmp_path / "out"
-        assert main(["run", "--strict", "--config", str(cfg), "--out", str(out)]) == 0
-        assert "control.save_every = 1e-322\n" in (out / "config_echo.txt").read_text()
+        assert main(["run", "--strict", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 18: control.t_end must be 0 or exceed the landing tolerance 1e-12, got 1e-322\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_end", ["1e-13", "1e-12"])
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_horizon_within_landing_tolerance_is_config_error(self, tmp_path, capsys, command, t_end):
+        # no event lands on such a horizon: every command refuses it at parse time,
+        # as sweep does, instead of writing only the t = 0 row
+        cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0", f"control.t_end = {t_end}"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: line 18: control.t_end must be 0 or exceed the landing tolerance 1e-12, got {t_end}\n")
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0",
@@ -619,14 +633,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--eps-list", eps_list]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("t_end", ["0.0", "1e-13"])
-    def test_horizon_without_a_save_is_config_error(self, tmp_path, capsys, t_end):
-        # at t_end <= 1e-12 the event timeline holds no save: rejected before any step
+    @pytest.mark.parametrize("t_end, message", [
+        ("0.0", "a sweep needs a save after t=0: t_end must exceed 1e-12, got 0.0"),
+        ("1e-13", "line 18: control.t_end must be 0 or exceed the landing tolerance 1e-12, got 1e-13"),
+    ], ids=["0.0", "1e-13"])
+    def test_horizon_without_a_save_is_config_error(self, tmp_path, capsys, t_end, message):
+        # at t_end <= 1e-12 the event timeline holds no save: rejected before any step,
+        # by the parser where t_end > 0 and by the sweep at t_end = 0
         cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0", f"control.t_end = {t_end}"))
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--eps-list", "0.5,0.25"]) == 1
-        err = capsys.readouterr().err
-        assert err == f"config error: a sweep needs a save after t=0: t_end must exceed 1e-12, got {float(t_end)!r}\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
 

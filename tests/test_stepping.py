@@ -331,10 +331,12 @@ class TestStepControl:
         (math.nan, "must be finite, got nan"),
         (math.inf, "must be finite, got inf"),
         (-1.0, r"must be nonnegative, got -1\.0"),
-    ], ids=["nan", "inf", "-1.0"])
+        (1e-12, r"must be 0 or exceed the landing tolerance 1e-12, got 1e-12"),
+        (5e-324, r"must be 0 or exceed the landing tolerance 1e-12, got 5e-324"),
+    ], ids=["nan", "inf", "-1.0", "1e-12", "5e-324"])
     def test_rejects_bad_horizon(self, t_end, message):
         # a nan horizon would save at t = nan; an infinite one makes the save
-        # timeline endless
+        # timeline endless; one within the landing tolerance of 0 holds no event
         with pytest.raises(ValueError, match=rf"^t_end {message}$"):
             StepControl(t_end=t_end, save_every=0.1)
 

@@ -75,11 +75,16 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(eps_list=(1.0,), **base)
 
-    @pytest.mark.parametrize("t_end", [0.0, 1e-13, 1e-12])
-    def test_rejects_a_horizon_without_a_save(self, t_end):
-        # no save in the event timeline: the members would have no trajectory to compare
+    @pytest.mark.parametrize("t_end, message", [
+        (0.0, r"^a sweep needs a save after t=0: "),
+        (1e-13, r"^t_end must be 0 or exceed the landing tolerance 1e-12, got 1e-13$"),
+        (1e-12, r"^t_end must be 0 or exceed the landing tolerance 1e-12, got 1e-12$"),
+    ], ids=["0.0", "1e-13", "1e-12"])
+    def test_rejects_a_horizon_without_a_save(self, t_end, message):
+        # no save in the event timeline: the members would have no trajectory to
+        # compare; StepControl itself refuses a horizon within the landing tolerance of 0
         g = Grid((8,), (1.0,))
-        with pytest.raises(ValueError, match="a sweep needs a save after t=0"):
+        with pytest.raises(ValueError, match=message):
             SweepConfig((0.5, 0.25), params(), ALPHAS, SupplySchedule(), default_initial(g),
                         StepControl(t_end=t_end, save_every=0.1))
 
