@@ -9,7 +9,7 @@ each public name imports its module on first use.
 import importlib
 
 _EXPORTS = {
-    "config": ("RunConfig", "echo_text", "parse_config", "EntropyParams", "Grid", "StepControl"),
+    "config": ("RunConfig", "echo_text", "parse_config", "Grid", "StepControl"),
     "diagnostics": ("DiagnosticsRecord", "compute_record", "dissipation_D", "entropy_E"),
     "errors": ("ConfigError", "DivergenceError", "StabilityError", "StiffnessError"),
     "grid": ("gradient_components", "gradient_sq", "integrate", "laplacian_neumann"),

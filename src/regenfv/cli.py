@@ -223,13 +223,12 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
         raise ConfigError(f"{out_dir}: {exc}") from None
 
 
-def _out_dir(cfg: RunConfig, args) -> Path:
+def _out_dir(args) -> Path:
     """The output directory, not yet created: a command creates it only once
     its inputs are validated, so a rejected command leaves nothing behind."""
-    out = args.out or cfg.out_dir
-    if not out:
-        raise ConfigError("no output directory: pass --out or set output.dir")
-    out = Path(out)
+    if not args.out:
+        raise ConfigError("--out needs a directory name")
+    out = Path(args.out)
     for path in (out, *out.parents):
         if path.exists() and not path.is_dir():
             raise ConfigError(f"output directory {out}: {path} exists and is not a directory")
@@ -240,7 +239,7 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     from .diagnostics import DiagnosticsRecord, compute_record
     from .stepping import run, save_count
 
-    out = _out_dir(cfg, args)
+    out = _out_dir(args)
     initial = cfg.build_initial()
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.txt").write_text(echo_text(cfg))
@@ -253,7 +252,7 @@ def _cmd_run(cfg: RunConfig, args) -> int:
 
         def record_sink(state: SimState) -> None:
             nonlocal last_t, failed_t
-            rec = compute_record(state, cfg.params, cfg.alphas, initial, cfg.entropy)
+            rec = compute_record(state, cfg.params, cfg.alphas, initial)
             diag.write(rec.csv_row() + "\n")
             diag.flush()
             last_t = rec.t
@@ -275,7 +274,7 @@ def _cmd_run(cfg: RunConfig, args) -> int:
 def _cmd_sweep(cfg: RunConfig, args) -> int:
     from .sweep import SweepConfig, run_sweep
 
-    out = _out_dir(cfg, args)
+    out = _out_dir(args)
     if not args.eps_list:
         raise ConfigError("sweep needs --eps-list, e.g. --eps-list 0.5,0.25,0.125")
     try:
@@ -304,17 +303,8 @@ def _cmd_weakcheck(cfg: RunConfig, args) -> int:
 
     if not cfg.snapshots:
         raise ConfigError("weakcheck reads the snapshots of a run, and this config sets output.snapshots = 0")
-    try:
-        powers = tuple(int(tok) for tok in args.psi_m.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"malformed --psi-m {args.psi_m!r}") from None
-    if not powers or min(powers) < 1:
-        raise ConfigError(f"--psi-m needs temporal exponents of at least 1, got {args.psi_m!r}")
-    if args.psi_kmax < 0:
-        raise ConfigError(f"--psi-kmax must be nonnegative, got {args.psi_kmax}")
-    out = _out_dir(cfg, args)
-    traj = load_trajectory(cfg, out)
-    rows = residual_table(traj, k_max=args.psi_kmax, powers=powers)
+    out = _out_dir(args)
+    rows = residual_table(load_trajectory(cfg, out))
     lines = ["equation,k,m,residual,level"]
     for name, modes, power, value in rows:
         k_label = "x".join(str(k) for k in modes)
@@ -326,7 +316,7 @@ def _cmd_weakcheck(cfg: RunConfig, args) -> int:
 def _cmd_oracle(cfg: RunConfig, args) -> int:
     from .oracle import HomogeneousState, _rk4
 
-    out = _out_dir(cfg, args)
+    out = _out_dir(args)
     t_end = cfg.ctrl.t_end
     dt = args.dt if args.dt is not None else (t_end / 1000.0 if t_end > 0 else 1e-3)
     if not 0.0 < dt < math.inf:
@@ -361,7 +351,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="regenfv", description=__doc__)
+    parser = _Parser(prog="regenfv", description="Simulate the tissue-regeneration model and check its runs.",
+                     epilog="exit codes: 0 success, 1 configuration or usage error, 2 numerical failure, "
+                            "3 certificate failure under run --strict")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("run", "run one simulation and write diagnostics"),
@@ -371,14 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the run configuration")
-        cmd.add_argument("--out", default="", help="output directory (overrides output.dir)")
+        cmd.add_argument("--out", required=True, help="output directory")
         if name == "run":
             cmd.add_argument("--strict", action="store_true", help="exit 3 when a bound certificate fails")
         if name == "sweep":
             cmd.add_argument("--eps-list", default="", help="comma-separated decreasing eps values")
-        if name == "weakcheck":
-            cmd.add_argument("--psi-kmax", type=int, default=3, help="largest per-axis mode index")
-            cmd.add_argument("--psi-m", default="1,2", help="temporal exponents, comma-separated")
         if name == "oracle":
             cmd.add_argument("--dt", type=float, default=None, help="oracle step (default t_end/1000)")
     return parser

@@ -7,13 +7,12 @@ explicit, and ``echo_text`` emits the canonical form so that
 parse(echo(parse(text))) == parse(text). Each range rule is stated once, by
 the class that holds the field, whose FieldError the parser turns into
 "line N: section.key must ...". The fields of ``ModelParams``,
-``SupplySchedule``, ``StepControl`` and ``EntropyParams`` are the keys of the
-params, schedule, control and entropy sections, with their order and defaults.
-The first two live in ``regenfv.model``; the mesh ``Grid``, the step policy
-``StepControl`` and the functional weights ``EntropyParams`` live here, so
-that parsing a configuration imports none of the stepper, the operators and
-the diagnostics. Nothing here imports numpy at module level: only the code
-that builds arrays (``Grid``'s coordinate and field methods,
+``SupplySchedule`` and ``StepControl`` are the keys of the params, schedule
+and control sections, with their order and defaults. The first two live in
+``regenfv.model``; the mesh ``Grid`` and the step policy ``StepControl`` live
+here, so that parsing a configuration imports none of the stepper, the
+operators and the diagnostics. Nothing here imports numpy at module level:
+only the code that builds arrays (``Grid``'s coordinate and field methods,
 ``InitializerSpec.build`` and ``RunConfig.build_initial``) imports it, in its
 body, so that ``parse_config`` and the ``oracle`` command run without it.
 
@@ -142,22 +141,6 @@ class StepControl:
 
 
 @dataclass(frozen=True)
-class EntropyParams:
-    """User knobs of the combined functionals.
-
-    ``zeta`` weighs the medium terms; the theoretically optimal choice
-    involves an interpolation constant with no computable value, so it stays
-    a diagnostic parameter (the functionals' finiteness does not depend on
-    it).
-    """
-
-    zeta: float = 1.0
-
-    def __post_init__(self):
-        require("zeta", self.zeta, self.zeta > 0, "be strictly positive")
-
-
-@dataclass(frozen=True)
 class InitializerSpec:
     """One field's initial data: uniform value, cosine bump, or file of values."""
 
@@ -204,10 +187,8 @@ class RunConfig:
     alpha2: RateFunction
     schedule: SupplySchedule
     ctrl: StepControl
-    entropy: EntropyParams
     initial: dict = field(default_factory=dict)  # section name -> InitializerSpec
     snapshots: bool = False
-    out_dir: str = ""
 
     @property
     def alphas(self) -> tuple[RateFunction, RateFunction]:
@@ -408,18 +389,16 @@ def parse_config(text: str) -> RunConfig:
     schedule = _parse_section(e, "schedule", SupplySchedule)
     t_end = e.number("control.t_end")
     ctrl = _parse_section(e, "control", StepControl, save_every=t_end / 100.0 or 1.0)  # 1 at t_end = 0
-    entropy = _parse_section(e, "entropy", EntropyParams)
     initial = {section: _parse_initializer(e, row, section) for row, section in enumerate(_INITIAL_SECTIONS)}
 
     snapshots = e.integer("output.snapshots", 0)
     if snapshots not in (0, 1):
         raise e.error("output.snapshots", f"must be 0 or 1, got {snapshots}")
-    out_dir = e.word("output.dir", "")
 
     e.reject_unknown()
     return RunConfig(
         grid=grid, params=params, alpha1=alpha1, alpha2=alpha2, schedule=schedule, ctrl=ctrl,
-        entropy=entropy, initial=initial, snapshots=bool(snapshots), out_dir=out_dir,
+        initial=initial, snapshots=bool(snapshots),
     )
 
 
@@ -444,8 +423,5 @@ def echo_text(cfg: RunConfig) -> str:
         else:
             lines.append(f"{section}.file = {spec.path}")
     lines += _echo_section("control", cfg.ctrl)
-    lines += _echo_section("entropy", cfg.entropy)
     lines.append(f"output.snapshots = {int(cfg.snapshots)}")
-    if cfg.out_dir:
-        lines.append(f"output.dir = {cfg.out_dir}")
     return "\n".join(lines) + "\n"

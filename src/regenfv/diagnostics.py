@@ -29,7 +29,7 @@ from .grid import gradient_sq, integrate, laplacian_neumann
 from .model import ModelParams, RateFunction
 
 if TYPE_CHECKING:
-    from .config import EntropyParams, Grid
+    from .config import Grid
     from .stepping import SimState
 
 TOL_REL = 1e-8  # relative slack of the c1 mass and tau sup certificates
@@ -88,12 +88,15 @@ def fisher_integrand(grid: Grid, f: np.ndarray) -> np.ndarray:
     return 4.0 * gradient_sq(grid, np.sqrt(f))
 
 
-def _functionals(state: SimState, p: ModelParams, ep: EntropyParams):
+def _functionals(state: SimState, p: ModelParams):
     """(E, D, int |grad tau|^2/tau, int |grad chi|^2) at one state.
 
     Builds each gradient field once: the Fisher integrands of c1, c2 and tau,
     |grad chi|^2 and the chi Laplacian. D leaves out the 1D Hessian term
-    tau*|d^2 ln(tau)/dx^2|^2, which no output reads.
+    tau*|d^2 ln(tau)/dx^2|^2, which no output reads. The paper's weight zeta
+    of the medium terms is 1: its optimal value rests on an interpolation
+    constant with no computable value, and the functionals' finiteness does
+    not depend on it.
     """
     grid = state.grid
     c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
@@ -104,13 +107,13 @@ def _functionals(state: SimState, p: ModelParams, ep: EntropyParams):
     entropy = (
         p.a2 * p.delta / (4.0 * p.b_tau) * integrate(grid, _xlogx(c1) + inv_e)
         + integrate(grid, _xlogx(c2) + inv_e)
-        + p.b_chi**2 / (p.d_chi * ep.zeta) * term_chi
+        + p.b_chi**2 / p.d_chi * term_chi
         + p.a2 / 8.0 * term_tau
     )
     dissipation = (
         p.a1 * p.a2 * p.delta / (8.0 * p.b_tau) * integrate(grid, fisher_integrand(grid, c1))
         + p.a2 / 8.0 * integrate(grid, fisher_integrand(grid, c2))
-        + p.b_chi**2 / (2.0 * ep.zeta) * integrate(grid, laplacian_neumann(grid, chi) ** 2)
+        + p.b_chi**2 / 2.0 * integrate(grid, laplacian_neumann(grid, chi) ** 2)
         + p.a2 * p.delta / 8.0 * integrate(grid, c1 * fisher_tau)
         + p.a2 * p.delta * p.beta / (8.0 * p.b_tau) * integrate(grid, c1**2 * np.log(2.0 + c1))
     )
@@ -122,14 +125,14 @@ def _functionals(state: SimState, p: ModelParams, ep: EntropyParams):
     return entropy, dissipation, term_tau, term_chi
 
 
-def entropy_E(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
+def entropy_E(state: SimState, p: ModelParams) -> float:
     """The combined entropy functional at one state (>= gradient terms >= 0)."""
-    return _functionals(state, p, ep)[0]
+    return _functionals(state, p)[0]
 
 
-def dissipation_D(state: SimState, p: ModelParams, ep: EntropyParams) -> float:
+def dissipation_D(state: SimState, p: ModelParams) -> float:
     """The dissipation functional (all terms except the 1D Hessian term of tau)."""
-    return _functionals(state, p, ep)[1]
+    return _functionals(state, p)[1]
 
 
 def c1_mass_bound(
@@ -155,7 +158,6 @@ def compute_record(
     p: ModelParams,
     alphas: tuple[RateFunction, RateFunction],
     initial: SimState,
-    ep: EntropyParams,
 ) -> DiagnosticsRecord:
     """The full diagnostics record of one state snapshot.
 
@@ -171,7 +173,7 @@ def compute_record(
         stats[f"min_{name}"] = float(np.min(f))
         stats[f"max_{name}"] = float(np.max(f))
     clipped = dc_replace(state, u=np.where(state.u < 0, 0.0, state.u))  # keeps -0.0 bit for bit
-    entropy, dissipation, fisher_tau, grad_chi_sq = _functionals(clipped, p, ep)
+    entropy, dissipation, fisher_tau, grad_chi_sq = _functionals(clipped, p)
     return DiagnosticsRecord(
         t=state.t,
         **stats,

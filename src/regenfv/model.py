@@ -4,7 +4,8 @@ Everything here is a pure function of its arguments; both the PDE stepper and
 the homogeneous ODE reference build on these and nothing else, so the two
 integration paths stay independent above this layer. ``event_timeline`` is the
 one rule that turns a schedule's dose times into the supply density of each
-interval and the chi increment of each jump dose, for both integrators.
+interval and the chi increment of each jump dose, for both integrators and
+the weak form's supply term.
 
 ``bind_reactions`` is the one place the reaction kinetics are written: the
 stepper, the weak-form residuals and the oracle all evaluate the terms it
@@ -173,14 +174,9 @@ def event_timeline(
         else:
             merged.append((t, is_save, active, doses))
         active += change
-    density = dose_density(s, domain_measure)
+    # chi0/|Omega|: the rise of chi at a jump dose (chi0 of medium mass) and one active pulse's supply density
+    density = s.chi0 / domain_measure
     return [(t, is_save, n * density, doses * density if doses else None) for t, is_save, n, doses in merged]
-
-
-def dose_density(s: SupplySchedule, domain_measure: float) -> float:
-    """chi0/|Omega|: the rise of chi at a jump dose, and the supply density of
-    one active pulse, so that each dose adds exactly chi0 of medium mass."""
-    return s.chi0 / domain_measure
 
 
 def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, eps=None,

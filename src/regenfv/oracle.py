@@ -28,6 +28,7 @@ from .model import (
     RateFunction,
     SupplySchedule,
     bind_reactions,
+    check_initial,
     event_timeline,
     landing_tol,
 )
@@ -38,7 +39,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class HomogeneousState:
-    """Uniform-in-space state: time plus the four finite nonnegative concentrations."""
+    """Uniform-in-space state: time plus the four concentrations, which obey
+    ``check_initial`` (finite, c1, c2 >= 0 and chi, tau > 0)."""
 
     t: float
     c1: float
@@ -47,8 +49,8 @@ class HomogeneousState:
     tau: float
 
     def __post_init__(self):
-        if not all(0 <= v < math.inf for v in (self.c1, self.c2, self.chi, self.tau)):
-            raise ValueError("homogeneous state components must be finite and nonnegative")
+        for row, name in enumerate(("c1", "c2", "chi", "tau")):
+            check_initial(row, getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,11 @@ class OracleTrajectory:
 
     @property
     def final(self) -> HomogeneousState:
-        c1, c2, chi, tau = self.values[-1]
-        return HomogeneousState(float(self.times[-1]), c1, c2, chi, tau)
+        """The last saved row, built without ``check_initial``: it is a value of
+        the solution, whose chi or tau is 0 where ``_rk4`` clipped an undershoot."""
+        state = object.__new__(HomogeneousState)
+        vars(state).update(zip(("t", "c1", "c2", "chi", "tau"), (float(self.times[-1]), *self.values[-1])))
+        return state
 
 
 def rk4_solve(

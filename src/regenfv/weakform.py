@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .grid import gradient_components, integrate
-from .model import ModelParams, RateFunction, SupplySchedule, bind_reactions, dose_density
+from .model import ModelParams, RateFunction, SupplySchedule, bind_reactions, event_timeline
 
 if TYPE_CHECKING:
     from .config import Grid
@@ -196,17 +196,16 @@ def _rhs_c2(traj: Trajectory, psi: TestFunction, J) -> float:
 
 
 def _supply_term(traj: Trajectory, psi: TestFunction) -> float:
-    """psi-weighted supply contribution: exact in time for both dose modes."""
-    grid, sched = traj.grid, traj.schedule
-    if sched.chi0 == 0.0 or not sched.dose_times:
-        return 0.0
+    """psi-weighted supply contribution, exact in time for both dose modes: per
+    interval of ``event_timeline`` its pulse supply density times the integral of
+    g over it, and per event its jump dose times g there."""
+    grid, total, start = traj.grid, 0.0, 0.0
     s_int = integrate(grid, psi.spatial(grid))
-    amplitude, total = dose_density(sched, grid.measure), 0.0
-    for td in sched.dose_times:
-        if sched.mode == "pulse":
-            total += amplitude * s_int * psi.g_integral(td, td + sched.width)
-        elif td < traj.horizon:
-            total += amplitude * s_int * float(psi.g(td))
+    for t, _, supply, dose in event_timeline(traj.schedule, traj.horizon, None, grid.measure):
+        total += supply * s_int * psi.g_integral(start, t)
+        if dose is not None:
+            total += dose * s_int * float(psi.g(t))
+        start = t
     return total
 
 

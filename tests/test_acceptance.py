@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from regenfv import (
-    EntropyParams,
     Grid,
     HomogeneousState,
     ModelParams,
@@ -186,7 +185,7 @@ def test_criterion_4_bound_certificates_2d():
         tau_star = tau_linf_bound(p, initial)
         records = []
         sink = lambda s: records.append(
-            compute_record(s, p, alphas, initial, EntropyParams())
+            compute_record(s, p, alphas, initial)
         )
         start = time.monotonic()
         run(initial, p, alphas, SupplySchedule(),
@@ -214,7 +213,7 @@ def test_criterion_5_entropy_boundedness():
                        beta=1, delta=1, mu=1)
     g = Grid((16,), (1.0,))
     st = SimState(0.0, np.array((g.field(1.0), g.field(1.0), g.field(1.0), g.field(1.0))), g)
-    value = entropy_E(st, unit, EntropyParams())
+    value = entropy_E(st, unit)
     assert value == pytest.approx(1.25 / math.e, abs=1e-10)
 
     initial, p = default_point_2d(n=64)
@@ -224,7 +223,7 @@ def test_criterion_5_entropy_boundedness():
         run(initial, p, ALPHAS, SupplySchedule(),
             StepControl(t_end=0.05, dt_max=dt_max, cfl_safety=1.0, save_every=0.0125),
             record_sink=lambda s: records.append(
-                compute_record(s, p, ALPHAS, initial, EntropyParams())
+                compute_record(s, p, ALPHAS, initial)
             ))
         E = np.array([r.entropy_E for r in records])
         D = np.array([r.dissipation_D for r in records])

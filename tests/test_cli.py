@@ -359,9 +359,21 @@ def test_failed_write_in_process_is_config_error(tmp_path, capsys):
 class TestOutputLocation:
     """An --out that cannot be a folder is a config error before any work."""
 
-    @pytest.mark.parametrize("command, extra", [
-        ("run", []), ("sweep", ["--eps-list", "0.5,0.25"]), ("weakcheck", []), ("oracle", []),
-    ])
+    COMMANDS = [("run", []), ("sweep", ["--eps-list", "0.5,0.25"]), ("weakcheck", []), ("oracle", [])]
+
+    @pytest.mark.parametrize("command, extra", COMMANDS)
+    @pytest.mark.parametrize("out, message", [
+        (None, "the following arguments are required: --out"), ("", "--out needs a directory name"),
+    ], ids=["absent", "empty"])
+    def test_every_command_needs_an_out_folder(self, tmp_path, capsys, monkeypatch, command, extra, out, message):
+        # no config key names the output folder: without one on --out a command writes nothing
+        cfg = write_config(tmp_path, BASE + "output.snapshots = 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", str(cfg), *extra, *([] if out is None else ["--out", out])]) == 1
+        assert capsys.readouterr().err.endswith(f"config error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("command, extra", COMMANDS)
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     def test_existing_file_is_config_error(self, tmp_path, capsys, monkeypatch, command, extra, below):
         def no_work(*args, **kwargs):
@@ -654,12 +666,11 @@ class TestWeakcheckCommand:
         cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["weakcheck", "--config", str(cfg), "--out", str(out),
-                     "--psi-kmax", "2", "--psi-m", "1,2"]) == 0
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "weakform.csv").read_text().strip().split("\n")
         assert lines[0] == "equation,k,m,residual,level"
-        # 4 equations x 3 modes x 2 powers
-        assert len(lines) == 1 + 4 * 3 * 2
+        # 4 equations x 4 modes (k <= 3) x 2 powers (1 and 2)
+        assert len(lines) == 1 + 4 * 4 * 2
         values = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(v < 0.05 for v in values)
 
@@ -707,35 +718,22 @@ class TestWeakcheckCommand:
         assert "config sets output.snapshots = 0\n" in capsys.readouterr().err
         assert not (out / "weakform.csv").exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--psi-m", "abc"], "malformed --psi-m 'abc'"),
-        (["--psi-m", "0"], "--psi-m needs temporal exponents of at least 1"),
-        (["--psi-m", ""], "--psi-m needs temporal exponents of at least 1"),
-        (["--psi-kmax", "-1"], "--psi-kmax must be nonnegative"),
-    ])
-    def test_bad_test_function_flags_are_config_errors(self, tmp_path, capsys, flags, message):
-        text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.02") + \
-            "control.save_every = 0.01\noutput.snapshots = 1\ncontrol.dt_max = 2e-4\n"
-        cfg = write_config(tmp_path, text)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["weakcheck", "--config", str(cfg), "--out", str(out), *flags]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
-        assert not (out / "weakform.csv").exists()
-
 
 class TestUsageErrors:
     """Bad or missing flags are configuration errors (exit 1): exit 2 means numerical failure."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["weakcheck", "--config", "{cfg}", "--psi-kmax", "abc"],
-         "argument --psi-kmax: invalid int value: 'abc'"),
-        (["oracle", "--config", "{cfg}", "--dt", "x"], "argument --dt: invalid float value: 'x'"),
+        # weakcheck has no test-set flags: it always uses k <= 3 per axis and powers 1 and 2
+        (["weakcheck", "--config", "{cfg}", "--out", "o", "--psi-kmax", "3"],
+         "unrecognized arguments: --psi-kmax 3"),
+        (["oracle", "--config", "{cfg}", "--out", "o", "--dt", "x"], "argument --dt: invalid float value: 'x'"),
         (["run", "--out", "o"], "the following arguments are required: --config"),
         # only run has certificates for --strict to check
-        (["sweep", "--config", "{cfg}", "--eps-list", "0.5", "--strict"], "unrecognized arguments: --strict"),
-        (["weakcheck", "--config", "{cfg}", "--strict"], "unrecognized arguments: --strict"),
-        (["oracle", "--config", "{cfg}", "--strict"], "unrecognized arguments: --strict"),
+        (["sweep", "--config", "{cfg}", "--out", "o", "--eps-list", "0.5", "--strict"],
+         "unrecognized arguments: --strict"),
+        (["weakcheck", "--config", "{cfg}", "--out", "o", "--strict"], "unrecognized arguments: --strict"),
+        (["oracle", "--config", "{cfg}", "--out", "o", "--strict"], "unrecognized arguments: --strict"),
+        (["weakcheck", "--config", "{cfg}", "--out", "o", "--psi-m", "1,2"], "unrecognized arguments: --psi-m 1,2"),
     ])
     def test_usage_error_exits_one(self, tmp_path, capsys, argv, message):
         cfg = write_config(tmp_path, BASE)
@@ -749,3 +747,12 @@ class TestUsageErrors:
             main(["run", "--help"])
         assert stop.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+    def test_top_level_help_is_plain_text_naming_the_exit_codes(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse rewraps the epilog
+        assert "``" not in text
+        assert ("exit codes: 0 success, 1 configuration or usage error, 2 numerical failure, "
+                "3 certificate failure under run --strict") in text

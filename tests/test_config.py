@@ -66,7 +66,6 @@ control.t_end = 1.0
 control.dt_max = inf
 control.cfl_safety = 0.5
 control.save_every = 0.01
-entropy.zeta = 1.0
 output.snapshots = 0
 """
 
@@ -103,7 +102,6 @@ control.t_end = 0.25
 control.dt_max = 0.0001
 control.cfl_safety = 1.0
 control.save_every = 0.0125
-entropy.zeta = 1.0
 output.snapshots = 1
 """
 
@@ -140,7 +138,6 @@ control.t_end = 21.0
 control.dt_max = 0.005
 control.cfl_safety = 0.5
 control.save_every = 0.5
-entropy.zeta = 1.0
 output.snapshots = 0
 """
 
@@ -149,11 +146,9 @@ class TestParsing:
     def test_minimal_defaults_made_explicit(self):
         cfg = parse_config(MINIMAL)
         assert cfg.params.theta == 4.0
-        assert cfg.entropy.zeta == 1.0
         assert cfg.ctrl.cfl_safety == 0.5
         echoed = echo_text(cfg)
         assert "params.theta = 4.0" in echoed
-        assert "entropy.zeta = 1.0" in echoed
         assert "control.cfl_safety = 0.5" in echoed
 
     def test_negative_beta_names_line_and_rule(self):
@@ -175,6 +170,14 @@ class TestParsing:
     def test_bounds_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match=rf"line \d+: unknown key '{key}'"):
             parse_config(MINIMAL + f"{key} = 1e-6\n")
+
+    @pytest.mark.parametrize("line", ["entropy.zeta = 1.0", "output.dir = out"])
+    def test_removed_keys_are_unknown(self, line):
+        # the functionals' weight zeta is 1, and --out alone names the output folder
+        text = MINIMAL + line + "\n"
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^line {len(text.splitlines())}: unknown key '{key}'$"):
+            parse_config(text)
 
     def test_duplicate_key_rejected(self):
         text = MINIMAL + "params.mu = 0.5\n"
@@ -263,7 +266,6 @@ class TestNonFiniteNumbers:
         "params.beta = {}",
         "params.a_chi = {}",
         "schedule.chi0 = {}",
-        "entropy.zeta = {}",
         "schedule.dose_times = 1 {}",
         "rates.alpha1.amplitude = {}",
         "grid.nx = {}",
@@ -309,7 +311,6 @@ class TestRangeErrorsNameTheirLine:
         "schedule.width = 0",
         "schedule.mode = foo",
         "rates.alpha1.amplitude = -1",
-        "entropy.zeta = 0",
         "grid.nx = 2",
         "grid.dim = 3",
         "output.snapshots = 2",
@@ -365,9 +366,7 @@ def config_texts(draw):
         "control.dt_max": ("inf", _number(1e-6, 1.0)),
         "control.cfl_safety": ("0.5", _number(0.01, 1.0)),
         "control.save_every": (repr(t_end / 100.0 if t_end > 0 else 1.0), _number(1e-3, 5.0)),
-        "entropy.zeta": ("1.0", _number(1e-3, 5.0)),
         "output.snapshots": ("0", st.just("1")),
-        "output.dir": (None, st.sampled_from(["out", "runs/a"])),
         "schedule.mode": ("pulse", st.just("jump")),
         "schedule.dose_times": ("", st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True)
                                 .map(lambda ts: " ".join(repr(t) for t in sorted(ts)))),
@@ -382,8 +381,7 @@ def config_texts(draw):
 
     written, explicit = [], []
     for key, (default, other) in optional.items():
-        choice = draw(st.sampled_from(["omit", "default", "other"] if default is not None
-                                      else ["omit", "other"]))
+        choice = draw(st.sampled_from(["omit", "default", "other"]))
         if choice == "default":
             written.append(f"{key} = {default}")
         elif choice == "other":

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as hst
 from hypothesis.extra.numpy import arrays
 
 from regenfv import (
-    EntropyParams,
     Grid,
     ModelParams,
     RateFunction,
@@ -51,50 +50,39 @@ class TestEntropy:
         # ln 1 = 0 and all gradients vanish: (1/4 + 1)/e on the unit interval
         g = Grid((16,), (1.0,))
         st = uniform_state(g, 1.0, 1.0, 1.0, 1.0)
-        value = entropy_E(st, params(), EntropyParams())
+        value = entropy_E(st, params())
         assert value == pytest.approx(1.25 / math.e, abs=1e-15)
 
     def test_entropy_minimizer(self):
         # s ln s + 1/e vanishes at s = 1/e
         g = Grid((16,), (1.0,))
         st = uniform_state(g, 1 / math.e, 1 / math.e, 1.0, 1.0)
-        assert entropy_E(st, params(), EntropyParams()) == pytest.approx(0.0, abs=1e-15)
+        assert entropy_E(st, params()) == pytest.approx(0.0, abs=1e-15)
 
     def test_medium_gradient_term(self):
         g = Grid((256,), (1.0,))
         x = g.axis_centers(0)
         st = SimState(0.0, np.array((g.field(1.0), g.field(1.0), g.field(np.cos(np.pi * x) + 2.0),
                                      g.field(1.0))), g)
-        base = entropy_E(uniform_state(g, 1.0, 1.0, 2.0, 1.0), params(), EntropyParams())
-        value = entropy_E(st, params(), EntropyParams())
+        base = entropy_E(uniform_state(g, 1.0, 1.0, 2.0, 1.0), params())
+        value = entropy_E(st, params())
         assert value - base == pytest.approx(np.pi**2 / 2, abs=1e-3)
 
     def test_nonnegative_and_dominates_gradient_terms(self):
         rng = np.random.default_rng(21)
         g = Grid((32,), (1.0,))
         p = params()
-        ep = EntropyParams()
         for _ in range(50):
             st = SimState(0.0, np.array((g.field(rng.uniform(0, 2, 32)),
                                          g.field(rng.uniform(0, 2, 32)),
                                          g.field(rng.uniform(0.1, 2, 32)),
                                          g.field(rng.uniform(0.1, 2, 32)))), g)
             grad_part = (
-                p.b_chi**2 / (p.d_chi * ep.zeta) * integrate(g, gradient_sq(g, st.chi))
+                p.b_chi**2 / p.d_chi * integrate(g, gradient_sq(g, st.chi))
                 + p.a2 / 8.0 * integrate(g, fisher_integrand(g, st.tau))
             )
-            value = entropy_E(st, p, ep)
+            value = entropy_E(st, p)
             assert value >= grad_part - 1e-12 >= -1e-12
-
-    def test_zeta_scales_medium_term_only(self):
-        g = Grid((64,), (1.0,))
-        x = g.axis_centers(0)
-        st = SimState(0.0, np.array((g.field(1.0), g.field(1.0), g.field(2.0 + np.cos(np.pi * x)),
-                                     g.field(1.0))), g)
-        e1 = entropy_E(st, params(), EntropyParams(zeta=1.0))
-        e2 = entropy_E(st, params(), EntropyParams(zeta=2.0))
-        grad = integrate(g, gradient_sq(g, st.chi))
-        assert e1 - e2 == pytest.approx(grad / 2.0, rel=1e-12)
 
 
 class TestDissipation:
@@ -102,13 +90,13 @@ class TestDissipation:
         # c1 = c2 = 1 uniform, eps = 0: only (beta a2 delta / 8 b_tau) c1^2 ln(2+c1)
         g = Grid((16,), (1.0,))
         st = uniform_state(g, 1.0, 1.0, 1.0, 1.0)
-        value = dissipation_D(st, params(), EntropyParams())
+        value = dissipation_D(st, params())
         assert value == pytest.approx(math.log(3.0) / 8.0, abs=1e-15)
 
     def test_zero_cells_uniform_media(self):
         g = Grid((16,), (1.0,))
         st = uniform_state(g, 0.0, 0.0, 1.0, 1.0)
-        value = dissipation_D(st, params(), EntropyParams())
+        value = dissipation_D(st, params())
         assert value == 0.0
 
     def test_damping_terms_enter_with_eps(self):
@@ -116,7 +104,7 @@ class TestDissipation:
         g = Grid((16,), (1.0,))
         st = uniform_state(g, 1.0, 1.0, 1.0, 1.0)
         p = params(eps=0.5)
-        value = dissipation_D(st, p, EntropyParams())
+        value = dissipation_D(st, p)
         expected = math.log(3.0) / 8.0 + 0.5 * math.log(3.0) / 8.0 + 0.25 * math.log(3.0)
         assert value == pytest.approx(expected, abs=1e-15)
 
@@ -129,7 +117,7 @@ class TestDissipation:
                                          g.field(rng.uniform(0.1, 2, 32)),
                                          g.field(rng.uniform(0.1, 2, 32)))), g)
             p = params(eps=rng.uniform(0, 0.9))
-            value = dissipation_D(st, p, EntropyParams())
+            value = dissipation_D(st, p)
             assert value >= 0.0
 
     def test_fisher_matches_analytic_on_smooth_field(self):
@@ -150,7 +138,7 @@ class TestCertificates:
     def record(self, state):
         # M1 = max(int c1(0), 1.5) = 1.5 and tau* = 1/mu + max tau(0) = 1.5
         initial = uniform_state(state.grid, 0.2, 0.0, 1.0, 0.5)
-        return compute_record(state, params(), self.ALPHAS, initial, EntropyParams())
+        return compute_record(state, params(), self.ALPHAS, initial)
 
     def test_mass_bound_arithmetic(self):
         # int c1(0) = 0.2, beta = 1, M_a2 = 1, |Omega| = 1 -> max(0.2, 1.5)
@@ -216,7 +204,7 @@ class TestMonitor:
         run(state, p, alphas, SupplySchedule(),
             StepControl(t_end=t_end, dt_max=1e-3, save_every=save),
             record_sink=lambda s: records.append(
-                compute_record(s, p, alphas, state, EntropyParams())
+                compute_record(s, p, alphas, state)
             ))
         return records
 
@@ -247,16 +235,17 @@ class TestRecord:
         g = Grid((8,), (1.0,))
         st = uniform_state(g, 1.0, 1.0, 1.0, 1.0)
         p = params()
-        rec = compute_record(st, p, NO_SWITCH, st, EntropyParams())
+        rec = compute_record(st, p, NO_SWITCH, st)
         row = rec.csv_row().split(",")
         assert len(row) == len(DiagnosticsRecord.CSV_COLUMNS) == 21
         assert row[0] == "0.0"
         assert row[-3:] == ["1", "1", "1"]  # certificates serialize as 0/1
 
 
-def _parent_row(state, p, alphas, initial, ep):
+def _parent_row(state, p, alphas, initial):
     """The CSV row as the earlier assembly wrote it: seven gradient_sq calls per
-    record, certificates with slack 1e-8 (relative) and 1e-12 (absolute)."""
+    record, certificates with slack 1e-8 (relative) and 1e-12 (absolute), and
+    the medium terms at the weight zeta = 1."""
     g = state.grid
     c1, c2, chi, tau = state.c1, state.c2, state.chi, state.tau
     inv_e = 1.0 / math.e
@@ -270,13 +259,13 @@ def _parent_row(state, p, alphas, initial, ep):
     entropy = (
         p.a2 * p.delta / (4.0 * p.b_tau) * integrate(g, xlogx(c1) + inv_e)
         + integrate(g, xlogx(c2) + inv_e)
-        + p.b_chi**2 / (p.d_chi * ep.zeta) * integrate(g, gradient_sq(g, chi))
+        + p.b_chi**2 / p.d_chi * integrate(g, gradient_sq(g, chi))
         + p.a2 / 8.0 * integrate(g, fisher(tau))
     )
     dissipation = (
         p.a1 * p.a2 * p.delta / (8.0 * p.b_tau) * integrate(g, fisher(c1))
         + p.a2 / 8.0 * integrate(g, fisher(c2))
-        + p.b_chi**2 / (2.0 * ep.zeta) * integrate(g, laplacian_neumann(g, chi) ** 2)
+        + p.b_chi**2 / 2.0 * integrate(g, laplacian_neumann(g, chi) ** 2)
         + p.a2 * p.delta / 8.0 * integrate(g, c1 * fisher(tau))
         + p.a2 * p.delta * p.beta / (8.0 * p.b_tau) * integrate(g, c1**2 * np.log(2.0 + c1))
     )
@@ -300,7 +289,7 @@ def _parent_row(state, p, alphas, initial, ep):
 
 @hst.composite
 def rough_records(draw):
-    """(state, params, alphas, initial state, entropy params): rough nonnegative
+    """(state, params, alphas, initial state): rough nonnegative
     1D or non-square 2D fields with exact zeros, lengths other than 1."""
     n = draw(hst.integers(3, 9))
     cells = draw(hst.sampled_from([(n,), (n, draw(hst.integers(3, 9).filter(lambda m: m != n)))]))
@@ -318,17 +307,15 @@ def rough_records(draw):
                     eps=draw(hst.sampled_from([0.0, 0.05, 0.4])), theta=draw(hst.floats(3.0, 6.0)))
     alphas = (RateFunction("constant", draw(hst.floats(0.0, 2.0))),
               RateFunction("constant", draw(hst.floats(0.0, 2.0))))
-    ep = EntropyParams(zeta=draw(hst.floats(0.1, 3.0)))
     current = state(draw(hst.floats(0.0, 5.0)), draw(hst.sampled_from([0.0, 0.125])))
-    return current, p, alphas, state(0.0, 0.0), ep
+    return current, p, alphas, state(0.0, 0.0)
 
 
 class TestRecordAssembly:
     @settings(max_examples=150, deadline=None)
     @given(rough_records())
     def test_serialized_fields_equal_parent_formulas_bitwise(self, case):
-        st, p, alphas, initial, ep = case
-        assert compute_record(st, p, alphas, initial, ep).csv_row() == _parent_row(*case)
+        assert compute_record(*case).csv_row() == _parent_row(*case)
 
     @pytest.mark.parametrize("cells, lengths", [((12,), (1.7,)), ((6, 5), (1.3, 0.7))])
     def test_four_gradient_sq_calls_per_record(self, monkeypatch, cells, lengths):
@@ -341,5 +328,5 @@ class TestRecordAssembly:
         monkeypatch.setattr(diagnostics, "gradient_sq", counting)
         g = Grid(cells, lengths)
         st = uniform_state(g, 0.5, 0.5, 1.0, 1.0)
-        compute_record(st, params(eps=0.2), NO_SWITCH, st, EntropyParams())
+        compute_record(st, params(eps=0.2), NO_SWITCH, st)
         assert calls == [cells] * 4

@@ -100,7 +100,7 @@ def records(t_end, tmp_path):
     initial = cfg.build_initial()
 
     def record_sink(state):
-        compute_record(state, cfg.params, cfg.alphas, initial, cfg.entropy)
+        compute_record(state, cfg.params, cfg.alphas, initial)
 
     return lambda: run(initial, cfg.params, cfg.alphas, cfg.schedule, cfg.ctrl, record_sink=record_sink)
 

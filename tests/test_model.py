@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from regenfv import (
-    EntropyParams,
     Grid,
     ModelParams,
     RateFunction,
@@ -288,11 +287,9 @@ class TestNonFiniteInput:
         (lambda: Grid((8,), (math.nan,)), "lengths"),
         (lambda: Grid((8, 8), (1.0, math.inf)), "lengths"),
         (lambda: Grid((3.5,), (1.0,)), "cells"),
-        (lambda: EntropyParams(zeta=math.inf), "zeta"),
-        (lambda: EntropyParams(zeta=math.nan), "zeta"),
     ], ids=["beta-nan", "a_chi-nan", "a1-inf", "mu-inf", "theta-inf", "amplitude-nan",
             "amplitude-inf", "half_saturation-inf", "lengths-nan", "lengths-inf",
-            "cells-3.5", "zeta-inf", "zeta-nan"])
+            "cells-3.5"])
     def test_rejected_naming_the_field(self, make, name):
         # a NaN or infinite coefficient would surface later as a numerical
         # failure (beta = nan: "non-finite c1") instead of a bad input

@@ -34,14 +34,15 @@ def params(**overrides):
 class TestRk4:
     def test_matrix_decay_closed_form(self):
         p = params(mu=2.0)
-        y0 = HomogeneousState(0.0, 0.0, 0.0, 0.0, 0.5)
+        y0 = HomogeneousState(0.0, 0.0, 0.0, 1.0, 0.5)  # without cells chi moves nothing
         traj = rk4_solve(y0, p, NO_SWITCH, SupplySchedule(), dt=1e-3, t_end=1.0)
         assert traj.final.tau == pytest.approx(0.5 * math.exp(-2.0), abs=1e-10)
 
     def test_logistic_closed_form(self):
         p = params(beta=1.3)
         c0 = 0.2
-        y0 = HomogeneousState(0.0, c0, 0.0, 0.0, 0.0)
+        # tau must be positive; at 1e-300 it moves the logistic by far less than 1e-8
+        y0 = HomogeneousState(0.0, c0, 0.0, 1.0, 1e-300)
         traj = rk4_solve(y0, p, NO_SWITCH, SupplySchedule(), dt=1e-3, t_end=2.0)
         exact = c0 / (c0 + (1.0 - c0) * math.exp(-1.3 * 2.0))
         assert traj.final.c1 == pytest.approx(exact, abs=1e-8)
@@ -79,10 +80,10 @@ class TestRk4:
     def test_pulse_supply_mass(self):
         s = SupplySchedule(dose_times=(0.25,), chi0=1.0, mode="pulse", width=0.1)
         p = params(a_chi=0.0)
-        y0 = HomogeneousState(0.0, 0.0, 0.0, 0.0, 0.1)
+        y0 = HomogeneousState(0.0, 0.0, 0.0, 0.2, 0.1)
         traj = rk4_solve(y0, p, NO_SWITCH, s, dt=1e-3, t_end=1.0)
         # density gain = amplitude * width = (1/|Omega|) * 0.1 on |Omega| = 1
-        assert traj.final.chi == pytest.approx(0.1, abs=1e-12)
+        assert traj.final.chi == pytest.approx(0.2 + 0.1, abs=1e-12)
 
     def test_supply_starts_exactly_at_the_pulse_edge(self):
         # the supply is constant between events: the substep that lands on
@@ -101,9 +102,19 @@ class TestRk4:
 
     def test_stiffness_error_advises_smaller_dt(self):
         p = params(beta=10.0)
-        y0 = HomogeneousState(0.0, 2.0, 0.0, 0.0, 0.0)
+        y0 = HomogeneousState(0.0, 2.0, 0.0, 1.0, 0.1)
         with pytest.raises(StiffnessError, match="dt"):
             rk4_solve(y0, p, NO_SWITCH, SupplySchedule(), dt=1.0, t_end=2.0)
+
+    def test_final_state_may_hold_a_clipped_zero(self):
+        # chi starts positive, as initial data must, and strong uptake drives it
+        # below zero by less than 1e-10 in one step, where it is clipped to 0
+        p = params(a_chi=5.0, beta=0.0)
+        y0 = HomogeneousState(0.0, 1.0, 0.0, 1e-11, 0.5)
+        traj = rk4_solve(y0, p, NO_SWITCH, SupplySchedule(), dt=0.5, t_end=2.0)
+        final = traj.final
+        assert (final.t, final.chi) == (2.0, 0.0)
+        assert (final.c1, final.c2, final.tau) == tuple(traj.values[-1, [0, 1, 3]])
 
     def test_save_cadence(self):
         p = params()
@@ -257,6 +268,7 @@ def reference_rk4(y0, p, alphas, schedule, dt, t_end, domain_measure=1.0, save_e
 # components: ordinary values, exact zeros (the saturating rate's floor at
 # chi = 0) and subnormals, where (0.5 * h) * k and 0.5 * (h * k) can round apart
 components = st.one_of(st.floats(0.0, 2.0), st.just(0.0), st.floats(0.0, 2.2e-308))
+positive = st.one_of(st.floats(0.0, 2.0, exclude_min=True), st.floats(0.0, 2.2e-308, exclude_min=True))
 
 
 @st.composite
@@ -286,7 +298,8 @@ def oracle_cases(draw):
     else:  # widths beyond the dose spacing overlap the pulses
         schedule = SupplySchedule(tuple(doses), draw(st.floats(0.0, 3.0)), "pulse",
                                   draw(st.floats(0.01, 0.8)))
-    y0 = HomogeneousState(0.0, *(draw(components) for _ in range(4)))
+    # chi and tau start positive (check_initial); clipped stages reach chi = 0
+    y0 = HomogeneousState(0.0, draw(components), draw(components), draw(positive), draw(positive))
     save_every = draw(st.one_of(st.none(), st.floats(0.05, 0.5)))
     return dict(y0=y0, p=p, alphas=(draw(rates()), draw(rates())), schedule=schedule,
                 dt=draw(st.floats(1e-3, 0.2)), t_end=t_end,
@@ -306,12 +319,12 @@ class TestBitPinned:
     @settings(max_examples=300, deadline=None)
     @given(oracle_cases())
     @example(dict(  # tau decays at h*mu = 4 per step: stage inputs are clipped
-        y0=HomogeneousState(0.0, 0.3, 0.2, 0.0, 0.5),
+        y0=HomogeneousState(0.0, 0.3, 0.2, 1e-3, 0.5),
         p=params(mu=40.0, delta=3.0, eps=0.4, theta=3.5), alphas=ALPHAS,
         schedule=SupplySchedule((0.1, 0.15), 1.0, "pulse", 0.3), dt=0.1, t_end=1.0,
         domain_measure=1.0, save_every=0.25))
     @example(dict(  # subnormal c1: 0.5 * (h * k) in a stage input would change its bits
-        y0=HomogeneousState(0.0, 3.3e-311, 0.0, 1.0, 0.0), p=params(beta=0.3), alphas=NO_SWITCH,
+        y0=HomogeneousState(0.0, 3.3e-311, 0.0, 1.0, 0.5), p=params(beta=0.3), alphas=NO_SWITCH,
         schedule=SupplySchedule(), dt=0.013, t_end=0.1, domain_measure=1.0, save_every=None))
     def test_rk4_solve_equals_the_reference_loop_bitwise(self, case):
         assert outcome(rk4_solve, case) == outcome(reference_rk4, case)
@@ -350,8 +363,16 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
     def test_state_rejects_bad_components(self, bad):
-        for i in range(4):
+        for i, name in enumerate(("c1", "c2", "chi", "tau")):
             values = [0.1] * 4
             values[i] = bad
-            with pytest.raises(ValueError, match="finite and nonnegative"):
+            rule = "be finite" if not math.isfinite(bad) else ("be nonnegative" if i < 2 else "be strictly positive")
+            with pytest.raises(ValueError, match=rf"^{name} must {rule}, got {bad}$"):
                 HomogeneousState(0.0, *values)
+
+    @pytest.mark.parametrize("name", ["chi", "tau"])
+    def test_state_refuses_zero_chi_and_tau(self, name):
+        # the initial-data rule of the parser and of run: chi, tau > 0, while c1 = c2 = 0 is data
+        values = {**dict(c1=0.0, c2=0.0, chi=0.5, tau=0.3), name: 0.0}
+        with pytest.raises(ValueError, match=rf"^{name} must be strictly positive, got 0\.0$"):
+            HomogeneousState(0.0, **values)

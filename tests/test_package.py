@@ -26,7 +26,7 @@ def test_star_import_binds_the_api_and_no_submodule():
 class TestLazyNamespace:
     def test_public_names_are_pinned(self):
         assert regenfv.__all__ == [
-            "RunConfig", "echo_text", "parse_config", "EntropyParams", "Grid", "StepControl",
+            "RunConfig", "echo_text", "parse_config", "Grid", "StepControl",
             "DiagnosticsRecord", "compute_record", "dissipation_D", "entropy_E",
             "ConfigError", "DivergenceError", "StabilityError", "StiffnessError",
             "gradient_components", "gradient_sq", "integrate", "laplacian_neumann",
@@ -39,7 +39,7 @@ class TestLazyNamespace:
 
     @pytest.mark.parametrize("name", ["eval_rate", "reaction_rhs", "taxis_divergence", "stable_dt",
                                       "TrajectoryRecorder", "MonitorReport",
-                                      "entropy_inequality_monitor"])
+                                      "entropy_inequality_monitor", "EntropyParams"])
     def test_removed_names_raise_attribute_error(self, name):
         with pytest.raises(AttributeError, match=repr(name)):
             getattr(regenfv, name)
@@ -137,7 +137,7 @@ class TestModulesPerCommand:
 
     def test_run_then_weakcheck(self, workdir):
         self.check(workdir, self.command("run"), SETUP | {"regenfv.cli", "regenfv.diagnostics"})
-        self.check(workdir, self.command("weakcheck", "--psi-kmax", "1"),
+        self.check(workdir, self.command("weakcheck"),
                    CLI_CORE | {"regenfv.grid", "regenfv.weakform", "numpy"})
 
     def test_oracle(self, workdir):

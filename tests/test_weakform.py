@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from regenfv import (
     Grid,
@@ -19,7 +19,6 @@ from regenfv import (
     residual_table,
     trajectory,
 )
-from regenfv.config import EntropyParams
 from regenfv.stepping import FIELDS
 from regenfv.weakform import _supply_term
 
@@ -121,7 +120,7 @@ class TestMassBudgetReduction:
                                      g.field(0.4))), g)
         traj = trajectory(st, p, ALPHAS, SupplySchedule(),
                           StepControl(t_end=0.2, dt_max=5e-4, cfl_safety=1.0, save_every=0.02))
-        records = [compute_record(s, p, ALPHAS, st, EntropyParams()) for s in snapshots(traj)]
+        records = [compute_record(s, p, ALPHAS, st) for s in snapshots(traj)]
         T = traj.horizon
         psi = TestFunction((0,), 1, T)
 
@@ -160,6 +159,56 @@ class TestMassBudgetReduction:
         psi = TestFunction((0,), 1, 1.0)
         exact = 1.0 * psi.g_integral(0.2, 0.3)  # amplitude * |Omega| * int g
         assert _supply_term(traj, psi) == pytest.approx(exact, rel=1e-12)
+
+
+def _per_dose_supply(traj, psi):
+    """The supply term dose by dose: each pulse's density chi0/|Omega| times the
+    integral of g over [t_d, t_d + width] clipped at the horizon, and each jump
+    dose before the horizon times g at its time."""
+    grid, sched = traj.grid, traj.schedule
+    s_int = integrate(grid, psi.spatial(grid))
+    density, total = sched.chi0 / grid.measure, 0.0
+    for td in sched.dose_times:
+        if sched.mode == "pulse":
+            total += density * s_int * psi.g_integral(td, td + sched.width)
+        elif td < traj.horizon:
+            total += density * s_int * float(psi.g(td))
+    return total
+
+
+@st.composite
+def supply_cases(draw):
+    """(trajectory, test function): random schedules on a zero 1D trajectory of
+    horizon T, doses also past T, every distinct dose time, pulse edge and T
+    more than 1e-9 apart (closer ones merge into one event)."""
+    T = draw(st.floats(0.1, 5.0))
+    mode = draw(st.sampled_from(["pulse", "jump"]))
+    low = 0.0 if mode == "pulse" else 1e-6
+    times = sorted(draw(st.lists(st.floats(low, 1.5 * T), min_size=1, max_size=6, unique=True)))
+    width = draw(st.floats(1e-3, T))
+    points = sorted({T, *times, *((t + width for t in times) if mode == "pulse" else ())})
+    assume(all(b - a > 1e-9 for a, b in zip(points, points[1:])))
+    sched = SupplySchedule(dose_times=tuple(times), chi0=draw(st.floats(0.0, 3.0)), mode=mode, width=width)
+    g = Grid((draw(st.integers(3, 12)),), (draw(st.floats(0.3, 3.0)),))
+    traj = Trajectory(np.linspace(0.0, T, 3), np.zeros((3, 4, g.cells[0])), g, params(), NO_SWITCH, sched)
+    return traj, TestFunction((draw(st.integers(0, 3)),), draw(st.integers(1, 3)), traj.horizon)
+
+
+class TestSupplyTerm:
+    @settings(max_examples=300, deadline=None)
+    @given(supply_cases())
+    def test_event_timeline_equals_per_dose_closed_form(self, case):
+        # bitwise while the pulses are disjoint; overlapping pulses are summed
+        # per interval of the timeline instead of per dose, which rounds differently
+        traj, psi = case
+        got, want = _supply_term(traj, psi), _per_dose_supply(traj, psi)
+        sched = traj.schedule
+        overlap = sched.mode == "pulse" and any(b < a + sched.width for a, b in
+                                                zip(sched.dose_times, sched.dose_times[1:]))
+        if overlap:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        else:
+            assert got == want
 
 
 class TestAnalyticTrajectories:
