@@ -724,8 +724,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, message", [
         # weakcheck has no test-set flags: it always uses k <= 3 per axis and powers 1 and 2
-        (["weakcheck", "--config", "{cfg}", "--out", "o", "--psi-kmax", "3"],
-         "unrecognized arguments: --psi-kmax 3"),
+        pytest.param(["weakcheck", "--config", "{cfg}", "--out", "o", "--psi-kmax", "abc"],
+                     "unrecognized arguments: --psi-kmax abc", id="removed --psi-kmax abc"),
         (["oracle", "--config", "{cfg}", "--out", "o", "--dt", "x"], "argument --dt: invalid float value: 'x'"),
         (["run", "--out", "o"], "the following arguments are required: --config"),
         # only run has certificates for --strict to check
@@ -733,7 +733,9 @@ class TestUsageErrors:
          "unrecognized arguments: --strict"),
         (["weakcheck", "--config", "{cfg}", "--out", "o", "--strict"], "unrecognized arguments: --strict"),
         (["oracle", "--config", "{cfg}", "--out", "o", "--strict"], "unrecognized arguments: --strict"),
-        (["weakcheck", "--config", "{cfg}", "--out", "o", "--psi-m", "1,2"], "unrecognized arguments: --psi-m 1,2"),
+        *(pytest.param(["weakcheck", "--config", "{cfg}", "--out", "o", flag, value],
+                       f"unrecognized arguments: {flag} {value}", id=f"removed {flag} {value or 'empty'}")
+          for flag, value in [("--psi-m", "abc"), ("--psi-m", "0"), ("--psi-m", ""), ("--psi-kmax", "-1")]),
     ])
     def test_usage_error_exits_one(self, tmp_path, capsys, argv, message):
         cfg = write_config(tmp_path, BASE)

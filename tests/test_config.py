@@ -171,7 +171,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"line \d+: unknown key '{key}'"):
             parse_config(MINIMAL + f"{key} = 1e-6\n")
 
-    @pytest.mark.parametrize("line", ["entropy.zeta = 1.0", "output.dir = out"])
+    @pytest.mark.parametrize("line", [
+        "entropy.zeta = 1.0", "entropy.zeta = 0", "entropy.zeta = nan", "entropy.zeta = inf", "entropy.zeta = -inf",
+        "output.dir = out",
+    ])
     def test_removed_keys_are_unknown(self, line):
         # the functionals' weight zeta is 1, and --out alone names the output folder
         text = MINIMAL + line + "\n"
