@@ -2,11 +2,12 @@
 
 All file output lives here: the per-run diagnostics CSV (fixed column order,
 booleans as 0/1, shortest round-trip decimals), optional per-save snapshots
-(snap_<index>.csv with columns x[,y],c1,c2,chi,tau, and every save's state in
+(snap_<index>.csv with columns x[,y] and ``FIELDS``, and every save's state in
 one binary trajectory.npy), the canonical config echo, the sweep report CSV,
-and the weak-form residual report CSV. ``weakcheck`` reads a run back from
-its diagnostics.csv (the times), trajectory.npy (the states) and
-config_echo.txt (the grid), not from the snapshot text.
+and the weak-form residual report CSV. ``weakcheck`` reads the states of a
+run from its trajectory.npy and their times from the config (``save_times``),
+which its config_echo.txt must show to be the run's; diagnostics.csv is an
+output only, and the snapshot text is not read back either.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 certificate failure under --strict.
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING
 
 from .config import Grid, RunConfig, echo_text, parse_config
 from .errors import ConfigError, DivergenceError, StabilityError, StiffnessError
+from .model import FIELDS, save_times
 
 # Each command imports the modules it runs inside its function, so that no
 # command loads the code of another, and numpy only where it builds or reads
@@ -63,7 +65,7 @@ def _snapshot_blocks(grid: Grid, u: np.ndarray):
     lists and strings are alive at a time."""
     block = _SNAPSHOT_BLOCK
     coords, u = _coordinate_text(grid), u.reshape(4, -1)
-    yield ("x,y," if grid.dim == 2 else "x,") + "c1,c2,chi,tau\n"
+    yield ",".join(("x", "y")[:grid.dim] + FIELDS) + "\n"
     for start in range(0, grid.n_cells, block):
         values = u[:, start:start + block].tolist()
         rows = zip(coords[start:start + block], *(map(repr, row) for row in values))
@@ -173,38 +175,35 @@ class _Snapshots:
 
 
 def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
-    """Rebuild a Trajectory from a run's diagnostics.csv (the times) and
-    trajectory.npy (the states).
+    """Rebuild a Trajectory from a run's trajectory.npy (the states) and
+    ``save_times`` of ``cfg`` (the times).
 
-    The files are outside input, each refused with a ConfigError naming it: a
-    malformed or short (a run that stopped early) one, states of another
-    dtype or shape than ``(len(times), 4, *grid.shape)`` or holding
-    non-finite values, and a config_echo.txt whose ``grid.*`` lines are not
-    those of ``cfg`` (a run on another domain).
+    The times and the weak form's doses come from ``cfg``, so the lines that
+    place the cells, saves and doses (``grid.*``, ``schedule.*``,
+    ``control.t_end``, ``control.save_every``) of the run's config_echo.txt
+    must be those of ``cfg``'s echo; ``params.*`` and ``rates.*`` may differ,
+    for residuals under other coefficients. The files are outside input, each
+    refused with a ConfigError naming it: an absent one, the first such line
+    that differs (with both values), and states that are malformed, short (a
+    run that stopped early), not ``<f8`` of shape ``(len(times), 4, *grid.shape)``
+    or non-finite.
     """
     import numpy as np
 
     from .weakform import Trajectory
 
-    diag_path = out_dir / "diagnostics.csv"
-    if not diag_path.exists():
-        raise ConfigError(f"no diagnostics.csv in {out_dir}; run with output.snapshots = 1 first")
-    try:
-        with diag_path.open() as fh:
-            header = fh.readline().strip().split(",")
-            t_col = header.index("t")
-            times = [float(line.split(",")[t_col]) for line in fh if line.strip()]
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"malformed {diag_path}: {exc}") from None
-    echo_path = out_dir / "config_echo.txt"
-    ran, configured = (
-        [line for line in text.splitlines() if line.startswith("grid.")]
-        for text in (echo_path.read_text(errors="replace"), echo_text(cfg))
-    )
-    if ran != configured:
-        raise ConfigError(f"{echo_path}: the run's grid ({', '.join(ran)}) "
-                          f"is not the configured grid ({', '.join(configured)})")
-    npy_path = out_dir / "trajectory.npy"
+    echo_path, npy_path = out_dir / "config_echo.txt", out_dir / "trajectory.npy"
+    for path in (echo_path, npy_path):
+        if not path.exists():
+            raise ConfigError(f"no {path.name} in {out_dir}; run with output.snapshots = 1 first")
+    ran, configured = ({line.partition(" = ")[0]: line for line in text.splitlines()}
+                       for text in (echo_path.read_text(errors="replace"), echo_text(cfg)))
+    for key in dict.fromkeys([*configured, *ran]):
+        pinned = key.startswith(("grid.", "schedule.")) or key in ("control.t_end", "control.save_every")
+        if pinned and ran.get(key) != configured.get(key):
+            raise ConfigError(f"{echo_path}: the run has {ran.get(key, 'no ' + key)}, the config "
+                              f"{configured.get(key, 'no ' + key)}; weakcheck takes the cells, saves and doses from the config")
+    times = save_times(cfg.schedule, cfg.ctrl.t_end, cfg.ctrl.save_every)
     try:
         with npy_path.open("rb") as fh:
             u = np.load(fh)
@@ -218,7 +217,7 @@ def load_trajectory(cfg: RunConfig, out_dir: Path) -> Trajectory:
     if not finite.all():
         raise ConfigError(f"{npy_path} holds non-finite values in save {finite.argmin()}")
     try:
-        return Trajectory(np.asarray(times), u, cfg.grid, cfg.params, cfg.alphas, cfg.schedule)
+        return Trajectory(np.array(times), u, cfg.grid, cfg.params, cfg.alphas, cfg.schedule)
     except ValueError as exc:
         raise ConfigError(f"{out_dir}: {exc}") from None
 
@@ -237,7 +236,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_run(cfg: RunConfig, args) -> int:
     from .diagnostics import DiagnosticsRecord, compute_record
-    from .stepping import run, save_count
+    from .stepping import run
 
     out = _out_dir(args)
     initial = cfg.build_initial()
@@ -246,7 +245,8 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     last_t, failed_t = None, None  # the last save, and the first whose certificates fail
 
     # one flushed row per save, so that a run that fails keeps its history
-    with _Snapshots(out, initial.grid, save_count(cfg.schedule, cfg.ctrl)) as snapshots, \
+    n_t = len(save_times(cfg.schedule, cfg.ctrl.t_end, cfg.ctrl.save_every))
+    with _Snapshots(out, initial.grid, n_t) as snapshots, \
             (out / "diagnostics.csv").open("w") as diag:
         diag.write(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
 
@@ -321,21 +321,15 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
     dt = args.dt if args.dt is not None else (t_end / 1000.0 if t_end > 0 else 1e-3)
     if not 0.0 < dt < math.inf:
         raise ConfigError(f"--dt must be finite and positive, got {dt}")
-    uniform = {}
-    for section, spec in cfg.initial.items():
-        if spec.kind != "uniform":
-            raise ConfigError("the oracle needs uniform initial data in every section")
-        uniform[section] = spec.uniform
-    y0 = HomogeneousState(
-        t=0.0, c1=uniform["c10"], c2=uniform["c20"],
-        chi=uniform["chi0"], tau=uniform["tau0"],
-    )
+    if any(spec.kind != "uniform" for spec in cfg.initial.values()):
+        raise ConfigError("the oracle needs uniform initial data in every section")
+    y0 = HomogeneousState(0.0, *(spec.uniform for spec in cfg.initial.values()))  # sections in FIELDS order
     times, values = _rk4(
         y0, cfg.params, cfg.alphas, cfg.schedule, dt=dt, t_end=t_end,
         domain_measure=cfg.grid.measure, save_every=cfg.ctrl.save_every,
     )
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["t,c1,c2,chi,tau"]
+    lines = [",".join(("t", *FIELDS))]
     for t, row in zip(times, values):
         lines.append(",".join(repr(float(v)) for v in (t, *row)))
     (out / "oracle.csv").write_text("\n".join(lines) + "\n")

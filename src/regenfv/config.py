@@ -42,14 +42,14 @@ from functools import cache
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import ConfigError, FieldError, require
-from .model import ModelParams, RateFunction, SupplySchedule, check_initial, landing_tol
+from .model import FIELDS, ModelParams, RateFunction, SupplySchedule, check_initial, landing_tol
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .stepping import SimState
 
-_INITIAL_SECTIONS = ("c10", "c20", "chi0", "tau0")  # the rows c1, c2, chi, tau
+_INITIAL_SECTIONS = tuple(name + "0" for name in FIELDS)  # c10, c20, chi0, tau0
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ the homogeneous ODE reference build on these and nothing else, so the two
 integration paths stay independent above this layer. ``event_timeline`` is the
 one rule that turns a schedule's dose times into the supply density of each
 interval and the chi increment of each jump dose, for both integrators and
-the weak form's supply term.
+the weak form's supply term; its saves give ``save_times``, the one
+statement of when a run saves.
 
 ``bind_reactions`` is the one place the reaction kinetics are written: the
 stepper, the weak-form residuals and the oracle all evaluate the terms it
@@ -15,7 +16,8 @@ The coefficient classes state the range rule of each of their fields, and
 ``check_initial`` states the initial-data assumption, each once: parsing a
 configuration, building its initial data and starting a run all call them.
 
-State variables: c1 (stem cells), c2 (chondrocytes), chi (differentiation
+State variables, in ``FIELDS`` order (of every state, initial-data section
+and output header): c1 (stem cells), c2 (chondrocytes), chi (differentiation
 medium), tau (extracellular matrix). The regularized variant adds -eps*c^theta
 damping to both cell equations and eps-diffusion to tau; eps=0 selects the
 limit model. numpy is imported only for array arguments
@@ -28,6 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import FieldError, require
+
+FIELDS = ("c1", "c2", "chi", "tau")  # the rows of every state, in order
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,11 @@ def event_timeline(
     # chi0/|Omega|: the rise of chi at a jump dose (chi0 of medium mass) and one active pulse's supply density
     density = s.chi0 / domain_measure
     return [(t, is_save, n * density, doses * density if doses else None) for t, is_save, n, doses in merged]
+
+
+def save_times(s: SupplySchedule, t_end: float, save_every: Optional[float]) -> list[float]:
+    """Where a march to t_end saves: t = 0, then the save events of ``event_timeline``."""
+    return [0.0] + [t for t, is_save, _, _ in event_timeline(s, t_end, save_every) if is_save]
 
 
 def bind_reactions(p: ModelParams, alpha1: RateFunction, alpha2: RateFunction, eps=None,

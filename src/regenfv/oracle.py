@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from .errors import StiffnessError
 from .model import (
+    FIELDS,
     ModelParams,
     RateFunction,
     SupplySchedule,
@@ -49,13 +50,13 @@ class HomogeneousState:
     tau: float
 
     def __post_init__(self):
-        for row, name in enumerate(("c1", "c2", "chi", "tau")):
+        for row, name in enumerate(FIELDS):
             check_initial(row, getattr(self, name), name)
 
 
 @dataclass(frozen=True)
 class OracleTrajectory:
-    """Times and (n, 4) component values in c1, c2, chi, tau order."""
+    """Times and (n, 4) component values in ``FIELDS`` order."""
 
     times: np.ndarray
     values: np.ndarray
@@ -65,7 +66,7 @@ class OracleTrajectory:
         """The last saved row, built without ``check_initial``: it is a value of
         the solution, whose chi or tau is 0 where ``_rk4`` clipped an undershoot."""
         state = object.__new__(HomogeneousState)
-        vars(state).update(zip(("t", "c1", "c2", "chi", "tau"), (float(self.times[-1]), *self.values[-1])))
+        vars(state).update(zip(("t", *FIELDS), (float(self.times[-1]), *self.values[-1])))
         return state
 
 

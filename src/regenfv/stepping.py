@@ -46,7 +46,8 @@ reaction limits (the damping rate eps theta c^(theta-1) among them) depend
 on each member's eps and state. A 2D sweep then makes m times the largest
 member's step count instead of the sum of the members' counts. One
 collector gathers the saves of a march into one ``(m, n_t, 4, *shape)`` array
-for sweeps and for ``trajectory``, the saves of ``run`` as one Trajectory.
+for sweeps and for ``trajectory``, the saves of ``run`` as one Trajectory;
+its times are ``model.save_times``, the events the driver lands on to save.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DivergenceError, StabilityError
 from .grid import _face_diffs, _flux_divergence, _upwind_flux
 from .model import (
+    FIELDS,
     ModelParams,
     RateFunction,
     SupplySchedule,
@@ -69,14 +71,12 @@ from .model import (
     check_initial,
     event_timeline,
     landing_tol,
+    save_times,
 )
 
 if TYPE_CHECKING:
     from .config import Grid, StepControl
     from .weakform import Trajectory
-
-
-FIELDS = ("c1", "c2", "chi", "tau")
 
 
 @dataclass(frozen=True)
@@ -418,23 +418,17 @@ def run(
     return SimState(t, u[0], initial.grid, debts[0]) if t > 0.0 else initial
 
 
-def save_count(schedule: SupplySchedule, ctrl: StepControl) -> int:
-    """The number of states a march emits: t = 0 and the saves of ``event_timeline``."""
-    return 1 + sum(is_save for _, is_save, _, _ in event_timeline(schedule, ctrl.t_end, ctrl.save_every))
-
-
 def _trajectories(initial: SimState, members: tuple[ModelParams, ...], alphas: tuple[RateFunction, RateFunction],
                   schedule: SupplySchedule, ctrl: StepControl, named: bool = False) -> tuple[Trajectory, ...]:
-    """The one collector of a march's saves: ``_march`` fills one preallocated
-    ``(m, n_t, 4, *shape)`` array, n_t = ``save_count``, and each member's
-    ``Trajectory`` is a contiguous slice of it."""
+    """The one collector of a march's saves: the times are ``save_times``,
+    ``_march`` fills one preallocated ``(m, n_t, 4, *shape)`` array of states,
+    and each member's ``Trajectory`` is a contiguous slice of it."""
     from .weakform import Trajectory  # loaded only by the commands that read whole trajectories
 
-    n_t = save_count(schedule, ctrl)
-    times, u = np.empty(n_t), np.empty((len(members), n_t, 4, *initial.grid.shape))
+    times = np.array(save_times(schedule, ctrl.t_end, ctrl.save_every))
+    u = np.empty((len(members), len(times), 4, *initial.grid.shape))
 
     def save(index: int, t: float, stack: np.ndarray, debts: list[float]) -> None:
-        times[index] = t
         u[:, index] = stack
 
     _march(initial, members, alphas, schedule, ctrl, save, named)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .diagnostics import fisher_integrand
 from .grid import gradient_components
-from .model import ModelParams, RateFunction, SupplySchedule
-from .stepping import FIELDS, SimState, _trajectories
+from .model import FIELDS, ModelParams, RateFunction, SupplySchedule
+from .stepping import SimState, _trajectories
 from .weakform import Trajectory
 
 if TYPE_CHECKING:

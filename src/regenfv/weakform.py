@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .grid import gradient_components, integrate
-from .model import ModelParams, RateFunction, SupplySchedule, bind_reactions, event_timeline
+from .model import FIELDS, ModelParams, RateFunction, SupplySchedule, bind_reactions, event_timeline
 
 if TYPE_CHECKING:
     from .config import Grid
@@ -166,14 +166,14 @@ def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
     for u in traj.u:
         c1, c2, chi, _ = u
         grads = gradient_components(grid, u)  # per axis, rows c1, c2, chi, tau
-        weighted = dict(zip(("c1", "c2", "chi", "tau", "r1", "r2", "r3", "r4", "c2_chi"),  # integrand field * S
+        weighted = dict(zip((*FIELDS, "r1", "r2", "r3", "r4", "c2_chi"),  # integrand field * S
                             (*u, *reactions(*u), c2 * chi)))
         for key, psi in parts.items():
             S, gS = psi.spatial(grid), psi.spatial_gradient(grid)
             dots = sum(d * dS for d, dS in zip(grads, gS))  # per row, grad f . grad S
             values = {name: integrate(grid, f * S) for name, f in weighted.items()}
-            for name, dot in zip(("grad_c1", "grad_c2", "grad_chi", "grad_tau"), dots):
-                values[name] = integrate(grid, dot)
+            for name, dot in zip(FIELDS, dots):
+                values["grad_" + name] = integrate(grid, dot)
             values["taxis"] = integrate(grid, c1 * dots[3])
             values["chi_grad"] = integrate(grid, chi * dots[1])
             for name, value in values.items():
@@ -220,7 +220,7 @@ def _rhs_tau(traj: Trajectory, psi: TestFunction, J) -> float:
     return J("r4") - p.eps * J("grad_tau") if p.eps > 0 else J("r4")
 
 
-_RHS = {"c1": _rhs_c1, "c2": _rhs_c2, "chi": _rhs_chi, "tau": _rhs_tau}
+_RHS = dict(zip(FIELDS, (_rhs_c1, _rhs_c2, _rhs_chi, _rhs_tau)))
 
 
 def _residuals(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_RHS)) -> list:

@@ -31,7 +31,7 @@ from regenfv import (
     trajectory,
 )
 from regenfv.diagnostics import c1_mass_bound, tau_linf_bound
-from regenfv.stepping import FIELDS
+from regenfv.model import FIELDS
 from regenfv.weakform import Trajectory, make_test_functions, residual
 
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))

@@ -396,8 +396,8 @@ class TestOutputLocation:
 
 @pytest.mark.parametrize("command, name", [
     ("run", "diagnostics.csv"), ("run", "config_echo.txt"), ("run", "trajectory.npy"), ("sweep", "sweep.csv"),
-    ("oracle", "oracle.csv"), ("weakcheck", "weakform.csv"), ("weakcheck", "diagnostics.csv"),
-    ("weakcheck", "trajectory.npy"), ("weakcheck", "config_echo.txt"),
+    ("oracle", "oracle.csv"), ("weakcheck", "weakform.csv"), ("weakcheck", "trajectory.npy"),
+    ("weakcheck", "config_echo.txt"),
 ])
 def test_file_that_is_a_folder_is_config_error(tmp_path, capsys, command, name):
     # weakcheck reads the folder of a finished run, with that one file made a folder
@@ -475,14 +475,15 @@ class TestBadInputFiles:
 
     @pytest.mark.parametrize("keep", [2, 4], ids=["fewer-times", "more-times"])
     def test_states_of_another_shape(self, tmp_path, capsys, keep):
-        # diagnostics.csv gives the times: one row less, or one more, than trajectory.npy's three states
+        # the config gives three save times: trajectory.npy with one state less, or one more
         cfg, out = self.snapshot_run(tmp_path)
-        diag = out / "diagnostics.csv"
-        lines = diag.read_text().splitlines()
-        diag.write_text("\n".join((lines + [lines[-1].replace("0.02,", "0.03,", 1)])[:1 + keep]) + "\n")
+        npy = out / "trajectory.npy"
+        u = np.load(npy)
+        np.save(npy, np.concatenate((u, u[-1:]))[:keep])
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (f"config error: {out / 'trajectory.npy'} holds <f8 states of shape "
-                                           f"(3, 4, 16), expected <f8 states of shape ({keep}, 4, 16)\n")
+        assert capsys.readouterr().err == (f"config error: {npy} holds <f8 states of shape "
+                                           f"({keep}, 4, 16), expected <f8 states of shape (3, 4, 16)\n")
+        assert not (out / "weakform.csv").exists()
 
     def test_states_of_another_dtype(self, tmp_path, capsys):
         cfg, out = self.snapshot_run(tmp_path)
@@ -492,21 +493,19 @@ class TestBadInputFiles:
         assert capsys.readouterr().err == (f"config error: {npy} holds <f4 states of shape (3, 4, 16), "
                                            f"expected <f8 states of shape (3, 4, 16)\n")
 
-    def test_malformed_diagnostics(self, tmp_path, capsys):
+    @pytest.mark.parametrize("old, new, ran", [
+        ("control.t_end = 0.02", "control.t_end 0.02", "no control.t_end"),
+        ("grid.dim = 1", "grid.dim = 1.0", "grid.dim = 1.0"),
+    ], ids=["no-equals", "grid.dim-float"])
+    def test_malformed_config_echo(self, tmp_path, capsys, old, new, ran):
+        # the echo of the run is outside input too: a line that is not the config's is refused
         cfg, out = self.snapshot_run(tmp_path)
-        diag = out / "diagnostics.csv"
-        diag.write_text(diag.read_text() + "oops,1\n")
+        echo = out / "config_echo.txt"
+        echo.write_text(echo.read_text().replace(old, new))
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error: malformed")
-
-    def test_nan_time_in_diagnostics(self, tmp_path, capsys):
-        cfg, out = self.snapshot_run(tmp_path)
-        diag = out / "diagnostics.csv"
-        lines = diag.read_text().split("\n")
-        lines[2] = "nan" + lines[2][lines[2].index(","):]
-        diag.write_text("\n".join(lines))
-        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "increase strictly" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"config error: {echo}: the run has {ran}, the config {old}; "
+                                           "weakcheck takes the cells, saves and doses from the config\n")
+        assert not (out / "weakform.csv").exists()
 
     def test_snapshots_from_longer_domain(self, tmp_path, capsys):
         cfg, out = self.snapshot_run(tmp_path)
@@ -514,8 +513,8 @@ class TestBadInputFiles:
                              name="long.cfg")
         assert main(["weakcheck", "--config", str(other), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"config error: {out / 'config_echo.txt'}: the run's grid (grid.dim = 1, grid.nx = 16, grid.lx = 1.0) "
-            "is not the configured grid (grid.dim = 1, grid.nx = 16, grid.lx = 3.0)\n")
+            f"config error: {out / 'config_echo.txt'}: the run has grid.lx = 1.0, the config grid.lx = 3.0; "
+            "weakcheck takes the cells, saves and doses from the config\n")
         assert not (out / "weakform.csv").exists()
 
     def test_snapshots_from_other_grid_shape(self, tmp_path, capsys):
@@ -531,10 +530,40 @@ class TestBadInputFiles:
                              .replace("grid.ny = 6", "grid.ny = 4"), name="other.cfg")
         assert main(["weakcheck", "--config", str(other), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"config error: {out / 'config_echo.txt'}: the run's grid (grid.dim = 2, grid.nx = 8, grid.lx = 1.0, "
-            "grid.ny = 6, grid.ly = 1.0) is not the configured grid (grid.dim = 2, grid.nx = 12, grid.lx = 1.0, "
-            "grid.ny = 4, grid.ly = 1.0)\n")
+            f"config error: {out / 'config_echo.txt'}: the run has grid.nx = 8, the config grid.nx = 12; "
+            "weakcheck takes the cells, saves and doses from the config\n")
+        assert not (out / "weakform.csv").exists()
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("old, new, ran, configured", [
+        ("control.t_end = 0.02", "control.t_end = 0.02\nschedule.chi0 = 0.5",
+         "schedule.chi0 = 0.0", "schedule.chi0 = 0.5"),
+        ("control.t_end = 0.02", "control.t_end = 0.02\nschedule.dose_times = 0.01",
+         "no schedule.dose_times", "schedule.dose_times = 0.01"),
+        ("control.save_every = 0.01", "control.save_every = 0.005",
+         "control.save_every = 0.01", "control.save_every = 0.005"),
+        ("control.t_end = 0.02", "control.t_end = 0.03", "control.t_end = 0.02", "control.t_end = 0.03"),
+    ], ids=["schedule.chi0", "schedule.dose_times", "control.save_every", "control.t_end"])
+    def test_config_that_moves_the_saves_or_doses(self, tmp_path, capsys, old, new, ran, configured):
+        # the times, and the chi residual's doses, come from the config: one that
+        # would put them elsewhere than the run had them is refused
+        cfg, out = self.snapshot_run(tmp_path)
+        other = write_config(tmp_path, cfg.read_text().replace(old, new), name="other.cfg")
+        assert main(["weakcheck", "--config", str(other), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {out / 'config_echo.txt'}: the run has {ran}, the config {configured}; "
+            "weakcheck takes the cells, saves and doses from the config\n")
+        assert not (out / "weakform.csv").exists()
+
+    def test_config_with_other_coefficients_is_accepted(self, tmp_path):
+        # params.* and rates.* are free: the residuals of the run under another beta
+        cfg, out = self.snapshot_run(tmp_path)
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 0
+        own = (out / "weakform.csv").read_bytes()
+        other = write_config(tmp_path, cfg.read_text().replace("params.beta = 0.8", "params.beta = 2.0"),
+                             name="other.cfg")
+        assert main(["weakcheck", "--config", str(other), "--out", str(out)]) == 0
+        assert (out / "weakform.csv").read_bytes() != own
 
     def test_single_snapshot_is_config_error(self, tmp_path, capsys):
         text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.0") + "output.snapshots = 1\n"
@@ -706,8 +735,41 @@ class TestWeakcheckCommand:
         cfg = write_config(tmp_path, BASE + "output.snapshots = 1\n")
         out = tmp_path / "absent"
         assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: no diagnostics.csv in {out}")
+        assert capsys.readouterr().err == (
+            f"config error: no config_echo.txt in {out}; run with output.snapshots = 1 first\n")
         assert not out.exists()
+
+    def test_weakcheck_on_a_run_without_states_names_trajectory_npy(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE.replace("control.t_end = 1.0", "control.t_end = 0.02"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        with_states = write_config(tmp_path, cfg.read_text() + "output.snapshots = 1\n", name="states.cfg")
+        assert main(["weakcheck", "--config", str(with_states), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: no trajectory.npy in {out}; run with output.snapshots = 1 first\n")
+        assert not (out / "weakform.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["absent", "malformed", "nan-time", "folder"])
+    def test_diagnostics_csv_is_not_read(self, tmp_path, damage):
+        # diagnostics.csv is an output only: weakcheck writes the same weakform.csv whatever became of it
+        text = BASE.replace("control.t_end = 1.0", "control.t_end = 0.02") + \
+            "control.save_every = 0.005\noutput.snapshots = 1\n"
+        cfg, out = write_config(tmp_path, text), tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 0
+        expected = (out / "weakform.csv").read_bytes()
+        (out / "weakform.csv").unlink()
+        diag = out / "diagnostics.csv"
+        lines = diag.read_text().splitlines()
+        diag.unlink()
+        if damage == "malformed":
+            diag.write_text("\n".join(lines + ["oops,1"]) + "\n")
+        elif damage == "nan-time":
+            diag.write_text("\n".join(lines[:2] + ["nan" + lines[2][lines[2].index(","):]] + lines[3:]) + "\n")
+        elif damage == "folder":
+            diag.mkdir()
+        assert main(["weakcheck", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "weakform.csv").read_bytes() == expected
 
     def test_weakcheck_names_snapshots_turned_off(self, tmp_path, capsys):
         # the run's files are all there; the config is what has no snapshots

@@ -21,7 +21,6 @@ from regenfv import (
     run,
 )
 from regenfv import diagnostics
-from regenfv.stepping import FIELDS
 from regenfv.diagnostics import (
     DiagnosticsRecord,
     c1_mass_bound,
@@ -29,6 +28,7 @@ from regenfv.diagnostics import (
     gradient_sq,
     tau_linf_bound,
 )
+from regenfv.model import FIELDS
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
 

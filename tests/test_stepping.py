@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from regenfv import (
     trajectory,
 )
 from regenfv import stepping
-from regenfv.model import bind_reactions
-from regenfv.stepping import FIELDS, _diffusion_factors
+from regenfv.model import FIELDS, bind_reactions
+from regenfv.stepping import _diffusion_factors
 
 from references import stability_bound, stable_dt, taxis_divergence
 
@@ -456,6 +457,62 @@ class TestExactDiffusion1D:
         factors = _diffusion_factors(16, 0.25, 1e-3, (0.1, 0.2, 0.3))
         assert factors.shape == (3, 15, 15) and not factors.flags.writeable
         assert _diffusion_factors(16, 0.25, 1e-3, (0.1, 0.2, 0.3)) is factors
+
+
+@hst.composite
+def symmetry_cases(draw):
+    """Rough nonnegative data on 3-12 cells in 1D, or on a grid of up to 12 x 9
+    cells in 2D whose sides and cell widths differ in general; random
+    coefficients (eps = 0 or > 0); one jump or pulse dose; a march of a few
+    saves with cfl_safety up to 1."""
+    cells = (draw(hst.integers(3, 12)),) + tuple(draw(hst.lists(hst.integers(3, 9), max_size=1)))
+    grid = Grid(cells, tuple(draw(hst.floats(0.5, 2.0)) for _ in cells))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.0, 2.0, (4, *cells))
+    u[:2] *= rng.random((2, *cells)) < 0.5  # half the cells of c1 and c2 empty
+    u[2:] += 0.01
+    log_uniform = hst.floats(-2.0, 1.0).map(lambda e: 10.0**e)
+    p = ModelParams(*(draw(log_uniform) for _ in range(9)), eps=draw(hst.sampled_from([0.0, 0.05])))
+    alphas = (RateFunction("saturating", draw(hst.floats(0.0, 2.0)), draw(hst.floats(0.1, 1.0))),
+              RateFunction("constant", draw(hst.floats(0.0, 2.0))))
+    schedule = SupplySchedule((5e-4,), draw(hst.floats(0.0, 2.0)), draw(hst.sampled_from(["jump", "pulse"])), 1e-3)
+    ctrl = StepControl(t_end=2e-3, dt_max=5e-4, cfl_safety=draw(hst.sampled_from([0.5, 1.0])), save_every=1e-3)
+    return SimState(0.0, u, grid), p, alphas, schedule, ctrl
+
+
+class TestSymmetries:
+    """The march commutes with the symmetries of the domain: the bound, the
+    face arrays of each axis, the 1D factor, the reactions and the landings
+    treat every axis and both directions alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetry_cases())
+    def test_march_commutes_with_flips_and_transposition(self, case):
+        state, p, alphas, schedule, ctrl = case
+        grid = state.grid
+        with patch.object(stepping, "_advance", wraps=stepping._advance) as advance:
+            ref = trajectory(state, p, alphas, schedule, ctrl)
+        dts = [call.args[6] for call in advance.call_args_list]
+
+        def mapped(op, g=grid):
+            """op of the trajectory of the op-mapped data on grid g (op is its own inverse)."""
+            return op(trajectory(SimState(0.0, np.ascontiguousarray(op(state.u)), g), p, alphas, schedule, ctrl).u)
+
+        if grid.dim == 2:
+            # flips in x and y, and the transpose with (nx, ny) and (lx, ly) swapped: bit for bit
+            for name, op, g in (("flip x", lambda v: v[..., ::-1, :], grid), ("flip y", lambda v: v[..., ::-1], grid),
+                                ("transpose", lambda v: v.swapaxes(-1, -2), Grid(grid.cells[::-1], grid.lengths[::-1]))):
+                assert same_bits(mapped(op, g), ref.u), name
+            return
+        # 1D: the mirrored factor product sums in another order, so each step
+        # may differ by rounding, which the flux form amplifies by the stiffness
+        # of the factor (face_factor_stiffness). Over about 4 900 cases of
+        # this strategy the mirrored run differed by at most 0.64 ulp of a
+        # field's maximum per unit of `steps`; 4 are allowed.
+        diffusivities = [a for a in (p.a1, p.a2, p.d_chi, p.eps) if a > 0]
+        steps = sum(1 + max(face_factor_stiffness(grid, a, dt) for a in diffusivities) for dt in dts)
+        scale = np.max(np.abs(ref.u), axis=-1, keepdims=True)  # each field's maximum at each save
+        assert np.all(np.abs(mapped(lambda v: v[..., ::-1]) - ref.u) <= 4.0 * steps * 2.0**-52 * scale)
 
 
 class TestRun:

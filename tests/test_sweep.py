@@ -26,7 +26,7 @@ from regenfv import (
 from regenfv import stepping
 from regenfv.diagnostics import fisher_integrand
 from regenfv.grid import gradient_components
-from regenfv.stepping import FIELDS
+from regenfv.model import FIELDS
 from regenfv.sweep import artificial_terms, pair_distances
 from regenfv.weakform import Trajectory
 

@@ -4,6 +4,8 @@ land where ``event_timeline`` puts them, in ``run`` and in ``rk4_solve`` alike,
 so the dosing budget is exact to rounding."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +16,20 @@ from regenfv import (
     HomogeneousState,
     ModelParams,
     RateFunction,
+    RunConfig,
     SimState,
     StepControl,
     SupplySchedule,
+    echo_text,
     event_timeline,
     integrate,
     rk4_solve,
     run,
+    trajectory,
 )
+from regenfv.cli import main
+from regenfv.config import InitializerSpec
+from regenfv.model import FIELDS, save_times
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
 # no uptake, no growth, no switching: chi changes by the supply and the doses only
@@ -143,6 +151,60 @@ class TestDosingBudget:
             assert rows[-1][0] == t_end
             assert abs(rows[-1][1] - 1.0 - expected) <= 1e-10
         assert [t for t, _ in pde] == [t for t, _ in oracle]
+
+
+@st.composite
+def save_cases(draw):
+    """A horizon (0 included), a save cadence (one whose last multiple may fall
+    within the landing tolerance of t_end, or past it) and a schedule in either
+    dose mode whose doses fall on a save, within the tolerance of one, between
+    saves or past t_end."""
+    t_end = draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+    fraction = st.one_of(st.integers(1, 12).map(lambda n: 1.0 / n), st.floats(0.06, 1.5))
+    save_every = draw(fraction) * t_end if t_end > 0 else draw(st.floats(0.1, 1.0))
+    tol = 1e-12 * max(1.0, t_end)  # the landing tolerance
+    anchors = [k * save_every for k in range(1, 30) if k * save_every < t_end + tol] or [0.0]
+    times = []
+    for _ in range(draw(st.integers(0, 4))):
+        save, kind = draw(st.sampled_from(anchors)), draw(st.sampled_from(["on", "near", "between", "past"]))
+        if kind == "on":
+            times.append(save)
+        elif kind == "near":
+            times.append(save + draw(st.floats(-tol, tol)))
+        elif kind == "between":
+            times.append(save - draw(st.floats(0.1, 0.9)) * save_every)
+        else:
+            times.append(t_end + draw(st.one_of(st.floats(0.0, tol), st.floats(0.01, 1.0))))
+    jump = draw(st.booleans())
+    times = sorted({t for t in times if (t > 0.0 if jump else t >= 0.0)})  # a jump dose at 0 is rejected
+    schedule = SupplySchedule(tuple(times), draw(st.floats(0.0, 1.0)), "jump" if jump else "pulse",
+                              draw(st.floats(0.01, 0.5)))
+    return schedule, t_end, save_every
+
+
+class TestSaveTimes:
+    @settings(max_examples=40, deadline=None)
+    @given(save_cases())
+    def test_save_times_are_the_times_of_every_record_of_a_run(self, case):
+        # bit for bit: the states run hands its sinks, trajectory's times, the
+        # t column of diagnostics.csv, and the length of trajectory.npy
+        schedule, t_end, save_every = case
+        times = np.array(save_times(schedule, t_end, save_every))
+        ctrl = StepControl(t_end=t_end, dt_max=0.05, save_every=save_every)
+        initial = {name + "0": InitializerSpec("uniform", uniform=v) for name, v in zip(FIELDS, (0.3, 0.1, 1.0, 0.5))}
+        cfg = RunConfig(GRID, INERT, *NO_SWITCH, schedule, ctrl, initial, snapshots=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            (out / "run.cfg").write_text(echo_text(cfg))
+            assert main(["run", "--config", str(out / "run.cfg"), "--out", tmp]) == 0
+            written = [float(line.split(",")[0]) for line in (out / "diagnostics.csv").read_text().splitlines()[1:]]
+            n_states = len(np.load(out / "trajectory.npy"))
+        assert np.array(written).tobytes() == times.tobytes()
+        assert n_states == len(times)
+        assert np.array([t for t, _ in pde_rows(schedule, ctrl)]).tobytes() == times.tobytes()
+        if t_end > 0:  # a Trajectory needs a save after t = 0
+            traj = trajectory(cfg.build_initial(), INERT, NO_SWITCH, schedule, ctrl)
+            assert traj.times.tobytes() == times.tobytes()
 
 
 class TestScheduleValidation:

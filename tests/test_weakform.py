@@ -19,7 +19,7 @@ from regenfv import (
     residual_table,
     trajectory,
 )
-from regenfv.stepping import FIELDS
+from regenfv.model import FIELDS
 from regenfv.weakform import _supply_term
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
@@ -70,6 +70,14 @@ class TestTrajectory:
         for shape in ((3, 3, 6), (3, 4, 5), (3, 4, 6, 1), (2, 4, 6), (4, 4, 6)):
             with pytest.raises(ValueError, match="does not match"):
                 Trajectory(times, np.zeros(shape), g, *model)
+
+    @pytest.mark.parametrize("times", [(0.0, np.nan, 0.02), (0.0, 0.02, 0.01), (0.0, 0.01, 0.01), (0.01, 0.02, 0.03)],
+                             ids=["nan", "decreasing", "repeated", "late-start"])
+    def test_times_must_start_at_zero_and_increase(self, times):
+        # the times of a library caller's Trajectory; weakcheck's come from save_times
+        g = Grid((6,), (1.0,))
+        with pytest.raises(ValueError, match="start at 0 and increase strictly"):
+            Trajectory(np.array(times), np.zeros((3, 4, 6)), g, params(), NO_SWITCH, SupplySchedule())
 
     @pytest.mark.parametrize("saves", [0, 1])
     def test_needs_two_snapshots(self, saves):
