@@ -30,24 +30,25 @@ sources are never straddled and the dosing mass budget is exact to rounding.
 It is the only way a state advances: there is no public single step, whose
 dt and supply would come from outside the timeline.
 
-One step core advances a stack of members, one ``(m, 4, *shape)`` array, by
-one shared dt, and one driver marches it: ``run`` is the one-member case, and
-a sweep (``regenfv.sweep``) steps all of its members, which differ only in
-eps, with one call per operator. eps enters as an ``(m, 1, ...)`` column in
-the damping -eps c^theta and the tau eps-diffusion, and in 1D through each
-member's own face factors. Each member has its own stability bound (in 2D
-its diffusion limit depends on eps) and is checked against dt; the shared dt
-is the smallest of the members' capped dts. Where dt_max binds every member,
-each member therefore steps exactly as it would alone, bit for bit. Where the
-members' limits differ, every member takes the smallest dt, so the sweep's
-output differs from separate runs: in 2D the diffusion limit falls as eps
-grows past the other diffusivities, and in any dimension the advection and
-reaction limits (the damping rate eps theta c^(theta-1) among them) depend
-on each member's eps and state. A 2D sweep then makes m times the largest
-member's step count instead of the sum of the members' counts. One
-collector gathers the saves of a march into one ``(m, n_t, 4, *shape)`` array
-for sweeps and for ``trajectory``, the saves of ``run`` as one Trajectory;
-its times are ``model.save_times``, the events the driver lands on to save.
+One step core advances a stack of members, one ``(m, 4, N)`` array of the
+grid's N cells held flat (see ``_Batch``), by one shared dt, and one driver
+marches it: ``run`` is the one-member case, and a sweep (``regenfv.sweep``)
+steps all of its members, which differ only in eps, with one call per
+operator. eps enters as an ``(m, 1)`` column in the damping -eps c^theta and
+the tau eps-diffusion, and in 1D through each member's own face factors. Each
+member has its own stability bound (in 2D its diffusion limit depends on eps)
+and is checked against dt; the shared dt is the smallest of the members'
+capped dts. Where dt_max binds every member, each member therefore steps
+exactly as it would alone, bit for bit. Where the members' limits differ,
+every member takes the smallest dt, so the sweep's output differs from
+separate runs: in 2D the diffusion limit falls as eps grows past the other
+diffusivities, and in any dimension the advection and reaction limits (the
+damping rate eps theta c^(theta-1) among them) depend on each member's eps and
+state. A 2D sweep then makes m times the largest member's step count instead
+of the sum of the members' counts. One collector gathers the saves of a march
+into one ``(m, n_t, 4, *shape)`` array for sweeps and for ``trajectory``, the
+saves of ``run`` as one Trajectory; its times are ``model.save_times``, the
+events the driver lands on to save.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, StabilityError
-from .grid import _face_diffs, _flux_divergence, _upwind_flux
+from .grid import _axes, _cells, _face_diffs, _flat, _flux_divergence, _upwind_flux
 from .model import (
     FIELDS,
     ModelParams,
@@ -109,11 +110,21 @@ class SimState:
 class _Batch:
     """What a step needs of one member stack on one grid, built once per run.
 
-    Members differ only in eps; ``p`` is the first member's params. ``axes``
-    holds per grid axis (back, 1/h, shape of the member-stacked face array),
-    ``back`` counting the grid axes after it; ``speed_h`` the h of each signal
-    face-speed column (tau, chi per axis). The diffusivity and taxis columns
-    and the ``(m, 1, ...)`` eps column (None when eps = 0) are read-only.
+    Members differ only in eps; ``p`` is the first member's params. A step
+    holds each member's rows flat, ``(m, 4, N)`` for the grid's N cells in C
+    order, and builds its faces in the flat layout of ``regenfv.grid``: per
+    grid axis, ``axes`` holds (s, cross, 1/h, shape of the member-stacked
+    face array). s is the axis's stride in flat cells ((ny, 1) in 2D, (1,)
+    in 1D), so a face array holds N + s faces, face k between flat cells
+    k - s and k, and each face pass is one contiguous slice of the flat axis.
+    ``cross`` is the slice of the faces where that pass runs from the end of
+    one grid row to the start of the next (the last axis of a 2D grid; None
+    elsewhere): they pair cells that are not neighbours, so the face helpers
+    reset them to +0.0 like every boundary face, and a -0.0 density can
+    leave no signed zero there. ``speed_h`` holds the h of each signal
+    face-speed column (tau, chi per axis). The ``(k, 1)`` diffusivity and
+    taxis columns and the ``(m, 1)`` eps column (None when eps = 0) are
+    read-only.
     ``rows`` counts the face rows a step diffuses: 5, or 6 with tau when
     eps > 0. Per member: its eps, its diffusion limit (h^2 / (2 dim max
     diffusivity) in 2D, inf in 1D, where diffusion is exact in time) and a tag
@@ -126,7 +137,6 @@ class _Batch:
     p: ModelParams
     axes: tuple
     speed_h: tuple[float, ...]
-    grid_axes: tuple[int, ...]
     diffusivities: np.ndarray
     taxis_coeffs: np.ndarray
     eps_column: Optional[np.ndarray]
@@ -144,17 +154,15 @@ def _batch(members: tuple[ModelParams, ...], grid: Grid, named: bool = False) ->
     if any(dc_replace(q, eps=p.eps) != p or (q.eps > 0) != (p.eps > 0) for q in members):
         raise ValueError("the members of one batch may differ only in a positive eps")
     eps = tuple(q.eps for q in members)
-    columns = [np.reshape(v, (-1,) + (1,) * dim) for v in ((p.a1, p.a2, p.d_chi), (p.b_tau, p.b_chi), eps)]
+    columns = [np.reshape(v, (-1, 1)) for v in ((p.a1, p.a2, p.d_chi), (p.b_tau, p.b_chi), eps)]
     for column in columns:
         column.flags.writeable = False
     rows = 6 if p.eps > 0 else 5
     limit = lambda e: min(grid.spacing) ** 2 / (2.0 * dim * max(p.a1, p.a2, p.d_chi, e)) if dim > 1 else math.inf
     return _Batch(
         grid, p,
-        axes=tuple((dim - 1 - axis, 1.0 / h, (len(eps), 6, *(n + (a == axis) for a, n in enumerate(grid.shape))))
-                   for axis, h in enumerate(grid.spacing)),
+        axes=tuple((s, cross, inv_h, (len(eps), 6, grid.n_cells + s)) for s, cross, inv_h in _axes(grid)),
         speed_h=tuple(h for h in grid.spacing for _ in range(2)),
-        grid_axes=tuple(range(-dim, 0)),
         diffusivities=columns[0],
         taxis_coeffs=columns[1],
         eps_column=columns[2] if p.eps > 0 else None,
@@ -192,33 +200,33 @@ def _diffusion_factors(n: int, h: float, dt: float, coeffs: tuple[float, ...]) -
 
 
 def _transport_faces(u: np.ndarray, batch: _Batch) -> tuple[list, list]:
-    """Each face quantity of one step of the member stack u, built once: per
-    axis, a face array (zero boundary faces, as in ``grid``) with rows per
+    """Each face quantity of one step of the flat member stack u, built once:
+    per axis, a face array (zero boundary faces, as in ``grid``) with rows per
     member (taxis flux of c1 up tau, of c2 up chi, face differences of c1, c2,
     chi, tau), and per member the row maxima of |v| for the scaled signal face
     gradient v = (b_tau, b_chi) * grad(tau, chi) that carries those fluxes."""
     faces, speeds = [], []
-    for back, inv_h, shape in batch.axes:
+    for s, cross, inv_h, shape in batch.axes:
         f = np.zeros(shape)
-        _face_diffs(u, back, inv_h, out=f[:, 2:])
+        _face_diffs(u, s, cross, inv_h, out=f[:, 2:])
         v = f[:, 5:3:-1] * batch.taxis_coeffs
-        _upwind_flux(v, u[:, :2], back, out=f[:, :2])
+        _upwind_flux(v, u[:, :2], s, cross, out=f[:, :2])
         faces.append(f)
-        speeds.append(np.abs(v, out=v).max(batch.grid_axes))
+        speeds.append(np.abs(v, out=v).max(-1))
     return faces, speeds
 
 
 def _faces_and_bounds(u: np.ndarray, batch: _Batch) -> tuple[list, list[float]]:
-    """The transport faces of the member stack u and each member's raw
+    """The transport faces of the flat member stack u and each member's raw
     stability bound: the min of its diffusion (2D only), advection and
     reaction limits. The per-member scalars come from one ``tolist``."""
     faces, speeds = _transport_faces(u, batch)
-    p, grid_axes = batch.p, batch.grid_axes
+    p = batch.p
     c1, c2, _, tau = u.swapaxes(0, 1)
     stats = np.empty((len(u), 4 + 2 * len(speeds)))
-    u[:, :2].max(grid_axes, out=stats[:, :2])
-    (p.beta * (1.0 + 2.0 * c1 + c2 + tau)).max(grid_axes, out=stats[:, 2])
-    (c1 + c2).max(grid_axes, out=stats[:, 3])
+    u[:, :2].max(-1, out=stats[:, :2])
+    (p.beta * (1.0 + 2.0 * c1 + c2 + tau)).max(-1, out=stats[:, 2])
+    (c1 + c2).max(-1, out=stats[:, 3])
     for i, speed in enumerate(speeds):
         stats[:, 4 + 2 * i:6 + 2 * i] = speed
     bounds = []
@@ -268,7 +276,7 @@ def _nonfinite(u: np.ndarray) -> Optional[str]:
 def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
              reactions: Callable, supply: float, dt: float,
              faces: list) -> tuple[np.ndarray, list[float]]:
-    """The step core: advance the ``(m, 4, *shape)`` member stack u from t by
+    """The step core: advance the flat ``(m, 4, N)`` member stack u from t by
     the shared dt, with the supply density ``supply``, and return the new
     stack, clamped but not dosed, and the members' positivity debts.
 
@@ -290,7 +298,7 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
         n = grid.cells[0]
         factors = _diffusion_factors(n, grid.spacing[0], dt, batch.factor_coeffs)
         inner[...] = np.matmul(factors.reshape(len(u), rows - 2, n - 1, n - 1), inner[..., None])[..., 0]
-    div = _flux_divergence((f[:, :rows], back, inv_h) for f, (back, inv_h, _) in zip(faces, batch.axes))
+    div = _flux_divergence((f[:, :rows], s, inv_h) for f, (s, _, inv_h, _) in zip(faces, batch.axes))
     rhs = div[:, 2:5]
     rhs *= batch.diffusivities
     rhs[:, :2] -= div[:, :2]
@@ -318,7 +326,7 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     # The one finiteness check per step and member, before clamping can hide a -inf.
     for total, member, tag in zip(new.reshape(len(new), -1).sum(axis=1).tolist(), new, batch.tags):
         if not math.isfinite(total):
-            where = _nonfinite(member)
+            where = _nonfinite(_cells(grid, member))
             raise DivergenceError(
                 f"non-finite {where} (t={t_new:g}){tag}" if where
                 else f"field magnitudes overflow at t={t_new:g}{tag}"
@@ -364,13 +372,16 @@ def _march(
     emitted. ``named`` makes errors name the member.
     """
     validate_initial_state(initial)
-    batch = _batch(members, initial.grid, named)
+    grid = initial.grid
+    batch = _batch(members, grid, named)
     reactions = bind_reactions(batch.p, *alphas, batch.eps_column, arrays=True, matrix=False)
-    t, u = 0.0, np.broadcast_to(initial.u, (len(members), *initial.u.shape))  # read-only, no copy
+    # the march holds the cells flat (a view); the stacks it emits have the grid's shape
+    flat = _flat(grid, initial.u)
+    t, u = 0.0, np.broadcast_to(flat, (len(members), *flat.shape))  # read-only, no copy
     debts = [initial.positivity_debt] * len(members)
-    emit(0, t, u, debts)
+    emit(0, t, _cells(grid, u), debts)
     saves, tol = 0, landing_tol(ctrl.t_end)
-    for event, is_save, supply, dose in event_timeline(schedule, ctrl.t_end, ctrl.save_every, initial.grid.measure):
+    for event, is_save, supply, dose in event_timeline(schedule, ctrl.t_end, ctrl.save_every, grid.measure):
         before = u
         while t < event - tol:
             faces, bounds = _faces_and_bounds(u, batch)
@@ -386,8 +397,8 @@ def _march(
             u[:, 2] += dose
         if is_save:
             saves += 1
-            emit(saves, t, u, debts)
-    return t, u, debts
+            emit(saves, t, _cells(grid, u), debts)
+    return t, _cells(grid, u), debts
 
 
 def run(

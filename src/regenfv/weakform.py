@@ -5,9 +5,22 @@ zero-normal-derivative condition on every boundary face and vanish at t = T by
 construction, and all their derivatives are available in closed form. Because
 psi separates into a spatial part S and a temporal part g, each space-time
 integral reduces to a trapezoid rule in time over per-snapshot spatial dot
-products (midpoint quadrature on the cell centers). The table is evaluated
-snapshot by snapshot: the fields that do not depend on psi are built once per
-snapshot and weighted by each distinct spatial part.
+products (midpoint quadrature on the cell centers).
+
+The table is separable too. Per axis, the distinct modes k of the test set
+give factor matrices with one row per k over that axis's cell centers, built
+once per table: cos(k pi x / L) for S (the form of ``TestFunction.spatial``),
+and C = cos(w x) and D = -w sin(w x), w = k pi / L, for grad S. Each
+snapshot is visited once. Its integrands that weight S (the four fields, the
+reaction terms r1-r4, c2 chi) are stacked and contracted with the cosine
+matrix of each axis, one grid axis after the other, first axis first; per
+axis a, the six that weight the a-component of grad S (the a-derivatives of
+c1, c2, chi and tau, c1 times that of tau, chi times that of c2) are
+contracted with D on axis a and C on the other, and the axes are summed.
+Every contraction is one ``np.einsum`` call per grid axis, for every mode at
+once; einsum calls no BLAS, whose summation order can depend on the thread
+count. Only one snapshot's stacks exist at a time. The trapezoid weights are
+built once per table, so each time integral is one weighted sum.
 
 A solution of the transport system makes all four residuals vanish under
 simultaneous grid/time/save refinement; the zero trajectory annihilates them
@@ -31,23 +44,30 @@ if TYPE_CHECKING:
     from .config import Grid
 
 
-@lru_cache(maxsize=64)
-def _axis_factors(modes: tuple[int, ...], grid: Grid) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per axis, the read-only 1D factors cos(k*pi*x/L), cos(w*x) and
-    -w*sin(w*x), w = k*pi/L, at the cell centers, shaped to broadcast along
-    that axis. S uses the first form and grad S the other two; the forms can
-    differ in the last bit when L != 1, so both are kept.
-    """
+def _cosine_factors(k, L: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """cos(k*pi*x/L), cos(w*x) and -w*sin(w*x), w = k*pi/L, read-only. S uses
+    the first form and grad S the other two; the forms can differ in the last
+    bit when L != 1, so both are kept. k is a mode or a column of modes."""
+    w = k * np.pi / L
+    factors = (np.cos(k * np.pi * x / L), np.cos(w * x), -w * np.sin(w * x))
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
+def _check_dim(modes: tuple[int, ...], grid: Grid) -> None:
     if len(modes) != grid.dim:
         raise ValueError("test-function dimension does not match the grid")
-    factors = []
-    for axis, (k, L) in enumerate(zip(modes, grid.lengths)):
-        x = grid.axis_centers(axis).reshape([-1 if a == axis else 1 for a in range(grid.dim)])
-        w = k * np.pi / L
-        factors.append((np.cos(k * np.pi * x / L), np.cos(w * x), -w * np.sin(w * x)))
-        for f in factors[-1]:
-            f.flags.writeable = False
-    return tuple(factors)
+
+
+@lru_cache(maxsize=64)
+def _axis_factors(modes: tuple[int, ...], grid: Grid) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per axis, the ``_cosine_factors`` of its mode at the cell centers,
+    shaped to broadcast along that axis."""
+    _check_dim(modes, grid)
+    shape = lambda axis: [-1 if a == axis else 1 for a in range(grid.dim)]
+    return tuple(_cosine_factors(k, L, grid.axis_centers(axis).reshape(shape(axis)))
+                 for axis, (k, L) in enumerate(zip(modes, grid.lengths)))
 
 
 @dataclass(frozen=True)
@@ -144,41 +164,49 @@ def _check_horizon(traj: Trajectory, psi: TestFunction) -> None:
         )
 
 
-def _trapz(traj: Trajectory, series: np.ndarray) -> float:
-    return float(np.trapezoid(series, traj.times))
+# The spatial integrals of a snapshot: those of the integrands that weight S,
+# then those that weight grad S (grad f . grad S; c1 grad tau . grad S and
+# chi grad c2 . grad S for the taxis terms).
+_S_TERMS = (*FIELDS, "r1", "r2", "r3", "r4", "c2_chi")
+_TERMS = (*_S_TERMS, *("grad_" + name for name in FIELDS), "taxis", "chi_grad")
+
+
+def _contract(stack: np.ndarray, factors) -> np.ndarray:
+    """Per row of the ``(r, *grid.shape)`` stack, its sums over the cells
+    against the outer products of the rows of ``factors``, one ``(K_a, n_a)``
+    matrix per grid axis: an ``(r, K_0, ..., K_(dim-1))`` array. The grid axes
+    are contracted one by one, first axis first."""
+    for matrix in factors:
+        stack = np.einsum("ix...,kx->i...k", stack, matrix)
+    return stack
 
 
 def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
     """Per spatial part (``psi.modes``) of ``psis``, the snapshot series of
-    every spatial integral the four identities use, keyed by term name.
-
-    Each snapshot is visited once: its psi-independent fields (gradients, the
-    reaction terms r1-r4 of ``bind_reactions``, c2 chi) are built once, then
-    weighted by each part's S and grad S, e.g. ``r1 * S``.
-    """
+    every spatial integral the four identities use: an ``(n_t, len(_TERMS))``
+    array, columns in ``_TERMS`` order (see the module docstring)."""
     grid, p = traj.grid, traj.params
     reactions = bind_reactions(p, *traj.alphas, p.eps if p.eps > 0.0 else None, arrays=True)
-    parts = {}
     for psi in psis:
         _check_horizon(traj, psi)
-        parts.setdefault(psi.modes, psi)
-    series = {key: {} for key in parts}
-    for u in traj.u:
+        _check_dim(psi.modes, grid)
+    modes = [sorted({psi.modes[axis] for psi in psis}) for axis in range(grid.dim)]
+    # per axis, the factor matrices of its distinct modes, built once per table
+    cos_kx, cos_wx, dcos_wx = zip(*(_cosine_factors(np.array(ks)[:, None], L, grid.axis_centers(axis))
+                                    for axis, (ks, L) in enumerate(zip(modes, grid.lengths))))
+    series = np.empty((*map(len, modes), len(traj.u), len(_TERMS)))  # per spatial part, a contiguous series
+    for index, u in enumerate(traj.u):
         c1, c2, chi, _ = u
-        grads = gradient_components(grid, u)  # per axis, rows c1, c2, chi, tau
-        weighted = dict(zip((*FIELDS, "r1", "r2", "r3", "r4", "c2_chi"),  # integrand field * S
-                            (*u, *reactions(*u), c2 * chi)))
-        for key, psi in parts.items():
-            S, gS = psi.spatial(grid), psi.spatial_gradient(grid)
-            dots = sum(d * dS for d, dS in zip(grads, gS))  # per row, grad f . grad S
-            values = {name: integrate(grid, f * S) for name, f in weighted.items()}
-            for name, dot in zip(FIELDS, dots):
-                values["grad_" + name] = integrate(grid, dot)
-            values["taxis"] = integrate(grid, c1 * dots[3])
-            values["chi_grad"] = integrate(grid, chi * dots[1])
-            for name, value in values.items():
-                series[key].setdefault(name, []).append(value)
-    return {key: {name: np.array(v) for name, v in terms.items()} for key, terms in series.items()}
+        integrals = np.concatenate((
+            _contract(np.stack((*u, *reactions(*u), c2 * chi)), cos_kx),
+            # grad S = (D_x C_y, C_x D_y): D on the axis of the component, C on the other
+            sum(_contract(np.stack((*grad, c1 * grad[3], chi * grad[1])),
+                          [dcos_wx[b] if b == axis else cos_wx[b] for b in range(grid.dim)])
+                for axis, grad in enumerate(gradient_components(grid, u))),  # per axis, rows c1, c2, chi, tau
+        ))
+        series[..., index, :] = np.moveaxis(integrals, 0, -1)
+    series *= grid.cell_volume
+    return {psi.modes: series[tuple(ks.index(k) for ks, k in zip(modes, psi.modes))] for psi in psis}
 
 
 def _rhs_c1(traj: Trajectory, psi: TestFunction, J) -> float:
@@ -224,17 +252,20 @@ _RHS = dict(zip(FIELDS, (_rhs_c1, _rhs_c2, _rhs_chi, _rhs_tau)))
 
 
 def _residuals(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_RHS)) -> list:
-    """(equation, modes, power, |LHS - RHS|) per test function and equation."""
+    """(equation, modes, power, |LHS - RHS|) per test function and equation.
+    Each time integral is the trapezoid rule, one sum of a series against the
+    trapezoid weights times g or g'."""
     series = _spatial_series(traj, psis)
+    times = traj.times
+    weights = np.convolve(np.diff(times), (0.5, 0.5))  # (t_(i+1) - t_(i-1)) / 2, halves at the ends
     rows = []
     for psi in psis:
         sr = series[psi.modes]
-        g, gp = psi.g(traj.times), psi.g_prime(traj.times)
-        J = lambda name: _trapz(traj, sr[name] * g)  # time integral of a series against g
+        J = dict(zip(_TERMS, np.einsum("t,tn->n", weights * psi.g(times), sr).tolist())).__getitem__
+        # psi(., 0) = S, so the data term of each field is its first integral
+        lhs = (-np.einsum("t,tn->n", weights * psi.g_prime(times), sr[:, :4]) - sr[0, :4]).tolist()
         for eq in equations:
-            a = sr[eq]
-            lhs = -_trapz(traj, a * gp) - a[0]  # psi(.,0) = S, so the data term is a[0]
-            rows.append((eq, psi.modes, psi.power, abs(lhs - _RHS[eq](traj, psi, J))))
+            rows.append((eq, psi.modes, psi.power, abs(lhs[FIELDS.index(eq)] - _RHS[eq](traj, psi, J))))
     return rows
 
 

@@ -1,14 +1,14 @@
 """What the tests measure the library against: the single-field taxis
-divergence, the reference that the fused step must match bit for bit, the
-stability bound and capped dt of one state, taken through the step core's
-own ``_faces_and_bounds`` and ``_capped_dt``, and the text reader of one
+divergence, written axis by axis without the library's face helpers, the
+reference that the fused step must match bit for bit, the stability bound
+and capped dt of one state, taken through the step core's own
+``_faces_and_bounds`` and ``_capped_dt``, and the text reader of one
 ``snap_<index>.csv``, against which ``trajectory.npy`` is checked."""
 
 import numpy as np
 
 from regenfv import stepping
 from regenfv.config import Grid
-from regenfv.grid import _axes, _face_diffs, _flux_divergence, _upwind_flux
 
 
 def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff) -> np.ndarray:
@@ -18,18 +18,25 @@ def taxis_divergence(grid: Grid, c: np.ndarray, s: np.ndarray, coeff) -> np.ndar
     from the upwind cell, which preserves c >= 0 under the advective CFL
     bound. Boundary faces carry zero flux. For stacked ``(k, *shape)`` inputs
     ``coeff`` may be a ``(k, 1, ...)`` column of per-row coefficients.
+    Written axis by axis: the axis is moved last, its n - 1 interior face
+    fluxes are padded with a zero flux at either end, and the cell
+    differences are moved back.
     """
-    def flux(back, inv_h):
-        v = _face_diffs(s, back, inv_h)
-        v *= coeff
-        return _upwind_flux(v, c, back, out=v)
-
-    return _flux_divergence((flux(back, inv_h), back, inv_h) for back, inv_h in _axes(grid))
+    out = None
+    for axis, h in enumerate(grid.spacing, start=-grid.dim):  # the grid axes trail any stacked ones
+        inv_h = 1.0 / h
+        cl, sl = np.moveaxis(c, axis, -1), np.moveaxis(s, axis, -1)
+        v = (sl[..., 1:] - sl[..., :-1]) * inv_h * coeff
+        flux = v * np.where(v > 0, cl[..., :-1], cl[..., 1:])
+        padded = np.pad(flux, [(0, 0)] * (flux.ndim - 1) + [(1, 1)])
+        term = np.moveaxis(np.diff(padded) * inv_h, -1, axis)
+        out = term if out is None else out + term
+    return out
 
 
 def stability_bound(state, p):
     """Raw stability bound of one state: min of the diffusion (2D only), advection and reaction limits."""
-    return stepping._faces_and_bounds(state.u[None], stepping._batch((p,), state.grid))[1][0]
+    return stepping._faces_and_bounds(state.u.reshape(1, 4, -1), stepping._batch((p,), state.grid))[1][0]
 
 
 def stable_dt(state, p, ctrl):

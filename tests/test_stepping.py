@@ -121,11 +121,11 @@ def unchecked_step(state, p, alphas, dt, supply=0.0):
     """One step of the driver's step core from ``state`` by dt with the supply
     density ``supply``: no stability check (dt may exceed the bound) and no
     doses."""
-    u, batch = state.u[None], stepping._batch((p,), state.grid)
+    u, batch = state.u.reshape(1, 4, -1), stepping._batch((p,), state.grid)  # the step's flat cells
     faces, _ = stepping._faces_and_bounds(u, batch)
     reactions = bind_reactions(p, *alphas, batch.eps_column, arrays=True, matrix=False)
     new, (debt,) = stepping._advance(state.t, u, [state.positivity_debt], batch, reactions, supply, dt, faces)
-    return SimState(state.t + dt, new[0], state.grid, debt)
+    return SimState(state.t + dt, new[0].reshape(state.u.shape), state.grid, debt)
 
 
 def reference_clamp(fields, cell_volume):

@@ -335,10 +335,12 @@ class TestRefinement:
 
 # The per-test-function formulas as they were before the table was evaluated
 # snapshot by snapshot: S and grad S from meshgrid coordinates, every series
-# rebuilt per test function, the reaction terms those of ``bind_reactions``.
-# The evaluation order of each integrand is the reference that the
-# snapshot-major table must reproduce bit for bit. TestMassBudgetReduction
-# checks the reaction terms themselves against hand-written formulas.
+# rebuilt per test function, the reaction terms those of ``bind_reactions``,
+# each spatial integral a cell sum and each time integral ``np.trapezoid``.
+# The table contracts per-axis factor matrices instead and sums in another
+# order, so it matches them to a summation bound (``TestSnapshotMajorTable``).
+# TestMassBudgetReduction checks the reaction terms themselves against
+# hand-written formulas.
 def meshgrid_spatial(psi, grid):
     out = np.ones(grid.shape)
     for k, x, L in zip(psi.modes, grid.coordinate_arrays(), grid.lengths):
@@ -358,7 +360,12 @@ def meshgrid_spatial_gradient(psi, grid):
     return tuple(comps)
 
 
-def reference_residuals(traj, psi):
+def reference_residuals(traj, psi, magnitude=False):
+    """|LHS - RHS| per equation, from the per-test-function formulas. With
+    ``magnitude``, the same formulas on absolute values instead: every
+    integrand product, g, g', coefficient and supply term is replaced by its
+    absolute value and every difference by a sum, which gives the magnitude
+    M that bounds the rounding of either evaluation."""
     from regenfv.grid import gradient_components
     from regenfv.model import bind_reactions
 
@@ -366,13 +373,15 @@ def reference_residuals(traj, psi):
     reactions = bind_reactions(p, *traj.alphas, p.eps if p.eps > 0 else None, arrays=True)
     S, gS = meshgrid_spatial(psi, grid), meshgrid_spatial_gradient(psi, grid)
     t = traj.times
-    g, gp = psi.g(t), psi.g_prime(t)
+    size = np.abs if magnitude else (lambda v: v)
+    g, gp = size(psi.g(t)), size(psi.g_prime(t))
+    sign = 1.0 if magnitude else -1.0  # of each subtracted term
 
     def series(integrand):
-        return np.array([integrate(grid, integrand(s)) for s in snapshots(traj)])
+        return np.array([integrate(grid, size(integrand(s))) for s in snapshots(traj)])
 
-    def grad_dot(f):
-        return sum(c * gc for c, gc in zip(gradient_components(grid, f), gS))
+    def grad_dot(f):  # per axis one product, so that each is bounded on its own
+        return sum(size(c * gc) for c, gc in zip(gradient_components(grid, f), gS))
 
     def trapz(values):
         return float(np.trapezoid(values, t))
@@ -380,38 +389,41 @@ def reference_residuals(traj, psi):
     def reaction(i):  # the time integral of the reaction term r_(i+1) against psi
         return trapz(series(lambda s: reactions(*s.u)[i] * S) * g)
 
+    def residual(a, rhs):  # psi(., 0) = S, so the data term is a[0]
+        return abs(sign * trapz(a * gp) + sign * a[0] + sign * rhs)
+
     out = {}
 
     a = series(lambda s: s.c1 * S)
     rhs = (
-        -p.a1 * trapz(series(lambda s: grad_dot(s.c1)) * g)
-        + p.b_tau * trapz(series(lambda s: s.c1 * grad_dot(s.tau)) * g)
+        sign * p.a1 * trapz(series(lambda s: grad_dot(s.c1)) * g)
+        + p.b_tau * trapz(series(lambda s: size(s.c1) * grad_dot(s.tau)) * g)
         + reaction(0)
     )
-    out["c1"] = abs(-trapz(a * gp) - a[0] - rhs)
+    out["c1"] = residual(a, rhs)
 
     a = series(lambda s: s.c2 * S)
     rhs = (
-        -p.a2 * trapz(series(lambda s: grad_dot(s.c2)) * g)
+        sign * p.a2 * trapz(series(lambda s: grad_dot(s.c2)) * g)
         + p.b_chi * psi.laplace_factor(grid) * trapz(series(lambda s: s.c2 * s.chi * S) * g)
-        - p.b_chi * trapz(series(lambda s: s.chi * grad_dot(s.c2)) * g)
+        + sign * p.b_chi * trapz(series(lambda s: size(s.chi) * grad_dot(s.c2)) * g)
         + reaction(1)
     )
-    out["c2"] = abs(-trapz(a * gp) - a[0] - rhs)
+    out["c2"] = residual(a, rhs)
 
     a = series(lambda s: s.chi * S)
     rhs = (
-        -p.d_chi * trapz(series(lambda s: grad_dot(s.chi)) * g)
+        sign * p.d_chi * trapz(series(lambda s: grad_dot(s.chi)) * g)
         + reaction(2)
-        + _supply_term(traj, psi)
+        + size(_supply_term(traj, psi))
     )
-    out["chi"] = abs(-trapz(a * gp) - a[0] - rhs)
+    out["chi"] = residual(a, rhs)
 
     a = series(lambda s: s.tau * S)
     rhs = reaction(3)
     if p.eps > 0:
-        rhs -= p.eps * trapz(series(lambda s: grad_dot(s.tau)) * g)
-    out["tau"] = abs(-trapz(a * gp) - a[0] - rhs)
+        rhs += sign * p.eps * trapz(series(lambda s: grad_dot(s.tau)) * g)
+    out["tau"] = residual(a, rhs)
     return out
 
 
@@ -457,8 +469,24 @@ def rough_trajectories(draw):
     return Trajectory(times, np.array(us), grid, p, alphas, schedule)
 
 
+# How far the table may sit from ``reference_residuals``, in units of
+# eps * M, M the magnitude of the same residual (``magnitude=True``). Both
+# evaluate one sum of products; each rounding of a product or partial sum
+# errs by at most u = eps/2 times a magnitude that M bounds, so in the worst
+# case each evaluation is off by d u M, d its longest chain of roundings (the
+# cells of one axis or a cell sum, the saves and a dozen products and terms:
+# about 15-30 eps M in all on these grids). The table contracts axis by axis
+# and weights the time series with trapezoid weights, the reference sums
+# cells pairwise and calls np.trapezoid, so their roundings are unrelated and
+# seldom aligned: over 3 000 cases of ``rough_trajectories`` the largest
+# difference was 1.81 eps M. 4 eps M is within the worst case and leaves room
+# for that.
+SUMMATION_BOUND = 4.0 * np.finfo(float).eps
+
+
 class TestSnapshotMajorTable:
-    """The table and every single residual equal the per-test-function formulas bit for bit."""
+    """The table and every single residual equal the per-test-function
+    formulas to the summation bound, and each other bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(rough_trajectories(), st.integers(0, 4),
@@ -466,20 +494,32 @@ class TestSnapshotMajorTable:
     def test_table_equals_per_test_function_formulas(self, traj, k_max, powers):
         from regenfv.weakform import make_test_functions
 
-        expected = []
+        rows = iter(residual_table(traj, k_max=k_max, powers=powers))
         for psi in make_test_functions(traj.grid, traj.horizon, k_max, powers):
-            ref = reference_residuals(traj, psi)
-            expected.extend((name, psi.modes, psi.power, ref[name]) for name in FIELDS)
-        assert residual_table(traj, k_max=k_max, powers=powers) == expected
+            ref, size = reference_residuals(traj, psi), reference_residuals(traj, psi, magnitude=True)
+            for name in FIELDS:
+                eq, modes, power, value = next(rows)
+                assert (eq, modes, power) == (name, psi.modes, psi.power)
+                assert abs(value - ref[name]) <= SUMMATION_BOUND * size[name], (name, psi)
+        assert next(rows, None) is None
 
     @settings(max_examples=40, deadline=None)
     @given(rough_trajectories(), st.data())
     def test_single_residuals_equal_per_test_function_formulas(self, traj, data):
         modes = tuple(data.draw(st.integers(0, 4)) for _ in range(traj.grid.dim))
         psi = TestFunction(modes, data.draw(st.sampled_from([1, 2, 3])), traj.horizon)
-        ref = reference_residuals(traj, psi)
+        ref, size = reference_residuals(traj, psi), reference_residuals(traj, psi, magnitude=True)
         for name in FIELDS:
-            assert residual(traj, psi, name) == ref[name], name
+            assert abs(residual(traj, psi, name) - ref[name]) <= SUMMATION_BOUND * size[name], name
+
+    @settings(max_examples=40, deadline=None)
+    @given(rough_trajectories(), st.integers(0, 4),
+           st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3, unique=True))
+    def test_table_rows_equal_single_residuals(self, traj, k_max, powers):
+        # one core: a residual of its own is its row of the table, bit for bit,
+        # although its factor matrices hold one mode per axis, not k_max + 1
+        for eq, modes, power, value in residual_table(traj, k_max=k_max, powers=powers):
+            assert residual(traj, TestFunction(modes, power, traj.horizon), eq) == value, (eq, modes, power)
 
     @settings(max_examples=60, deadline=None)
     @given(grids(), st.data())
