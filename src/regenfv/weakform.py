@@ -8,19 +8,20 @@ integral reduces to a trapezoid rule in time over per-snapshot spatial dot
 products (midpoint quadrature on the cell centers).
 
 The table is separable too. Per axis, the distinct modes k of the test set
-give factor matrices with one row per k over that axis's cell centers, built
-once per table: cos(k pi x / L) for S (the form of ``TestFunction.spatial``),
-and C = cos(w x) and D = -w sin(w x), w = k pi / L, for grad S. Each
+give two factor matrices, one row per k over that axis's cell centers, built
+once per table: C = cos(w x) and D = -w sin(w x), w = k pi / L. S is the
+product of one C row per axis, and grad S puts D on its own axis. Each
 snapshot is visited once. Its integrands that weight S (the four fields, the
-reaction terms r1-r4, c2 chi) are stacked and contracted with the cosine
-matrix of each axis, one grid axis after the other, first axis first; per
-axis a, the six that weight the a-component of grad S (the a-derivatives of
-c1, c2, chi and tau, c1 times that of tau, chi times that of c2) are
-contracted with D on axis a and C on the other, and the axes are summed.
-Every contraction is one ``np.einsum`` call per grid axis, for every mode at
-once; einsum calls no BLAS, whose summation order can depend on the thread
-count. Only one snapshot's stacks exist at a time. The trapezoid weights are
-built once per table, so each time integral is one weighted sum.
+reaction terms r1-r4, c2 chi) are stacked and contracted with C on each axis,
+first grid axis first; per axis a, the six that weight the a-component of
+grad S (the a-derivatives of c1, c2, chi and tau, c1 times that of tau, chi
+times that of c2) are contracted with D on axis a and C on the other, and the
+axes are summed. Each contraction is one ``np.einsum`` call per grid axis for
+every mode at once; einsum calls no BLAS, whose summation order can depend on
+the thread count. Only one snapshot's stacks exist at a time. The trapezoid
+weights are built once per table, so each time integral is one weighted sum.
+The supply term of the chi identity needs the integral of S alone: the
+product over the axes of the sum of S's C row, times the cell volume.
 
 A solution of the transport system makes all four residuals vanish under
 simultaneous grid/time/save refinement; the zero trajectory annihilates them
@@ -31,52 +32,34 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import gradient_components, integrate
+from .grid import gradient_components
 from .model import FIELDS, ModelParams, RateFunction, SupplySchedule, bind_reactions, event_timeline
 
 if TYPE_CHECKING:
     from .config import Grid
 
 
-def _cosine_factors(k, L: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """cos(k*pi*x/L), cos(w*x) and -w*sin(w*x), w = k*pi/L, read-only. S uses
-    the first form and grad S the other two; the forms can differ in the last
-    bit when L != 1, so both are kept. k is a mode or a column of modes."""
+def _cosine_factors(k, L: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C = cos(w*x) and D = -w*sin(w*x), w = k*pi/L, at the coordinates x; k
+    is a mode or a column of modes."""
     w = k * np.pi / L
-    factors = (np.cos(k * np.pi * x / L), np.cos(w * x), -w * np.sin(w * x))
-    for f in factors:
-        f.flags.writeable = False
-    return factors
-
-
-def _check_dim(modes: tuple[int, ...], grid: Grid) -> None:
-    if len(modes) != grid.dim:
-        raise ValueError("test-function dimension does not match the grid")
-
-
-@lru_cache(maxsize=64)
-def _axis_factors(modes: tuple[int, ...], grid: Grid) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per axis, the ``_cosine_factors`` of its mode at the cell centers,
-    shaped to broadcast along that axis."""
-    _check_dim(modes, grid)
-    shape = lambda axis: [-1 if a == axis else 1 for a in range(grid.dim)]
-    return tuple(_cosine_factors(k, L, grid.axis_centers(axis).reshape(shape(axis)))
-                 for axis, (k, L) in enumerate(zip(modes, grid.lengths)))
+    return np.cos(w * x), -w * np.sin(w * x)
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """Separable Neumann-compatible space-time test function.
 
-    ``modes`` holds one nonnegative integer per axis; ``power`` is the
-    temporal exponent m >= 1; ``horizon`` is the weak-form horizon T. The
-    spatial part has unit amplitude.
+    ``modes`` holds one nonnegative integer per axis, which gives S a zero
+    normal derivative on every boundary face; ``power`` is the temporal
+    exponent m >= 1; ``horizon`` is the weak-form horizon T. S has unit
+    amplitude.
     """
 
     modes: tuple[int, ...]
@@ -86,23 +69,13 @@ class TestFunction:
     __test__ = False  # keep pytest from collecting this as a test class
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))  # a cache key of the spatial part
-        if any(k < 0 for k in self.modes):
-            raise ValueError("mode indices must be nonnegative")
+        object.__setattr__(self, "modes", tuple(self.modes))  # the table's key of the spatial part
+        if not all(isinstance(k, numbers.Integral) and k >= 0 for k in self.modes):
+            raise ValueError(f"mode indices must be nonnegative integers, got {self.modes}")
         if self.power < 1:
             raise ValueError("temporal exponent must be at least 1")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-
-    def spatial(self, grid: Grid) -> np.ndarray:
-        """S(x) at cell centers: the product of one cosine factor per axis."""
-        return math.prod(cos_kx for cos_kx, _, _ in _axis_factors(self.modes, grid))
-
-    def spatial_gradient(self, grid: Grid) -> tuple[np.ndarray, ...]:
-        """grad S(x) at cell centers, one array per axis."""
-        factors = _axis_factors(self.modes, grid)
-        return tuple(math.prod(dcos if a == axis else cos for a, (_, cos, dcos) in enumerate(factors))
-                     for axis in range(grid.dim))
 
     def laplace_factor(self, grid: Grid) -> float:
         """Delta S = -factor * S with factor = sum (k_i pi / L_i)^2."""
@@ -157,13 +130,6 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def _check_horizon(traj: Trajectory, psi: TestFunction) -> None:
-    if abs(psi.horizon - traj.horizon) > 1e-12 * max(1.0, traj.horizon):
-        raise ValueError(
-            f"test-function horizon {psi.horizon} does not match trajectory horizon {traj.horizon}"
-        )
-
-
 # The spatial integrals of a snapshot: those of the integrands that weight S,
 # then those that weight grad S (grad f . grad S; c1 grad tau . grad S and
 # chi grad c2 . grad S for the taxis terms).
@@ -182,23 +148,27 @@ def _contract(stack: np.ndarray, factors) -> np.ndarray:
 
 
 def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
-    """Per spatial part (``psi.modes``) of ``psis``, the snapshot series of
-    every spatial integral the four identities use: an ``(n_t, len(_TERMS))``
-    array, columns in ``_TERMS`` order (see the module docstring)."""
+    """Per spatial part (``psi.modes``) of ``psis``, the integral of S and the
+    snapshot series of every spatial integral the four identities use: an
+    ``(n_t, len(_TERMS))`` array, columns in ``_TERMS`` order (see the module
+    docstring)."""
     grid, p = traj.grid, traj.params
     reactions = bind_reactions(p, *traj.alphas, p.eps if p.eps > 0.0 else None, arrays=True)
     for psi in psis:
-        _check_horizon(traj, psi)
-        _check_dim(psi.modes, grid)
+        if abs(psi.horizon - traj.horizon) > 1e-12 * max(1.0, traj.horizon):
+            raise ValueError(f"test-function horizon {psi.horizon} does not match "
+                             f"trajectory horizon {traj.horizon}")
+        if len(psi.modes) != grid.dim:
+            raise ValueError("test-function dimension does not match the grid")
     modes = [sorted({psi.modes[axis] for psi in psis}) for axis in range(grid.dim)]
     # per axis, the factor matrices of its distinct modes, built once per table
-    cos_kx, cos_wx, dcos_wx = zip(*(_cosine_factors(np.array(ks)[:, None], L, grid.axis_centers(axis))
-                                    for axis, (ks, L) in enumerate(zip(modes, grid.lengths))))
+    cos_wx, dcos_wx = zip(*(_cosine_factors(np.array(ks)[:, None], L, grid.axis_centers(axis))
+                            for axis, (ks, L) in enumerate(zip(modes, grid.lengths))))
     series = np.empty((*map(len, modes), len(traj.u), len(_TERMS)))  # per spatial part, a contiguous series
     for index, u in enumerate(traj.u):
         c1, c2, chi, _ = u
         integrals = np.concatenate((
-            _contract(np.stack((*u, *reactions(*u), c2 * chi)), cos_kx),
+            _contract(np.stack((*u, *reactions(*u), c2 * chi)), cos_wx),
             # grad S = (D_x C_y, C_x D_y): D on the axis of the component, C on the other
             sum(_contract(np.stack((*grad, c1 * grad[3], chi * grad[1])),
                           [dcos_wx[b] if b == axis else cos_wx[b] for b in range(grid.dim)])
@@ -206,7 +176,12 @@ def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
         ))
         series[..., index, :] = np.moveaxis(integrals, 0, -1)
     series *= grid.cell_volume
-    return {psi.modes: series[tuple(ks.index(k) for ks, k in zip(modes, psi.modes))] for psi in psis}
+    row_sums = [c.sum(axis=1) for c in cos_wx]  # per axis, the sum of each C row
+    out = {}
+    for spatial in {psi.modes for psi in psis}:
+        at = tuple(ks.index(k) for ks, k in zip(modes, spatial))
+        out[spatial] = float(math.prod(s[i] for s, i in zip(row_sums, at)) * grid.cell_volume), series[at]
+    return out
 
 
 def _rhs_c1(traj: Trajectory, psi: TestFunction, J) -> float:
@@ -223,13 +198,13 @@ def _rhs_c2(traj: Trajectory, psi: TestFunction, J) -> float:
             - p.b_chi * J("chi_grad") + J("r2"))
 
 
-def _supply_term(traj: Trajectory, psi: TestFunction) -> float:
-    """psi-weighted supply contribution, exact in time for both dose modes: per
-    interval of ``event_timeline`` its pulse supply density times the integral of
-    g over it, and per event its jump dose times g there."""
-    grid, total, start = traj.grid, 0.0, 0.0
-    s_int = integrate(grid, psi.spatial(grid))
-    for t, _, supply, dose in event_timeline(traj.schedule, traj.horizon, None, grid.measure):
+def _supply_term(traj: Trajectory, psi: TestFunction, s_int: float) -> float:
+    """psi-weighted supply contribution, ``s_int`` the integral of S, exact in
+    time for both dose modes: per interval of ``event_timeline`` its pulse
+    supply density times the integral of g over it, and per event its jump
+    dose times g there."""
+    total, start = 0.0, 0.0
+    for t, _, supply, dose in event_timeline(traj.schedule, traj.horizon, None, traj.grid.measure):
         total += supply * s_int * psi.g_integral(start, t)
         if dose is not None:
             total += dose * s_int * float(psi.g(t))
@@ -239,7 +214,7 @@ def _supply_term(traj: Trajectory, psi: TestFunction) -> float:
 
 def _rhs_chi(traj: Trajectory, psi: TestFunction, J) -> float:
     """Medium: diffusion, reactions (uptake by both cell types), supply."""
-    return -traj.params.d_chi * J("grad_chi") + J("r3") + _supply_term(traj, psi)
+    return -traj.params.d_chi * J("grad_chi") + J("r3") + J("supply")
 
 
 def _rhs_tau(traj: Trajectory, psi: TestFunction, J) -> float:
@@ -248,10 +223,10 @@ def _rhs_tau(traj: Trajectory, psi: TestFunction, J) -> float:
     return J("r4") - p.eps * J("grad_tau") if p.eps > 0 else J("r4")
 
 
-_RHS = dict(zip(FIELDS, (_rhs_c1, _rhs_c2, _rhs_chi, _rhs_tau)))
+_RHS = (_rhs_c1, _rhs_c2, _rhs_chi, _rhs_tau)  # in FIELDS order
 
 
-def _residuals(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_RHS)) -> list:
+def _residuals(traj: Trajectory, psis: Sequence[TestFunction]) -> list:
     """(equation, modes, power, |LHS - RHS|) per test function and equation.
     Each time integral is the trapezoid rule, one sum of a series against the
     trapezoid weights times g or g'."""
@@ -260,18 +235,21 @@ def _residuals(traj: Trajectory, psis: Sequence[TestFunction], equations=tuple(_
     weights = np.convolve(np.diff(times), (0.5, 0.5))  # (t_(i+1) - t_(i-1)) / 2, halves at the ends
     rows = []
     for psi in psis:
-        sr = series[psi.modes]
-        J = dict(zip(_TERMS, np.einsum("t,tn->n", weights * psi.g(times), sr).tolist())).__getitem__
+        s_int, sr = series[psi.modes]
+        J = dict(zip(_TERMS, np.einsum("t,tn->n", weights * psi.g(times), sr).tolist()),
+                 supply=_supply_term(traj, psi, s_int)).__getitem__
         # psi(., 0) = S, so the data term of each field is its first integral
         lhs = (-np.einsum("t,tn->n", weights * psi.g_prime(times), sr[:, :4]) - sr[0, :4]).tolist()
-        for eq in equations:
-            rows.append((eq, psi.modes, psi.power, abs(lhs[FIELDS.index(eq)] - _RHS[eq](traj, psi, J))))
+        for eq, value, rhs in zip(FIELDS, lhs, _RHS):
+            rows.append((eq, psi.modes, psi.power, abs(value - rhs(traj, psi, J))))
     return rows
 
 
 def residual(traj: Trajectory, psi: TestFunction, equation: str) -> float:
     """|LHS - RHS| of one weak identity ("c1", "c2", "chi" or "tau") for one test function."""
-    return _residuals(traj, (psi,), (equation,))[0][3]
+    if equation not in FIELDS:
+        raise ValueError(f"unknown equation {equation!r}: choose one of {', '.join(FIELDS)}")
+    return _residuals(traj, (psi,))[FIELDS.index(equation)][3]
 
 
 def make_test_functions(grid: Grid, t_end: float, k_max: int = 3, powers: Sequence[int] = (1, 2)):

@@ -1,8 +1,10 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from regenfv import (
     Grid,
@@ -20,7 +22,7 @@ from regenfv import (
     trajectory,
 )
 from regenfv.model import FIELDS
-from regenfv.weakform import _supply_term
+from regenfv.weakform import _cosine_factors, _spatial_series, _supply_term, make_test_functions
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
 ALPHAS = (RateFunction("saturating", 1.2, 0.5), RateFunction("constant", 0.4))
@@ -94,8 +96,7 @@ class TestTestFunction:
     def test_neumann_compatibility(self):
         # grad S carries sin(k pi x / L), which vanishes on the boundary
         g = Grid((64,), (2.0,))
-        psi = TestFunction((3,), 1, 1.0)
-        (gx,) = psi.spatial_gradient(g)
+        _, gx = _cosine_factors(3, 2.0, g.axis_centers(0))
         h = g.spacing[0]
         assert abs(gx[0]) <= 3 * np.pi / 2.0 * (np.pi * h)  # O(h) at the wall
         assert abs(gx[-1]) <= 3 * np.pi / 2.0 * (np.pi * h)
@@ -106,6 +107,18 @@ class TestTestFunction:
         assert psi.g_integral(0.2, 0.5) == pytest.approx(
             np.trapezoid(psi.g(xs), xs), abs=1e-10
         )
+
+    @pytest.mark.parametrize("modes", [(0.5,), (1.0,), (2, 0.5), (-1,)])
+    def test_modes_must_be_nonnegative_integers(self, modes):
+        # a fractional mode gives S a nonzero normal derivative on the boundary,
+        # which the integrations by parts behind the identities assume away
+        with pytest.raises(ValueError, match=re.escape(f"must be nonnegative integers, got {modes}")):
+            TestFunction(modes, 1, 1.0)
+
+    def test_unknown_equation_is_named(self):
+        traj = zero_trajectory()
+        with pytest.raises(ValueError, match=r"^unknown equation 'foo': choose one of c1, c2, chi, tau$"):
+            residual(traj, TestFunction((1,), 1, traj.horizon), "foo")
 
     def test_horizon_mismatch_rejected(self):
         traj = zero_trajectory(T=1.0)
@@ -157,16 +170,16 @@ class TestMassBudgetReduction:
         traj = zero_trajectory(T=1.0, schedule=sched)
         psi = TestFunction((0,), 1, 1.0)
         # chi0 * psi(t_d) per dose: 2*(1-0.25) + 2*(1-0.75) = 2.0 on |Omega|=1
-        assert _supply_term(traj, psi) == pytest.approx(2.0, abs=1e-14)
+        assert _supply_term(traj, psi, meshgrid_integral(psi, traj.grid)) == pytest.approx(2.0, abs=1e-14)
         psi2 = TestFunction((1,), 1, 1.0)  # spatial mean of cos vanishes
-        assert _supply_term(traj, psi2) == pytest.approx(0.0, abs=1e-12)
+        assert _supply_term(traj, psi2, meshgrid_integral(psi2, traj.grid)) == pytest.approx(0.0, abs=1e-12)
 
     def test_pulse_supply_term_closed_form(self):
         sched = SupplySchedule(dose_times=(0.2,), chi0=1.0, mode="pulse", width=0.1)
         traj = zero_trajectory(T=1.0, schedule=sched)
         psi = TestFunction((0,), 1, 1.0)
         exact = 1.0 * psi.g_integral(0.2, 0.3)  # amplitude * |Omega| * int g
-        assert _supply_term(traj, psi) == pytest.approx(exact, rel=1e-12)
+        assert _supply_term(traj, psi, meshgrid_integral(psi, traj.grid)) == pytest.approx(exact, rel=1e-12)
 
 
 def _per_dose_supply(traj, psi):
@@ -174,7 +187,7 @@ def _per_dose_supply(traj, psi):
     integral of g over [t_d, t_d + width] clipped at the horizon, and each jump
     dose before the horizon times g at its time."""
     grid, sched = traj.grid, traj.schedule
-    s_int = integrate(grid, psi.spatial(grid))
+    s_int = meshgrid_integral(psi, grid)
     density, total = sched.chi0 / grid.measure, 0.0
     for td in sched.dose_times:
         if sched.mode == "pulse":
@@ -182,6 +195,25 @@ def _per_dose_supply(traj, psi):
         elif td < traj.horizon:
             total += density * s_int * float(psi.g(td))
     return total
+
+
+def not_one(lo, hi):
+    return st.floats(lo, hi).filter(lambda v: v != 1.0)
+
+
+@st.composite
+def grids_2d(draw):
+    """Non-square 2D grids, both lengths != 1."""
+    cells = draw(st.tuples(st.integers(3, 9), st.integers(3, 9)).filter(lambda c: c[0] != c[1]))
+    return Grid(cells, (draw(not_one(0.3, 3.0)), draw(not_one(0.3, 3.0))))
+
+
+@st.composite
+def grids(draw):
+    """1D grids and non-square 2D grids, every length != 1."""
+    if draw(st.booleans()):
+        return Grid((draw(st.integers(3, 12)),), (draw(not_one(0.3, 3.0)),))
+    return draw(grids_2d())
 
 
 @st.composite
@@ -202,21 +234,63 @@ def supply_cases(draw):
     return traj, TestFunction((draw(st.integers(0, 3)),), draw(st.integers(1, 3)), traj.horizon)
 
 
+# The smallest subnormal float. A product that underflows into the subnormal
+# range is off by up to half of it, however small its relative precision.
+TINY = np.finfo(float).smallest_subnormal
+
+
 class TestSupplyTerm:
     @settings(max_examples=300, deadline=None)
     @given(supply_cases())
+    @example(case=(  # overlapping pulses of a subnormal chi0
+        Trajectory(np.linspace(0.0, 3.0, 3), np.zeros((3, 4, 3)), Grid((3,), (1.0,)), params(), NO_SWITCH,
+                   SupplySchedule(dose_times=(0.0, 0.5), chi0=1.1125369292536007e-308, mode="pulse", width=1.0)),
+        TestFunction((3,), 1, 3.0)))
     def test_event_timeline_equals_per_dose_closed_form(self, case):
         # bitwise while the pulses are disjoint; overlapping pulses are summed
-        # per interval of the timeline instead of per dose, which rounds differently
+        # per interval of the timeline instead of per dose, which rounds
+        # differently: relatively by 1e-12 at most, and, for a tiny chi0,
+        # absolutely by half a TINY per rounding that underflows: at most three
+        # per interval or dose (the density chi0/|Omega| and two products), so
+        # 3 (2 * 6 + 1) + 3 * 6 = 57 on the two sides, under 29 TINY
         traj, psi = case
-        got, want = _supply_term(traj, psi), _per_dose_supply(traj, psi)
+        got = _supply_term(traj, psi, meshgrid_integral(psi, traj.grid))
+        want = _per_dose_supply(traj, psi)
         sched = traj.schedule
         overlap = sched.mode == "pulse" and any(b < a + sched.width for a, b in
                                                 zip(sched.dose_times, sched.dose_times[1:]))
         if overlap:
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert abs(got - want) <= 1e-12 * abs(want) + 29 * TINY
         else:
             assert got == want
+        # on this zero trajectory the chi row is the supply term alone, and in
+        # 1D the table's integral of S (the sum of its C row times h) is the
+        # cell sum of S bit for bit
+        assert residual(traj, psi, "chi") == abs(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids_2d(), st.integers(0, 5))
+    def test_table_integral_of_s_equals_cell_sum_in_2d(self, grid, k_max):
+        # The table takes the integral of S as (sum_i C_x[i]) (sum_j C_y[j]) h,
+        # the reference as (sum_ij C_x[i] C_y[j]) h, from the same factor values
+        # (test_separable_factors_equal_meshgrid_formulas). Per product C_x[i]
+        # C_y[j], the first makes nx - 1 + ny - 1 roundings in the row sums and two
+        # products, the second one product, N - 1 sums and one product (N = nx
+        # ny); each rounding errs by at most u = eps/2 relatively, so each side
+        # is off by at most gamma_d h sum |S|, d its count, gamma_d = d u/(1 - d u)
+        # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+        # The computed h sum |S| is itself at most gamma_(N+1) below the exact one.
+        (nx, ny), n = grid.cells, grid.n_cells
+        gamma = lambda d: d * (np.finfo(float).eps / 2) / (1 - d * np.finfo(float).eps / 2)
+        T = 1.0
+        traj = Trajectory(np.array([0.0, T]), np.zeros((2, 4, nx, ny)), grid, params(), NO_SWITCH,
+                          SupplySchedule())
+        psis = make_test_functions(grid, T, k_max, (1,))
+        table = _spatial_series(traj, psis)
+        for psi in psis:
+            S = meshgrid_spatial(psi, grid)
+            bound = (gamma(nx + ny) + gamma(n + 1)) * integrate(grid, np.abs(S)) / (1 - gamma(n + 1))
+            assert abs(table[psi.modes][0] - integrate(grid, S)) <= bound, psi.modes
 
 
 class TestAnalyticTrajectories:
@@ -266,8 +340,7 @@ class TestAnalyticTrajectories:
             x = g.axis_centers(0)
             c2 = 0.5 + 0.3 * np.cos(2 * np.pi * x)  # not orthogonal to S
             psi = TestFunction((2,), 1, 1.0)
-            S = psi.spatial(g)
-            (gS,) = psi.spatial_gradient(g)
+            S, gS = _cosine_factors(2, 1.0, x)  # in 1D, S is the C row and grad S the D row
             from regenfv.grid import gradient_components
             (gc2,) = gradient_components(g, c2)
             return abs(psi.laplace_factor(g) * integrate(g, c2 * S)
@@ -336,16 +409,23 @@ class TestRefinement:
 # The per-test-function formulas as they were before the table was evaluated
 # snapshot by snapshot: S and grad S from meshgrid coordinates, every series
 # rebuilt per test function, the reaction terms those of ``bind_reactions``,
-# each spatial integral a cell sum and each time integral ``np.trapezoid``.
-# The table contracts per-axis factor matrices instead and sums in another
-# order, so it matches them to a summation bound (``TestSnapshotMajorTable``).
-# TestMassBudgetReduction checks the reaction terms themselves against
-# hand-written formulas.
+# each spatial integral a cell sum (the supply term's integral of S too) and
+# each time integral ``np.trapezoid``. S is a product of cos(w x), w = k pi / L,
+# the one cosine form of the library, so that the two differ by their sums
+# only. The table contracts per-axis factor matrices instead and sums in
+# another order, so it matches them to a summation bound
+# (``TestSnapshotMajorTable``). TestMassBudgetReduction checks the reaction
+# terms themselves against hand-written formulas.
 def meshgrid_spatial(psi, grid):
     out = np.ones(grid.shape)
     for k, x, L in zip(psi.modes, grid.coordinate_arrays(), grid.lengths):
-        out = out * np.cos(k * np.pi * x / L)
+        out = out * np.cos(k * np.pi / L * x)
     return out
+
+
+def meshgrid_integral(psi, grid):
+    """The integral of S as a cell sum of the meshgrid formula."""
+    return integrate(grid, meshgrid_spatial(psi, grid))
 
 
 def meshgrid_spatial_gradient(psi, grid):
@@ -415,7 +495,7 @@ def reference_residuals(traj, psi, magnitude=False):
     rhs = (
         sign * p.d_chi * trapz(series(lambda s: grad_dot(s.chi)) * g)
         + reaction(2)
-        + size(_supply_term(traj, psi))
+        + size(_supply_term(traj, psi, integrate(grid, size(S))))
     )
     out["chi"] = residual(a, rhs)
 
@@ -425,20 +505,6 @@ def reference_residuals(traj, psi, magnitude=False):
         rhs += sign * p.eps * trapz(series(lambda s: grad_dot(s.tau)) * g)
     out["tau"] = residual(a, rhs)
     return out
-
-
-def not_one(lo, hi):
-    return st.floats(lo, hi).filter(lambda v: v != 1.0)
-
-
-@st.composite
-def grids(draw):
-    """1D grids and non-square 2D grids, every length != 1."""
-    if draw(st.booleans()):
-        cells = (draw(st.integers(3, 12)),)
-    else:
-        cells = draw(st.tuples(st.integers(3, 9), st.integers(3, 9)).filter(lambda c: c[0] != c[1]))
-    return Grid(cells, tuple(draw(not_one(0.3, 3.0)) for _ in cells))
 
 
 @st.composite
@@ -476,11 +542,13 @@ def rough_trajectories(draw):
 # case each evaluation is off by d u M, d its longest chain of roundings (the
 # cells of one axis or a cell sum, the saves and a dozen products and terms:
 # about 15-30 eps M in all on these grids). The table contracts axis by axis
-# and weights the time series with trapezoid weights, the reference sums
-# cells pairwise and calls np.trapezoid, so their roundings are unrelated and
-# seldom aligned: over 3 000 cases of ``rough_trajectories`` the largest
-# difference was 1.81 eps M. 4 eps M is within the worst case and leaves room
-# for that.
+# (its integral of S is a product of row sums) and weights the time series
+# with trapezoid weights, the reference sums cells pairwise and calls
+# np.trapezoid, so their roundings are unrelated and seldom aligned: over
+# 3 000 cases of ``rough_trajectories`` (k_max 0-4, powers 1 and 2) the
+# largest difference was 2.26 eps M. 4 eps M is within the worst case and
+# leaves room for that. The bound covers summation only: both sides take
+# their factor values from the one cosine form, cos((k pi / L) x).
 SUMMATION_BOUND = 4.0 * np.finfo(float).eps
 
 
@@ -492,8 +560,6 @@ class TestSnapshotMajorTable:
     @given(rough_trajectories(), st.integers(0, 4),
            st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3, unique=True))
     def test_table_equals_per_test_function_formulas(self, traj, k_max, powers):
-        from regenfv.weakform import make_test_functions
-
         rows = iter(residual_table(traj, k_max=k_max, powers=powers))
         for psi in make_test_functions(traj.grid, traj.horizon, k_max, powers):
             ref, size = reference_residuals(traj, psi), reference_residuals(traj, psi, magnitude=True)
@@ -522,12 +588,18 @@ class TestSnapshotMajorTable:
             assert residual(traj, TestFunction(modes, power, traj.horizon), eq) == value, (eq, modes, power)
 
     @settings(max_examples=60, deadline=None)
-    @given(grids(), st.data())
-    def test_separable_factors_equal_meshgrid_formulas(self, grid, data):
-        modes = tuple(data.draw(st.integers(0, 5)) for _ in range(grid.dim))
-        psi = TestFunction(modes, 1, 1.0)
-        S = psi.spatial(grid)
-        assert S.shape == grid.shape and np.array_equal(S, meshgrid_spatial(psi, grid))
-        for got, want in zip(psi.spatial_gradient(grid), meshgrid_spatial_gradient(psi, grid),
-                             strict=True):
-            assert got.shape == grid.shape and np.array_equal(got, want)
+    @given(grids(), st.integers(0, 5))
+    def test_separable_factors_equal_meshgrid_formulas(self, grid, k_max):
+        # the factor matrices as the table builds them, one row per mode of an
+        # axis: S is the outer product of one C row per axis, and the a-component
+        # of grad S that of D on axis a and C on the others, bit for bit
+        ks = np.arange(k_max + 1)
+        C, D = zip(*(_cosine_factors(ks[:, None], L, grid.axis_centers(axis))
+                     for axis, L in enumerate(grid.lengths)))
+        outer = lambda rows: functools.reduce(np.multiply.outer, rows)
+        for psi in make_test_functions(grid, 1.0, k_max, (1,)):
+            S = outer([c[k] for c, k in zip(C, psi.modes)])
+            assert S.shape == grid.shape and np.array_equal(S, meshgrid_spatial(psi, grid))
+            for axis, want in enumerate(meshgrid_spatial_gradient(psi, grid)):
+                got = outer([(D if a == axis else C)[a][k] for a, k in enumerate(psi.modes)])
+                assert got.shape == grid.shape and np.array_equal(got, want), (psi.modes, axis)
