@@ -13,10 +13,13 @@ differences of each row by phi1(dt a L_f), where L_f is the Laplacian of the
 interior faces (zero end faces) and phi1(z) = expm1(z)/z, and then takes the
 same zero-flux divergence as the explicit step: since
 Div phi1(dt a L_f) Grad = phi1(dt a L) L, the diffusion part of the update is
-exp(dt a L) u. The discrete cosine/sine transforms diagonalise L and L_f, so
-the factor is dense but known in closed form. Mass still telescopes, a
-uniform row has zero face differences and so stays untouched, and the step
-needs no diffusion limit, only the advection and reaction limits. In 2D the
+exp(dt a L) u. The sine transform (DST-I) V of the n - 1 interior faces
+diagonalises L_f: L_f = V diag(lambda) V, so the factor is never formed. The
+step applies it as V diag(phi1(dt a lambda)) V, two real FFTs of length 2n
+over every diffusing face row of every member at once: O(n log n) per step,
+no per-dt state and no BLAS call. Mass still telescopes, a uniform row has
+zero face differences and so stays untouched, and the step needs no
+diffusion limit, only the advection and reaction limits. In 2D the
 stability bound keeps the diffusion limit h^2 / (2 dim max diffusivity).
 
 Any cell driven below zero, mostly by the upwind taxis outflow that the update
@@ -35,7 +38,7 @@ grid's N cells held flat (see ``_Batch``), by one shared dt, and one driver
 marches it: ``run`` is the one-member case, and a sweep (``regenfv.sweep``)
 steps all of its members, which differ only in eps, with one call per
 operator. eps enters as an ``(m, 1)`` column in the damping -eps c^theta and
-the tau eps-diffusion, and in 1D through each member's own face factors. Each
+the tau eps-diffusion, and in 1D through each member's own face rates. Each
 member has its own stability bound (in 2D its diffusion limit depends on eps)
 and is checked against dt; the shared dt is the smallest of the members'
 capped dts. Where dt_max binds every member, each member therefore steps
@@ -55,11 +58,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, StabilityError
 from .grid import _axes, _cells, _face_diffs, _flat, _flux_divergence, _upwind_flux
@@ -128,9 +129,11 @@ class _Batch:
     ``rows`` counts the face rows a step diffuses: 5, or 6 with tau when
     eps > 0. Per member: its eps, its diffusion limit (h^2 / (2 dim max
     diffusivity) in 2D, inf in 1D, where diffusion is exact in time) and a tag
-    naming it in errors; ``factor_coeffs`` lists the diffusivities of the 1D
-    face factors member by member, so one ``_diffusion_factors`` call builds
-    every member's rows.
+    naming it in errors. ``face_rates`` (1D only, else None) is the read-only
+    ``(m, rows - 2, n - 1)`` array of a lambda_k per member, diffusing row
+    (diffusivity a) and eigenvalue lambda_k = -(2 sin(pi k / 2n) / h)^2 of
+    L_f (free of the cancellation in -(2 - 2 cos(pi k / n)) / h^2); a step's
+    phi1 takes z = dt a lambda_k.
     """
 
     grid: Grid
@@ -143,7 +146,7 @@ class _Batch:
     rows: int
     eps: tuple[float, ...]
     limits: tuple[float, ...]
-    factor_coeffs: tuple[float, ...]
+    face_rates: Optional[np.ndarray]
     tags: tuple[str, ...]
 
 
@@ -159,6 +162,12 @@ def _batch(members: tuple[ModelParams, ...], grid: Grid, named: bool = False) ->
         column.flags.writeable = False
     rows = 6 if p.eps > 0 else 5
     limit = lambda e: min(grid.spacing) ** 2 / (2.0 * dim * max(p.a1, p.a2, p.d_chi, e)) if dim > 1 else math.inf
+    face_rates = None
+    if dim == 1:
+        (n,), (h,) = grid.cells, grid.spacing
+        lam = -(2.0 * np.sin((np.pi / (2 * n)) * np.arange(1, n)) / h) ** 2
+        face_rates = np.multiply.outer([(p.a1, p.a2, p.d_chi, e)[:rows - 2] for e in eps], lam)
+        face_rates.flags.writeable = False
     return _Batch(
         grid, p,
         axes=tuple((s, cross, inv_h, (len(eps), 6, grid.n_cells + s)) for s, cross, inv_h in _axes(grid)),
@@ -169,34 +178,9 @@ def _batch(members: tuple[ModelParams, ...], grid: Grid, named: bool = False) ->
         rows=rows,
         eps=eps,
         limits=tuple(limit(e) for e in eps),
-        factor_coeffs=tuple(c for e in eps for c in (p.a1, p.a2, p.d_chi, e)[:rows - 2]),
+        face_rates=face_rates,
         tags=tuple(f" (sweep member eps={e!r})" if named else "" for e in eps),
     )
-
-
-@lru_cache(maxsize=8)
-def _diffusion_factors(n: int, h: float, dt: float, coeffs: tuple[float, ...]) -> np.ndarray:
-    """Read-only stack of the face factors phi1(dt a L_f), one per a in ``coeffs``,
-    for an axis of n cells of width h. L_f, the Laplacian of the n - 1 interior
-    faces with zero end faces, is V diag(lambda) V with
-    V_jk = sqrt(2/n) sin(pi j k / n) and lambda_k = -(2 - 2 cos(pi k / n)) / h^2
-    (computed as -(2 sin(pi k / 2n) / h)^2, free of cancellation), and
-    phi1(z) = expm1(z)/z. Since 2 sin(x) sin(y) = cos(x - y) - cos(x + y), the
-    factor is Toeplitz minus Hankel: P_ij = c_|i-j| - c_(i+j) with
-    c_d = (1/n) sum_k phi1(z_k) cos(pi k d / n), one real FFT of length 2n.
-    Building it is O(n^2) work per dt with no BLAS call; ``_advance`` applies it
-    by ``np.matmul``, which calls BLAS, so CI checks its bits on one thread."""
-    k = np.arange(1, n)
-    z = np.multiply.outer(np.multiply(dt, coeffs), -(2.0 * np.sin((np.pi / (2 * n)) * k) / h) ** 2)
-    phi = np.zeros((len(coeffs), n))
-    phi[:, 1:] = np.expm1(z) / z
-    half = np.fft.rfft(phi, 2 * n).real / n  # c_d for d = 0..n
-    c = np.concatenate((half, half[:, -2:1:-1]), axis=1)  # and c_(2n - d) = c_d up to 2n - 2
-    windows = lambda v: sliding_window_view(v, n - 1, axis=-1)  # windows(v)[i, j] = v[i + j]
-    toeplitz = windows(np.concatenate((c[:, n - 2:0:-1], c[:, :n - 1]), axis=1))[..., ::-1]
-    out = toeplitz - windows(c[:, 2:])
-    out.flags.writeable = False
-    return out
 
 
 def _transport_faces(u: np.ndarray, batch: _Batch) -> tuple[list, list]:
@@ -283,7 +267,7 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     ``reactions`` gives r1, r2, r3 of the stack and tau's production and sink
     rate (``bind_reactions`` with the batch's eps column and ``matrix=False``,
     bound once per run), ``faces`` are u's transport faces
-    (the 1D factor writes into them); dt is within every member's bound.
+    (the 1D apply writes into them); dt is within every member's bound.
     Raises DivergenceError naming the field, the cell and the member's tag.
     """
     grid, rows = batch.grid, batch.rows
@@ -293,11 +277,17 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
     # terms and the diffusion terms of c1, c2, chi (and tau when eps > 0).
     if grid.dim == 1:
         # exact in time: with the face differences times phi1(dt a L_f), the
-        # divergence is phi1(dt a L) L u, so u + dt a div = exp(dt a L) u
-        inner = faces[0][:, 2:rows, 1:-1]
-        n = grid.cells[0]
-        factors = _diffusion_factors(n, grid.spacing[0], dt, batch.factor_coeffs)
-        inner[...] = np.matmul(factors.reshape(len(u), rows - 2, n - 1, n - 1), inner[..., None])[..., 0]
+        # divergence is phi1(dt a L) L u, so u + dt a div = exp(dt a L) u.
+        # phi1(dt a L_f) = (2/n) S diag(phi1(z)) S for the DST-I S, applied by
+        # two real FFTs: a face row with zero end faces is its own zero-padded
+        # odd extension, so rfft(row, 2n).imag[k] is minus its DST-I at k.
+        n, diffusing = grid.cells[0], faces[0][:, 2:rows]
+        # Each z is negative, or 0 where dt a lambda underflowed: capped at
+        # -2^-1074, whose expm1 is itself, phi1 takes its limit 1 there.
+        z = np.minimum(dt * batch.face_rates, -math.ulp(0.0))
+        w = np.fft.rfft(diffusing, 2 * n).imag[..., :n]  # column k = 0 is 0 and stays so
+        w[..., 1:] *= np.expm1(z) / z * (2.0 / n)
+        diffusing[..., 1:-1] = np.fft.rfft(w, 2 * n).imag[..., 1:n]
     div = _flux_divergence((f[:, :rows], s, inv_h) for f, (s, _, inv_h, _) in zip(faces, batch.axes))
     rhs = div[:, 2:5]
     rhs *= batch.diffusivities

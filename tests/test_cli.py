@@ -1,6 +1,7 @@
 import os
 import re
 import signal
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -89,6 +90,22 @@ class TestRunCommand:
                                                   "control.t_end = 0.05"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+
+    @pytest.mark.parametrize("edit, argv", [
+        (("params.a1 = 0.05", "params.a1 = 1e-320"), ["run", "--strict"]),
+        (("params.mu = 0.9", "params.mu = 0.9\nparams.eps = 1e-320"), ["run", "--strict"]),
+        (("", ""), ["sweep", "--eps-list", "0.5,1e-320"]),
+    ], ids=["run-a1", "run-eps", "sweep-eps"])
+    def test_subnormal_diffusivity_runs_without_warnings(self, tmp_path, edit, argv):
+        # dt a lambda_k underflows to 0 for a subnormal diffusivity a and a
+        # small dt, where the 1D diffusion's phi1 takes its limit 1
+        # (expm1(0)/0 would be nan)
+        text = BASE.replace("c10.uniform = 0.5", "c10.cosine = 0.5 0.2 1")
+        text = text.replace("control.t_end = 1.0", "control.t_end = 1e-3\ncontrol.dt_max = 1e-5")
+        cfg = write_config(tmp_path, text.replace(*edit))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("command, extra", [("run", []), ("sweep", ["--eps-list", "0.5,0.25"])])
     def test_cosine_dipping_nonpositive_is_config_error(self, tmp_path, capsys, command, extra):

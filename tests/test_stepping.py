@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -28,7 +29,6 @@ from regenfv import (
 )
 from regenfv import stepping
 from regenfv.model import FIELDS, bind_reactions
-from regenfv.stepping import _diffusion_factors
 
 from references import stability_bound, stable_dt, taxis_divergence
 
@@ -76,25 +76,34 @@ def reference_bound(state, p):
     return min(bound, 1.0 / rate) if rate > 0 else bound
 
 
-def exact_1d_laplacian(grid, f, factor):
-    """On a 1D grid, the zero-flux divergence of ``factor`` times the interior
-    face differences of f (row by row for stacked rows and factors). With the
-    step's face factor phi1(dt a L_f) this is (exp(dt a L) - 1) f / (dt a)."""
-    inv_h = 1.0 / grid.spacing[0]
-    faces = np.zeros(f.shape[:-1] + (f.shape[-1] + 1,))
-    faces[..., 1:-1] = np.matmul(factor, (np.diff(f) * inv_h)[..., None])[..., 0]
-    return np.diff(faces) * inv_h
+def exact_1d_laplacian(grid, f, coeffs, dt):
+    """On a 1D grid, the zero-flux divergence of phi1(dt a L_f) times the
+    interior face differences of f, row by row for stacked rows, each with
+    its diffusivity a in ``coeffs``: (exp(dt a L) - 1) f / (dt a). The face
+    factor is V diag(phi1(z_k)) V, with V_jk = sqrt(2/n) sin(pi j k / n) and
+    z_k = dt a lambda_k, applied by two real FFTs of the zero-padded face
+    row: rfft(row, 2n).imag[k] is minus its sine transform at k."""
+    n, h = grid.cells[0], grid.spacing[0]
+    lam = -(2.0 * np.sin((np.pi / (2 * n)) * np.arange(1, n)) / h) ** 2
+    faces = np.zeros((np.size(coeffs), n + 1))
+    faces[:, 1:-1] = np.diff(f) * (1.0 / h)
+    for row, a in zip(faces, np.atleast_1d(coeffs)):
+        z = dt * (a * lam)
+        phi = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
+        w = np.fft.rfft(row, 2 * n).imag[:n]
+        w[1:] *= phi * (2.0 / n)
+        row[1:-1] = np.fft.rfft(w, 2 * n).imag[1:n]
+    return (np.diff(faces) * (1.0 / h)).reshape(np.shape(f))
 
 
 def diffusion_operator(grid, p, dt):
     """The step's diffusion operator of row(s) i (c1, c2, chi, tau) applied to f:
     the public laplacian_neumann on 2D grids; on 1D grids exact_1d_laplacian with
-    the step's face factor of that row."""
+    the diffusivity of each row."""
     if grid.dim == 2:
         return lambda i, f: laplacian_neumann(grid, f)
-    coeffs = (p.a1, p.a2, p.d_chi, p.eps)[:4 if p.eps > 0 else 3]
-    factors = _diffusion_factors(grid.cells[0], grid.spacing[0], dt, coeffs)
-    return lambda i, f: exact_1d_laplacian(grid, f, factors[i])
+    coeffs = np.array((p.a1, p.a2, p.d_chi, p.eps))
+    return lambda i, f: exact_1d_laplacian(grid, f, coeffs[i], dt)
 
 
 def reference_update(state, p, alphas, supply, dt):
@@ -142,7 +151,7 @@ def reference_clamp(fields, cell_volume):
 def stacked_reference_step(state, p, alphas, supply, dt):
     """The step as it was before the fused step, kept here as the reference:
     one operator call per operator on the stacked rows (on 1D grids the
-    diffusion operator applies the step's face factors) with the supply
+    diffusion operator applies the face factors row by row) with the supply
     density ``supply``, then the clamp. Returns (u, positivity_debt)."""
     grid, u = state.grid, state.u
     c1, c2, chi, tau = u
@@ -346,7 +355,7 @@ class TestFusedStep:
     @settings(max_examples=150, deadline=None)
     @given(rough_step_cases())
     def test_fused_step_equals_stacked_reference_bitwise(self, case):
-        # the same bits when one state is stepped twice (the 1D face factor
+        # the same bits when one state is stepped twice (the 1D apply
         # writes into the faces of its own step only)
         st, p, alphas, supply, dt, bound = case
         assert same_bits(stability_bound(st, p), bound)
@@ -416,8 +425,9 @@ def dense_exp_laplacian(grid, a, dt, f):
 def face_factor_stiffness(grid, a, dt):
     """z_max phi1(z_1), with z_k = dt a |lambda_k| for the smallest and largest
     face eigenvalues: the ratio by which the flux form amplifies rounding. The
-    face product P (Grad u) is exact only to 2^-52 |P| |Grad u|, where |P| ~
-    phi1(z_1), and the divergence scales that error by dt a |lambda_max|."""
+    face apply, sine transform, times phi1(z_k), sine transform, is exact only
+    to a few 2^-52 max_k phi1(z_k) |Grad u|, and max_k phi1(z_k) = phi1(z_1);
+    the divergence scales that error by up to dt a |lambda_max|."""
     n, h = grid.cells[0], grid.spacing[0]
     z_1, z_max = (dt * a * (2.0 * math.sin(math.pi * k / (2 * n)) / h) ** 2 for k in (1, n - 1))
     return z_max * -math.expm1(-z_1) / z_1
@@ -435,10 +445,12 @@ class TestExactDiffusion1D:
                             for a, row in zip((p.a1, p.a2, p.d_chi, p.eps), u))
         tau = tau + dt * (u[1] / (1.0 + u[1]))  # production; the sink factor is exp(-1e-29 dt) = 1
         expected = np.maximum(np.array((c1 + dt * r1, c2 + dt * r2, chi, tau)), 0.0)  # clamp
-        # Against an exact long-double DCT solution, the step erred by under
-        # 1e-15 on O(1) rows of up to 64 cells with dt a |lambda_max| <= 4
-        # (four times the explicit limit); stiffer, the flux form loses up to
-        # 0.7 * 2^-52 |u| (1 + stiffness), 1.1e-12 at 257 cells. The dense
+        # Against an exact long-double DCT solution, over 2 000 O(1) chi rows
+        # of 3-257 cells and dt log-uniform in [1e-13, 10], the step erred by
+        # under 7e-16 on rows of up to 64 cells with dt a |lambda_max| <= 4
+        # (four times the explicit limit), by at most 0.61 * 2^-52 |u|
+        # (1 + stiffness) in all, and by at most 9.2e-15; where dt a
+        # |lambda_max| > 1e4 that ratio stayed below 0.02. The dense
         # reference itself errs by up to 5e-14 at 257 cells.
         stiffness = max(face_factor_stiffness(grid, a, dt) for a in (p.a1, p.a2, p.d_chi, p.eps) if a > 0)
         scale = max(1.0, np.max(np.abs(expected)))
@@ -453,10 +465,26 @@ class TestExactDiffusion1D:
             drift = abs(np.sum(out.u[i]) - np.sum(u[i]))
             assert drift <= 2.0**-52 * grid.cells[0] * 16 * np.max(u[i]), FIELDS[i]
 
-    def test_factor_is_cached_per_dt_and_read_only(self):
-        factors = _diffusion_factors(16, 0.25, 1e-3, (0.1, 0.2, 0.3))
-        assert factors.shape == (3, 15, 15) and not factors.flags.writeable
-        assert _diffusion_factors(16, 0.25, 1e-3, (0.1, 0.2, 0.3)) is factors
+    def test_march_memory_is_a_few_states(self):
+        # default_1d.cfg at 1 024 cells: 21 steps of three distinct dts. A
+        # step holds about a dozen state-sized arrays at its peak: the state
+        # and its successor, the face array (1.5 states), the two transforms'
+        # complex outputs (1.5 each), phi1 and its temporaries, the divergence
+        # and the reactions. Measured: 11 states, 15 when this is the first
+        # march of the process (which also imports numpy.fft). 24 leaves room
+        # for that and for other numpy versions; a dense face factor of the
+        # three diffusing rows, 3 (n - 1)^2 floats, is about 770 states here.
+        text = (Path(__file__).resolve().parents[1] / "configs/default_1d.cfg").read_text()
+        cfg = parse_config(text.replace("grid.nx = 64\n", "grid.nx = 1024\n"))
+        initial = cfg.build_initial()
+        tracemalloc.start()
+        try:
+            final = run(initial, cfg.params, cfg.alphas, cfg.schedule, replace(cfg.ctrl, t_end=0.02, dt_max=1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert final.t == 0.02 and initial.u.nbytes == 4 * 1024 * 8
+        assert peak <= 24 * initial.u.nbytes
 
 
 @hst.composite
@@ -482,7 +510,7 @@ def symmetry_cases(draw):
 
 class TestSymmetries:
     """The march commutes with the symmetries of the domain: the bound, the
-    face arrays of each axis, the 1D factor, the reactions and the landings
+    face arrays of each axis, the 1D transforms, the reactions and the landings
     treat every axis and both directions alike."""
 
     @settings(max_examples=60, deadline=None)
@@ -504,11 +532,12 @@ class TestSymmetries:
                                 ("transpose", lambda v: v.swapaxes(-1, -2), Grid(grid.cells[::-1], grid.lengths[::-1]))):
                 assert same_bits(mapped(op, g), ref.u), name
             return
-        # 1D: the mirrored factor product sums in another order, so each step
-        # may differ by rounding, which the flux form amplifies by the stiffness
-        # of the factor (face_factor_stiffness). Over about 4 900 cases of
-        # this strategy the mirrored run differed by at most 0.64 ulp of a
-        # field's maximum per unit of `steps`; 4 are allowed.
+        # 1D: the sine transforms of a mirrored face row sum its terms in
+        # another order, so each step may differ by rounding, which the flux
+        # form amplifies by the stiffness of the face factor
+        # (face_factor_stiffness). Over 8 000 1D cases of this strategy the
+        # mirrored run differed by at most 0.49 ulp of a field's maximum per
+        # unit of `steps` (0.20 at the 99th percentile); 4 are allowed.
         diffusivities = [a for a in (p.a1, p.a2, p.d_chi, p.eps) if a > 0]
         steps = sum(1 + max(face_factor_stiffness(grid, a, dt) for a in diffusivities) for dt in dts)
         scale = np.max(np.abs(ref.u), axis=-1, keepdims=True)  # each field's maximum at each save

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from regenfv import (
     Grid,
@@ -21,7 +21,7 @@ from regenfv import (
     residual_table,
     trajectory,
 )
-from regenfv.model import FIELDS
+from regenfv.model import FIELDS, event_timeline
 from regenfv.weakform import _cosine_factors, _spatial_series, _supply_term, make_test_functions
 
 NO_SWITCH = (RateFunction("constant", 0.0), RateFunction("constant", 0.0))
@@ -237,6 +237,10 @@ def supply_cases(draw):
 class TestSupplyTerm:
     @settings(max_examples=300, deadline=None)
     @given(supply_cases())
+    @example((Trajectory(np.linspace(0.0, 3.0, 3), np.zeros((3, 4, 3)), Grid((3,), (1.0,)), params(), NO_SWITCH,
+                         SupplySchedule(dose_times=(0.0, 0.5), chi0=1.1125369292536007e-308, mode="pulse",
+                                        width=1.0)),
+              TestFunction((3,), 1, 3.0)))  # subnormal chi0, overlapping pulses: 5e-324 against 1e-323
     def test_event_timeline_equals_per_dose_closed_form(self, case):
         # bitwise while the pulses are disjoint; overlapping pulses are summed
         # per interval of the timeline instead of per dose, which rounds differently
@@ -247,7 +251,20 @@ class TestSupplyTerm:
         overlap = sched.mode == "pulse" and any(b < a + sched.width for a, b in
                                                 zip(sched.dose_times, sched.dose_times[1:]))
         if overlap:
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            # Each term of either sum is (x s_int) G, x the supply density (an
+            # integer times chi0/|Omega|, exact when that is subnormal) and
+            # G = g_integral <= T/2 (m >= 1). Where a product rounds into the
+            # subnormal range it errs by up to half of 2^-1074 absolutely,
+            # whatever its relative precision (sums there are exact), so no
+            # relative bound holds. Two products per term can: the first
+            # error is carried on times G, so a term errs by at most
+            # (1 + T) 2^-1075 beyond its relative rounding. got has a term
+            # per timeline interval, want one per dose. 2^-1075 itself rounds
+            # to 0, so the bound counts whole units 2^-1074 = ulp(0).
+            T = traj.horizon
+            terms = len(event_timeline(sched, T, None, traj.grid.measure)) + len(sched.dose_times)
+            tiny = math.ceil(terms * (1.0 + T) / 2) * math.ulp(0.0)
+            assert abs(got - want) <= 1e-12 * abs(want) + tiny, (got, want)
         else:
             assert got == want
         # on this zero trajectory the chi row is the supply term alone, and in
