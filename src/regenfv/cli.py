@@ -29,7 +29,6 @@ import math
 import os
 import sys
 from collections import deque
-from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -48,27 +47,21 @@ if TYPE_CHECKING:
     from .weakform import Trajectory
 
 
-@lru_cache(maxsize=4)
-def _coordinate_text(grid: Grid) -> tuple[str, ...]:
-    """Per cell, in row-major order, its center coordinates as CSV text ('x'
-    or 'x,y'), joined from the repr of each axis's centers."""
-    axes = [list(map(repr, grid.axis_centers(a).tolist())) for a in range(grid.dim)]
-    return tuple(map(",".join, itertools.product(*axes)))
-
-
 _SNAPSHOT_BLOCK = 4096  # cells per piece of snapshot text; also the fewest cells for a forked writer
 
 
 def _snapshot_blocks(grid: Grid, u: np.ndarray):
     """The snapshot CSV text of the ``(4, *grid.shape)`` fields ``u`` in
     pieces of ``_SNAPSHOT_BLOCK`` cells, so that only one piece's Python
-    lists and strings are alive at a time."""
+    lists and strings are alive at a time. Each block joins its cells'
+    coordinates ('x' or 'x,y') from the axes' center reprs; no call keeps any."""
     block = _SNAPSHOT_BLOCK
-    coords, u = _coordinate_text(grid), u.reshape(4, -1)
+    axes = [list(map(repr, grid.axis_centers(a).tolist())) for a in range(grid.dim)]
+    coords, u = map(",".join, itertools.product(*axes)), u.reshape(4, -1)
     yield ",".join(("x", "y")[:grid.dim] + FIELDS) + "\n"
     for start in range(0, grid.n_cells, block):
         values = u[:, start:start + block].tolist()
-        rows = zip(coords[start:start + block], *(map(repr, row) for row in values))
+        rows = zip(itertools.islice(coords, block), *(map(repr, row) for row in values))
         yield "\n".join(map(",".join, rows)) + "\n"
 
 
@@ -153,7 +146,6 @@ class _Snapshots:
             return
         if len(self.children) == self.slots:
             self._reap()
-        _coordinate_text(state.grid)  # built once, in the parent, and inherited by every child
         pid = os.fork()
         if pid == 0:
             status = 255  # also when the write raises something other than OSError

@@ -138,7 +138,8 @@ def check_initial(row: int, low: float, name: str) -> None:
 
 def landing_tol(t_end: float) -> float:
     """The one landing tolerance of a run to t_end, 1e-12*max(1, t_end): a step
-    end this close below an event lands on it, and events this close merge."""
+    end this close below an event lands on it, events this close merge, and a
+    test function's horizon this close to a trajectory's matches it."""
     return 1e-12 * max(1.0, t_end)
 
 

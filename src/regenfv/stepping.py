@@ -44,8 +44,8 @@ and is checked against dt; the shared dt is the smallest of the members'
 capped dts. Where dt_max binds every member, each member therefore steps
 exactly as it would alone, bit for bit. Where the members' limits differ,
 every member takes the smallest dt, so the sweep's output differs from
-separate runs: in 2D the diffusion limit falls as eps grows past the other
-diffusivities, and in any dimension the advection and reaction limits (the
+separate runs: in 2D the diffusion limit falls as eps grows past a1, a2 and
+d_chi, and in any dimension the advection and reaction limits (the
 damping rate eps theta c^(theta-1) among them) depend on each member's eps and
 state. A 2D sweep then makes m times the largest member's step count instead
 of the sum of the members' counts. One collector gathers the saves of a march
@@ -123,24 +123,26 @@ class _Batch:
     elsewhere): they pair cells that are not neighbours, so the face helpers
     reset them to +0.0 like every boundary face, and a -0.0 density can
     leave no signed zero there. ``speed_h`` holds the h of each signal
-    face-speed column (tau, chi per axis). The ``(k, 1)`` diffusivity and
-    taxis columns and the ``(m, 1)`` eps column (None when eps = 0) are
-    read-only.
-    ``rows`` counts the face rows a step diffuses: 5, or 6 with tau when
-    eps > 0. Per member: its eps, its diffusion limit (h^2 / (2 dim max
-    diffusivity) in 2D, inf in 1D, where diffusion is exact in time) and a tag
-    naming it in errors. ``face_rates`` (1D only, else None) is the read-only
-    ``(m, rows - 2, n - 1)`` array of a lambda_k per member, diffusing row
-    (diffusivity a) and eigenvalue lambda_k = -(2 sin(pi k / 2n) / h)^2 of
-    L_f (free of the cancellation in -(2 - 2 cos(pi k / n)) / h^2); a step's
-    phi1 takes z = dt a lambda_k.
+    face-speed column (tau, chi per axis); ``taxis_coeffs`` is the read-only
+    (b_tau, b_chi) column. ``rows`` counts the face rows a step diffuses: 5,
+    or 6 with tau when eps > 0. ``diffusion`` is the run's one table of
+    diffusion coefficients, read-only and ``(m, rows - 2, 1)``: per member
+    (a1, a2, d_chi), and its eps when eps > 0. Everything else reads it:
+    ``eps_column`` is its view ``diffusion[:, 3]`` (None when eps = 0); each
+    member's diffusion limit is h^2 / (2 dim a) for the largest a of its row
+    in 2D, inf in 1D (exact in time); ``face_rates`` (1D only, else None) is
+    the read-only ``(m, rows - 2, n - 1)`` table times lambda_k =
+    -(2 sin(pi k / 2n) / h)^2, the eigenvalues of L_f (free of the
+    cancellation in -(2 - 2 cos(pi k / n)) / h^2), so that a step's phi1
+    takes z = dt a lambda_k. Per member also its eps and a tag naming it in
+    errors.
     """
 
     grid: Grid
     p: ModelParams
     axes: tuple
     speed_h: tuple[float, ...]
-    diffusivities: np.ndarray
+    diffusion: np.ndarray
     taxis_coeffs: np.ndarray
     eps_column: Optional[np.ndarray]
     rows: int
@@ -157,27 +159,27 @@ def _batch(members: tuple[ModelParams, ...], grid: Grid, named: bool = False) ->
     if any(dc_replace(q, eps=p.eps) != p or (q.eps > 0) != (p.eps > 0) for q in members):
         raise ValueError("the members of one batch may differ only in a positive eps")
     eps = tuple(q.eps for q in members)
-    columns = [np.reshape(v, (-1, 1)) for v in ((p.a1, p.a2, p.d_chi), (p.b_tau, p.b_chi), eps)]
-    for column in columns:
-        column.flags.writeable = False
     rows = 6 if p.eps > 0 else 5
-    limit = lambda e: min(grid.spacing) ** 2 / (2.0 * dim * max(p.a1, p.a2, p.d_chi, e)) if dim > 1 else math.inf
+    diffusion = np.array([(p.a1, p.a2, p.d_chi, e)[:rows - 2] for e in eps])[..., None]
+    taxis_coeffs = np.array([[p.b_tau], [p.b_chi]])
+    diffusion.flags.writeable = taxis_coeffs.flags.writeable = False
     face_rates = None
     if dim == 1:
         (n,), (h,) = grid.cells, grid.spacing
         lam = -(2.0 * np.sin((np.pi / (2 * n)) * np.arange(1, n)) / h) ** 2
-        face_rates = np.multiply.outer([(p.a1, p.a2, p.d_chi, e)[:rows - 2] for e in eps], lam)
+        face_rates = diffusion * lam
         face_rates.flags.writeable = False
     return _Batch(
         grid, p,
         axes=tuple((s, cross, inv_h, (len(eps), 6, grid.n_cells + s)) for s, cross, inv_h in _axes(grid)),
         speed_h=tuple(h for h in grid.spacing for _ in range(2)),
-        diffusivities=columns[0],
-        taxis_coeffs=columns[1],
-        eps_column=columns[2] if p.eps > 0 else None,
+        diffusion=diffusion,
+        taxis_coeffs=taxis_coeffs,
+        eps_column=diffusion[:, 3] if p.eps > 0 else None,
         rows=rows,
         eps=eps,
-        limits=tuple(limit(e) for e in eps),
+        limits=tuple(min(grid.spacing) ** 2 / (2.0 * dim * a) if dim > 1 else math.inf
+                     for a in diffusion.max(axis=(1, 2)).tolist()),
         face_rates=face_rates,
         tags=tuple(f" (sweep member eps={e!r})" if named else "" for e in eps),
     )
@@ -219,19 +221,19 @@ def _faces_and_bounds(u: np.ndarray, batch: _Batch) -> tuple[list, list[float]]:
         for h, speed in zip(batch.speed_h, row_speeds):
             if speed > 0:
                 bound = min(bound, h / speed)
-        # Largest local linearized decay rate over all four equations.
-        rate = max(0.0, growth)
+        # Largest local linearized decay rate over all four equations: at least mu > 0.
+        rate = growth
         if eps > 0:  # numpy scalar powers: inf on overflow, as a float power would raise
             rate = max(rate, float(eps * p.theta * np.float64(max_c1) ** (p.theta - 1.0)))
             rate = max(rate, float(eps * p.theta * np.float64(max_c2) ** (p.theta - 1.0)))
         rate = max(rate, p.a_chi * uptake)
         rate = max(rate, p.delta * max_c1 + p.mu)
-        bounds.append(min(bound, 1.0 / rate) if rate > 0 else bound)
+        bounds.append(min(bound, 1.0 / rate))
     return faces, bounds
 
 
 def _capped_dt(bound: float, ctrl: StepControl, t: float, tag: str = "") -> float:
-    dt = ctrl.dt_max if math.isinf(bound) else min(ctrl.cfl_safety * bound, ctrl.dt_max)
+    dt = min(ctrl.cfl_safety * bound, ctrl.dt_max)
     if not 0 < dt < math.inf:
         raise StabilityError(f"no finite positive timestep at t={t:g} "
                              f"(stability bound {bound:g}, dt_max {ctrl.dt_max:g}){tag}")
@@ -290,7 +292,7 @@ def _advance(t: float, u: np.ndarray, debts: list[float], batch: _Batch,
         diffusing[..., 1:-1] = np.fft.rfft(w, 2 * n).imag[..., 1:n]
     div = _flux_divergence((f[:, :rows], s, inv_h) for f, (s, _, inv_h, _) in zip(faces, batch.axes))
     rhs = div[:, 2:5]
-    rhs *= batch.diffusivities
+    rhs *= batch.diffusion[:, :3]
     rhs[:, :2] -= div[:, :2]
     *rates, produce, sink = reactions(*u.swapaxes(0, 1))
     for row, r in zip(rhs.swapaxes(0, 1), rates):

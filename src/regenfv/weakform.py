@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .grid import gradient_components
-from .model import FIELDS, ModelParams, RateFunction, SupplySchedule, bind_reactions, event_timeline
+from .model import FIELDS, ModelParams, RateFunction, SupplySchedule, bind_reactions, event_timeline, landing_tol
 
 if TYPE_CHECKING:
     from .config import Grid
@@ -155,7 +155,7 @@ def _spatial_series(traj: Trajectory, psis: Sequence[TestFunction]) -> dict:
     grid, p = traj.grid, traj.params
     reactions = bind_reactions(p, *traj.alphas, p.eps if p.eps > 0.0 else None, arrays=True)
     for psi in psis:
-        if abs(psi.horizon - traj.horizon) > 1e-12 * max(1.0, traj.horizon):
+        if abs(psi.horizon - traj.horizon) > landing_tol(traj.horizon):
             raise ValueError(f"test-function horizon {psi.horizon} does not match "
                              f"trajectory horizon {traj.horizon}")
         if len(psi.modes) != grid.dim:

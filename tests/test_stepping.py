@@ -16,6 +16,7 @@ from regenfv import (
     ModelParams,
     RateFunction,
     SimState,
+    StabilityError,
     StepControl,
     SupplySchedule,
     SweepConfig,
@@ -234,6 +235,15 @@ class TestStableDt:
         ctrl = StepControl(t_end=1.0, dt_max=0.01, cfl_safety=1.0)
         assert stable_dt(st, p, ctrl) == 0.01
 
+    def test_infinite_bound_takes_dt_max(self):
+        # cfl_safety * inf is inf, so dt_max binds; with no finite dt_max
+        # either there is no finite step
+        ctrl = StepControl(t_end=1.0, dt_max=0.01, cfl_safety=0.5)
+        assert stepping._capped_dt(math.inf, ctrl, 0.0) == 0.01
+        with pytest.raises(StabilityError, match=r"^no finite positive timestep at t=0 "
+                                                 r"\(stability bound inf, dt_max inf\)$"):
+            stepping._capped_dt(math.inf, replace(ctrl, dt_max=math.inf), 0.0)
+
     def test_advection_limit_with_safety(self):
         # max |grad tau| = 2, b_tau = 1, h = 0.1 -> h/speed * 0.5 = 0.25
         g = Grid((10,), (1.0,))
@@ -302,6 +312,8 @@ class TestStackedStep:
     @given(rough_step_cases())
     def test_step_equals_per_field_reference_bitwise(self, case):
         st, p, alphas, supply, dt, bound = case
+        # the reaction rate is at least mu > 0, so 1/mu caps every raw bound
+        assert math.isfinite(bound) and 0 < bound <= 1.0 / p.mu
         ctrl = StepControl(t_end=1.0, cfl_safety=1.0)
         assert stable_dt(st, p, ctrl) == bound
         out = unchecked_step(st, p, alphas, dt, supply)
@@ -359,6 +371,7 @@ class TestFusedStep:
         # writes into the faces of its own step only)
         st, p, alphas, supply, dt, bound = case
         assert same_bits(stability_bound(st, p), bound)
+        assert math.isfinite(bound) and 0 < bound <= 1.0 / p.mu
         ref_u, ref_debt = stacked_reference_step(st, p, alphas, supply, dt)
         for _ in range(2):
             out = unchecked_step(st, p, alphas, dt, supply)
