@@ -1,13 +1,18 @@
 """Command-line surface: run / sweep / weakcheck / oracle.
 
-All file output lives here: the per-run diagnostics CSV (fixed column order,
-booleans as 0/1, shortest round-trip decimals), optional per-save snapshots
-(snap_<index>.csv with columns x[,y] and ``FIELDS``, and every save's state in
-one binary trajectory.npy), the canonical config echo, the sweep report CSV,
-and the weak-form residual report CSV. ``weakcheck`` reads the states of a
-run from its trajectory.npy and their times from the config (``save_times``),
-which its config_echo.txt must show to be the run's; diagnostics.csv is an
-output only, and the snapshot text is not read back either.
+All file output lives here; the modules that compute return numbers only.
+Each table (the per-run diagnostics.csv in ``DiagnosticsRecord`` field order,
+sweep.csv, weakform.csv and oracle.csv) is written one ``_line`` at a time:
+strings as they are, booleans as 0/1, integers as integers and every other
+number as its shortest round-trip decimal (``config._fmt``, which the config
+echo uses too). The optional per-save snapshots, snap_<index>.csv with
+columns x[,y] and ``FIELDS``, take ``repr`` of the floats of ``tolist()``,
+the same decimals without a call per value (``_snapshot_blocks``); every
+save's state also goes to one binary trajectory.npy. ``weakcheck`` reads the
+states of a run from its trajectory.npy and their times from the config
+(``save_times``), which its config_echo.txt must show to be the run's;
+diagnostics.csv is an output only, and the snapshot text is not read back
+either.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 certificate failure under --strict.
@@ -32,7 +37,7 @@ from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import Grid, RunConfig, echo_text, parse_config
+from .config import Grid, RunConfig, _fmt, echo_text, parse_config
 from .errors import ConfigError, DivergenceError, StabilityError, StiffnessError
 from .model import FIELDS, save_times
 
@@ -50,18 +55,30 @@ if TYPE_CHECKING:
 _SNAPSHOT_BLOCK = 4096  # cells per piece of snapshot text; also the fewest cells for a forked writer
 
 
+def _line(values) -> str:
+    """One line of a table: each str as it is, each bool or int as an
+    integer, any other number by ``_fmt``."""
+    return ",".join(v if isinstance(v, str) else str(int(v)) if isinstance(v, int) else _fmt(v)
+                    for v in values) + "\n"
+
+
 def _snapshot_blocks(grid: Grid, u: np.ndarray):
     """The snapshot CSV text of the ``(4, *grid.shape)`` fields ``u`` in
     pieces of ``_SNAPSHOT_BLOCK`` cells, so that only one piece's Python
-    lists and strings are alive at a time. Each block joins its cells'
-    coordinates ('x' or 'x,y') from the axes' center reprs; no call keeps any."""
-    block = _SNAPSHOT_BLOCK
-    axes = [list(map(repr, grid.axis_centers(a).tolist())) for a in range(grid.dim)]
-    coords, u = map(",".join, itertools.product(*axes)), u.reshape(4, -1)
-    yield ",".join(("x", "y")[:grid.dim] + FIELDS) + "\n"
-    for start in range(0, grid.n_cells, block):
-        values = u[:, start:start + block].tolist()
-        rows = zip(itertools.islice(coords, block), *(map(repr, row) for row in values))
+    lists and strings are alive at a time. A block joins its cells'
+    coordinates ('x' or 'x,y') from the reprs of the x centers its own cells
+    use, a slice of the leading axis, and of the y centers (2D), which are
+    built once per call; no call keeps any."""
+    x, *inner = (grid.axis_centers(a) for a in range(grid.dim))
+    inner = [list(map(repr, y.tolist())) for y in inner]
+    stride, u = grid.n_cells // len(x), u.reshape(4, -1)  # cells per x center
+    yield _line(("x", "y")[:grid.dim] + FIELDS)
+    for start in range(0, grid.n_cells, _SNAPSHOT_BLOCK):
+        stop = min(start + _SNAPSHOT_BLOCK, grid.n_cells)
+        lead = map(repr, x[start // stride:(stop - 1) // stride + 1].tolist())
+        coords = itertools.islice(itertools.product(lead, *inner), start % stride, None)
+        values = u[:, start:stop].tolist()
+        rows = zip(map(",".join, coords), *(map(repr, row) for row in values))
         yield "\n".join(map(",".join, rows)) + "\n"
 
 
@@ -240,12 +257,12 @@ def _cmd_run(cfg: RunConfig, args) -> int:
     n_t = len(save_times(cfg.schedule, cfg.ctrl.t_end, cfg.ctrl.save_every))
     with _Snapshots(out, initial.grid, n_t) as snapshots, \
             (out / "diagnostics.csv").open("w") as diag:
-        diag.write(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
+        diag.write(_line(DiagnosticsRecord.CSV_COLUMNS))
 
         def record_sink(state: SimState) -> None:
             nonlocal last_t, failed_t
             rec = compute_record(state, cfg.params, cfg.alphas, initial)
-            diag.write(rec.csv_row() + "\n")
+            diag.write(_line(getattr(rec, name) for name in rec.CSV_COLUMNS))
             diag.flush()
             last_t = rec.t
             if failed_t is None and not (rec.cert_c1_mass and rec.cert_tau_linf and rec.cert_nonneg):
@@ -286,7 +303,11 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError(str(exc)) from None
     report = run_sweep(sweep_cfg)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(report.csv_text())
+    lines = [_line(("eps", *(f"pair_distance_{f}" for f in FIELDS), "art_c1", "art_c2", "art_tau"))]
+    for e in report.entries:
+        dist = ("",) * 4 if e.pair_distance is None else (e.pair_distance[f] for f in FIELDS)
+        lines.append(_line((e.eps, *dist, e.art_c1, e.art_c2, e.art_tau)))
+    (out / "sweep.csv").write_text("".join(lines))
     return 0
 
 
@@ -296,12 +317,10 @@ def _cmd_weakcheck(cfg: RunConfig, args) -> int:
     if not cfg.snapshots:
         raise ConfigError("weakcheck reads the snapshots of a run, and this config sets output.snapshots = 0")
     out = _out_dir(args)
-    rows = residual_table(load_trajectory(cfg, out))
-    lines = ["equation,k,m,residual,level"]
-    for name, modes, power, value in rows:
-        k_label = "x".join(str(k) for k in modes)
-        lines.append(f"{name},{k_label},{power},{repr(float(value))},0")
-    (out / "weakform.csv").write_text("\n".join(lines) + "\n")
+    lines = [_line(("equation", "k", "m", "residual", "level"))]
+    for name, modes, power, value in residual_table(load_trajectory(cfg, out)):
+        lines.append(_line((name, "x".join(map(str, modes)), power, value, 0)))
+    (out / "weakform.csv").write_text("".join(lines))
     return 0
 
 
@@ -321,10 +340,9 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
         domain_measure=cfg.grid.measure, save_every=cfg.ctrl.save_every,
     )
     out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(("t", *FIELDS))]
-    for t, row in zip(times, values):
-        lines.append(",".join(repr(float(v)) for v in (t, *row)))
-    (out / "oracle.csv").write_text("\n".join(lines) + "\n")
+    lines = [_line(("t", *FIELDS))]
+    lines += (_line((t, *row)) for t, row in zip(times, values))
+    (out / "oracle.csv").write_text("".join(lines))
     return 0
 
 

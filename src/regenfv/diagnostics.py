@@ -38,7 +38,8 @@ TOL_ABS = 1e-12  # undershoot below zero that the nonnegativity certificate allo
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Per-save-time scalar diagnostics; one CSV row."""
+    """Per-save-time scalar diagnostics: floats, and the three certificates
+    as bools. ``regenfv.cli`` writes them as one row of diagnostics.csv."""
 
     t: float
     mass_c1: float
@@ -62,14 +63,7 @@ class DiagnosticsRecord:
     cert_tau_linf: bool
     cert_nonneg: bool
 
-    CSV_COLUMNS: ClassVar[tuple[str, ...]]
-
-    def csv_row(self) -> str:
-        parts = []
-        for name in self.CSV_COLUMNS:
-            value = getattr(self, name)
-            parts.append(str(int(value)) if isinstance(value, bool) else repr(float(value)))
-        return ",".join(parts)
+    CSV_COLUMNS: ClassVar[tuple[str, ...]]  # the field names in order: the columns of diagnostics.csv
 
 
 DiagnosticsRecord.CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))

@@ -122,8 +122,7 @@ class _Batch:
     one grid row to the start of the next (the last axis of a 2D grid; None
     elsewhere): they pair cells that are not neighbours, so the face helpers
     reset them to +0.0 like every boundary face, and a -0.0 density can
-    leave no signed zero there. ``speed_h`` holds the h of each signal
-    face-speed column (tau, chi per axis); ``taxis_coeffs`` is the read-only
+    leave no signed zero there. ``taxis_coeffs`` is the read-only
     (b_tau, b_chi) column. ``rows`` counts the face rows a step diffuses: 5,
     or 6 with tau when eps > 0. ``diffusion`` is the run's one table of
     diffusion coefficients, read-only and ``(m, rows - 2, 1)``: per member
@@ -141,7 +140,6 @@ class _Batch:
     grid: Grid
     p: ModelParams
     axes: tuple
-    speed_h: tuple[float, ...]
     diffusion: np.ndarray
     taxis_coeffs: np.ndarray
     eps_column: Optional[np.ndarray]
@@ -172,7 +170,6 @@ def _batch(members: tuple[ModelParams, ...], grid: Grid, named: bool = False) ->
     return _Batch(
         grid, p,
         axes=tuple((s, cross, inv_h, (len(eps), 6, grid.n_cells + s)) for s, cross, inv_h in _axes(grid)),
-        speed_h=tuple(h for h in grid.spacing for _ in range(2)),
         diffusion=diffusion,
         taxis_coeffs=taxis_coeffs,
         eps_column=diffusion[:, 3] if p.eps > 0 else None,
@@ -189,8 +186,9 @@ def _transport_faces(u: np.ndarray, batch: _Batch) -> tuple[list, list]:
     """Each face quantity of one step of the flat member stack u, built once:
     per axis, a face array (zero boundary faces, as in ``grid``) with rows per
     member (taxis flux of c1 up tau, of c2 up chi, face differences of c1, c2,
-    chi, tau), and per member the row maxima of |v| for the scaled signal face
-    gradient v = (b_tau, b_chi) * grad(tau, chi) that carries those fluxes."""
+    chi, tau), and per member the maximum of |v| over both rows of the scaled
+    signal face gradient v = (b_tau, b_chi) * grad(tau, chi) that carries
+    those fluxes."""
     faces, speeds = [], []
     for s, cross, inv_h, shape in batch.axes:
         f = np.zeros(shape)
@@ -198,7 +196,7 @@ def _transport_faces(u: np.ndarray, batch: _Batch) -> tuple[list, list]:
         v = f[:, 5:3:-1] * batch.taxis_coeffs
         _upwind_flux(v, u[:, :2], s, cross, out=f[:, :2])
         faces.append(f)
-        speeds.append(np.abs(v, out=v).max(-1))
+        speeds.append(np.abs(v, out=v).max(axis=(-2, -1)))
     return faces, speeds
 
 
@@ -209,16 +207,17 @@ def _faces_and_bounds(u: np.ndarray, batch: _Batch) -> tuple[list, list[float]]:
     faces, speeds = _transport_faces(u, batch)
     p = batch.p
     c1, c2, _, tau = u.swapaxes(0, 1)
-    stats = np.empty((len(u), 4 + 2 * len(speeds)))
+    stats = np.empty((len(u), 4 + len(speeds)))
     u[:, :2].max(-1, out=stats[:, :2])
     (p.beta * (1.0 + 2.0 * c1 + c2 + tau)).max(-1, out=stats[:, 2])
     (c1 + c2).max(-1, out=stats[:, 3])
     for i, speed in enumerate(speeds):
-        stats[:, 4 + 2 * i:6 + 2 * i] = speed
+        stats[:, 4 + i] = speed
     bounds = []
-    for (max_c1, max_c2, growth, uptake, *row_speeds), eps, bound in zip(stats.tolist(), batch.eps, batch.limits):
-        # |v| = b * |grad s| face by face, so max|v| is b * max|grad s| exactly.
-        for h, speed in zip(batch.speed_h, row_speeds):
+    for (max_c1, max_c2, growth, uptake, *axis_speeds), eps, bound in zip(stats.tolist(), batch.eps, batch.limits):
+        # |v| = b * |grad s| face by face, so max|v| is b * max|grad s| exactly; one
+        # limit per axis, h / max(s_tau, s_chi) = min(h / s_tau, h / s_chi) exactly.
+        for h, speed in zip(batch.grid.spacing, axis_speeds):
             if speed > 0:
                 bound = min(bound, h / speed)
         # Largest local linearized decay rate over all four equations: at least mu > 0.

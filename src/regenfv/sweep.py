@@ -5,7 +5,8 @@ varies. For consecutive members the report holds space-time distances (L2 for
 c1, chi, tau; the L^{5/4}-in-time W^{1,5/4}-in-space norm for c2, matching the
 solution classes the limit object lives in) plus the size of the artificial
 terms eps*int int c^theta and eps*int int |grad tau|^2/tau per member, which
-must shrink as eps does.
+must shrink as eps does. The report holds numbers only; ``regenfv.cli``
+writes its entries as the rows of sweep.csv.
 
 ``run_sweep`` steps all members together, as one ``(m, 4, *shape)`` member
 stack with one shared dt, through the driver that ``run`` uses. Where dt_max
@@ -29,7 +30,7 @@ import numpy as np
 
 from .diagnostics import fisher_integrand
 from .grid import gradient_components
-from .model import FIELDS, ModelParams, RateFunction, SupplySchedule
+from .model import ModelParams, RateFunction, SupplySchedule
 from .stepping import SimState, _trajectories
 from .weakform import Trajectory
 
@@ -73,22 +74,6 @@ class SweepEntry:
 class SweepReport:
     entries: tuple[SweepEntry, ...]
     trajectories: tuple[Trajectory, ...]
-
-    def csv_text(self) -> str:
-        header = (
-            "eps,pair_distance_c1,pair_distance_c2,pair_distance_chi,pair_distance_tau,"
-            "art_c1,art_c2,art_tau"
-        )
-        lines = [header]
-        for e in self.entries:
-            if e.pair_distance is None:
-                dist = ["", "", "", ""]
-            else:
-                dist = [repr(e.pair_distance[f]) for f in FIELDS]
-            lines.append(
-                ",".join([repr(e.eps), *dist, repr(e.art_c1), repr(e.art_c2), repr(e.art_tau)])
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _check_compatible(a: Trajectory, b: Trajectory) -> None:

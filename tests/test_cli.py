@@ -193,6 +193,11 @@ SNAPSHOT_VALUES = hst.one_of(
 )
 
 
+def test_line_formats_each_value():
+    # str as it is, bool and int as integers, other numbers in shortest round-trip decimals
+    assert cli._line(("a", True, False, 3, 0.1, -0.0, 5e-324, 1e16, "")) == "a,1,0,3,0.1,-0.0,5e-324,1e+16,\n"
+
+
 class TestSnapshotWriter:
     @settings(max_examples=60, deadline=None)
     @given(hst.data())
@@ -207,10 +212,11 @@ class TestSnapshotWriter:
         with patch.object(cli, "_SNAPSHOT_BLOCK", data.draw(hst.integers(1, grid.n_cells + 1))):
             assert "".join(cli._snapshot_blocks(grid, u)) == expected
 
-    def test_write_keeps_nothing(self, tmp_path):
-        # a 128^2 snapshot is four blocks; a first write on another grid
+    @pytest.mark.parametrize("cells", [(128, 128), (16384,)], ids=["128x128", "16384"])
+    def test_write_keeps_nothing(self, tmp_path, cells):
+        # each snapshot is four blocks; a first write on another grid
         # takes whatever the first call of the path allocates for good
-        grid, path = Grid((128, 128), (1.0, 1.0)), tmp_path / "snap.csv"
+        grid, path = Grid(cells, (1.0,) * len(cells)), tmp_path / "snap.csv"
         u = np.random.default_rng(3).uniform(0.0, 2.0, (4, *grid.shape))
         assert cli._write_snapshot(path, Grid((8, 8), (1.0, 1.0)), np.zeros((4, 8, 8))) == 0
         tracemalloc.start()
@@ -225,8 +231,10 @@ class TestSnapshotWriter:
         # text alone would keep 1.25 MB of a 128^2 grid.
         assert kept <= 16 * 1024
         # The peak is one block's lists and strings: 1.5 MB for 4,096 cells
-        # when this test was added. 2 MB admits that and not a whole grid's
-        # coordinate text (1.25 MB more) alive beside it.
+        # when this test was added, on either grid. 2 MB admits that and not
+        # a whole grid's coordinate text alive beside it: 1.25 MB more on
+        # 128^2, and on 16,384 cells in 1D, where that text is one x repr per
+        # cell, 2.8 MB in all when every block's x reprs were built up front.
         assert peak <= 2048 * 1024
         # and it wrote the whole snapshot
         assert path.read_text() == row_wise_snapshot_text(SimState(0.0, u, grid))

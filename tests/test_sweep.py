@@ -24,6 +24,7 @@ from regenfv import (
     trajectory,
 )
 from regenfv import stepping
+from regenfv.cli import main
 from regenfv.diagnostics import fisher_integrand
 from regenfv.grid import gradient_components
 from regenfv.model import FIELDS
@@ -110,14 +111,23 @@ class TestRunSweep:
         taus = [e.art_tau for e in rep.entries]
         assert all(b < a for a, b in zip(taus, taus[1:]))
 
-    def test_csv_layout(self):
-        rep = run_sweep(make_config((0.5, 0.25), t_end=0.05, n=24))
-        lines = rep.csv_text().strip().split("\n")
+    def test_csv_layout(self, tmp_path):
+        # the CLI writes the report: one row per entry, the numbers in shortest round-trip decimals
+        text = (Path(__file__).resolve().parents[1] / "configs/default_1d.cfg").read_text().replace(
+            "grid.nx = 64", "grid.nx = 24").replace("control.t_end = 0.25", "control.t_end = 0.05")
+        (tmp_path / "sweep.cfg").write_text(text)
+        assert main(["sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "out"),
+                     "--eps-list", "0.5,0.25"]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().split("\n")
         assert lines[0] == ("eps,pair_distance_c1,pair_distance_c2,pair_distance_chi,"
                             "pair_distance_tau,art_c1,art_c2,art_tau")
-        first = lines[1].split(",")
-        assert first[0] == "0.5" and first[1] == ""  # no pair distance on row 0
-        assert len(lines) == 3
+        assert lines[1].split(",")[:5] == ["0.5", "", "", "", ""]  # no pair distance on row 0
+        assert len(lines) == 4 and lines[3] == ""  # two rows, each ending in a newline
+        cfg = parse_config(text)
+        rep = run_sweep(SweepConfig((0.5, 0.25), cfg.params, cfg.alphas, cfg.schedule, cfg.build_initial(), cfg.ctrl))
+        for line, e in zip(lines[1:3], rep.entries, strict=True):
+            dist = ["", "", "", ""] if e.pair_distance is None else [repr(e.pair_distance[f]) for f in FIELDS]
+            assert line.split(",") == [repr(e.eps), *dist, repr(e.art_c1), repr(e.art_c2), repr(e.art_tau)]
 
     def test_grid_mismatch_rejected(self):
         cfg_a = make_config((0.5,), t_end=0.05, n=24)
@@ -193,7 +203,16 @@ class TestCompareToLimit:
     def test_determinism_bitwise(self):
         cfg = make_config((0.3, 0.15), t_end=0.05, n=24)
         a, b = run_sweep(cfg), run_sweep(cfg)
-        assert a.csv_text() == b.csv_text()
+
+        def entry_bits(report):
+            """Each entry's numbers, in sweep.csv column order, as raw float64 bytes."""
+            rows = []
+            for e in report.entries:
+                dist = [] if e.pair_distance is None else [e.pair_distance[f] for f in FIELDS]
+                rows.append(np.array([e.eps, *dist, e.art_c1, e.art_c2, e.art_tau]).tobytes())
+            return rows
+
+        assert entry_bits(a) == entry_bits(b)
         for ta, tb in zip(a.trajectories, b.trajectories, strict=True):
             assert np.array_equal(ta.times, tb.times)
             assert np.array_equal(ta.u, tb.u)
